@@ -95,12 +95,6 @@ def solve(a, b, p: int):
     return x[:, 0] if single else x
 
 
-def row_basis(a, p: int) -> np.ndarray:
-    """Nonzero rows of the rref: a canonical basis of the row space."""
-    r, pivots = rref(a, p)
-    return r[: len(pivots)]
-
-
 def in_span(rows, v, p: int) -> bool:
     """Is the vector ``v`` in the span of the given row vectors?"""
     m = as_modp(rows, p)

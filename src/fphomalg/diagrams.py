@@ -607,6 +607,7 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
     tgt_basis = hc_tgt.basis(level, t)
     sidx = {b: j for j, b in enumerate(src_basis)}
     mat = np.zeros((len(src_basis), len(tgt_basis)), dtype=np.int64)
+    src_letters, src_words = hc_src.abar_index, hc_src.word_index[level]
     # build per-letter images once
     letter_imgs = []
     for mon, d in hc_tgt.abar:
@@ -625,7 +626,7 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
             new = {}
             for word, c in expansion.items():
                 for mon, cm in img.items():
-                    key = word + (hc_src._abar_idx[(mon, d)],)
+                    key = word + (src_letters[(mon, d)],)
                     new[key] = (new.get(key, 0) + c * cm) % p
             expansion = {k: v for k, v in new.items() if v}
             if not expansion:
@@ -633,26 +634,14 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
                 break
         if not ok:
             continue
-        srcw_idx = _word_index(hc_src, level)
         for word, c in expansion.items():
-            w_index = srcw_idx.get(word)
+            w_index = src_words.get(word)
             if w_index is None:
                 continue
             row = sidx.get((w_index, dv, mi))
             if row is not None:
                 mat[row, col] = (mat[row, col] + c) % p
     return mat
-
-
-def _word_index(hc, level):
-    key = ("_widx", level)
-    cache = getattr(hc, "_widx_cache", None)
-    if cache is None:
-        cache = {}
-        hc._widx_cache = cache
-    if level not in cache:
-        cache[level] = {w: i for i, w in enumerate(hc.words[level])}
-    return cache[level]
 
 
 def _mul_into(alg, elem, factor):

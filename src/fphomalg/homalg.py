@@ -28,6 +28,98 @@ from .errors import CapError, CrossCheckError, ValidationError
 from .linalg import BigradedTable, GradedVectorSpace, ParityVerdict
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 
+# Largest top level |Abar|^levels a normalized cochain complex may have.
+# Its words, their index and the dense differentials between degree buckets
+# grow with it; the three-generator exterior algebra at ``aq --smax 4``
+# (7^6 = 117,649 words) fits, five generators (31^6) are refused up front.
+MAX_COCHAIN_WORDS = 200_000
+
+# ---------------------------------------------------------------------------
+# shared plumbing of the homology steps
+
+
+class _RankOnce(dict):
+    """``ranks[key]`` is the rank of ``matrix(key)``, computed on first use.
+
+    A homology step needs the rank of each differential twice, once as the
+    outgoing and once as the incoming map; this keeps it to one rank call.
+    """
+
+    def __init__(self, matrix, p: int):
+        super().__init__()
+        self._matrix = matrix
+        self._p = p
+
+    def __missing__(self, key):
+        r = self[key] = K.rank(self._matrix(key), self._p)
+        return r
+
+
+def _assemble(shape, rows, cols, vals, p: int) -> np.ndarray:
+    """Dense matrix mod p from (row, column, value) triples, repeats summed."""
+    mat = np.zeros(shape, dtype=np.int64)
+    if vals:
+        np.add.at(mat, (rows, cols), vals)
+        mat %= p
+    return mat
+
+
+class _Words:
+    """Words in letters of an algebra basis, shared by the bar and
+    Hochschild complexes.
+
+    ``letters`` lists ``(monomial, degree)`` pairs.  ``words[s]`` holds the
+    words of length ``s`` (tuples of letter indices) in lexicographic order,
+    built once from level ``s - 1`` with their degrees ``degrees[s]`` summed
+    as they grow; with a ``cap`` only words of degree at most ``cap`` are
+    kept.  ``index[s]`` maps a word to its position in ``words[s]``, and
+    ``buckets[s][d]`` lists, in word order, the positions of the words of
+    degree ``d``.  ``merge`` memoizes letter products, so ``A.mul`` runs
+    once per letter pair.
+    """
+
+    def __init__(self, A, letters, levels: int, cap: int | None = None):
+        self.A = A
+        self.letters = letters
+        self.letter_index = {l: i for i, l in enumerate(letters)}
+        self.words: list[list[tuple]] = [[()]]
+        self.degrees: list[list[int]] = [[0]]
+        for _ in range(levels):
+            words, degrees = [], []
+            for w, dw in zip(self.words[-1], self.degrees[-1]):
+                for i, (_, d) in enumerate(letters):
+                    if cap is None or dw + d <= cap:
+                        words.append(w + (i,))
+                        degrees.append(dw + d)
+            self.words.append(words)
+            self.degrees.append(degrees)
+        self.index = [{w: i for i, w in enumerate(ws)} for ws in self.words]
+        self.buckets: list[dict[int, list[int]]] = []
+        for degrees in self.degrees:
+            bucket: dict[int, list[int]] = {}
+            for wi, d in enumerate(degrees):
+                bucket.setdefault(d, []).append(wi)
+            self.buckets.append(bucket)
+        self._merge: dict[tuple[int, int], list] = {}
+
+    def merge(self, a: int, b: int) -> list:
+        """Product of letters ``a`` and ``b`` as ``[(letter, scalar)]``."""
+        key = (a, b)
+        if key not in self._merge:
+            (ma, da), (mb, db) = self.letters[a], self.letters[b]
+            self._merge[key] = [(self.letter_index[(m, da + db)], sc)
+                                for m, sc in self.A.mul(ma, mb).items()]
+        return self._merge[key]
+
+    def faces(self, w: tuple) -> list:
+        """Inner faces of ``w``: ``(i, merged, scalar)`` for each product of
+        letters ``i - 1`` and ``i``, ``merged`` indexing one level down."""
+        below = self.index[len(w) - 1]
+        return [(i, below[w[: i - 1] + (li,) + w[i + 1:]], sc)
+                for i in range(1, len(w))
+                for li, sc in self.merge(w[i - 1], w[i])]
+
+
 # ---------------------------------------------------------------------------
 # strands
 
@@ -234,14 +326,15 @@ class FreeResolution:
                 dims[s] = len(self.module_basis(s, t))
             for s in range(1, self.s_max + 1):
                 mats[s], _, _ = self._linear_block(s, t)
+            ranks = _RankOnce(mats.__getitem__, self.p)
             # augmentation: F_0 = A -> k
             aug_rank = 1 if t == 0 else 0
             for s in range(0, self.s_max):
                 n = dims[s]
                 if n == 0:
                     continue
-                rank_out = aug_rank if s == 0 else K.rank(mats[s], self.p)
-                rank_in = K.rank(mats[s + 1], self.p) if s + 1 in mats else 0
+                rank_out = aug_rank if s == 0 else ranks[s]
+                rank_in = ranks[s + 1] if s + 1 in mats else 0
                 if (n - rank_out) - rank_in != 0:
                     raise CrossCheckError(
                         f"resolution not exact at stage {s}, degree {t}"
@@ -321,15 +414,13 @@ def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None,
         mats = {}
         for s in range(s_max + 1):
             mats[s] = delta(s, t)
+        ranks = _RankOnce(lambda s: mats[s][0], p)
         for s in range(s_max + 1):
             n = len(mats[s][1])
             if n == 0:
                 continue
-            rank_out = K.rank(mats[s][0], p)
-            rank_in = 0
-            if s > 0:
-                prev = delta(s - 1, t)[0] if s - 1 not in mats else mats[s - 1][0]
-                rank_in = K.rank(prev, p)
+            rank_out = ranks[s]
+            rank_in = ranks[s - 1] if s > 0 else 0
             h = n - rank_out - rank_in
             if h < 0:
                 raise CrossCheckError("negative Ext dimension (differential bug)")
@@ -352,6 +443,14 @@ class HochschildComplex:
     Requires every generator exponent-capped so that Abar is finite
     dimensional.  Cochain bidegrees are ``(s, t)`` with ``t`` the map
     degree; the differential uses the symmetric bimodule structure.
+
+    The words of every level are built once, bucketed by degree, so
+    ``basis(s, t)`` reads only the buckets of degree ``md - t`` for the
+    module degrees ``md``; letter products (``A.mul``) and the module action
+    of each letter from each degree are computed once and reused, and each
+    differential is assembled and ranked once per ``(s, t)``.  A top level
+    of more than ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any
+    word is built.
     """
 
     def __init__(self, A: MonomialAlgebra, M: AlgebraModule, levels: int):
@@ -362,42 +461,57 @@ class HochschildComplex:
         self.p = A.p
         self.levels = int(levels)
         top = A.top_degree()
-        self.abar = []
-        for d in range(1, top + 1):
-            for mon in A.basis(d):
-                self.abar.append((mon, d))
-        self._abar_idx = {l: i for i, l in enumerate(self.abar)}
-        self.words: list[list[tuple]] = [[()]]
-        for s in range(1, self.levels + 1):
-            self.words.append(
-                [w + (i,) for w in self.words[s - 1] for i in range(len(self.abar))]
+        self.abar = [(mon, d) for d in range(1, top + 1) for mon in A.basis(d)]
+        if len(self.abar) ** self.levels > MAX_COCHAIN_WORDS:
+            raise CapError(
+                f"{len(self.abar)}^{self.levels} cochain words exceed the budget of "
+                f"{MAX_COCHAIN_WORDS}; lower --smax"
             )
+        self._words = _Words(A, self.abar, self.levels)
+        self.words = self._words.words
+        self.word_index = self._words.index
+        self.abar_index = self._words.letter_index
         self._basis_cache = {}
         self._delta_cache = {}
-
-    def word_degree(self, w) -> int:
-        return sum(self.abar[i][1] for i in w)
+        self._action_cache = {}
+        self._ranks = _RankOnce(lambda key: self.delta(*key), self.p)
 
     def basis(self, s: int, t: int):
+        """Cochains ``(word index, module degree, module index)`` in word order."""
         key = (s, t)
         if key not in self._basis_cache:
+            buckets = self._words.buckets[s]
+            wis = [wi for md in self.M.space.degrees() for wi in buckets.get(md - t, ())]
+            wis.sort()
+            degrees = self._words.degrees[s]
             out = []
-            for wi, w in enumerate(self.words[s]):
-                d = self.word_degree(w) + t
-                for mi in range(self.M.space.dim(d)):
-                    out.append((wi, d, mi))
+            for wi in wis:
+                d = degrees[wi] + t
+                out.extend((wi, d, mi) for mi in range(self.M.space.dim(d)))
             self._basis_cache[key] = out
         return self._basis_cache[key]
 
     def t_range(self, s_levels=None):
-        out = set()
         levels = range(self.levels + 1) if s_levels is None else s_levels
-        for s in levels:
-            degs = sorted({self.word_degree(w) for w in self.words[s]})
-            for wd in degs:
-                for d in self.M.space.degrees():
-                    out.add(d - wd)
-        return sorted(out)
+        return sorted({md - wd for s in levels for wd in self._words.buckets[s]
+                       for md in self.M.space.degrees()})
+
+    def _action(self, li: int, d: int) -> list:
+        """Letter ``li`` acting from degree ``d``: row ``ni`` of the block
+        lists its nonzero entries ``(mi, value)``."""
+        key = (li, d)
+        if key not in self._action_cache:
+            mon, dl = self.abar[li]
+            rows = [[] for _ in range(self.M.space.dim(d + dl))]
+            n = self.M.space.dim(d)
+            for mi in range(n):
+                vec = np.zeros(n, dtype=np.int64)
+                vec[mi] = 1
+                _, img = self.M.act_monomial(mon, d, vec)
+                for ni in np.flatnonzero(img):
+                    rows[ni].append((mi, int(img[ni])))
+            self._action_cache[key] = rows
+        return self._action_cache[key]
 
     def delta(self, s: int, t: int) -> np.ndarray:
         """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}."""
@@ -405,58 +519,36 @@ class HochschildComplex:
         if key in self._delta_cache:
             return self._delta_cache[key]
         p = self.p
+        words, below = self._words.words[s + 1], self._words.index[s]
         src = self.basis(s, t)
         tgt = self.basis(s + 1, t)
-        sidx = {b: j for j, b in enumerate(src)}
-        widx = {w: i for i, w in enumerate(self.words[s])}
-        mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
+        start = {wi: j for j, (wi, _, mi) in enumerate(src) if mi == 0}
+        right_sign = -1 if (s + 1) % 2 else 1
+        rows, cols, vals = [], [], []
         for r, (wi, dv, ni) in enumerate(tgt):
-            w = self.words[s + 1][wi]
-            letters = [self.abar[i] for i in w]
+            w = words[wi]
             # left action term
-            a0_mon, a0_deg = letters[0]
-            rest = w[1:]
+            a0, a0_deg = w[0], self.abar[w[0]][1]
             dmu = dv - a0_deg
-            sign0 = -1 if p != 2 and (a0_deg * t) % 2 else 1
-            for mi in range(self.M.space.dim(dmu)):
-                vec = np.zeros(self.M.space.dim(dmu), dtype=np.int64)
-                vec[mi] = 1
-                _, img = self.M.act_monomial(a0_mon, dmu, vec)
-                val = int(img[ni]) if img is not None and img.size else 0
-                if val:
-                    col = (widx[rest], dmu, mi)
-                    if col in sidx:
-                        mat[r, sidx[col]] = (mat[r, sidx[col]] + sign0 * val) % p
+            sign = -1 if p != 2 and (a0_deg * t) % 2 else 1
+            for mi, val in self._action(a0, dmu)[ni]:
+                rows.append(r)
+                cols.append(start[below[w[1:]]] + mi)
+                vals.append(sign * val)
             # middle merges
-            for i in range(1, s + 1):
-                a, da = letters[i - 1]
-                b, db = letters[i]
-                prod = self.A.mul(a, b)
-                sgn = -1 if i % 2 else 1
-                for mon, sc in prod.items():
-                    if self.A.deg(mon) == 0:
-                        continue
-                    li = self._abar_idx[(mon, da + db)]
-                    merged = w[: i - 1] + (li,) + w[i + 1:]
-                    col = (widx[merged], dv, ni)
-                    if col in sidx:
-                        mat[r, sidx[col]] = (mat[r, sidx[col]] + sgn * sc) % p
+            for i, merged, sc in self._words.faces(w):
+                rows.append(r)
+                cols.append(start[merged] + ni)
+                vals.append(-sc if i % 2 else sc)
             # right action term
-            az_mon, az_deg = letters[-1]
-            head = w[:-1]
+            az, az_deg = w[-1], self.abar[w[-1]][1]
             dmu = dv - az_deg
-            for mi in range(self.M.space.dim(dmu)):
-                vec = np.zeros(self.M.space.dim(dmu), dtype=np.int64)
-                vec[mi] = 1
-                _, img = self.M.act_monomial(az_mon, dmu, vec)
-                val = int(img[ni]) if img is not None and img.size else 0
-                if val:
-                    sgn = -1 if (s + 1) % 2 else 1
-                    if p != 2 and (az_deg * dmu) % 2:
-                        sgn = -sgn
-                    col = (widx[head], dmu, mi)
-                    if col in sidx:
-                        mat[r, sidx[col]] = (mat[r, sidx[col]] + sgn * val) % p
+            sign = -right_sign if p != 2 and (az_deg * dmu) % 2 else right_sign
+            for mi, val in self._action(az, dmu)[ni]:
+                rows.append(r)
+                cols.append(start[below[w[:-1]]] + mi)
+                vals.append(sign * val)
+        mat = _assemble((len(tgt), len(src)), rows, cols, vals, p)
         self._delta_cache[key] = mat
         return mat
 
@@ -470,10 +562,10 @@ class HochschildComplex:
         n = len(self.basis(s, t))
         if n == 0:
             return 0
-        rank_out = K.rank(self.delta(s, t), self.p) if s < self.levels else None
-        if rank_out is None:
+        if s >= self.levels:
             raise CapError("cohomology requested at the top stored level")
-        rank_in = K.rank(self.delta(s - 1, t), self.p) if s > 0 else 0
+        rank_out = self._ranks[(s, t)]
+        rank_in = self._ranks[(s - 1, t)] if s > 0 else 0
         h = n - rank_out - rank_in
         if h < 0:
             raise CrossCheckError("negative Hochschild dimension (sign bug)")
@@ -775,12 +867,13 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int,
                 a, b = mats[s], mats[s - 1]
                 if a.size and b.size and ((b @ a) % p).any():
                     raise CrossCheckError("two-sided Koszul differential fails d*d = 0")
+        ranks = _RankOnce(mats.__getitem__, p)
         for s in range(0, max_s + 1):
             n = len(bas[s])
             if n == 0:
                 continue
-            rank_out = K.rank(mats[s], p) if s >= 1 else 0
-            rank_in = K.rank(mats[s + 1], p) if s + 1 in mats else 0
+            rank_out = ranks[s] if s >= 1 else 0
+            rank_in = ranks[s + 1] if s + 1 in mats else 0
             h = n - rank_out - rank_in
             if h < 0:
                 raise CrossCheckError("negative Tor dimension")
@@ -799,65 +892,43 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     Words are tuples of positive-degree basis monomials; the differential
     merges adjacent letters.  Entries at homological ``s`` and internal
     degree ``t`` (total degree ``t - s``); agrees with ``tor_dims(A, k, k)``
-    wherever both are defined.
+    wherever both are defined.  The words of degree at most ``cap`` are
+    built once and bucketed by degree, so the chains of degree ``t`` are
+    read off a bucket; letter products are memoized, and each differential
+    is ranked once.
     """
     p = A.p
-    letters = []
-    for d in range(1, cap + 1):
-        for mon in A.basis(d):
-            letters.append((mon, d))
-    letter_idx = {l: i for i, l in enumerate(letters)}
+    letters = [(mon, d) for d in range(1, cap + 1) for mon in A.basis(d)]
     min_deg = min((d for _, d in letters), default=1)
     hard_s_max = cap // max(min_deg, 1)
     s_top = hard_s_max if s_max is None else min(s_max, hard_s_max)
-
-    words: list[list[tuple]] = [[()]]
-    for s in range(1, s_top + 2):
-        prev = words[s - 1]
-        cur = []
-        for w in prev:
-            used = sum(letters[i][1] for i in w)
-            for i, (_, d) in enumerate(letters):
-                if used + d <= cap:
-                    cur.append(w + (i,))
-        words.append(cur)
-
-    def wdeg(w):
-        return sum(letters[i][1] for i in w)
+    words = _Words(A, letters, s_top + 1, cap=cap)
 
     entries = {}
     for t in range(0, cap + 1):
-        bas = {
-            s: [w for w in words[s] if wdeg(w) == t]
-            for s in range(0, min(s_top + 2, len(words)))
-        }
-        idx = {s: {w: i for i, w in enumerate(ws)} for s, ws in bas.items()}
+        bas = [bucket.get(t, []) for bucket in words.buckets]
         mats = {}
-        for s in range(1, min(s_top + 2, len(words))):
-            src, tgt = bas[s], bas.get(s - 1, [])
-            mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-            for j, w in enumerate(src):
-                for i in range(1, s):
-                    a, da = letters[w[i - 1]]
-                    b, db = letters[w[i]]
-                    sgn = -1 if (i - 1) % 2 else 1
-                    for mon, sc in A.mul(a, b).items():
-                        li = letter_idx[(mon, da + db)]
-                        merged = w[: i - 1] + (li,) + w[i + 1:]
-                        mat[idx[s - 1][merged], j] = (
-                            mat[idx[s - 1][merged], j] + sgn * sc
-                        ) % p
-            mats[s] = mat
-        for s in range(2, min(s_top + 2, len(words))):
+        for s in range(1, s_top + 2):
+            src, tgt = bas[s], bas[s - 1]
+            row = {wi: i for i, wi in enumerate(tgt)}
+            rows, cols, vals = [], [], []
+            for j, wi in enumerate(src):
+                for i, merged, sc in words.faces(words.words[s][wi]):
+                    rows.append(row[merged])
+                    cols.append(j)
+                    vals.append(sc if i % 2 else -sc)
+            mats[s] = _assemble((len(tgt), len(src)), rows, cols, vals, p)
+        for s in range(2, s_top + 2):
             a, b = mats[s], mats[s - 1]
             if a.size and b.size and ((b @ a) % p).any():
                 raise CrossCheckError("bar differential fails d*d = 0")
+        ranks = _RankOnce(mats.__getitem__, p)
         for s in range(0, s_top + 1):
-            n = len(bas.get(s, []))
+            n = len(bas[s])
             if n == 0:
                 continue
-            rank_out = K.rank(mats[s], p) if s >= 1 else 0
-            rank_in = K.rank(mats[s + 1], p) if s + 1 in mats else 0
+            rank_out = ranks[s] if s >= 1 else 0
+            rank_in = ranks[s + 1] if s + 1 in mats else 0
             h = n - rank_out - rank_in
             if h < 0:
                 raise CrossCheckError("negative bar homology dimension")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -154,6 +155,17 @@ def test_exit_code_2_on_bad_input(tmp_path):
     path2 = tmp_path / "neg.json"
     path2.write_text(json.dumps([{"name": "x", "degree": 0}]))
     assert main(["free-w1", str(path2)]) == 2
+
+
+def test_exit_code_2_on_too_many_cochain_words(tmp_path):
+    # Five exterior generators: Abar has 31 letters and --smax 4 needs 31^6
+    # cochain words, refused before any word is built.
+    gens = [{"name": n, "degree": d} for n, d in zip("abcde", (1, 3, 5, 7, 9))]
+    data = {"algebra": {"kind": "exterior", "generators": gens}, "module": {"dims": {"3": 1}}}
+    start = time.perf_counter()
+    code, _ = run(tmp_path, "aq", data, "-p", "3", "-n", "12", "--smax", "4")
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_csv_round_trip(tmp_path):
