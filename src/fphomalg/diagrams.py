@@ -24,7 +24,11 @@ from .linalg import (
     BigradedTable,
     GradedMap,
     GradedVectorSpace,
+    PrimeField,
     Subquotient,
+    _assemble,
+    _homology,
+    _RankOnce,
 )
 from .monalg import AlgebraModule, MonomialAlgebra
 
@@ -215,7 +219,7 @@ class VectorDiagram:
 
     def __init__(self, base: FiniteCategory, values, maps, p: int, validate=True):
         self.base = base
-        self.p = p
+        self.p = PrimeField(p).p
         self.values = {str(o): v for o, v in values.items()}
         self.maps = {str(f): m for f, m in maps.items()}
         if validate:
@@ -325,63 +329,37 @@ def derived_limit_dims(D: VectorDiagram, cap: int) -> BigradedTable:
                 offs[c] = n
                 n += D.value(J.chain_end(c)).dim(t)
             spaces[s] = (offs, n)
-        mats = {}
+        d = {}
         for s in range(max_chain + 1):
             src_offs, src_n = spaces[s]
             tgt_offs, tgt_n = spaces[s + 1]
             mat = np.zeros((tgt_n, src_n), dtype=np.int64)
             for c, off in tgt_offs.items():
                 start, fs = c
-                end = J.chain_end(c)
-                dim_end = D.value(end).dim(t)
+                dim_end = D.value(J.chain_end(c)).dim(t)
                 if dim_end == 0:
                     continue
+                diag = np.arange(dim_end)
                 # faces 0..s keep the last object
                 for k in range(s + 1):
                     if k == 0:
-                        sub = (J.arrows[fs[0]][1], fs[1:]) if fs else None
+                        sub = (J.arrows[fs[0]][1], fs[1:])
                     else:
                         merged = J.compose(fs[k - 1], fs[k])
                         sub = (start, fs[: k - 1] + (merged,) + fs[k + 1:])
-                    if sub is None or sub not in src_offs:
-                        continue
-                    sgn = -1 if k % 2 else 1
-                    for i in range(dim_end):
-                        mat[off + i, src_offs[sub] + i] = (
-                            mat[off + i, src_offs[sub] + i] + sgn
-                        ) % D.p
+                    if sub in src_offs:
+                        mat[off + diag, src_offs[sub] + diag] += -1 if k % 2 else 1
                 # last face applies the final map
                 sub = (start, fs[:-1])
                 if sub in src_offs:
                     block = D.map(fs[-1]).block(t)
-                    sgn = -1 if (s + 1) % 2 else 1
-                    if block.size:
-                        sub_dim = block.shape[1]
-                        for i in range(dim_end):
-                            for j in range(sub_dim):
-                                if block[i, j]:
-                                    mat[off + i, src_offs[sub] + j] = (
-                                        mat[off + i, src_offs[sub] + j]
-                                        + sgn * int(block[i, j])
-                                    ) % D.p
-            mats[s] = mat
-        for s in range(max_chain + 2):
-            a = mats.get(s)
-            b = mats.get(s - 1)
-            if a is not None and b is not None and a.size and b.size:
-                if ((a @ b) % D.p).any():
-                    raise CrossCheckError("cosimplicial differential fails d*d = 0")
-        for s in range(max_chain + 1):
-            n = spaces[s][1]
-            if n == 0:
-                continue
-            rank_out = K.rank(mats[s], D.p)
-            rank_in = K.rank(mats[s - 1], D.p) if s > 0 else 0
-            h = n - rank_out - rank_in
-            if h < 0:
-                raise CrossCheckError("negative derived-limit dimension")
-            if h:
-                entries[(s, t)] = h
+                    soff = src_offs[sub]
+                    mat[off: off + dim_end, soff: soff + block.shape[1]] += (
+                        (-1 if (s + 1) % 2 else 1) * block)
+            d[s] = mat % D.p
+        sizes = {s: spaces[s][1] for s in range(max_chain + 1)}
+        for s, h in _homology("cosimplicial", sizes, d, D.p).items():
+            entries[(s, t)] = h
     return BigradedTable(entries)
 
 
@@ -575,16 +553,19 @@ def _exterior_from_space(p, V: GradedVectorSpace) -> MonomialAlgebra:
     return MonomialAlgebra.exterior(p, gens)
 
 
+def _names_by_degree(alg) -> dict[int, list[str]]:
+    """Generator names of each degree, in generator order."""
+    out: dict[int, list[str]] = {}
+    for name, d in alg.generators:
+        out.setdefault(d, []).append(name)
+    return out
+
+
 def _algebra_map_elements(src_alg, dst_alg, block_by_degree, p):
     """Generator images in the target algebra from linear degreewise blocks."""
     images = {}
-    by_degree_names = {}
-    for name, d in dst_alg.generators:
-        by_degree_names.setdefault(d, []).append(name)
-    src_by_degree = {}
-    for name, d in src_alg.generators:
-        src_by_degree.setdefault(d, []).append(name)
-    for d, names in src_by_degree.items():
+    by_degree_names = _names_by_degree(dst_alg)
+    for d, names in _names_by_degree(src_alg).items():
         block = block_by_degree(d)
         for j, name in enumerate(names):
             vec = {}
@@ -596,7 +577,7 @@ def _algebra_map_elements(src_alg, dst_alg, block_by_degree, p):
     return images
 
 
-def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
+def _word_map_matrix(hc_src, hc_tgt, phi_images, level, t, p):
     """Cochain-level restriction Hom(Abar_tgtalg...) along an algebra map.
 
     ``hc_src`` is the complex of the pair (A1, M); ``hc_tgt`` of (A0, M)
@@ -606,22 +587,20 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
     src_basis = hc_src.basis(level, t)
     tgt_basis = hc_tgt.basis(level, t)
     sidx = {b: j for j, b in enumerate(src_basis)}
-    mat = np.zeros((len(src_basis), len(tgt_basis)), dtype=np.int64)
     src_letters, src_words = hc_src.abar_index, hc_src.word_index[level]
     # build per-letter images once
     letter_imgs = []
     for mon, d in hc_tgt.abar:
-        img = {tgt_alg.one(): 1}
+        img = {hc_src.A.one(): 1}
         for (name, _), e in zip(hc_tgt.A.generators, mon):
             for _ in range(e):
-                img = _mul_into(hc_src.A, img, phi_images[name])
+                img = hc_src.A.mul_elements(img, phi_images[name])
         letter_imgs.append((img, d))
+    rows, cols, vals = [], [], []
     for col, (wi, dv, mi) in enumerate(tgt_basis):
-        w = hc_tgt.words[level][wi]
         # expand phi(w) as a combination of source words
         expansion = {(): 1}
-        ok = True
-        for li in w:
+        for li in hc_tgt.words[level][wi]:
             img, d = letter_imgs[li]
             new = {}
             for word, c in expansion.items():
@@ -629,28 +608,37 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, tgt_alg, level, t, p):
                     key = word + (src_letters[(mon, d)],)
                     new[key] = (new.get(key, 0) + c * cm) % p
             expansion = {k: v for k, v in new.items() if v}
-            if not expansion:
-                ok = False
-                break
-        if not ok:
-            continue
         for word, c in expansion.items():
-            w_index = src_words.get(word)
-            if w_index is None:
-                continue
-            row = sidx.get((w_index, dv, mi))
+            row = sidx.get((src_words.get(word), dv, mi))
             if row is not None:
-                mat[row, col] = (mat[row, col] + c) % p
-    return mat
+                rows.append(row)
+                cols.append(col)
+                vals.append(c)
+    return _assemble((len(src_basis), len(tgt_basis)), rows, cols, vals, p)
 
 
-def _mul_into(alg, elem, factor):
-    out = {}
-    for m1, c1 in elem.items():
-        for m2, c2 in factor.items():
-            for m, s in alg.mul(m1, m2).items():
-                out[m] = (out.get(m, 0) + c1 * c2 * s) % alg.p
-    return {m: c for m, c in out.items() if c}
+def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int, shift: int = 0):
+    """Matrix of postcomposition with the module map ``psi`` between bases of
+    triples ``(label, degree, module index)``; the module degree is
+    ``degree + shift``."""
+    row = {b: i for i, b in enumerate(tgt_basis)}
+    rows, cols, vals = [], [], []
+    for c, (label, d, mi) in enumerate(src_basis):
+        block = psi.block(d + shift)
+        for ri in np.flatnonzero(block[:, mi]):
+            r = row.get((label, d, ri))
+            if r is not None:
+                rows.append(r)
+                cols.append(c)
+                vals.append(int(block[ri, mi]))
+    return _assemble((len(tgt_basis), len(src_basis)), rows, cols, vals, p)
+
+
+def _induced(T: np.ndarray, srcq: Subquotient, tgtq: Subquotient, p: int) -> np.ndarray:
+    """Matrix on class coordinates of the cochain map ``T`` between subquotients."""
+    imgs = (T @ srcq.representatives()) % p
+    cols = [tgtq.coords(v) for v in imgs.T]
+    return np.array(cols, dtype=np.int64).reshape(srcq.dim, tgtq.dim).T
 
 
 def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
@@ -710,75 +698,34 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         src = local(j1, m_obj)
         tgt = local(j0, m_obj)
         if q == 0:
-            sb = src.der_basis(t)
-            tb = tgt.der_basis(t)
-            mat = np.zeros((len(tb), len(sb)), dtype=np.int64)
-            phi = DV.map(f)
-            src_names = {}
-            for idx, (name, d) in enumerate(algs[j1].generators):
-                src_names.setdefault(d, []).append((idx, name))
-            for r, (name0, d0, mi) in enumerate(tb):
-                names0 = [n for n, dd in algs[j0].generators if dd == d0]
-                jcol = names0.index(name0)
-                block = phi.block(d0)
-                for i, name1 in enumerate([n for n, dd in algs[j1].generators if dd == d0]):
-                    c = int(block[i, jcol]) if block.size else 0
-                    if c:
-                        col = sb.index((name1, d0, mi))
-                        mat[r, col] = c % p
-            return mat
-        srcq = src.subquotient(q, t)
-        tgtq = tgt.subquotient(q, t)
-        reps = srcq.representatives()
-        T = _word_map_matrix(src.hc, tgt.hc, phi_images(f), algs[j0], q + 1, t, p)
-        # _word_map_matrix returns matrix of psi -> psi o phi on the cochain
-        # bases with rows = source complex of (A1); orientation: it maps
-        # C(A1) -> C(A0), i.e. rows indexed by ... build accordingly
-        out = np.zeros((tgtq.dim, srcq.dim), dtype=np.int64)
-        for jcol in range(srcq.dim):
-            img = (T.T @ reps[:, jcol]) % p
-            out[:, jcol] = tgtq.coords(img)
-        return out
+            # (D o phi)(e0_j) = sum_i phi[i, j] D(e1_i), degree by degree
+            row = {b: i for i, b in enumerate(tgt.der_basis(t))}
+            col = {b: j for j, b in enumerate(src.der_basis(t))}
+            names1 = _names_by_degree(algs[j1])
+            rows, cols, vals = [], [], []
+            for d0, names0 in _names_by_degree(algs[j0]).items():
+                block = DV.map(f).block(d0)
+                for i, j in zip(*np.nonzero(block)):
+                    for mi in range(tgt.M.space.dim(d0 + t)):
+                        rows.append(row[(names0[j], d0, mi)])
+                        cols.append(col[(names1[d0][i], d0, mi)])
+                        vals.append(int(block[i, j]))
+            return _assemble((len(row), len(col)), rows, cols, vals, p)
+        # psi -> psi o phi on cochains, from the complex of A(j1) to that of A(j0)
+        T = _word_map_matrix(src.hc, tgt.hc, phi_images(f), q + 1, t, p)
+        return _induced(T.T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
     def postcompose_on_h(pair, f, q, t):
         """AQ^q(A, M(j_s)) -> AQ^q(A, M(j_{s+1})) along the module map."""
         a_obj, m_src = pair
-        m_dst = J.arrows[f][1]
         src = local(a_obj, m_src)
-        tgt = local(a_obj, m_dst)
+        tgt = local(a_obj, J.arrows[f][1])
         psi = DM.map(f)
         if q == 0:
-            sb = src.der_basis(t)
-            tb = tgt.der_basis(t)
-            mat = np.zeros((len(tb), len(sb)), dtype=np.int64)
-            for c, (name, d, mi) in enumerate(sb):
-                block = psi.block(d + t)
-                for r_i in range(block.shape[0]):
-                    v = int(block[r_i, mi]) if block.size else 0
-                    if v:
-                        row = tb.index((name, d, r_i))
-                        mat[row, c] = v % p
-            return mat
-        srcq = src.subquotient(q, t)
-        tgtq = tgt.subquotient(q, t)
-        reps = srcq.representatives()
+            return _postcompose_matrix(src.der_basis(t), tgt.der_basis(t), psi, p, shift=t)
         # cochain-level postcomposition: same words, module index mapped
-        sb = src.hc.basis(q + 1, t)
-        tb = tgt.hc.basis(q + 1, t)
-        tidx = {b: i for i, b in enumerate(tb)}
-        T = np.zeros((len(tb), len(sb)), dtype=np.int64)
-        for col, (wi, dv, mi) in enumerate(sb):
-            block = psi.block(dv)
-            for r_i in range(block.shape[0]):
-                v = int(block[r_i, mi]) if block.size else 0
-                if v:
-                    row = tidx.get((wi, dv, r_i))
-                    if row is not None:
-                        T[row, col] = v % p
-        out = np.zeros((tgtq.dim, srcq.dim), dtype=np.int64)
-        for jcol in range(srcq.dim):
-            out[:, jcol] = tgtq.coords((T @ reps[:, jcol]) % p)
-        return out
+        T = _postcompose_matrix(src.hc.basis(q + 1, t), tgt.hc.basis(q + 1, t), psi, p)
+        return _induced(T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
     degrees = set()
     for o in J.objects:
@@ -791,6 +738,7 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         for t in loc.hc.t_range(range(q_max + 2)):
             degrees.add(t)
 
+    top = min(max_chain, s_max)
     tables = {}
     kernel_rows = {}
     for q in range(q_max + 1):
@@ -798,77 +746,49 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         kernel_entries = {}
         for t in sorted(degrees):
             spaces = {}
-            for s in range(min(max_chain, s_max) + 2):
+            for s in range(top + 2):
                 offs = {}
                 n = 0
                 for c in chainss.get(s, []):
                     offs[c] = n
                     n += h_dim(component(c), q, t)
                 spaces[s] = (offs, n)
-            mats = {}
-            for s in range(min(max_chain, s_max) + 1):
+            d = {}
+            for s in range(top + 1):
                 src_offs, src_n = spaces[s]
-                tgt_offs, tgt_n = spaces.get(s + 1, ({}, 0))
+                tgt_offs, tgt_n = spaces[s + 1]
                 mat = np.zeros((tgt_n, src_n), dtype=np.int64)
                 for c, off in tgt_offs.items():
                     start, fs = c
-                    pair_c = component(c)
-                    dim_c = h_dim(pair_c, q, t)
+                    dim_c = h_dim(component(c), q, t)
                     if dim_c == 0:
                         continue
                     # face 0: restriction along the first arrow
-                    sub0 = (J.arrows[fs[0]][1], fs[1:])
-                    if sub0 in src_offs:
-                        R = restriction_on_h(fs[0], component(sub0)[1], q, t)
-                        for i in range(R.shape[0]):
-                            for jj in range(R.shape[1]):
-                                if R[i, jj]:
-                                    mat[off + i, src_offs[sub0] + jj] = (
-                                        mat[off + i, src_offs[sub0] + jj] + R[i, jj]
-                                    ) % p
+                    sub = (J.arrows[fs[0]][1], fs[1:])
+                    if sub in src_offs:
+                        R = restriction_on_h(fs[0], component(sub)[1], q, t)
+                        mat[off: off + dim_c, src_offs[sub]: src_offs[sub] + R.shape[1]] += R
                     # middle faces: identity blocks
+                    diag = np.arange(dim_c)
                     for k in range(1, s + 1):
                         merged = J.compose(fs[k - 1], fs[k])
                         sub = (start, fs[: k - 1] + (merged,) + fs[k + 1:])
                         if sub in src_offs:
-                            sgn = -1 if k % 2 else 1
-                            for i in range(dim_c):
-                                mat[off + i, src_offs[sub] + i] = (
-                                    mat[off + i, src_offs[sub] + i] + sgn
-                                ) % p
+                            mat[off + diag, src_offs[sub] + diag] += -1 if k % 2 else 1
                     # last face: postcompose the module map
                     sub = (start, fs[:-1])
                     if sub in src_offs:
                         P = postcompose_on_h(component(sub), fs[-1], q, t)
-                        sgn = -1 if (s + 1) % 2 else 1
-                        for i in range(P.shape[0]):
-                            for jj in range(P.shape[1]):
-                                if P[i, jj]:
-                                    mat[off + i, src_offs[sub] + jj] = (
-                                        mat[off + i, src_offs[sub] + jj] + sgn * P[i, jj]
-                                    ) % p
-                mats[s] = mat
-            for s in range(min(max_chain, s_max) + 1):
-                a = mats.get(s)
-                b = mats.get(s - 1)
-                if a is not None and b is not None and a.size and b.size:
-                    if ((a @ b) % p).any():
-                        raise CrossCheckError("diagram AQ cosimplicial d*d != 0")
-            for s in range(min(max_chain, s_max) + 1):
-                n = spaces[s][1]
-                if n == 0:
-                    continue
-                rank_out = K.rank(mats[s], p)
-                rank_in = K.rank(mats[s - 1], p) if s > 0 else 0
-                h = n - rank_out - rank_in
-                if h < 0:
-                    raise CrossCheckError("negative diagram AQ dimension")
-                if h:
-                    entries[(s, t)] = h
-                if s == 0:
-                    kdim = n - rank_out
-                    if kdim:
-                        kernel_entries[t] = kdim
+                        mat[off: off + dim_c, src_offs[sub]: src_offs[sub] + P.shape[1]] += (
+                            (-1 if (s + 1) % 2 else 1) * P)
+                d[s] = mat % p
+            sizes = {s: spaces[s][1] for s in range(top + 1)}
+            ranks = _RankOnce(d.get, p)
+            for s, h in _homology("diagram AQ cosimplicial", sizes, d, p, ranks=ranks).items():
+                entries[(s, t)] = h
+            # the kernel formula reads ker(d_0) off the same ranks
+            if sizes[0] and sizes[0] - ranks[0]:
+                kernel_entries[t] = sizes[0] - ranks[0]
         tables[q] = BigradedTable(entries)
         kernel_rows[q] = kernel_entries
     return {"tables": tables, "kernel_formula": kernel_rows, "notes": notes}

@@ -3,9 +3,7 @@
 An algebra presents: generators with degrees, per-generator exponent caps
 (none for polynomial, 1 for exterior, n-1 for truncation by x^n), and for
 face rings the list of facets.  Monomials are exponent tuples; products
-carry the Koszul sign from reordering odd-degree letters.  Degreewise
-subrings and quotients of an ambient algebra are separate classes exposing
-the same ``basis``/``mul``/``deg`` surface.
+carry the Koszul sign from reordering odd-degree letters.
 
 Modules carry explicit generator action tables, validated on construction:
 graded commutation of the actions and annihilation of the defining
@@ -18,8 +16,7 @@ import itertools
 
 import numpy as np
 
-from . import _kernels as K
-from .errors import CapError, ValidationError
+from .errors import ValidationError
 from .linalg import GradedMap, GradedVectorSpace, PrimeField
 
 KINDS = (
@@ -28,8 +25,6 @@ KINDS = (
     "mixed",
     "truncated",
     "stanley_reisner",
-    "degreewise_subring",
-    "degreewise_quotient",
 )
 
 
@@ -292,214 +287,6 @@ class MonomialAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# degreewise subrings and quotients
-
-
-class DegreewiseSubring:
-    """Subalgebra of an ambient monomial algebra spanned by given elements.
-
-    The basis per degree is computed by closing the given elements under
-    products (inside the ambient algebra) up to ``cap``; products are
-    re-expressed in the chosen basis by exact solves.
-    """
-
-    kind = "degreewise_subring"
-
-    def __init__(self, ambient: MonomialAlgebra, elements, cap: int):
-        self.ambient = ambient
-        self.p = ambient.p
-        self.cap = int(cap)
-        elems = []
-        for name, expr in elements:
-            vec = ambient.parse_element(expr) if isinstance(expr, str) else dict(expr)
-            d = ambient.element_degree(vec)
-            if d is None or d < 1:
-                raise ValidationError("subring elements must be homogeneous of positive degree")
-            elems.append((str(name), d, vec))
-        self.generators = [(n, d) for n, d, _ in elems]
-        self._gen_elems = elems
-        self._by_degree: dict[int, list[dict]] = {0: [{ambient.one(): 1}]}
-        self._close()
-
-    def _vecs_to_matrix(self, vecs):
-        mons = sorted({m for v in vecs for m in v})
-        idx = {m: j for j, m in enumerate(mons)}
-        mat = np.zeros((len(vecs), len(mons)), dtype=np.int64)
-        for i, v in enumerate(vecs):
-            for m, c in v.items():
-                mat[i, idx[m]] = c
-        return mat, mons
-
-    def _reduce(self, vecs):
-        if not vecs:
-            return []
-        mat, mons = self._vecs_to_matrix(vecs)
-        rr, piv = K.rref(mat, self.p)
-        out = []
-        for i in range(len(piv)):
-            out.append({mons[j]: int(rr[i, j]) for j in range(len(mons)) if rr[i, j]})
-        return out
-
-    def _close(self):
-        current: dict[int, list[dict]] = {}
-        for _, d, vec in self._gen_elems:
-            if d <= self.cap:
-                current.setdefault(d, []).append(vec)
-        for d in current:
-            current[d] = self._reduce(current[d])
-
-        while True:
-            total = sum(len(v) for v in current.values())
-            degrees = sorted(current)
-            new: dict[int, list[dict]] = {}
-            for d1 in degrees:
-                for d2 in degrees:
-                    if d1 + d2 > self.cap:
-                        continue
-                    for v1 in current[d1]:
-                        for v2 in current[d2]:
-                            prod = self.ambient.mul_elements(v1, v2)
-                            if prod:
-                                new.setdefault(d1 + d2, []).append(prod)
-            merged = dict(current)
-            for d, vecs in new.items():
-                merged[d] = self._reduce(merged.get(d, []) + vecs)
-            current = merged
-            if sum(len(v) for v in current.values()) == total:
-                break
-        for d, vecs in current.items():
-            self._by_degree[d] = vecs
-
-    def basis(self, d: int) -> list:
-        d = int(d)
-        if d > self.cap:
-            raise CapError(f"degree {d} beyond subring cap {self.cap}")
-        return [("s", d, i) for i in range(len(self._by_degree.get(d, [])))]
-
-    def deg(self, key) -> int:
-        return key[1]
-
-    def one(self):
-        return ("s", 0, 0)
-
-    def _vector(self, key) -> dict:
-        return self._by_degree[key[1]][key[2]]
-
-    def monomial_str(self, key) -> str:
-        v = self._vector(key)
-        return " + ".join(
-            f"{c}*{self.ambient.monomial_str(m)}" for m, c in sorted(v.items())
-        )
-
-    def mul(self, k1, k2) -> dict:
-        d = k1[1] + k2[1]
-        if d > self.cap:
-            raise CapError("product degree beyond subring cap")
-        prod = self.ambient.mul_elements(self._vector(k1), self._vector(k2))
-        if not prod:
-            return {}
-        vecs = self._by_degree.get(d, [])
-        mons = sorted({m for v in vecs for m in v} | set(prod))
-        idx = {m: j for j, m in enumerate(mons)}
-        mat = np.zeros((len(mons), len(vecs)), dtype=np.int64)
-        for i, v in enumerate(vecs):
-            for m, c in v.items():
-                mat[idx[m], i] = c
-        rhs = np.zeros(len(mons), dtype=np.int64)
-        for m, c in prod.items():
-            rhs[idx[m]] = c
-        x = K.solve(mat, rhs, self.p)
-        if x is None:
-            raise ValidationError("subring is not closed under products (internal error)")
-        return {("s", d, i): int(c) for i, c in enumerate(x) if c}
-
-    def graded_dims(self, cap: int) -> GradedVectorSpace:
-        if cap > self.cap:
-            raise CapError("cap beyond subring truncation")
-        return GradedVectorSpace({d: len(self._by_degree.get(d, [])) for d in range(cap + 1)})
-
-
-class DegreewiseQuotient:
-    """Quotient of an ambient monomial algebra by a degreewise-spanned ideal."""
-
-    kind = "degreewise_quotient"
-
-    def __init__(self, ambient: MonomialAlgebra, ideal_elements, cap: int):
-        self.ambient = ambient
-        self.p = ambient.p
-        self.cap = int(cap)
-        self.generators = list(ambient.generators)
-        gens = []
-        for expr in ideal_elements:
-            vec = ambient.parse_element(expr) if isinstance(expr, str) else dict(expr)
-            if ambient.element_degree(vec) is None:
-                continue
-            gens.append(vec)
-        # span of the ideal per degree: multiples by all ambient monomials
-        ideal: dict[int, list[dict]] = {}
-        for g in gens:
-            dg = ambient.element_degree(g)
-            for extra in range(0, self.cap - dg + 1):
-                for mon in ambient.basis(extra):
-                    prod = ambient.mul_elements({mon: 1}, g)
-                    if prod:
-                        ideal.setdefault(dg + extra, []).append(prod)
-        self._reps: dict[int, list[tuple]] = {}
-        self._proj: dict[int, tuple] = {}
-        for d in range(self.cap + 1):
-            mons = ambient.basis(d)
-            idx = {m: j for j, m in enumerate(mons)}
-            vecs = ideal.get(d, [])
-            mat = np.zeros((len(vecs), len(mons)), dtype=np.int64)
-            for i, v in enumerate(vecs):
-                for m, c in v.items():
-                    mat[i, idx[m]] = c
-            rr, piv = K.rref(mat, self.p)
-            free = [j for j in range(len(mons)) if j not in piv]
-            self._reps[d] = [mons[j] for j in free]
-            self._proj[d] = (mons, idx, rr[: len(piv)], list(piv), free)
-
-    def basis(self, d: int) -> list:
-        if d > self.cap:
-            raise CapError(f"degree {d} beyond quotient cap {self.cap}")
-        return [("q", d, i) for i in range(len(self._reps.get(d, [])))]
-
-    def deg(self, key) -> int:
-        return key[1]
-
-    def one(self):
-        return ("q", 0, 0)
-
-    def monomial_str(self, key) -> str:
-        return self.ambient.monomial_str(self._reps[key[1]][key[2]])
-
-    def _project(self, d, vec: dict) -> dict:
-        mons, idx, rows, piv, free = self._proj[d]
-        x = np.zeros(len(mons), dtype=np.int64)
-        for m, c in vec.items():
-            x[idx[m]] = c
-        for row, pc in zip(rows, piv):
-            c = int(x[pc])
-            if c:
-                x = (x - c * row) % self.p
-        return {("q", d, j): int(x[fc]) for j, fc in enumerate(free) if x[fc]}
-
-    def mul(self, k1, k2) -> dict:
-        d = k1[1] + k2[1]
-        if d > self.cap:
-            raise CapError("product degree beyond quotient cap")
-        m1 = self._reps[k1[1]][k1[2]]
-        m2 = self._reps[k2[1]][k2[2]]
-        prod = self.ambient.mul_elements({m1: 1}, {m2: 1})
-        return self._project(d, prod)
-
-    def graded_dims(self, cap: int) -> GradedVectorSpace:
-        if cap > self.cap:
-            raise CapError("cap beyond quotient truncation")
-        return GradedVectorSpace({d: len(self._reps.get(d, [])) for d in range(cap + 1)})
-
-
-# ---------------------------------------------------------------------------
 # modules
 
 
@@ -583,11 +370,13 @@ class AlgebraModule:
         return cur_d, cur
 
     def act_element(self, x: dict, d: int, vec: np.ndarray):
-        """Apply a homogeneous algebra element; returns (degree, vector)."""
+        """Apply a homogeneous algebra element; returns (degree, vector).
+
+        ``vec`` may also be a matrix of column vectors."""
         deg = self.algebra.element_degree(x)
         if deg is None:
             return None, None
-        out = np.zeros(self.space.dim(d + deg), dtype=np.int64)
+        out = np.zeros((self.space.dim(d + deg),) + vec.shape[1:], dtype=np.int64)
         for mon, c in x.items():
             _, img = self.act_monomial(mon, d, vec)
             out = (out + c * img) % self.p
@@ -610,19 +399,18 @@ class AlgebraModule:
                         f"module actions of {a!r} and {b!r} do not graded-commute"
                     )
         # relations: exponent caps annihilate
-        if isinstance(self.algebra, MonomialAlgebra):
-            for (name, _), cap in zip(self.algebra.generators, self.algebra.caps):
-                if cap is None:
-                    continue
-                power = GradedMap.identity(self.space, self.p)
-                for _ in range(cap + 1):
-                    power = self.gen_action(name).compose(power)
-                if not power.is_zero():
-                    raise ValidationError(f"relation {name}^{cap + 1} = 0 not respected")
-            if self.algebra.facets is not None:
-                for f_out in self._nonface_products():
-                    if not f_out.is_zero():
-                        raise ValidationError("non-face monomial acts nontrivially")
+        for (name, _), cap in zip(self.algebra.generators, self.algebra.caps):
+            if cap is None:
+                continue
+            power = GradedMap.identity(self.space, self.p)
+            for _ in range(cap + 1):
+                power = self.gen_action(name).compose(power)
+            if not power.is_zero():
+                raise ValidationError(f"relation {name}^{cap + 1} = 0 not respected")
+        if self.algebra.facets is not None:
+            for f_out in self._nonface_products():
+                if not f_out.is_zero():
+                    raise ValidationError("non-face monomial acts nontrivially")
 
     def _nonface_products(self):
         # non-faces of size <= 3 cover every minimal non-face seen in practice
@@ -671,8 +459,6 @@ class ModuleViaMap:
         self._validate_relations()
 
     def _validate_relations(self):
-        if not isinstance(self.source, MonomialAlgebra):
-            return
         for (name, _), cap in zip(self.source.generators, self.source.caps):
             if cap is None:
                 continue

@@ -168,6 +168,30 @@ def test_exit_code_2_on_too_many_cochain_words(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+COSPAN = {
+    "category": {"objects": [{"id": "z", "lambda": 0}, {"id": "x", "lambda": 1},
+                             {"id": "y", "lambda": 1}],
+                 "arrows": [{"id": "a", "src": "z", "dst": "x"},
+                            {"id": "b", "src": "z", "dst": "y"}]},
+    "values": {o: {"dims": {"2": 1}} for o in "zxy"},
+    "maps": {f: {"degree": 0, "blocks": {"2": [[2]]}} for f in "ab"},
+}
+
+
+@pytest.mark.parametrize("p, want", [(0, 2), (1, 2), (4, 2), (1000003, 2), (3, 0)])
+def test_vector_diagrams_need_a_prime(tmp_path, p, want):
+    code, text = run(tmp_path, "diagram-lim", COSPAN, "-p", str(p), "-n", "6")
+    assert code == want
+    if want == 0:
+        assert json.loads(text)["table"] == [{"s": 0, "t": 2, "dim": 1}]
+    data = {"category": COSPAN["category"],
+            "v_values": {o: {"dims": {"3": 1}} for o in "zxy"},
+            "m_values": {o: {"dims": {"3": 1}} for o in "zxy"}}
+    data["v_maps"] = data["m_maps"] = {f: {"blocks": {"3": [[1]]}} for f in "ab"}
+    code, _ = run(tmp_path, "diagram-aq", data, "-p", str(p), "--smax", "1", "--qmax", "1")
+    assert code == want
+
+
 def test_csv_round_trip(tmp_path):
     data = {"algebra": {"kind": "exterior", "generators": GENS_X3}}
     code, text = run(tmp_path, "ext", data, "-p", "2", "--smax", "4", fmt="csv")

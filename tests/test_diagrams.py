@@ -245,3 +245,85 @@ def test_diagram_aq_noninjective_cospan_has_higher_column():
     assert any(
         s == 1 for table in out["tables"].values() for (s, t) in table.entries
     )
+
+
+def _ranked_matrices(monkeypatch):
+    """Record every matrix passed to the kernel's rank, keeping it alive so
+    that two calls on one differential show as one object twice."""
+    from fphomalg import _kernels as K
+
+    seen = []
+    rank = K.rank
+
+    def counting(a, p):
+        seen.append(a)
+        return rank(a, p)
+
+    monkeypatch.setattr(K, "rank", counting)
+    return seen
+
+
+def test_derived_limit_ranks_each_differential_once(monkeypatch):
+    _, _, DM = _span_aq_setup(3)
+    seen = _ranked_matrices(monkeypatch)
+    table = derived_limit_dims(DM, 8)
+    assert table.dim(0, 3) == 2
+    assert seen and len({id(m) for m in seen}) == len(seen)
+
+
+def test_diagram_aq_ranks_each_differential_once(monkeypatch):
+    I, DV, DM = _span_aq_setup(3)
+    seen = _ranked_matrices(monkeypatch)
+    out = diagram_aq_table(I, DV, DM, s_max=2, q_max=2)
+    assert out["kernel_formula"][0]
+    assert seen and len({id(m) for m in seen}) == len(seen)
+
+
+def test_diagram_aq_restricts_along_maps_into_larger_algebras():
+    # A(z) has two generators and A(x), A(y) one each, so the algebra maps
+    # A(x) -> A(z), A(y) -> A(z) land in a larger algebra; the module side is
+    # injective, so every table sits in s = 0 and equals the kernel formula.
+    p = 3
+    I = FiniteCategory.span()
+    Vz, V1 = GradedVectorSpace({3: 2}), GradedVectorSpace({3: 1})
+    vmaps = {"a": GradedMap(V1, Vz, 0, {3: [[1], [0]]}, p),
+             "b": GradedMap(V1, Vz, 0, {3: [[0], [1]]}, p)}
+    DV = contravariant_diagram(I, {"z": Vz, "x": V1, "y": V1}, vmaps, p)
+    M = GradedVectorSpace({3: 1})
+    mmaps = {"a": GradedMap.identity(M, p), "b": GradedMap.identity(M, p)}
+    DM = contravariant_diagram(I, {"z": M, "x": M, "y": M}, mmaps, p)
+    assert injective_by_criterion(I, DM, 8)["injective"]
+    out = diagram_aq_table(I, DV, DM, s_max=2, q_max=2)
+    for q, table in out["tables"].items():
+        assert table.entries and all(s == 0 for (s, t) in table.entries)
+        assert {t: n for (s, t), n in table.items()} == out["kernel_formula"][q]
+
+
+def test_derived_limit_of_a_face_ring_at_an_odd_prime():
+    # the face-ring diagram of the boundary of a triangle: the limit is the
+    # Stanley-Reisner ring and nothing sits above row 0; at p = 3 the signs
+    # of the cosimplicial faces matter
+    p, cap = 3, 6
+    I, faces = FiniteCategory.face_poset(["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]])
+    J = I.opposite()
+    algs = {name: MonomialAlgebra.polynomial(p, [(v, 2) for v in sorted(face)])
+            if face else MonomialAlgebra.trivial(p) for name, face in faces.items()}
+    maps = {f: {v: (v if v in algs[dst].names else "0") for v, _ in algs[src].generators}
+            for f, (src, dst) in J.arrows.items()}
+    D = AlgebraDiagram(J, algs, maps, p).linearize(cap)
+    assert derived_limit_dims(D, cap).entries == {(0, 0): 1, (0, 2): 3, (0, 4): 6, (0, 6): 9}
+
+
+def test_diagram_aq_on_a_chain_of_three_objects():
+    # 0 < 1 < 2 has chains of two arrows, so the middle faces and their signs
+    # enter; identity maps make the module side injective
+    p = 3
+    I = FiniteCategory.poset({"0": 0, "1": 1, "2": 2}, [("0", "1"), ("1", "2")])
+    V = GradedVectorSpace({3: 1})
+    maps = {f: GradedMap.identity(V, p) for f in I.arrows}
+    DV = contravariant_diagram(I, {o: V for o in "012"}, maps, p)
+    DM = contravariant_diagram(I, {o: V for o in "012"}, maps, p)
+    out = diagram_aq_table(I, DV, DM, s_max=3, q_max=2)
+    for q, table in out["tables"].items():
+        assert table.entries == {(0, -3 * q): 1}
+        assert out["kernel_formula"][q] == {-3 * q: 1}

@@ -17,8 +17,6 @@ from fphomalg.homalg import (
 from fphomalg.linalg import BigradedTable, GradedVectorSpace
 from fphomalg.monalg import (
     AlgebraModule,
-    DegreewiseSubring,
-    DegreewiseQuotient,
     ModuleViaMap,
     MonomialAlgebra,
 )
@@ -228,27 +226,6 @@ def test_derivations_match_hom_on_generators():
     assert der.dims == {t: n for t, n in want.items() if n}
 
 
-def test_derivations_subring_golden():
-    # invariant subring k[x^2, xy, y^2] inside k[x, y] over F_3:
-    # derivations into the trivial module match the three indecomposables
-    amb = MonomialAlgebra.polynomial(3, [("x", 2), ("y", 2)])
-    S = DegreewiseSubring(amb, [("a", "x^2"), ("b", "x*y"), ("c", "y^2")], cap=8)
-    assert S.graded_dims(8).dims == {0: 1, 4: 3, 8: 5}
-    M = AlgebraModule.trivial(S, GradedVectorSpace({0: 1}))
-    der = derivations_dims(S, M, cap=8)
-    assert der == GradedVectorSpace({-4: 3})
-
-
-def test_degreewise_quotient_smoke():
-    amb = MonomialAlgebra.polynomial(2, [("u", 2)])
-    Q = DegreewiseQuotient(amb, ["u^2"], cap=8)
-    assert Q.graded_dims(8).dims == {0: 1, 2: 1}
-    one = Q.one()
-    (k2,) = Q.basis(2)
-    assert Q.mul(k2, k2) == {}
-    assert Q.mul(one, k2) == {k2: 1}
-
-
 # --- AQ assembly -------------------------------------------------------------
 
 
@@ -332,3 +309,25 @@ def test_bar_trivial_algebra():
     A = MonomialAlgebra.trivial(5)
     Bh = bar_homology_dims(A, cap=6)
     assert Bh.entries == {(0, 0): 1}
+
+
+def test_resolution_rejects_a_differential_with_nonzero_square(monkeypatch):
+    # d(sym_k) = x sym_{k-1} on every symbol of k[x]/x^3 squares to x^2; with
+    # cap 0 only the degree-free check on the generators can see it
+    from fphomalg import homalg
+
+    monkeypatch.setattr(homalg._Strand, "diff_onesided", lambda self, k: [(1, 1)] if k else [])
+    A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
+    with pytest.raises(CrossCheckError, match="d\\*d"):
+        FreeResolution(A, 3, 0)
+
+
+def test_resolution_rejects_a_complex_that_is_not_exact(monkeypatch):
+    # without its degree-one symbol the strand of k[x] is A alone, which
+    # leaves the augmentation ideal uncovered from degree 2 on
+    from fphomalg import homalg
+
+    monkeypatch.setattr(homalg._Strand, "symbols", lambda self, s_max: [0])
+    A = MonomialAlgebra.polynomial(3, [("x", 2)])
+    with pytest.raises(CrossCheckError, match="not exact"):
+        FreeResolution(A, 2, 6)

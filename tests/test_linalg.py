@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from fphomalg import _kernels as K
-from fphomalg.errors import CapError, ValidationError
+from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.linalg import (
     BigradedTable,
-    ChainComplex,
     GradedMap,
     GradedVectorSpace,
     HilbertSeries,
     PrimeField,
     Subquotient,
+    _check_dd,
+    _homology,
     free_commutative_series,
-    homology_dims,
     parity_verdict,
     shift,
 )
@@ -78,55 +78,88 @@ def test_rank_nullity_per_degree():
         assert f.rank(i) + f.kernel_dim(i) == V.dim(i)
 
 
-def two_term_complex(entry, p, deg=0):
-    C1 = GradedVectorSpace({0: 1})
-    C0 = GradedVectorSpace({deg: 1})
-    d = GradedMap(C1, C0, deg, {0: [[entry]]}, p)
-    return ChainComplex({0: C0, 1: C1}, {1: d}, p=p, window=(-5, 10))
+def two_term_homology(entry, p):
+    # k --(entry)--> k as a chain complex C_1 -> C_0
+    d = {1: np.array([[entry % p]], dtype=np.int64)}
+    return _homology("two-term", {0: 1, 1: 1}, d, p, step=-1)
 
 
 def test_homology_of_zero_and_identity_differential():
-    C = two_term_complex(0, 3)
-    assert C.homology_dims(0, (0, 0)) == GradedVectorSpace({0: 1})
-    assert C.homology_dims(1, (0, 0)) == GradedVectorSpace({0: 1})
-    C = two_term_complex(1, 3)
-    assert C.homology_dims(0, (0, 0)) == GradedVectorSpace({})
-    assert C.homology_dims(1, (0, 0)) == GradedVectorSpace({})
+    assert two_term_homology(0, 3) == {0: 1, 1: 1}
+    assert two_term_homology(1, 3) == {}
+    assert two_term_homology(3, 3) == {0: 1, 1: 1}
 
 
 def test_homology_periodic_truncated_strand():
-    # A = k[x]/x^2 with |x| = 3: two-term complex A <-(x)- s^3 A,
-    # homology at position 0 in degree 0 is k.
+    # A = k[x]/x^2 with |x| = 3: two-term complex A <-(x)- s^3 A; in internal
+    # degree 0 only A has a basis element, in degree 3 both do and x maps
+    # one onto the other.
     p = 2
-    A = GradedVectorSpace({0: 1, 3: 1})
-    sA = GradedVectorSpace({3: 1, 6: 1})
-    d = GradedMap(sA, A, 0, {3: [[1]]}, p)
-    C = ChainComplex({0: A, 1: sA}, {1: d}, p=p, window=(0, 6))
-    assert C.homology_dims(0, (0, 0)).dim(0) == 1
-    assert C.homology_dims(0, (3, 3)).dim(3) == 0
-
-
-def test_homology_window_enforced():
-    C = two_term_complex(0, 3)
-    with pytest.raises(CapError):
-        C.homology_dims(0, (0, 99))
+    assert _homology("strand", {0: 1, 1: 0}, {1: np.zeros((1, 0), dtype=np.int64)},
+                     p, step=-1) == {0: 1}
+    assert _homology("strand", {0: 1, 1: 1}, {1: np.array([[1]])}, p, step=-1) == {}
 
 
 def test_dd_nonzero_rejected():
     p = 3
-    V = GradedVectorSpace({0: 1})
-    d1 = GradedMap(V, V, 0, {0: [[1]]}, p)
-    with pytest.raises(ValidationError):
-        ChainComplex({0: V, 1: V, 2: V}, {1: d1, 2: d1}, p=p, window=(0, 0))
+    d = {0: np.array([[1]]), 1: np.array([[1]])}
+    with pytest.raises(CrossCheckError, match="d\\*d"):
+        _homology("bad", {0: 1, 1: 1, 2: 1}, d, p)
+    with pytest.raises(CrossCheckError):
+        _check_dd("bad", np.array([[1]]), np.array([[2]]), p)
+
+
+def test_negative_homology_dimension_rejected():
+    # ranks that no complex can have: both maps of rank 1 around a line
+    d = {0: np.array([[1]]), 1: np.array([[0]])}
+    with pytest.raises(CrossCheckError, match="negative"):
+        _homology("bad", {1: 1}, d, 3, ranks={0: 1, 1: 1})
 
 
 def test_homology_with_zero_differentials_equals_spaces():
     p = 5
-    spaces = {0: GradedVectorSpace({0: 2, 3: 1}), 1: GradedVectorSpace({1: 4})}
-    diffs = {1: GradedMap.zero(spaces[1], spaces[0], 0, p)}
-    C = ChainComplex(spaces, diffs, p=p, window=(0, 3))
-    for s, sp in spaces.items():
-        assert C.homology_dims(s, (0, 3)) == sp
+    sizes = {0: 3, 1: 4}
+    d = {1: np.zeros((3, 4), dtype=np.int64)}
+    assert _homology("zero", sizes, d, p, step=-1) == sizes
+    assert _homology("zero", sizes, {}, p) == sizes
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_float64_dd_check_matches_int64_product(p):
+    rng = np.random.default_rng(p)
+    zero = nonzero = 0
+    for trial in range(40):
+        n0, n1, n2 = (int(x) for x in rng.integers(1, 60, 3))
+        b = rng.integers(0, p, size=(n2, n1), dtype=np.int64)
+        if trial % 2:
+            # composite zero: a's columns span part of the kernel of b
+            ker = K.nullspace(b, p)
+            a = (ker @ rng.integers(0, p, size=(ker.shape[1], n0))) % p
+            if trial % 4 == 1:
+                b[:, :] = p - 1  # entries at the top of the range
+                ker = K.nullspace(b, p)
+                a = (ker @ rng.integers(0, p, size=(ker.shape[1], n0))) % p
+        else:
+            a = rng.integers(0, p, size=(n1, n0), dtype=np.int64)
+        want = bool(((b @ a) % p).any())
+        zero += not want
+        nonzero += want
+        if want:
+            with pytest.raises(CrossCheckError):
+                _check_dd("random", a, b, p)
+        else:
+            _check_dd("random", a, b, p)
+    assert zero >= 10 and nonzero >= 10
+    # a long inner dimension with every entry p - 1 stays exact
+    n = 200_000
+    a = np.full((n, 1), p - 1, dtype=np.int64)
+    b = np.full((1, n), p - 1, dtype=np.int64)
+    assert bool(((b @ a) % p).any()) == (n * (p - 1) ** 2 % p != 0)
+    if n * (p - 1) ** 2 % p:
+        with pytest.raises(CrossCheckError):
+            _check_dd("long", a, b, p)
+    else:
+        _check_dd("long", a, b, p)
 
 
 def test_parity_verdict():

@@ -1,8 +1,13 @@
 """Property tests on random small algebras: the dual Hochschild routes, bar
-homology against Koszul Tor, and the degree-bucketed cochain basis."""
+homology against Koszul Tor, and the degree-bucketed cochain basis; and on
+random matrices: rank-nullity, kernels and solves of the elimination kernel."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fphomalg import _kernels as K
 
 from fphomalg.homalg import (
     HochschildComplex,
@@ -76,3 +81,53 @@ def test_bucketed_basis_matches_full_scan(p, degrees, dims, levels):
     for t in [ts[0] - 1, *ts, ts[-1] + 1]:
         for s in range(levels + 1):
             assert hc.basis(s, t) == full_scan_basis(hc, s, t)
+
+
+# --- the elimination kernel ----------------------------------------------------
+
+kernel_primes = st.sampled_from([2, 3, 97])
+
+
+@st.composite
+def matrices(draw, rows=st.integers(0, 7), cols=st.integers(0, 7)):
+    """``(p, a)`` with ``a`` a random matrix over F_p, often of low rank."""
+    p = draw(kernel_primes)
+    shape = (draw(rows), draw(cols))
+    a = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+    if draw(st.booleans()) and shape[0] > 1:
+        a[1:] = (a[:1] * draw(st.integers(0, p - 1))) % p  # rank at most 1
+    return p, a
+
+
+@SMALL
+@given(pa=matrices())
+def test_rank_plus_nullity_is_columns(pa):
+    p, a = pa
+    ker = K.nullspace(a, p)
+    assert K.rank(a, p) + ker.shape[1] == a.shape[1]
+    assert not ((a @ ker) % p).any()
+    assert K.rank(ker, p) == ker.shape[1]  # the kernel basis is independent
+
+
+@SMALL
+@given(pa=matrices(), data=st.data())
+def test_solve_recovers_a_consistent_system(pa, data):
+    p, a = pa
+    x = data.draw(arrays(np.int64, a.shape[1], elements=st.integers(0, p - 1)))
+    y = K.solve(a, (a @ x) % p, p)
+    assert y is not None
+    assert not ((a @ (y - x)) % p).any()
+
+
+@SMALL
+@given(pa=matrices(), data=st.data())
+def test_solve_refuses_an_inconsistent_system(pa, data):
+    p, a = pa
+    # a zero row with a nonzero right-hand side has no solution
+    b = data.draw(arrays(np.int64, a.shape[0], elements=st.integers(0, p - 1)))
+    a0 = np.vstack([a, np.zeros((1, a.shape[1]), dtype=np.int64)])
+    b0 = np.append(b, data.draw(st.integers(1, p - 1)))
+    assert K.solve(a0, b0, p) is None
+    # and a right-hand side is solvable exactly when it adds no rank
+    consistent = K.rank(np.column_stack([a, b]), p) == K.rank(a, p)
+    assert (K.solve(a, b, p) is not None) == consistent
