@@ -521,6 +521,20 @@ class EMSSTorAlgebra:
                         vals.append(v)
         return _assemble((len(row), len(src)), rows, cols, vals, self.p)
 
+    def _subquotient(self, s, t, d=None):
+        """Homology at ``(s, t)`` with class coordinates, built once; ``d``
+        maps ``s`` to the differential out of degree ``s`` at this ``t``."""
+        key = (s, t)
+        if key not in self._sub_cache:
+            max_s = len(self.gen_names)
+            if d is None:
+                d = {r: self._differential(r, t) for r in (s, s + 1) if 1 <= r <= max_s}
+            n = len(self.basis(s, t))
+            d_out = d[s] if s >= 1 else np.zeros((0, n), dtype=np.int64)
+            d_in = d[s + 1] if s < max_s else np.zeros((n, 0), dtype=np.int64)
+            self._sub_cache[key] = Subquotient(d_out, d_in, self.p)
+        return self._sub_cache[key]
+
     def _build(self):
         self.table_entries = {}
         self.classes = []
@@ -528,15 +542,10 @@ class EMSSTorAlgebra:
         for t in range(0, self.cap + 1):
             d = {s: self._differential(s, t) for s in range(1, max_s + 1)}
             sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
-            for s, h in _homology("Koszul model", sizes, d, self.p, step=-1).items():
+            homology = _homology("Koszul model", sizes, d, self.p, step=-1)
+            for s, h in sorted(homology.items()):
                 self.table_entries[(s, t)] = h
-            for s, n in sizes.items():
-                if n == 0:
-                    continue
-                d_out = d[s] if s >= 1 else np.zeros((0, n), dtype=np.int64)
-                d_in = d[s + 1] if s < max_s else np.zeros((n, 0), dtype=np.int64)
-                sub = Subquotient(d_out, d_in, self.p)
-                self._sub_cache[(s, t)] = sub
+                sub = self._subquotient(s, t, d)
                 reps = sub.representatives()
                 for c in range(sub.dim):
                     self.classes.append({"s": s, "t": t, "total": t - s,
@@ -581,12 +590,9 @@ class EMSSTorAlgebra:
             return None
         vec = self._mul_elements(cls1["s"], cls1["t"], cls1["rep"],
                                  cls2["s"], cls2["t"], cls2["rep"])
-        sub = self._sub_cache.get((s, t))
-        if sub is None:
-            if vec.any():
-                raise CrossCheckError("product of cycles not recognized as a class")
+        if not len(vec):
             return np.zeros(0, dtype=np.int64)
-        return sub.coords(vec)
+        return self._subquotient(s, t).coords(vec)
 
     def squares(self):
         out = []

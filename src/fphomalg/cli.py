@@ -12,7 +12,8 @@ from . import applications as apps
 from . import diagrams as dg
 from . import freelie, homalg, w1
 from .errors import CrossCheckError, ValidationError
-from .linalg import BigradedTable, GradedMap, GradedVectorSpace, HilbertSeries, dump_json
+from .linalg import (BigradedTable, GradedMap, GradedVectorSpace, HilbertSeries, PrimeField,
+                     dump_json)
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 
 COMMANDS = (
@@ -84,6 +85,7 @@ def _module_via_map(obj, A, cap):
 
 
 def _vector_diagram(obj, p):
+    p = PrimeField(p).p
     cat = dg.FiniteCategory.from_json(obj["category"])
     values = {o: GradedVectorSpace.from_json(v) for o, v in obj["values"].items()}
     maps = {}
@@ -114,9 +116,13 @@ def _simplicial_diagram(obj, p, cap):
 # --- command handlers ---------------------------------------------------------
 
 
+def _weight_cap(args):
+    return freelie.DEFAULT_WEIGHT_CAP if args.weight_cap is None else args.weight_cap
+
+
 def cmd_free_lie(data, args):
     gens = _gens(data)
-    wc = args.weight_cap or freelie.DEFAULT_WEIGHT_CAP
+    wc = _weight_cap(args)
     count = freelie.free_lie_symbol_dims(gens, args.cap, p=args.prime, weight_cap=wc)
     oracle = freelie.bracket_closure_dims(gens, args.cap, p=args.prime, weight_cap=wc)
     if count != oracle:
@@ -132,7 +138,7 @@ def cmd_free_lie(data, args):
 
 def cmd_restricted(data, args):
     gens = _gens(data)
-    wc = args.weight_cap or freelie.DEFAULT_WEIGHT_CAP
+    wc = _weight_cap(args)
     symbols, dims = freelie.restricted_basis(
         gens, args.cap, p=args.prime, weight_cap=wc
     )
@@ -242,7 +248,7 @@ def cmd_injective(data, args):
 
 def cmd_diagram_aq(data, args):
     cat = dg.FiniteCategory.from_json(data["category"])
-    p = args.prime
+    p = PrimeField(args.prime).p
 
     def mk(values, maps):
         vals = {o: GradedVectorSpace.from_json(v) for o, v in values.items()}

@@ -5,22 +5,28 @@ shifted degree ``n - 1``; words live in the tensor algebra on the
 desuspended generators, where the degree ``-1`` bracket becomes the graded
 commutator ``[a, b] = ab - (-1)^{s(a) s(b)} ba`` on shifted degrees and the
 restriction becomes the p-th tensor power.  Everything downstream is exact
-arithmetic mod p.
+arithmetic mod p.  The public constructors of ``TensorElement`` check
+homogeneity; sums, scalings, products, brackets and powers carry the shifted
+degree over from their inputs.
 
 Two independent routes to the dimensions of the free algebras coexist:
 
 * symbol counting: Lyndon words (necklace counts per multidegree) plus
   self-brackets ``[b, b]`` for odd p on even-degree symbols, plus
   restriction towers ``d -> p d - p + 1``;
-* brute-force closure oracles inside the tensor algebra, spanning brackets
-  (and p-th powers) until the degreewise dimensions stabilize.
+* brute-force closure oracles inside the tensor algebra: the span of the
+  generators closed under brackets (and p-th powers), kept per bidegree
+  (shifted degree, weight) and grown in semi-naive rounds, each bracketing
+  only the pairs that involve an element the previous round added.
 
 The basis builders cross-check the two routes and raise ``CrossCheckError``
-on any disagreement instead of trusting either side.
+on any disagreement instead of trusting either side.  Caps whose largest
+bidegree holds more than ``MAX_BUCKET_WORDS`` words are refused up front.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,10 +40,19 @@ from .errors import (
     ParityDomainError,
     ValidationError,
 )
-from .linalg import GradedVectorSpace, PrimeField
+from .linalg import GradedVectorSpace, PrimeField, _assemble
 
 DEFAULT_WEIGHT_CAP = 10
 MAX_GENERATORS = 4
+# Most words of one bidegree (shifted degree, weight) that the closure
+# oracles and the Lyndon span check accept, so that a run either fits in a
+# few hundred MB or exits 2 before it starts.  Their matrices have a row per
+# word of a bidegree (of a shifted degree, in the span check) and their
+# columns grow with it: three degree-1 generators at weight cap 10 have
+# 3^10 = 59,049 words of weight 10 in degree 1.  At this budget two degree-1
+# generators at weight cap 12 take about 180 MB; the inputs of the tests and
+# the benchmark need at most 3^7 = 2,187 words.
+MAX_BUCKET_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,8 +129,16 @@ class TensorElement:
         self.sdeg = sdegs.pop() if sdegs else None
 
     @classmethod
+    def _trusted(cls, alphabet, terms, sdeg):
+        """Element on ``terms`` already reduced mod p (no zero coefficient)
+        whose words all have shifted degree ``sdeg``; nothing is re-checked."""
+        e = cls.__new__(cls)
+        e.alphabet, e.terms, e.sdeg = alphabet, terms, sdeg if terms else None
+        return e
+
+    @classmethod
     def zero(cls, alphabet):
-        return cls(alphabet, {})
+        return cls._trusted(alphabet, {}, None)
 
     @classmethod
     def from_generator(cls, alphabet, name):
@@ -133,26 +156,33 @@ class TensorElement:
         """Unshifted degree: shifted degree plus one."""
         return None if self.sdeg is None else self.sdeg + 1
 
-    @property
-    def weight(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def _check(self, other):
         if self.alphabet != other.alphabet:
             raise AlphabetError("elements over different alphabets or primes")
 
     def __add__(self, other):
         self._check(other)
+        if self.terms and other.terms and self.sdeg != other.sdeg:
+            raise ValidationError("tensor element is not homogeneous")
+        p = self.alphabet.p
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return TensorElement(self.alphabet, terms)
+            c = (terms.get(w, 0) + c) % p
+            if c:
+                terms[w] = c
+            else:
+                del terms[w]
+        sdeg = self.sdeg if self.terms else other.sdeg
+        return TensorElement._trusted(self.alphabet, terms, sdeg)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c: int):
-        return TensorElement(self.alphabet, {w: v * c for w, v in self.terms.items()})
+        p = self.alphabet.p
+        c %= p
+        terms = {w: v * c % p for w, v in self.terms.items()} if c else {}
+        return TensorElement._trusted(self.alphabet, terms, self.sdeg)
 
     def __neg__(self):
         return self.scale(-1)
@@ -174,15 +204,28 @@ class TensorElement:
         return " + ".join(bits)
 
 
-def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Concatenation product, bilinear over F_p."""
-    a._check(b)
-    terms = {}
+def _add_product(terms, a, b, c):
+    """Add ``c`` times the concatenation product ``a b`` into ``terms``."""
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             w = w1 + w2
-            terms[w] = terms.get(w, 0) + c1 * c2
-    return TensorElement(a.alphabet, terms)
+            terms[w] = terms.get(w, 0) + c * c1 * c2
+    return terms
+
+
+def _reduced(alphabet, terms, sdeg):
+    """Element on ``terms`` of shifted degree ``sdeg``, reduced mod p."""
+    p = alphabet.p
+    terms = {w: c % p for w, c in terms.items() if c % p}
+    return TensorElement._trusted(alphabet, terms, sdeg)
+
+
+def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
+    """Concatenation product, bilinear over F_p."""
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        return TensorElement.zero(a.alphabet)
+    return _reduced(a.alphabet, _add_product({}, a, b, 1), a.sdeg + b.sdeg)
 
 
 def shifted_bracket(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -191,7 +234,8 @@ def shifted_bracket(a: TensorElement, b: TensorElement) -> TensorElement:
     if a.is_zero() or b.is_zero():
         return TensorElement.zero(a.alphabet)
     sign = -1 if (a.sdeg * b.sdeg) % 2 else 1
-    return tensor_mul(a, b) - tensor_mul(b, a).scale(sign)
+    terms = _add_product(_add_product({}, a, b, 1), b, a, -sign)
+    return _reduced(a.alphabet, terms, a.sdeg + b.sdeg)
 
 
 def restriction_power(a: TensorElement) -> TensorElement:
@@ -221,43 +265,35 @@ def ad_power(y: TensorElement, x: TensorElement, k: int) -> TensorElement:
 # spans in the tensor algebra
 
 
+def _columns(elems, p):
+    """Coefficient matrix with one column per element and one row per word
+    occurring in them."""
+    idx, rows, cols, vals = {}, [], [], []
+    for j, e in enumerate(elems):
+        for w, c in e.terms.items():
+            rows.append(idx.setdefault(w, len(idx)))
+            cols.append(j)
+            vals.append(c)
+    return _assemble((len(idx), len(elems)), rows, cols, vals, p)
+
+
 def span_dims(elements, p: int) -> GradedVectorSpace:
     """Dimensions (per unshifted degree) of the span of tensor elements."""
     by_sdeg: dict[int, list[TensorElement]] = {}
     for e in elements:
         if not e.is_zero():
             by_sdeg.setdefault(e.sdeg, []).append(e)
-    dims = {}
-    for sdeg, elems in by_sdeg.items():
-        words = sorted({w for e in elems for w in e.terms})
-        idx = {w: j for j, w in enumerate(words)}
-        mat = np.zeros((len(elems), len(words)), dtype=np.int64)
-        for i, e in enumerate(elems):
-            for w, c in e.terms.items():
-                mat[i, idx[w]] = c
-        r = K.rank(mat, p)
-        if r:
-            dims[sdeg + 1] = r
-    return GradedVectorSpace(dims)
+    return GradedVectorSpace({sdeg + 1: K.rank(_columns(elems, p), p)
+                              for sdeg, elems in by_sdeg.items()})
 
 
-def _reduce_basis(elems, p):
-    """Row-reduce a list of same-degree elements to an independent list."""
-    if not elems:
-        return []
-    alphabet = elems[0].alphabet
-    words = sorted({w for e in elems for w in e.terms})
-    idx = {w: j for j, w in enumerate(words)}
-    mat = np.zeros((len(elems), len(words)), dtype=np.int64)
-    for i, e in enumerate(elems):
-        for w, c in e.terms.items():
-            mat[i, idx[w]] = c
-    rr, pivots = K.rref(mat, p)
-    out = []
-    for i in range(len(pivots)):
-        terms = {words[j]: int(rr[i, j]) for j in range(len(words)) if rr[i, j]}
-        out.append(TensorElement(alphabet, terms))
-    return out
+def _reduce_basis(basis, cands, p):
+    """The candidates that enlarge the span of ``basis``, an independent list
+    of elements of one bidegree, in order: the pivot columns past the basis
+    of one rref with the basis and then the candidates as columns."""
+    n = len(basis)
+    _, pivots = K.rref(_columns(basis + cands, p), p)
+    return [cands[j - n] for j in pivots if j >= n]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +385,7 @@ def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 1
     if weight_cap > 20 or degree_cap > 64:
         raise CapError("weight cap <= 20 and degree cap <= 64 supported")
     alphabet = Alphabet(parse_or_pass(gens), p)
+    _check_caps(alphabet, degree_cap, weight_cap)
     basis = []
     for word, sdeg in _lyndon_candidates(alphabet, weight_cap, degree_cap):
         tree = standard_bracketing(word)
@@ -410,101 +447,98 @@ def parse_or_pass(gens):
 # brute-force closure oracles
 
 
-def bracket_closure_dims(gens, degree_cap: int, *, p: int,
-                         weight_cap: int = DEFAULT_WEIGHT_CAP) -> GradedVectorSpace:
-    """Degreewise span of iterated brackets of the generators.
+def _check_caps(alphabet: Alphabet, degree_cap: int, weight_cap: int):
+    """Refuse a weight cap below 1, and caps under which some bidegree
+    (shifted degree, weight) holds more than ``MAX_BUCKET_WORDS`` words.
 
-    All pairs of current basis elements are bracketed until the dimensions
-    stabilize inside the degree and weight caps.  This is the independent
-    oracle for the Lyndon counts.
+    Counts words only, not Lyndon words, so that the oracles stay
+    independent of the counting route.
+    """
+    if weight_cap < 1:
+        raise ValidationError(f"weight cap must be >= 1, got {weight_cap}")
+    layer = {0: 1}  # words of the current weight, by shifted degree
+    for weight in range(1, weight_cap + 1):
+        nxt: dict[int, int] = {}
+        for sdeg, n in layer.items():
+            for d in alphabet.wdegs:
+                if sdeg + d < degree_cap:
+                    nxt[sdeg + d] = nxt.get(sdeg + d, 0) + n
+        if nxt == layer:  # every later weight has the same counts
+            break
+        for sdeg, n in nxt.items():
+            if n > MAX_BUCKET_WORDS:
+                raise CapError(
+                    f"{n} words of weight {weight} in degree {sdeg + 1} exceed "
+                    f"the budget of {MAX_BUCKET_WORDS}; lower the weight or degree cap"
+                )
+        layer = nxt
+
+
+def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
+                  restricted: bool) -> GradedVectorSpace:
+    """Span of the generators closed under brackets (and, if ``restricted``,
+    admissible p-th powers) inside the caps, per unshifted degree.
+
+    The span is kept per bucket (shifted degree, weight): brackets and powers
+    of weight-homogeneous elements are weight-homogeneous, so the span is the
+    direct sum of its buckets, and the weight cap is tested on exact weights.
+    The rounds are semi-naive.  A round brackets only the pairs with a member
+    in the frontier (the elements the previous round added), each unordered
+    pair once since ``[b, a] = -+[a, b]`` in the tensor algebra, takes powers
+    only of frontier elements, and keeps as the next frontier the candidates
+    that enlarge their bucket's span; the closure is reached when nothing is
+    added.  This is exact: the bracket is bilinear, so brackets of basis
+    elements span all brackets, and pairs of older elements were bracketed
+    in an earlier round; ``xi(c a) = c^p xi(a)`` and ``xi(a + b) - xi(a) -
+    xi(b)`` is a Lie polynomial in ``a`` and ``b`` of the same bidegree, so
+    powers of basis elements suffice.
     """
     alphabet = Alphabet(parse_or_pass(gens), p)
-    basis: dict[int, list[TensorElement]] = {}
-    for name in alphabet.names:
-        e = TensorElement.from_generator(alphabet, name)
-        if e.v_degree <= degree_cap:
-            basis.setdefault(e.sdeg, []).append(e)
-    for sdeg in basis:
-        basis[sdeg] = _reduce_basis(basis[sdeg], p)
+    _check_caps(alphabet, degree_cap, weight_cap)
+    basis: dict[tuple[int, int], list[TensorElement]] = {}
+    old: list[tuple[TensorElement, int]] = []
+    cands = [(TensorElement.from_generator(alphabet, name), 1)
+             for name, d in zip(alphabet.names, alphabet.vdegs) if d <= degree_cap]
+    while cands:
+        buckets: dict[tuple[int, int], list[TensorElement]] = {}
+        for e, w in cands:
+            if not e.is_zero():
+                buckets.setdefault((e.sdeg, w), []).append(e)
+        frontier = []
+        for key, new in buckets.items():
+            span = basis.setdefault(key, [])
+            added = _reduce_basis(span, new, p)
+            span += added
+            frontier += [(e, key[1]) for e in added]
+        cands = []
+        pool = old + frontier
+        for i, (a, wa) in enumerate(frontier):
+            for b, wb in itertools.islice(pool, len(old) + i + 1):
+                if a.sdeg + b.sdeg < degree_cap and wa + wb <= weight_cap:
+                    cands.append((shifted_bracket(a, b), wa + wb))
+            if (restricted and (p == 2 or a.sdeg % 2 == 0)
+                    and p * a.sdeg < degree_cap and p * wa <= weight_cap):
+                cands.append((restriction_power(a), p * wa))
+        old = pool
+    dims: dict[int, int] = {}
+    for (sdeg, _), span in basis.items():
+        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + len(span)
+    return GradedVectorSpace(dims)
 
-    def total(b):
-        return sum(len(v) for v in b.values())
 
-    while True:
-        before = total(basis)
-        flat = [e for elems in basis.values() for e in elems]
-        new = []
-        for a in flat:
-            for b in flat:
-                if a.v_degree + b.v_degree - 1 > degree_cap:
-                    continue
-                if a.weight + b.weight > weight_cap:
-                    continue
-                c = shifted_bracket(a, b)
-                if not c.is_zero():
-                    new.append(c)
-        merged = dict(basis)
-        for c in new:
-            merged.setdefault(c.sdeg, [])
-        for sdeg in merged:
-            cands = basis.get(sdeg, []) + [c for c in new if c.sdeg == sdeg]
-            merged[sdeg] = _reduce_basis(cands, p)
-        basis = {s: v for s, v in merged.items() if v}
-        if total(basis) == before:
-            break
-    return GradedVectorSpace({s + 1: len(v) for s, v in basis.items()})
+def bracket_closure_dims(gens, degree_cap: int, *, p: int,
+                         weight_cap: int = DEFAULT_WEIGHT_CAP) -> GradedVectorSpace:
+    """Degreewise span of iterated brackets of the generators, inside the
+    degree and weight caps (see ``_closure_dims``).  This is the independent
+    oracle for the Lyndon counts."""
+    return _closure_dims(gens, degree_cap, p, weight_cap, restricted=False)
 
 
 def restricted_closure_dims(gens, degree_cap: int, *, p: int,
                             weight_cap: int = DEFAULT_WEIGHT_CAP) -> GradedVectorSpace:
-    """Span closed under brackets and admissible p-th powers.
-
-    Powers of sums differ from sums of powers by Lie polynomials, so closing
-    the bracket span under powers of basis vectors is basis independent.
-    """
-    alphabet = Alphabet(parse_or_pass(gens), p)
-    basis: dict[int, list[TensorElement]] = {}
-    for name in alphabet.names:
-        e = TensorElement.from_generator(alphabet, name)
-        if e.v_degree <= degree_cap:
-            basis.setdefault(e.sdeg, []).append(e)
-    for sdeg in basis:
-        basis[sdeg] = _reduce_basis(basis[sdeg], p)
-
-    def total(b):
-        return sum(len(v) for v in b.values())
-
-    while True:
-        before = total(basis)
-        flat = [e for elems in basis.values() for e in elems]
-        new = []
-        for a in flat:
-            for b in flat:
-                if a.v_degree + b.v_degree - 1 > degree_cap:
-                    continue
-                if a.weight + b.weight > weight_cap:
-                    continue
-                c = shifted_bracket(a, b)
-                if not c.is_zero():
-                    new.append(c)
-        for a in flat:
-            if p != 2 and a.sdeg % 2 == 1:
-                continue
-            if p * a.v_degree - p + 1 > degree_cap or p * a.weight > weight_cap:
-                continue
-            c = restriction_power(a)
-            if not c.is_zero():
-                new.append(c)
-        merged = dict(basis)
-        for c in new:
-            merged.setdefault(c.sdeg, [])
-        for sdeg in merged:
-            cands = basis.get(sdeg, []) + [c for c in new if c.sdeg == sdeg]
-            merged[sdeg] = _reduce_basis(cands, p)
-        basis = {s: v for s, v in merged.items() if v}
-        if total(basis) == before:
-            break
-    return GradedVectorSpace({s + 1: len(v) for s, v in basis.items()})
+    """Span closed under brackets and admissible p-th powers (see
+    ``_closure_dims``): the oracle for the restricted symbol counts."""
+    return _closure_dims(gens, degree_cap, p, weight_cap, restricted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -576,25 +610,9 @@ def _multidegrees(wdegs, degree_cap, weight_cap):
 def free_lie_symbol_dims(gens, degree_cap: int, *, p: int,
                          weight_cap: int | None = None) -> GradedVectorSpace:
     """Counting route to the free shifted Lie dimensions (per degree)."""
-    gens = parse_or_pass(gens)
-    wdegs = [g.degree - 1 for g in gens]
     dims: dict[int, int] = {}
-    symbols = []  # (v_degree, weight, count)
-    for counts in _multidegrees(wdegs, degree_cap, weight_cap):
-        n = sum(counts)
-        c = _lyndon_count(counts)
-        if not c:
-            continue
-        vdeg = sum(m * w for m, w in zip(counts, wdegs)) + 1
-        symbols.append((vdeg, n, c))
-    for vdeg, n, c in symbols:
+    for vdeg, _, c in lie_symbols(gens, degree_cap, p=p, weight_cap=weight_cap):
         dims[vdeg] = dims.get(vdeg, 0) + c
-    if p != 2:
-        for vdeg, n, c in symbols:
-            if vdeg % 2 == 0 and 2 * vdeg - 1 <= degree_cap:
-                if weight_cap is not None and 2 * n > weight_cap:
-                    continue
-                dims[2 * vdeg - 1] = dims.get(2 * vdeg - 1, 0) + c
     return GradedVectorSpace(dims)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fphomalg import applications
 from fphomalg.applications import (
     EMSSInput,
+    EMSSTorAlgebra,
     GroupAction,
     bu_to_bu1_input,
     emss_hypothesis_check,
@@ -135,6 +137,28 @@ def test_emss_tor_pu3_exterior_pattern():
     out = emss_tor_algebra(inp)
     totals = {d: n for d, n in out["totals"].items() if d <= 8}
     assert totals == {0: 1, 3: 1, 5: 1, 8: 1}
+
+
+def test_emss_builds_a_subquotient_per_needed_bidegree(monkeypatch):
+    built = []
+
+    class Counted(applications.Subquotient):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(applications, "Subquotient", Counted)
+    inp = bu_to_bu1_input(3, p=2, cap=12)
+    model = EMSSTorAlgebra(inp, 12)
+    # one per bidegree of nonzero homology, none for the other nonzero chains
+    assert set(model._sub_cache) == set(model.table.entries)
+    assert len(built) == len(model.table.entries) == 4
+    chains = [(s, t) for s in range(4) for t in range(13) if model.basis(s, t)]
+    assert len(chains) == 18
+    # squares build the bidegrees they land in on demand, each once
+    squares = model.squares()
+    assert len(built) == len(model._sub_cache) == 6
+    assert [sq["square"] for sq in squares] == ["nonzero", "zero", "zero", "out of range"]
 
 
 def test_emss_tor_identity_collapse():

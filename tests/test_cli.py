@@ -168,6 +168,25 @@ def test_exit_code_2_on_too_many_cochain_words(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", ["free-lie", "restricted"])
+def test_exit_code_2_on_too_many_lie_words(tmp_path, command):
+    # Three degree-1 generators: 3^10 words of weight 10 in one degree,
+    # refused before any tensor element is built.
+    gens = [{"name": n, "degree": 1} for n in "xyz"]
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command, gens, "-p", "2", "-n", "10", "--weight-cap", "10")
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["free-lie", "restricted"])
+@pytest.mark.parametrize("weight_cap", ["0", "-1"])
+def test_weight_cap_below_one_rejected(tmp_path, command, weight_cap):
+    gens = [{"name": "x", "degree": 2}]
+    code, _ = run(tmp_path, command, gens, "-p", "3", "--weight-cap", weight_cap)
+    assert code == 2
+
+
 COSPAN = {
     "category": {"objects": [{"id": "z", "lambda": 0}, {"id": "x", "lambda": 1},
                              {"id": "y", "lambda": 1}],

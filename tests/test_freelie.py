@@ -67,6 +67,18 @@ def test_homogeneity_enforced():
         TensorElement(a, {(0,): 1, (1,): 1})
 
 
+def test_sum_of_different_degrees_rejected():
+    a = alph(3, 2, 3)
+    x = TensorElement.from_generator(a, "x")
+    y = TensorElement.from_generator(a, "y")
+    with pytest.raises(ValidationError):
+        x + y
+    zero = TensorElement.zero(a)
+    assert (x + zero).sdeg == (zero + x).sdeg == 1
+    assert (x - x).is_zero() and (x - x).sdeg is None
+    assert x.scale(3).is_zero() and x.scale(3).sdeg is None
+
+
 def test_shifted_bracket_examples():
     # x of degree 2 at p=3: [x,x] = 2*xx, of unshifted degree 3
     a = alph(3, 2)
@@ -149,9 +161,10 @@ def test_bracket_closure_examples():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("degs", [(2,), (3,), (2, 2), (2, 3)])
+@pytest.mark.parametrize("degs", [(2,), (3,), (2, 2), (2, 3), (1,), (1, 2), (1, 1, 2)])
 def test_lyndon_count_matches_closure(p, degs):
-    cap, wcap = 8, 6
+    # degree-1 generators put every weight in shifted degree 0: smaller caps
+    cap, wcap = (8, 6) if 1 not in degs else (6, 6)
     count = free_lie_symbol_dims(gens(*degs), cap, p=p, weight_cap=wcap)
     oracle = bracket_closure_dims(gens(*degs), cap, p=p, weight_cap=wcap)
     assert count == oracle
@@ -170,9 +183,9 @@ def test_restricted_basis_examples():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("degs", [(2,), (3,), (2, 3)])
+@pytest.mark.parametrize("degs", [(2,), (3,), (2, 3), (1,), (1, 2), (1, 1, 2)])
 def test_restricted_count_matches_closure(p, degs):
-    cap, wcap = 9, 9
+    cap, wcap = (9, 9) if 1 not in degs else (7, 7)
     count = restricted_symbol_dims(gens(*degs), cap, p=p, weight_cap=wcap)
     oracle = restricted_closure_dims(gens(*degs), cap, p=p, weight_cap=wcap)
     assert count == oracle

@@ -1,6 +1,8 @@
 """Property tests on random small algebras: the dual Hochschild routes, bar
-homology against Koszul Tor, and the degree-bucketed cochain basis; and on
-random matrices: rank-nullity, kernels and solves of the elimination kernel."""
+homology against Koszul Tor, and the degree-bucketed cochain basis; on random
+generator sets: the free (restricted) Lie closure oracles against the symbol
+counts; and on random matrices: rank-nullity, kernels and solves of the
+elimination kernel."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fphomalg import _kernels as K
-
+from fphomalg.freelie import (
+    Generator,
+    bracket_closure_dims,
+    free_lie_symbol_dims,
+    restricted_closure_dims,
+    restricted_symbol_dims,
+)
 from fphomalg.homalg import (
     HochschildComplex,
     bar_homology_dims,
@@ -81,6 +89,20 @@ def test_bucketed_basis_matches_full_scan(p, degrees, dims, levels):
     for t in [ts[0] - 1, *ts, ts[-1] + 1]:
         for s in range(levels + 1):
             assert hc.basis(s, t) == full_scan_basis(hc, s, t)
+
+
+# --- free Lie closure oracles -------------------------------------------------
+
+
+@SMALL
+@given(p=st.sampled_from([2, 3, 5]),
+       degrees=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       cap=st.integers(1, 8), weight_cap=st.integers(1, 6))
+def test_closure_oracles_match_symbol_counts(p, degrees, cap, weight_cap):
+    g = [Generator("xyz"[i], d) for i, d in enumerate(degrees)]
+    caps = dict(p=p, weight_cap=weight_cap)
+    assert bracket_closure_dims(g, cap, **caps) == free_lie_symbol_dims(g, cap, **caps)
+    assert restricted_closure_dims(g, cap, **caps) == restricted_symbol_dims(g, cap, **caps)
 
 
 # --- the elimination kernel ----------------------------------------------------
