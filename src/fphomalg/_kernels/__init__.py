@@ -43,7 +43,7 @@ def as_modp(a, p: int) -> np.ndarray:
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and pivot columns."""
-    m = as_modp(a, p).copy()
+    m = as_modp(a, p)  # a fresh array, reduced in place below
     if 0 in m.shape:
         return m, []
     pivots = _impl.rref_core(m, p)

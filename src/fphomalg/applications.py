@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels as K
-from .diagrams import AlgebraDiagram, FiniteCategory, limit_dims
+from .diagrams import face_ring_diagram, limit_dims
 from .errors import CapError, CrossCheckError, ValidationError
 from .homalg import bar_homology_dims, tor_dims
 from .linalg import (
@@ -41,6 +41,9 @@ GROUP_ORDER_BOUND = 10_000
 class GroupAction:
     """Finite matrix group acting degreewise on a span of even generators.
 
+    ``ring`` is the polynomial ring on those generators, whose monomial
+    bases and products the induced action and the invariants are read in.
+
     ``order`` overrides the closure count: the abstract group order matters
     for the divisibility test even when the matrix image mod p is smaller
     (a sign-representation collapses at p = 2, for instance).
@@ -52,6 +55,8 @@ class GroupAction:
         self.degrees = [int(d) for d in degrees]
         if any(d % 2 for d in self.degrees):
             raise ValidationError("group actions are supported on even-degree generators")
+        self.ring = MonomialAlgebra.polynomial(
+            self.p, [(f"x{i}", d) for i, d in enumerate(self.degrees)])
         n = len(self.degrees)
         self.generator_matrices = []
         for m in matrices:
@@ -101,54 +106,17 @@ class GroupAction:
         return cls(int(obj["p"]), obj["matrices"], obj["degrees"], obj.get("order"))
 
 
-def _poly_mul(a: dict, b: dict, p: int) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            out[m] = (out.get(m, 0) + c1 * c2) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def _monomials_of_degree(degrees, d):
-    n = len(degrees)
-    out = []
-
-    def rec(i, left, acc):
-        if i == n:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        e = 0
-        while e * degrees[i] <= left:
-            rec(i + 1, left - e * degrees[i], acc + [e])
-            e += 1
-
-    rec(0, d, [])
-    return sorted(out)
-
-
 def _matrix_on_monomials(action: GroupAction, g: np.ndarray, d: int):
     """Induced matrix of a group element on the degree-d monomial basis."""
-    p = action.p
-    mons = _monomials_of_degree(action.degrees, d)
+    ring = action.ring
+    mons = ring.basis(d)
     idx = {m: i for i, m in enumerate(mons)}
     n = len(action.degrees)
-    lin = []
-    for j in range(n):
-        form = {}
-        for i in range(n):
-            if g[i, j]:
-                mon = tuple(1 if t == i else 0 for t in range(n))
-                form[mon] = int(g[i, j])
-        lin.append(form)
+    lin = [{ring.monomial_of(ring.names[i]): int(g[i, j]) for i in range(n) if g[i, j]}
+           for j in range(n)]
     mat = np.zeros((len(mons), len(mons)), dtype=np.int64)
     for jcol, mon in enumerate(mons):
-        poly = {tuple(0 for _ in range(n)): 1}
-        for j, e in enumerate(mon):
-            for _ in range(e):
-                poly = _poly_mul(poly, lin[j], p)
-        for m, c in poly.items():
+        for m, c in ring.image_of_monomial(mon, lin).items():
             mat[idx[m], jcol] = c
     return mat, mons
 
@@ -158,8 +126,9 @@ def invariant_dims(action: GroupAction, cap: int, with_basis: bool = False):
     algebra, solved as ``(g - 1)v = 0`` over every group element."""
     dims = {}
     basis = {}
-    possible = sorted({d for d in range(cap + 1) if _monomials_of_degree(action.degrees, d)})
-    for d in possible:
+    for d in range(cap + 1):
+        if not action.ring.basis(d):
+            continue
         mats = []
         mons = None
         for g in action.elements:
@@ -177,7 +146,6 @@ def invariant_dims(action: GroupAction, cap: int, with_basis: bool = False):
 def invariants_closed_under_products(action: GroupAction, cap: int) -> bool:
     """Products of fixed basis elements stay in the fixed span (subring)."""
     series, basis = invariant_dims(action, cap, with_basis=True)
-    p = action.p
     for d1, (k1, mons1) in basis.items():
         for d2, (k2, mons2) in basis.items():
             d = d1 + d2
@@ -191,11 +159,11 @@ def invariants_closed_under_products(action: GroupAction, cap: int) -> bool:
                 poly1 = {m: int(k1[i, c1]) for i, m in enumerate(mons1) if k1[i, c1]}
                 for c2 in range(k2.shape[1]):
                     poly2 = {m: int(k2[i, c2]) for i, m in enumerate(mons2) if k2[i, c2]}
-                    prod = _poly_mul(poly1, poly2, p)
+                    prod = action.ring.mul_elements(poly1, poly2)
                     vec = np.zeros(len(mons), dtype=np.int64)
                     for m, c in prod.items():
                         vec[idx[m]] = c
-                    if K.solve(k, vec, p) is None:
+                    if K.solve(k, vec, action.p) is None:
                         return False
     return True
 
@@ -211,13 +179,14 @@ def _polynomial_detection(action: GroupAction, cap: int):
     p = action.p
     series, basis = invariant_dims(action, cap, with_basis=True)
     chosen: list[tuple[int, dict]] = []
-    span_elems: dict[int, list[dict]] = {0: [{tuple(0 for _ in action.degrees): 1}]}
+    ring = action.ring
+    span_elems: dict[int, list[dict]] = {0: [{ring.one(): 1}]}
 
     def span_rank(d):
         elems = span_elems.get(d, [])
         if not elems:
             return 0, None, None
-        mons = _monomials_of_degree(action.degrees, d)
+        mons = ring.basis(d)
         idx = {m: i for i, m in enumerate(mons)}
         mat = np.zeros((len(elems), len(mons)), dtype=np.int64)
         for i, e in enumerate(elems):
@@ -238,7 +207,7 @@ def _polynomial_detection(action: GroupAction, cap: int):
                 if gd != d2:
                     continue
                 for e in list(span_elems.get(d1, [])):
-                    span_elems.setdefault(d, []).append(_poly_mul(e, gvec, p))
+                    span_elems.setdefault(d, []).append(ring.mul_elements(e, gvec))
         rank, mat, _ = span_rank(d)
         deficit = inv_dim - rank
         if deficit < 0:
@@ -312,16 +281,6 @@ def lie_formality_checklist(action: GroupAction, cap: int) -> dict:
 # face rings
 
 
-def _faces_of(facets):
-    faces = {frozenset()}
-    for f in facets:
-        f = frozenset(f)
-        for r in range(1, len(f) + 1):
-            for sub in itertools.combinations(sorted(f), r):
-                faces.add(frozenset(sub))
-    return faces
-
-
 def stanley_reisner_dims(vertices, facets, degree: int, cap: int, p: int) -> dict:
     """Hilbert series of the face ring, computed two ways and compared.
 
@@ -331,8 +290,9 @@ def stanley_reisner_dims(vertices, facets, degree: int, cap: int, p: int) -> dic
     """
     if len(vertices) > 12:
         raise CapError("face rings supported for at most 12 vertices")
-    vertices = [str(v) for v in vertices]
-    faces = _faces_of([[str(v) for v in f] for f in facets])
+    # route 2 (below) is the limit of this diagram over the face poset
+    _, named_faces, D = face_ring_diagram(vertices, facets, degree, cap, p)
+    faces = named_faces.values()
     # route 1: monomial count; support-exactly-sigma monomials of polynomial
     # degree k number C(k-1, |sigma|-1)
     coeffs = [0] * (cap + 1)
@@ -347,23 +307,6 @@ def stanley_reisner_dims(vertices, facets, degree: int, cap: int, p: int) -> dic
             k += 1
     direct = HilbertSeries(coeffs, cap)
 
-    # route 2: limit over the face poset
-    I, face_names = FiniteCategory.face_poset(vertices, facets)
-    J = I.opposite()
-    algs = {}
-    for name, face in face_names.items():
-        gens = [(v, degree) for v in sorted(face)]
-        algs[name] = (
-            MonomialAlgebra.polynomial(p, gens) if gens else MonomialAlgebra.trivial(p)
-        )
-    maps = {}
-    for f, (src, dst) in J.arrows.items():
-        small = algs[dst]
-        images = {}
-        for v, _ in algs[src].generators:
-            images[v] = v if v in small.names else "0"
-        maps[f] = images
-    D = AlgebraDiagram(J, algs, maps, p).linearize(cap)
     lim = limit_dims(D, cap)
     via_limit = HilbertSeries({d: lim.dim(d) for d in lim.degrees() if d <= cap}, cap)
     if direct != via_limit:
@@ -431,6 +374,7 @@ def emss_hypothesis_check(inp: EMSSInput, cap: int | None = None) -> dict:
     report = {}
     for label, mv in (("to_x", inp.to_x), ("to_y", inp.to_y)):
         target = mv.target
+        images = [mv.image_of(name) for name in inp.base.names]
         fail_degree = None
         for d in range(1, cap + 1):
             tdim = len(target.basis(d))
@@ -440,11 +384,7 @@ def emss_hypothesis_check(inp: EMSSInput, cap: int | None = None) -> dict:
             tidx = {m: i for i, m in enumerate(target.basis(d))}
             for mon in inp.base.basis(d):
                 vec = np.zeros(tdim, dtype=np.int64)
-                img = {target.one(): 1}
-                for (name, _), e in zip(inp.base.generators, mon):
-                    for _ in range(e):
-                        img = target.mul_elements(img, mv.image_of(name))
-                for m, c in img.items():
+                for m, c in target.image_of_monomial(mon, images).items():
                     vec[tidx[m]] = c
                 imgs.append(vec)
             mat = np.array(imgs, dtype=np.int64) if imgs else np.zeros((0, tdim), dtype=np.int64)

@@ -84,33 +84,28 @@ def _module_via_map(obj, A, cap):
     return ModuleViaMap(A, target, obj["images"], cap)
 
 
-def _vector_diagram(obj, p):
+def _vector_diagram(cat, values, maps, p):
+    """Contravariant diagram on ``cat`` from JSON values and maps; the map
+    of f: a -> b goes values[b] -> values[a]."""
     p = PrimeField(p).p
-    cat = dg.FiniteCategory.from_json(obj["category"])
-    values = {o: GradedVectorSpace.from_json(v) for o, v in obj["values"].items()}
-    maps = {}
-    for f, m in obj.get("maps", {}).items():
+    values = {o: GradedVectorSpace.from_json(v) for o, v in values.items()}
+    graded = {}
+    for f, m in maps.items():
         src, dst = cat.arrows[f]
-        # contravariant data: map for f: a -> b goes values[b] -> values[a]
-        maps[f] = GradedMap(values[dst], values[src], int(m.get("degree", 0)),
-                            {int(d): b for d, b in m.get("blocks", {}).items()}, p)
-    return cat, dg.contravariant_diagram(cat, values, maps, p)
+        graded[f] = GradedMap(values[dst], values[src], int(m.get("degree", 0)),
+                              {int(d): b for d, b in m.get("blocks", {}).items()}, p)
+    return dg.contravariant_diagram(cat, values, graded, p)
 
 
-def _simplicial_diagram(obj, p, cap):
-    I, faces = dg.FiniteCategory.face_poset(obj["vertices"], obj["facets"])
-    degree = int(obj.get("degree", 2))
-    J = I.opposite()
-    algs = {}
-    for name, face in faces.items():
-        gens = [(v, degree) for v in sorted(face)]
-        algs[name] = MonomialAlgebra.polynomial(p, gens) if gens else MonomialAlgebra.trivial(p)
-    maps = {}
-    for f, (src, dst) in J.arrows.items():
-        small = algs[dst]
-        maps[f] = {v: (v if v in small.names else "0") for v, _ in algs[src].generators}
-    D = dg.AlgebraDiagram(J, algs, maps, p).linearize(cap)
-    return I, D
+def _diagram(obj, p, cap):
+    """Base category and covariant diagram of a ``diagram-lim``/``injective``
+    input: a simplicial complex (its face-ring diagram) or a vector diagram."""
+    if "vertices" in obj:
+        I, _, D = dg.face_ring_diagram(obj["vertices"], obj["facets"],
+                                       int(obj.get("degree", 2)), cap, p)
+        return I, D
+    cat = dg.FiniteCategory.from_json(obj["category"])
+    return cat, _vector_diagram(cat, obj["values"], obj.get("maps", {}), p)
 
 
 # --- command handlers ---------------------------------------------------------
@@ -218,10 +213,7 @@ def cmd_bar(data, args):
 
 
 def cmd_diagram_lim(data, args):
-    if "vertices" in data:
-        _, D = _simplicial_diagram(data, args.prime, args.cap)
-    else:
-        _, D = _vector_diagram(data, args.prime)
+    _, D = _diagram(data, args.prime, args.cap)
     lim = dg.limit_dims(D, args.cap)
     table = dg.derived_limit_dims(D, args.cap)
     row0 = {t: n for (s, t), n in table.items() if s == 0}
@@ -231,10 +223,7 @@ def cmd_diagram_lim(data, args):
 
 
 def cmd_injective(data, args):
-    if "vertices" in data:
-        I, D = _simplicial_diagram(data, args.prime, args.cap)
-    else:
-        I, D = _vector_diagram(data, args.prime)
+    I, D = _diagram(data, args.prime, args.cap)
     report = dg.injective_by_criterion(I, D, args.cap)
     table = dg.derived_limit_dims(D, args.cap)
     higher = [(s, t) for (s, t) in table.entries if s > 0]
@@ -248,19 +237,8 @@ def cmd_injective(data, args):
 
 def cmd_diagram_aq(data, args):
     cat = dg.FiniteCategory.from_json(data["category"])
-    p = PrimeField(args.prime).p
-
-    def mk(values, maps):
-        vals = {o: GradedVectorSpace.from_json(v) for o, v in values.items()}
-        mm = {}
-        for f, m in maps.items():
-            src, dst = cat.arrows[f]
-            mm[f] = GradedMap(vals[dst], vals[src], 0,
-                              {int(d): b for d, b in m.get("blocks", {}).items()}, p)
-        return dg.contravariant_diagram(cat, vals, mm, p)
-
-    DV = mk(data["v_values"], data.get("v_maps", {}))
-    DM = mk(data["m_values"], data.get("m_maps", {}))
+    DV = _vector_diagram(cat, data["v_values"], data.get("v_maps", {}), args.prime)
+    DM = _vector_diagram(cat, data["m_values"], data.get("m_maps", {}), args.prime)
     out = dg.diagram_aq_table(cat, DV, DM, s_max=args.smax, q_max=args.qmax)
     report = {
         "tables": {str(q): t.to_json() for q, t in out["tables"].items()},

@@ -4,7 +4,20 @@ Diagrams that the statements quantify over are contravariant on a direct
 category I; internally every computation runs on a covariant diagram over
 the opposite category, so limits, derived limits (via the cosimplicial
 replacement restricted to nondegenerate chains), and the diagram-level
-Andre-Quillen tables share one chain calculus.
+Andre-Quillen tables share one chain calculus:
+
+- ``FiniteCategory.nerve`` builds the levels of nondegenerate chains once;
+- ``_offsets`` lays out the blocks of a direct sum (objects, matching
+  arrows or chains);
+- ``_equalizer`` writes the constraints ``F(h) x_src = x_dst`` whose kernel
+  is a limit, for ``limit_dims`` and for the matching limits of the
+  injectivity criterion;
+- ``_cosimplicial`` assembles the cosimplicial differentials from a face-0
+  block and a last-face block, with identity middle faces, for
+  ``derived_limit_dims`` (identity and the diagram map) and
+  ``diagram_aq_table`` (restriction and postcomposition on AQ^q);
+- ``face_ring_diagram`` builds sigma -> k[sigma] over a face poset, for the
+  CLI's simplicial inputs and the face-ring cross-check.
 
 The injectivity criterion checks, object by object, that the canonical map
 to the matching limit over everything strictly below is surjective
@@ -163,17 +176,27 @@ class FiniteCategory:
     def arrows_between(self, a, b):
         return [f for f, (s, d) in self.arrows.items() if s == a and d == b]
 
-    def chains(self, s: int):
-        """Nondegenerate chains: (start object, tuple of s composable arrows)."""
-        if s == 0:
-            return [(o, ()) for o in sorted(self.objects)]
-        out = []
-        for start, fs in self.chains(s - 1):
-            end = self.arrows[fs[-1]][1] if fs else start
-            for f, (src, dst) in sorted(self.arrows.items()):
-                if src == end:
-                    out.append((start, fs + (f,)))
-        return out
+    def nerve(self, top: int | None = None) -> list[list]:
+        """Nondegenerate chains by length, built once.
+
+        ``levels[s]`` lists the chains ``(start object, s composable
+        arrows)``; the levels run to the longest chain, or to length ``top``
+        at most.  A chain longer than the number of arrows repeats one, so
+        the category has non-identity cycles: ``ValidationError``.
+        """
+        leaving = {}
+        for f, (src, _) in sorted(self.arrows.items()):
+            leaving.setdefault(src, []).append(f)
+        levels = [[(o, ()) for o in sorted(self.objects)]]
+        while top is None or len(levels) <= top:
+            longer = [(start, fs + (f,)) for start, fs in levels[-1]
+                      for f in leaving.get(self.chain_end((start, fs)), ())]
+            if not longer:
+                break
+            if len(levels) > len(self.arrows):
+                raise ValidationError("category has non-identity cycles")
+            levels.append(longer)
+        return levels
 
     def chain_end(self, chain):
         start, fs = chain
@@ -256,46 +279,91 @@ def contravariant_diagram(I: FiniteCategory, values, maps, p) -> VectorDiagram:
     return VectorDiagram(I.opposite(), values, maps, p)
 
 
-def _limit_block(D: VectorDiagram, degree: int, objs=None, arrows=None):
-    """Constraint matrix whose kernel is the limit in one degree."""
-    objs = sorted(D.base.objects) if objs is None else list(objs)
-    arrows = sorted(D.base.arrows) if arrows is None else list(arrows)
+# ---------------------------------------------------------------------------
+# the shared chain calculus
+
+
+def _offsets(keys, dim):
+    """Offsets of the blocks ``keys`` in a direct sum whose block of ``key``
+    has dimension ``dim(key)``, and the total dimension."""
     offs = {}
     n = 0
-    for o in objs:
-        offs[o] = n
-        n += D.value(o).dim(degree)
-    rows = []
-    for f in arrows:
-        s, d = D.base.arrows[f]
-        if s not in offs or d not in offs:
-            continue
-        block = D.map(f).block(degree)
+    for key in keys:
+        offs[key] = n
+        n += dim(key)
+    return offs, n
+
+
+def _equalizer(n: int, constraints, p: int) -> np.ndarray:
+    """Matrix whose kernel is the x in F_p^n with ``block @ x_src = x_dst``
+    for every constraint ``(block, src, dst)``, where ``x_src`` and
+    ``x_dst`` are the blocks of x starting at offsets src and dst."""
+    rows = [np.zeros((0, n), dtype=np.int64)]
+    for block, src, dst in constraints:
         r = np.zeros((block.shape[0], n), dtype=np.int64)
-        if block.size:
-            r[:, offs[s]: offs[s] + block.shape[1]] = block
-        for i in range(block.shape[0]):
-            r[i, offs[d] + i] = (r[i, offs[d] + i] - 1) % D.p
+        r[:, src: src + block.shape[1]] = block
+        i = np.arange(block.shape[0])
+        r[i, dst + i] = (r[i, dst + i] - 1) % p
         rows.append(r)
-    mat = np.concatenate(rows, axis=0) if rows else np.zeros((0, n), dtype=np.int64)
-    return mat, offs, n
+    return np.concatenate(rows, axis=0)
 
 
-def limit_dims(D: VectorDiagram, cap: int, with_basis: bool = False):
+def _cosimplicial(J: FiniteCategory, levels, top: int, dim, face0, last, p: int):
+    """One internal degree of the cosimplicial replacement on the
+    nondegenerate chains ``levels`` of ``J`` (from ``FiniteCategory.nerve``).
+
+    The component of a chain has dimension ``dim(chain)``.  The differential
+    ``d_s`` sends level s to level s + 1; on a chain of s + 1 arrows, face 0
+    drops the first arrow ``f`` and acts by the block ``face0(f, face)``,
+    the middle faces compose two adjacent arrows and are identity blocks with
+    sign (-1)^k, and the last face drops the last arrow ``f`` and acts by
+    ``last(face, f)`` with sign (-1)^(s+1).  Returns the sizes of levels
+    0..top and ``d_0, ..., d_top``, as ``_homology`` takes them.
+    """
+    spaces = [_offsets(levels[s] if s < len(levels) else (), dim) for s in range(top + 2)]
+    d = {}
+    for s in range(top + 1):
+        src = spaces[s][0]
+        mat = np.zeros((spaces[s + 1][1], spaces[s][1]), dtype=np.int64)
+        for c, off in spaces[s + 1][0].items():
+            n = dim(c)
+            if n == 0:
+                continue
+            start, fs = c
+            face = (J.arrows[fs[0]][1], fs[1:])
+            if face in src:
+                B = face0(fs[0], face)
+                mat[off: off + n, src[face]: src[face] + B.shape[1]] += B
+            diag = np.arange(n)
+            for k in range(1, s + 1):
+                face = (start, fs[: k - 1] + (J.compose(fs[k - 1], fs[k]),) + fs[k + 1:])
+                if face in src:
+                    mat[off + diag, src[face] + diag] += -1 if k % 2 else 1
+            face = (start, fs[:-1])
+            if face in src:
+                B = last(face, fs[-1])
+                mat[off: off + n, src[face]: src[face] + B.shape[1]] += (
+                    (-1 if (s + 1) % 2 else 1) * B)
+        d[s] = mat % p
+    return {s: spaces[s][1] for s in range(top + 1)}, d
+
+
+def _degrees(D: VectorDiagram, cap: int) -> list[int]:
+    """Internal degrees at most ``cap`` where some value is nonzero."""
+    return sorted({t for v in D.values.values() for t in v.degrees() if t <= cap})
+
+
+def limit_dims(D: VectorDiagram, cap: int) -> GradedVectorSpace:
     """Degreewise limit of a covariant diagram (equalizer of all arrows)."""
     dims = {}
-    basis = {}
-    degrees = set()
-    for v in D.values.values():
-        degrees.update(v.degrees())
-    for d in sorted(x for x in degrees if x <= cap):
-        mat, offs, n = _limit_block(D, d)
-        ker = K.nullspace(mat, D.p)
-        if ker.shape[1]:
-            dims[d] = ker.shape[1]
-            basis[d] = (ker, offs)
-    V = GradedVectorSpace(dims)
-    return (V, basis) if with_basis else V
+    for t in _degrees(D, cap):
+        offs, n = _offsets(sorted(D.base.objects), lambda o: D.value(o).dim(t))
+        cons = _equalizer(n, [(D.map(f).block(t), offs[s], offs[dst])
+                              for f, (s, dst) in sorted(D.base.arrows.items())], D.p)
+        k = K.nullspace(cons, D.p).shape[1]
+        if k:
+            dims[t] = k
+    return GradedVectorSpace(dims)
 
 
 def derived_limit_dims(D: VectorDiagram, cap: int) -> BigradedTable:
@@ -303,61 +371,21 @@ def derived_limit_dims(D: VectorDiagram, cap: int) -> BigradedTable:
 
     Entry ``(s, t)`` is the dimension of the s-th derived limit in internal
     degree ``t``; for direct index categories the nondegenerate chain
-    complex is finite, so no truncation in ``s`` is needed.
+    complex is finite, so no truncation in ``s`` is needed.  Every component
+    is the value at the end of its chain: face 0 is the identity and the
+    last face applies the map of the dropped arrow.
     """
     J = D.base
-    max_chain = 0
-    s = 0
-    while J.chains(s + 1):
-        s += 1
-        max_chain = s
-        if s > len(J.arrows):
-            raise ValidationError("category has non-identity cycles")
-    chainss = {s: J.chains(s) for s in range(max_chain + 2)}
-
-    degrees = set()
-    for v in D.values.values():
-        degrees.update(v.degrees())
-
+    levels = J.nerve()
     entries = {}
-    for t in sorted(x for x in degrees if x <= cap):
-        spaces = {}
-        for s, chains in chainss.items():
-            offs = {}
-            n = 0
-            for c in chains:
-                offs[c] = n
-                n += D.value(J.chain_end(c)).dim(t)
-            spaces[s] = (offs, n)
-        d = {}
-        for s in range(max_chain + 1):
-            src_offs, src_n = spaces[s]
-            tgt_offs, tgt_n = spaces[s + 1]
-            mat = np.zeros((tgt_n, src_n), dtype=np.int64)
-            for c, off in tgt_offs.items():
-                start, fs = c
-                dim_end = D.value(J.chain_end(c)).dim(t)
-                if dim_end == 0:
-                    continue
-                diag = np.arange(dim_end)
-                # faces 0..s keep the last object
-                for k in range(s + 1):
-                    if k == 0:
-                        sub = (J.arrows[fs[0]][1], fs[1:])
-                    else:
-                        merged = J.compose(fs[k - 1], fs[k])
-                        sub = (start, fs[: k - 1] + (merged,) + fs[k + 1:])
-                    if sub in src_offs:
-                        mat[off + diag, src_offs[sub] + diag] += -1 if k % 2 else 1
-                # last face applies the final map
-                sub = (start, fs[:-1])
-                if sub in src_offs:
-                    block = D.map(fs[-1]).block(t)
-                    soff = src_offs[sub]
-                    mat[off: off + dim_end, soff: soff + block.shape[1]] += (
-                        (-1 if (s + 1) % 2 else 1) * block)
-            d[s] = mat % D.p
-        sizes = {s: spaces[s][1] for s in range(max_chain + 1)}
+    for t in _degrees(D, cap):
+        def dim(c):
+            return D.value(J.chain_end(c)).dim(t)
+
+        sizes, d = _cosimplicial(
+            J, levels, len(levels) - 1, dim,
+            lambda f, face: np.eye(dim(face), dtype=np.int64),
+            lambda face, f: D.map(f).block(t), D.p)
         for s, h in _homology("cosimplicial", sizes, d, D.p).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
@@ -374,37 +402,21 @@ def matching_surjectivity(I: FiniteCategory, D: VectorDiagram, obj, cap: int) ->
     the direct category I.  The matching category has one object per
     non-identity arrow ``g: j -> obj`` of I.
     """
-    gs = [f for f in I.arrows_into(obj)]
+    gs = I.arrows_into(obj)
     if not gs:
         return {"object": obj, "surjective": True, "degrees_checked": [], "vacuous": True}
-    offs = {}
-    n = 0
+    # limit constraints: for h: j -> j' with g' o h = g, F(h) x_{g'} = x_g
+    # (D.map(h) goes F(j') -> F(j) in the op encoding)
+    triangles = [(h, g2, g) for g in gs for g2 in gs
+                 for h in I.arrows_between(I.arrows[g][0], I.arrows[g2][0])
+                 if I.comp.get((h, g2)) == g]
     results = []
     for d in range(cap + 1):
-        offs.clear()
-        n = 0
-        for g in sorted(gs):
-            offs[g] = n
-            n += D.value(I.arrows[g][0]).dim(d)
+        offs, n = _offsets(sorted(gs), lambda g: D.value(I.arrows[g][0]).dim(d))
         if n == 0:
             continue
-        rows = []
-        # limit constraints: for h: j -> j' with g' o h = g: F(h) x_{g'} = x_g
-        for g in gs:
-            j = I.arrows[g][0]
-            for g2 in gs:
-                j2 = I.arrows[g2][0]
-                for h in I.arrows_between(j, j2):
-                    if I.comp.get((h, g2)) != g:
-                        continue
-                    block = D.map(h).block(d)  # F(j') -> F(j) in the op encoding
-                    r = np.zeros((block.shape[0], n), dtype=np.int64)
-                    if block.size:
-                        r[:, offs[g2]: offs[g2] + block.shape[1]] = block
-                    for i in range(block.shape[0]):
-                        r[i, offs[g] + i] = (r[i, offs[g] + i] - 1) % D.p
-                    rows.append(r)
-        cons = np.concatenate(rows, axis=0) if rows else np.zeros((0, n), dtype=np.int64)
+        cons = _equalizer(n, [(D.map(h).block(d), offs[g2], offs[g])
+                              for h, g2, g in triangles], D.p)
         ker = K.nullspace(cons, D.p)
         if ker.shape[1] == 0:
             results.append((d, True))
@@ -474,12 +486,7 @@ class AlgebraDiagram:
     def image_of_monomial(self, f, mon) -> dict:
         src = self.values[self.base.arrows[f][0]]
         dst = self.values[self.base.arrows[f][1]]
-        out = {dst.one(): 1}
-        for (name, _), e in zip(src.generators, mon):
-            img = self.maps[f][name]
-            for _ in range(e):
-                out = dst.mul_elements(out, img)
-        return out
+        return dst.image_of_monomial(mon, [self.maps[f][name] for name in src.names])
 
     def linearize(self, cap: int) -> VectorDiagram:
         """Matrices of the algebra maps on monomial bases, degree by degree."""
@@ -506,6 +513,24 @@ class AlgebraDiagram:
                 blocks[d] = mat
             maps[f] = GradedMap(spaces[s], spaces[dte], 0, blocks, self.p)
         return VectorDiagram(self.base, spaces, maps, self.p)
+
+
+def face_ring_diagram(vertices, facets, degree: int, cap: int, p: int):
+    """The diagram sigma -> k[sigma] (polynomial on the vertices of sigma in
+    ``degree``) over the face poset I of a simplicial complex, whose limit
+    is the face ring.
+
+    Returns I, its faces by name, and the covariant avatar over I^op
+    linearized through ``cap``: for sigma < tau the map k[tau] -> k[sigma]
+    sends the vertices outside sigma to 0.
+    """
+    I, faces = FiniteCategory.face_poset(vertices, facets)
+    J = I.opposite()
+    algs = {name: MonomialAlgebra.polynomial(p, [(v, degree) for v in sorted(face)])
+            for name, face in faces.items()}
+    maps = {f: {v: (v if v in algs[dst].names else "0") for v, _ in algs[src].generators}
+            for f, (src, dst) in J.arrows.items()}
+    return I, faces, AlgebraDiagram(J, algs, maps, p).linearize(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +614,8 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, level, t, p):
     sidx = {b: j for j, b in enumerate(src_basis)}
     src_letters, src_words = hc_src.abar_index, hc_src.word_index[level]
     # build per-letter images once
-    letter_imgs = []
-    for mon, d in hc_tgt.abar:
-        img = {hc_src.A.one(): 1}
-        for (name, _), e in zip(hc_tgt.A.generators, mon):
-            for _ in range(e):
-                img = hc_src.A.mul_elements(img, phi_images[name])
-        letter_imgs.append((img, d))
+    images = [phi_images[name] for name in hc_tgt.A.names]
+    letter_imgs = [(hc_src.A.image_of_monomial(mon, images), d) for mon, d in hc_tgt.abar]
     rows, cols, vals = [], [], []
     for col, (wi, dv, mi) in enumerate(tgt_basis):
         # expand phi(w) as a combination of source words
@@ -678,19 +698,7 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
             src_alg, dst_alg, lambda d: DV.map(f).block(d), p
         )
 
-    max_chain = 0
-    s = 0
-    while J.chains(s + 1) and s < s_max + 1:
-        s += 1
-        max_chain = s
-    chainss = {s: J.chains(s) for s in range(min(max_chain, s_max) + 2)}
-
-    def component(chain):
-        start, fs = chain
-        return (start, J.chain_end(chain))
-
-    def h_dim(pair, q, t):
-        return local(*pair).dim(q, t)
+    levels = J.nerve(top=s_max + 1)
 
     def restriction_on_h(f, m_obj, q, t):
         """AQ^q(A(j1), M) -> AQ^q(A(j0), M) along the arrow f: j0 -> j1."""
@@ -715,9 +723,8 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         T = _word_map_matrix(src.hc, tgt.hc, phi_images(f), q + 1, t, p)
         return _induced(T.T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
-    def postcompose_on_h(pair, f, q, t):
+    def postcompose_on_h(a_obj, m_src, f, q, t):
         """AQ^q(A, M(j_s)) -> AQ^q(A, M(j_{s+1})) along the module map."""
-        a_obj, m_src = pair
         src = local(a_obj, m_src)
         tgt = local(a_obj, J.arrows[f][1])
         psi = DM.map(f)
@@ -738,51 +745,21 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         for t in loc.hc.t_range(range(q_max + 2)):
             degrees.add(t)
 
-    top = min(max_chain, s_max)
+    top = min(len(levels) - 1, s_max)
     tables = {}
     kernel_rows = {}
     for q in range(q_max + 1):
         entries = {}
         kernel_entries = {}
         for t in sorted(degrees):
-            spaces = {}
-            for s in range(top + 2):
-                offs = {}
-                n = 0
-                for c in chainss.get(s, []):
-                    offs[c] = n
-                    n += h_dim(component(c), q, t)
-                spaces[s] = (offs, n)
-            d = {}
-            for s in range(top + 1):
-                src_offs, src_n = spaces[s]
-                tgt_offs, tgt_n = spaces[s + 1]
-                mat = np.zeros((tgt_n, src_n), dtype=np.int64)
-                for c, off in tgt_offs.items():
-                    start, fs = c
-                    dim_c = h_dim(component(c), q, t)
-                    if dim_c == 0:
-                        continue
-                    # face 0: restriction along the first arrow
-                    sub = (J.arrows[fs[0]][1], fs[1:])
-                    if sub in src_offs:
-                        R = restriction_on_h(fs[0], component(sub)[1], q, t)
-                        mat[off: off + dim_c, src_offs[sub]: src_offs[sub] + R.shape[1]] += R
-                    # middle faces: identity blocks
-                    diag = np.arange(dim_c)
-                    for k in range(1, s + 1):
-                        merged = J.compose(fs[k - 1], fs[k])
-                        sub = (start, fs[: k - 1] + (merged,) + fs[k + 1:])
-                        if sub in src_offs:
-                            mat[off + diag, src_offs[sub] + diag] += -1 if k % 2 else 1
-                    # last face: postcompose the module map
-                    sub = (start, fs[:-1])
-                    if sub in src_offs:
-                        P = postcompose_on_h(component(sub), fs[-1], q, t)
-                        mat[off: off + dim_c, src_offs[sub]: src_offs[sub] + P.shape[1]] += (
-                            (-1 if (s + 1) % 2 else 1) * P)
-                d[s] = mat % p
-            sizes = {s: spaces[s][1] for s in range(top + 1)}
+            # the component of a chain j0 -> ... -> js is AQ^q(A(j0), M(js)):
+            # face 0 restricts along the first arrow, the last face
+            # postcomposes with the module map of the last one
+            sizes, d = _cosimplicial(
+                J, levels, top,
+                lambda c: local(c[0], J.chain_end(c)).dim(q, t),
+                lambda f, face: restriction_on_h(f, J.chain_end(face), q, t),
+                lambda face, f: postcompose_on_h(face[0], J.chain_end(face), f, q, t), p)
             ranks = _RankOnce(d.get, p)
             for s, h in _homology("diagram AQ cosimplicial", sizes, d, p, ranks=ranks).items():
                 entries[(s, t)] = h

@@ -362,13 +362,32 @@ class LyndonBasisElement:
 
 
 def _lyndon_candidates(alphabet: Alphabet, weight_cap: int, degree_cap: int):
-    """Lyndon words within the caps, as (word, sdeg) pairs."""
+    """Lyndon words within the caps, as (word, sdeg) pairs, by length then word.
+
+    Walks the prenecklaces depth first (Cattell, Ruskey, Sawada, Serra and
+    Miers, J. Algorithms 2000): a prenecklace of length t and period q is a
+    Lyndon word iff q == t.  A prefix whose shifted degree already exceeds
+    the degree cap is pruned with everything below it, since every shifted
+    letter degree is >= 0.
+    """
+    k, wdegs = len(alphabet.names), alphabet.wdegs
+    a = [0] * (weight_cap + 1)  # a[1..t] is the current prefix, a[0] = 0
     out = []
-    for w in lyndon_words(len(alphabet.names), weight_cap):
-        sdeg = alphabet.word_sdeg(w)
-        if sdeg + 1 <= degree_cap:
-            out.append((w, sdeg))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
+
+    def walk(t, q, sdeg):
+        # a[1..t] is a prenecklace of period q and shifted degree sdeg
+        if t and q == t:
+            out.append((tuple(a[1: t + 1]), sdeg))
+        if t == weight_cap:
+            return
+        for j in range(a[t + 1 - q], k):
+            if sdeg + wdegs[j] + 1 <= degree_cap:
+                a[t + 1] = j
+                walk(t + 1, q if j == a[t + 1 - q] else t + 1, sdeg + wdegs[j])
+
+    if weight_cap >= 1:
+        walk(0, 1, 0)
+    out.sort(key=lambda w: (len(w[0]), w[0]))
     return out
 
 

@@ -719,20 +719,11 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
                 out.extend((S, bm, cn) for bm in B.basis(dm) for cn in C.basis(t - di - dm))
         return out
 
-    def image_power(mv: ModuleViaMap, gen_idx: int, e: int) -> dict:
-        name = A.names[gen_idx]
-        img = mv.image_of(name)
-        out = {mv.target.one(): 1}
-        for _ in range(e):
-            out = mv.target.mul_elements(out, img)
-        return out
-
     # terms[S]: (S2, sign, left image, right image) of each term of d(e_S)
     terms = {}
     for S in tuples:
         terms[S] = []
         for i, (st, k) in enumerate(zip(strands, S)):
-            gen_idx = A.names.index(st.name)
             pre = _tau_prefix(strands, S, i)
             suf = _tau_suffix(strands, S, i)
             for (le, re, scal) in st.diff_twosided(k):
@@ -743,7 +734,8 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
                     if (re * st.deg * suf) % 2:
                         sign = -sign
                 terms[S].append((S[:i] + (k - 1,) + S[i + 1:], sign,
-                                 image_power(M, gen_idx, le), image_power(N, gen_idx, re)))
+                                 B.image_of_monomial((le,), [M.image_of(st.name)]),
+                                 C.image_of_monomial((re,), [N.image_of(st.name)])))
 
     def diff_matrix(src, tgt):
         row = {b: i for i, b in enumerate(tgt)}

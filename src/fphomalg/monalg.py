@@ -229,6 +229,16 @@ class MonomialAlgebra:
                     out[m] = (out.get(m, 0) + c1 * c2 * s) % self.p
         return {m: c for m, c in out.items() if c}
 
+    def image_of_monomial(self, mon, images) -> dict:
+        """``images[0]^mon[0] * images[1]^mon[1] * ...`` in this algebra,
+        multiplied in that order: the image of the monomial ``mon`` under an
+        algebra map sending the i-th source generator to ``images[i]``."""
+        out = {self.one(): 1}
+        for img, e in zip(images, mon):
+            for _ in range(e):
+                out = self.mul_elements(out, img)
+        return out
+
     def monomial_str(self, mon) -> str:
         bits = [
             n if e == 1 else f"{n}^{e}"
@@ -462,11 +472,7 @@ class ModuleViaMap:
         for (name, _), cap in zip(self.source.generators, self.source.caps):
             if cap is None:
                 continue
-            img = self.images[name]
-            power = {self.target.one(): 1}
-            for _ in range(cap + 1):
-                power = self.target.mul_elements(power, img)
-            if power:
+            if self.target.image_of_monomial((cap + 1,), [self.images[name]]):
                 raise ValidationError(f"map does not respect {name}^{cap + 1} = 0")
 
     def image_of(self, name: str) -> dict:

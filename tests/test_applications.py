@@ -17,6 +17,7 @@ from fphomalg.applications import (
     stanley_reisner_dims,
 )
 from fphomalg.errors import CrossCheckError, ValidationError
+from fphomalg.homalg import tor_dims
 from fphomalg.linalg import GradedVectorSpace
 from fphomalg.monalg import MonomialAlgebra
 
@@ -185,3 +186,17 @@ def test_loop_cohomology_examples():
 def test_exterior_series_char_independent():
     assert exterior_series([1], 5).nonzero() == {0: 1, 1: 1}
     assert exterior_series([1, 3], 5).nonzero() == {0: 1, 1: 1, 3: 1, 4: 1}
+
+
+def test_emss_table_equals_tor():
+    # both legs are k[t] with u -> t, v -> t^2, so the right term of the
+    # Koszul model's differential is nonzero and its sign changes the table
+    p, cap = 3, 8
+    base = MonomialAlgebra.polynomial(p, [("u", 2), ("v", 4)])
+    t = MonomialAlgebra.polynomial(p, [("t", 2)])
+    legs = {"u": "t", "v": "t^2"}
+    inp = EMSSInput(base, t, t, legs, legs, cap=cap)
+    table = EMSSTorAlgebra(inp, cap).table
+    assert table == tor_dims(base, inp.to_x, inp.to_y, cap)
+    assert set(table.entries) == {(0, 0), (0, 2), (0, 4), (1, 4), (0, 6), (1, 6),
+                                  (0, 8), (1, 8)}

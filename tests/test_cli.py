@@ -236,3 +236,14 @@ def test_determinism_given_seed(tmp_path):
     _, a = run(tmp_path, "axioms", gens, "-p", "3", "--trials", "10", "--seed", "42")
     _, b = run(tmp_path, "axioms", gens, "-p", "3", "--trials", "10", "--seed", "42")
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["invariants", "lie-check"])
+@pytest.mark.parametrize("degree", [0, -2])
+def test_exit_code_2_on_nonpositive_action_degree(tmp_path, command, degree):
+    # the degree-d monomials of a degree-0 or negative generator never run out
+    data = {"p": 3, "matrices": [[[2]]], "degrees": [degree]}
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command, data, "-n", "6")
+    assert code == 2
+    assert time.perf_counter() - start < 1.0

@@ -327,3 +327,38 @@ def test_diagram_aq_on_a_chain_of_three_objects():
     for q, table in out["tables"].items():
         assert table.entries == {(0, -3 * q): 1}
         assert out["kernel_formula"][q] == {-3 * q: 1}
+
+
+def _chain_of_three():
+    return FiniteCategory.poset({"0": 0, "1": 1, "2": 2}, [("0", "1"), ("1", "2")])
+
+
+def test_nerve_levels_truncation_and_cycles():
+    I = _chain_of_three()
+    levels = I.nerve()
+    assert levels == [
+        [("0", ()), ("1", ()), ("2", ())],
+        [("0", ("0<1",)), ("0", ("0<2",)), ("1", ("1<2",))],
+        [("0", ("0<1", "1<2"))],
+    ]
+    assert I.nerve(top=1) == levels[:2]
+    cyclic = FiniteCategory({"x": 0, "y": 1}, {"f": ("x", "y"), "g": ("y", "x")},
+                            {("f", "g"): "f", ("g", "f"): "g"})
+    with pytest.raises(ValidationError, match="cycles"):
+        cyclic.nerve()
+
+
+def test_derived_limits_on_a_chain_with_a_composite():
+    # over I^op the chain 0 < 1 < 2 has the initial object 2, so the limit
+    # is F(2) and nothing sits above row 0; at p = 3 the face signs, face 0
+    # and the composite 0 < 2 all enter d*d = 0 and the ranks
+    p = 3
+    I = _chain_of_three()
+    F0, F1, F2 = (GradedVectorSpace({2: n}) for n in (2, 1, 2))
+    a, b = np.array([[1], [2]]), np.array([[1, 1]])
+    maps = {"0<1": GradedMap(F1, F0, 0, {2: a}, p),
+            "1<2": GradedMap(F2, F1, 0, {2: b}, p),
+            "0<2": GradedMap(F2, F0, 0, {2: (a @ b) % p}, p)}
+    D = contravariant_diagram(I, {"0": F0, "1": F1, "2": F2}, maps, p)
+    assert limit_dims(D, 4) == F2
+    assert derived_limit_dims(D, 4).entries == {(0, 2): 2}

@@ -5,6 +5,7 @@ from fphomalg.freelie import (
     Alphabet,
     Generator,
     TensorElement,
+    _lyndon_candidates,
     ad_power,
     bracket_closure_dims,
     check_axioms,
@@ -221,3 +222,13 @@ def test_restriction_scalar_linearity():
         lhs = restriction_power(x.scale(lam))
         rhs = restriction_power(x).scale(lam)
         assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("degs", [(1,), (2,), (1, 2), (2, 2, 3), (3, 5), (1, 1, 4)])
+@pytest.mark.parametrize("weight_cap, degree_cap", [(1, 10), (6, 8), (8, 12), (10, 8), (5, 1)])
+def test_lyndon_candidates_equal_filtered_lyndon_words(degs, weight_cap, degree_cap):
+    # the pruned prenecklace walk against all Lyndon words filtered by degree
+    a = alph(3, *degs)
+    want = sorted(((w, a.word_sdeg(w)) for w in lyndon_words(len(degs), weight_cap)
+                   if a.word_sdeg(w) + 1 <= degree_cap), key=lambda t: (len(t[0]), t[0]))
+    assert _lyndon_candidates(a, weight_cap, degree_cap) == want

@@ -109,3 +109,16 @@ def test_backends_agree():
             assert K.rank(a, p) == len(ref_pivots)
             b = np.ascontiguousarray(a.copy())
             assert list(modp_py.rref_core(b, p)) == ref_pivots and b.tolist() == ref
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_rref_leaves_its_argument_unchanged(p):
+    rng = np.random.default_rng(11)
+    reduced = random_matrix(rng, 6, 7, p)  # already in [0, p)
+    unreduced = reduced + p * rng.integers(-3, 4, size=reduced.shape)
+    unreduced[0, 0] = -1
+    for a in (reduced, unreduced, unreduced.T):
+        before = a.copy()
+        r, piv = K.rref(a, p)
+        assert np.array_equal(a, before)
+        assert r is not a and piv
