@@ -1,10 +1,8 @@
 """Exact linear algebra over F_p on dense int64 matrices.
 
-Row reduction is the hot loop of the whole package, so it has two
-interchangeable implementations: a Cython kernel (``_modp``) and a numpy
-fallback (``modp_py``).  The compiled kernel is preferred; set
-``FPHOMALG_PURE=1`` to force the fallback.  Everything downstream goes
-through the helpers here, which are backend independent.
+Row reduction is the hot loop of the whole package.  It is one numpy
+Gauss-Jordan elimination (``rref``), and everything downstream goes
+through the helpers here.
 
 Vectors are columns: ``nullspace(a, p)`` returns a matrix whose columns
 span ``{x : a @ x = 0}``.
@@ -12,25 +10,11 @@ span ``{x : a @ x = 0}``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..errors import ValidationError
+from .errors import ValidationError
 
-if os.environ.get("FPHOMALG_PURE") == "1":
-    from . import modp_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _modp as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import modp_py as _impl
-
-        BACKEND = "python"
+BACKEND = "python"
 
 
 def as_modp(a, p: int) -> np.ndarray:
@@ -44,10 +28,29 @@ def as_modp(a, p: int) -> np.ndarray:
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and pivot columns."""
     m = as_modp(a, p)  # a fresh array, reduced in place below
-    if 0 in m.shape:
-        return m, []
-    pivots = _impl.rref_core(m, p)
-    return m, list(pivots)
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        pivot = int(m[r, c])
+        if pivot != 1:
+            m[r] = (m[r] * pow(pivot, p - 2, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        targets = np.nonzero(col)[0]
+        if targets.size:
+            m[targets] = (m[targets] - np.outer(col[targets], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def rank(a, p: int) -> int:

@@ -13,7 +13,7 @@ from . import diagrams as dg
 from . import freelie, homalg, w1
 from .errors import CrossCheckError, ValidationError
 from .linalg import (BigradedTable, GradedMap, GradedVectorSpace, HilbertSeries, PrimeField,
-                     dump_json)
+                     dump_json, json_int)
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 
 COMMANDS = (
@@ -24,25 +24,21 @@ COMMANDS = (
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("-p", "--prime", type=int, default=2)
-    shared.add_argument("-n", "--cap", type=int, default=12)
-    shared.add_argument("--smax", type=int, default=5)
-    shared.add_argument("--qmax", type=int, default=3)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trials", type=int, default=100)
-    shared.add_argument("--weight-cap", type=int, default=None)
-    shared.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    shared.add_argument("-o", "--out", default=None)
-    shared.add_argument("input", help="path to the JSON input file")
-
     parser = argparse.ArgumentParser(
         prog="fphomalg",
         description="exact homological algebra over prime fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[shared])
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("-p", "--prime", type=int, default=2)
+    parser.add_argument("-n", "--cap", type=int, default=12)
+    parser.add_argument("--smax", type=int, default=5)
+    parser.add_argument("--qmax", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--weight-cap", type=int, default=None)
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parser.add_argument("-o", "--out", default=None)
+    parser.add_argument("input", help="path to the JSON input file")
     return parser
 
 
@@ -102,7 +98,7 @@ def _diagram(obj, p, cap):
     input: a simplicial complex (its face-ring diagram) or a vector diagram."""
     if "vertices" in obj:
         I, _, D = dg.face_ring_diagram(obj["vertices"], obj["facets"],
-                                       int(obj.get("degree", 2)), cap, p)
+                                       json_int(obj.get("degree", 2), "degree"), cap, p)
         return I, D
     cat = dg.FiniteCategory.from_json(obj["category"])
     return cat, _vector_diagram(cat, obj["values"], obj.get("maps", {}), p)
@@ -270,7 +266,7 @@ def cmd_lie_check(data, args):
 
 def cmd_stanley_reisner(data, args):
     out = apps.stanley_reisner_dims(
-        data["vertices"], data["facets"], int(data.get("degree", 2)),
+        data["vertices"], data["facets"], json_int(data.get("degree", 2), "degree"),
         args.cap, args.prime,
     )
     return {

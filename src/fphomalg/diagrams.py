@@ -670,6 +670,8 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
     ``DV``/``DM`` are the covariant avatars over the opposite of the direct
     category ``I``; the algebras are exterior on the V values objectwise.
     """
+    if s_max < 0:
+        raise ValidationError(f"smax must be >= 0 for diagram AQ, got {s_max}")
     J = DV.base
     p = DV.p
     report = validate_direct_category(I)

@@ -40,7 +40,7 @@ from .errors import (
     ParityDomainError,
     ValidationError,
 )
-from .linalg import GradedVectorSpace, PrimeField, _assemble
+from .linalg import GradedVectorSpace, PrimeField, _assemble, json_int
 
 DEFAULT_WEIGHT_CAP = 10
 MAX_GENERATORS = 4
@@ -67,7 +67,8 @@ class Generator:
 
 def parse_generators(obj) -> list[Generator]:
     """Read ``[{"name": "x", "degree": 2}, ...]``."""
-    gens = [Generator(str(g["name"]), int(g["degree"])) for g in obj]
+    gens = [Generator(str(g["name"]), json_int(g["degree"], f"degree of {g['name']!r}"))
+            for g in obj]
     names = [g.name for g in gens]
     if len(set(names)) != len(names):
         raise ValidationError("generator names must be unique")
@@ -143,10 +144,6 @@ class TensorElement:
     @classmethod
     def from_generator(cls, alphabet, name):
         return cls(alphabet, {(alphabet.names.index(name),): 1})
-
-    @classmethod
-    def from_word(cls, alphabet, word, coeff=1):
-        return cls(alphabet, {tuple(word): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

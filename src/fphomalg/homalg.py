@@ -311,16 +311,6 @@ class FreeResolution:
             if inexact:
                 raise CrossCheckError(f"resolution not exact at stage {min(inexact)}, degree {t}")
 
-    def strand_summary(self):
-        return [
-            {
-                "generator": st.name,
-                "degree": st.deg,
-                "kind": "koszul" if st.cap is None else f"periodic(x^{st.n})",
-            }
-            for st in self.strands
-        ]
-
 
 def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
     """Strand resolution of k over a polynomial/exterior/mixed/truncated algebra."""

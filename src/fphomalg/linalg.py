@@ -30,6 +30,19 @@ import numpy as np
 from . import _kernels as K
 from .errors import CapError, CrossCheckError, ValidationError
 
+
+def json_int(value, field: str) -> int:
+    """``int(value)`` for a number or numeral read from JSON input; a value
+    that is not an integer raises ``ValidationError`` naming ``field``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (isinstance(value, float) and n != value):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # prime field
 
@@ -144,7 +157,8 @@ class GradedVectorSpace:
     def from_json(cls, obj) -> "GradedVectorSpace":
         if not isinstance(obj, dict) or "dims" not in obj:
             raise ValidationError('graded space JSON must be {"dims": {...}}')
-        return cls({int(d): int(n) for d, n in obj["dims"].items()})
+        return cls({json_int(d, "dims key"): json_int(n, f"dims[{d!r}]")
+                    for d, n in obj["dims"].items()})
 
 
 def shift(V: GradedVectorSpace, k: int) -> GradedVectorSpace:
@@ -256,13 +270,6 @@ class GradedMap:
 
     def kernel_dim(self, i: int) -> int:
         return self.source.dim(i) - self.rank(i)
-
-    def is_surjective(self, degrees=None) -> bool:
-        degs = degrees if degrees is not None else self.target.degrees()
-        for d in degs:
-            if self.target.dim(d) and self.rank(d - self.degree) < self.target.dim(d):
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -501,15 +508,8 @@ class HilbertSeries:
     def nonzero(self) -> dict[int, int]:
         return {d: c for d, c in enumerate(self.coefficients) if c}
 
-    def to_graded_space(self) -> GradedVectorSpace:
-        return GradedVectorSpace(self.nonzero())
-
     def to_json(self) -> dict:
         return {"cap": self.cap, "series": {str(d): c for d, c in self.nonzero().items()}}
-
-    @classmethod
-    def from_graded_space(cls, V: GradedVectorSpace, cap: int) -> "HilbertSeries":
-        return cls({d: n for d, n in V.dims.items() if 0 <= d <= cap}, cap)
 
 
 def series_mul(a: list[int], b: list[int], cap: int) -> list[int]:

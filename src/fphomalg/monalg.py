@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import GradedMap, GradedVectorSpace, PrimeField
+from .linalg import GradedMap, GradedVectorSpace, PrimeField, json_int
 
 KINDS = (
     "polynomial",
@@ -115,7 +115,8 @@ class MonomialAlgebra:
     def from_json(cls, obj):
         p = int(obj["p"])
         kind = obj.get("kind", "polynomial")
-        gens = [(g["name"], g["degree"]) for g in obj.get("generators", [])]
+        gens = [(g["name"], json_int(g["degree"], f"degree of {g['name']!r}"))
+                for g in obj.get("generators", [])]
         if kind == "polynomial":
             return cls.polynomial(p, gens)
         if kind == "exterior":
@@ -127,7 +128,7 @@ class MonomialAlgebra:
             return cls.truncated(p, gens, obj.get("truncation", {}))
         if kind == "stanley_reisner":
             return cls.stanley_reisner(
-                p, obj["vertices"], obj["facets"], int(obj.get("degree", 2))
+                p, obj["vertices"], obj["facets"], json_int(obj.get("degree", 2), "degree")
             )
         raise ValidationError(f"unsupported algebra kind {kind!r} in JSON")
 

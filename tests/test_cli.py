@@ -247,3 +247,44 @@ def test_exit_code_2_on_nonpositive_action_degree(tmp_path, command, degree):
     code, _ = run(tmp_path, command, data, "-n", "6")
     assert code == 2
     assert time.perf_counter() - start < 1.0
+
+
+AQ_ON_X3 = {"algebra": {"kind": "exterior", "generators": GENS_X3}}
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("stanley-reisner", {"vertices": ["a"], "facets": [["a"]], "degree": "x"}, "degree"),
+    ("diagram-lim", {"vertices": ["a"], "facets": [["a"]], "degree": "x"}, "degree"),
+    ("free-lie", {"generators": [{"name": "x", "degree": "a"}]}, "degree of 'x'"),
+    ("free-lie", [{"name": "x", "degree": 2.5}], "degree of 'x'"),
+    ("aq", {**AQ_ON_X3, "module": {"dims": {"a": 1}}}, "dims key"),
+    ("aq", {"algebra": {"kind": "exterior", "generators": [{"name": "x", "degree": "a"}]}},
+     "degree of 'x'"),
+], ids=["stanley-reisner", "diagram-lim", "free-lie", "free-lie-fraction", "aq", "aq-generator"])
+def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, data, field):
+    code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"invalid input: {field} must be an integer")
+
+
+def test_diagram_aq_refuses_negative_smax(tmp_path, capsys):
+    data = {"category": COSPAN["category"],
+            "v_values": {o: {"dims": {"3": 1}} for o in "zxy"},
+            "m_values": {o: {"dims": {"3": 1}} for o in "zxy"}}
+    data["v_maps"] = data["m_maps"] = {f: {"blocks": {"3": [[1]]}} for f in "ab"}
+    code, _ = run(tmp_path, "diagram-aq", data, "-p", "3", "--smax", "-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed input" not in err and "smax must be >= 0" in err
+
+
+def test_command_line_errors_exit_2(tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(GENS_X3))
+    assert main([]) == 2
+    assert main(["free-w1"]) == 2
+    assert main(["no-such-command", str(path)]) == 2
+    assert main(["free-w1", "--format", "xml", str(path)]) == 2
+    assert main(["free-w1", "-p", "3", "-n", "4", str(path)]) == 0
