@@ -1,8 +1,11 @@
 """Exact linear algebra over F_p on dense int64 matrices.
 
-Row reduction is the hot loop of the whole package.  It is one numpy
-Gauss-Jordan elimination (``rref``), and everything downstream goes
-through the helpers here.
+Every homology dimension is a sum of ranks, and the differentials are
+mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
+as sparse dictionaries, and hands the rest of the work to the numpy
+Gauss-Jordan elimination ``rref`` only when the input, or the fill the
+reduction produces, gets dense.  ``rref`` also serves ``nullspace``,
+``solve`` and ``in_span``.
 
 Vectors are columns: ``nullspace(a, p)`` returns a matrix whose columns
 span ``{x : a @ x = 0}``.
@@ -16,13 +19,24 @@ from .errors import ValidationError
 
 BACKEND = "python"
 
+# ``rank`` reduces sparsely while at most 1/FILL_INPUT of the input and
+# 1/FILL_PIVOTS of its stored pivot columns are nonzero; the pivots' fill is
+# first checked once FILL_CHECK_AFTER of them are stored.
+FILL_INPUT = 3
+FILL_PIVOTS = 10
+FILL_CHECK_AFTER = 16
 
-def as_modp(a, p: int) -> np.ndarray:
-    """Coerce to a 2-d int64 array with entries reduced into [0, p)."""
+
+def _int64_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return np.ascontiguousarray(m % p)
+    return m
+
+
+def as_modp(a, p: int) -> np.ndarray:
+    """Coerce to a 2-d int64 array with entries reduced into [0, p)."""
+    return np.ascontiguousarray(_int64_matrix(a) % p)
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -54,7 +68,66 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a, p: int) -> int:
-    return len(rref(a, p)[1])
+    """Rank over F_p by sparse column reduction.
+
+    The nonzeros are read once, column by column, without a dense copy.
+    Each column is reduced against the pivot columns found so far, keyed by
+    their lowest nonzero row, the one of largest index (the boundary-matrix
+    reduction of persistent homology), and stored normalised to a 1 there
+    if it does not vanish; the rank is the number of pivots.  An input more
+    than ``1/FILL_INPUT`` nonzero goes to ``rref`` at once, and so does the
+    rest of the work once the stored pivot columns are more than
+    ``1/FILL_PIVOTS`` nonzero: the pivot columns and the columns not yet
+    read span the same space as ``a``.
+    """
+    a = _int64_matrix(a)
+    rows, cols = a.shape
+    nnz = np.count_nonzero(a)
+    if not nnz:
+        return 0
+    if nnz * FILL_INPUT > a.size:
+        return len(rref(a, p)[1])
+    ri, ci = np.divmod(np.flatnonzero(a != 0), cols)
+    ci, ri = np.divmod(np.sort(ci * rows + ri), rows)  # column by column, rows ascending
+    vals = a[ri, ci] % p
+    if not vals.all():  # entries divisible by p
+        keep = vals != 0
+        ri, ci, vals = ri[keep], ci[keep], vals[keep]
+    ends = np.cumsum(np.bincount(ci, minlength=cols)).tolist()
+    pivots: dict[int, dict[int, int]] = {}
+    stored = start = 0
+    for j, end in enumerate(ends):
+        if start == end:
+            continue
+        col = dict(zip(ri[start:end].tolist(), vals[start:end].tolist()))
+        low = int(ri[end - 1])
+        start = end
+        while low in pivots:
+            f = col[low]
+            for r, v in pivots[low].items():
+                x = (col.get(r, 0) - f * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            if not col:
+                break
+            low = max(col)
+        if not col:
+            continue
+        lead = col[low]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            col = {r: v * inv % p for r, v in col.items()}
+        pivots[low] = col
+        stored += len(col)
+        if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > rows * len(pivots):
+            dense = np.zeros((rows, len(pivots) + cols - j - 1), dtype=np.int64)
+            for k, c in enumerate(pivots.values()):
+                dense[list(c), k] = list(c.values())
+            dense[:, len(pivots):] = a[:, j + 1:]
+            return len(rref(dense, p)[1])
+    return len(pivots)
 
 
 def nullspace(a, p: int) -> np.ndarray:

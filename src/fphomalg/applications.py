@@ -27,6 +27,7 @@ from .linalg import (
     _assemble,
     _homology,
     free_commutative_series,
+    json_int,
     series_mul,
 )
 from .monalg import ModuleViaMap, MonomialAlgebra
@@ -51,8 +52,8 @@ class GroupAction:
 
     def __init__(self, p: int, matrices, degrees, order: int | None = None):
         self.p = PrimeField(p).p
-        self.declared_order = int(order) if order is not None else None
-        self.degrees = [int(d) for d in degrees]
+        self.declared_order = json_int(order, "order") if order is not None else None
+        self.degrees = [json_int(d, "degree") for d in degrees]
         if any(d % 2 for d in self.degrees):
             raise ValidationError("group actions are supported on even-degree generators")
         self.ring = MonomialAlgebra.polynomial(
@@ -103,7 +104,7 @@ class GroupAction:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["p"]), obj["matrices"], obj["degrees"], obj.get("order"))
+        return cls(json_int(obj["p"], "p"), obj["matrices"], obj["degrees"], obj.get("order"))
 
 
 def _matrix_on_monomials(action: GroupAction, g: np.ndarray, d: int):
@@ -340,11 +341,11 @@ class EMSSInput:
 
     @classmethod
     def from_json(cls, obj):
-        p = int(obj["p"])
+        p = json_int(obj["p"], "p")
         base = MonomialAlgebra.from_json({**obj["base"], "p": p, "kind": "polynomial"})
         x = MonomialAlgebra.from_json({**obj["x"], "p": p, "kind": "polynomial"})
         y = MonomialAlgebra.from_json({**obj["y"], "p": p, "kind": "polynomial"})
-        return cls(base, x, y, obj["to_x"], obj["to_y"], int(obj.get("cap", 12)))
+        return cls(base, x, y, obj["to_x"], obj["to_y"], json_int(obj.get("cap", 12), "cap"))
 
 
 def bu_to_bu1_input(n: int, p: int = 2, cap: int = 12) -> EMSSInput:
@@ -609,9 +610,11 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
             gens.append((f"u{i}", d))
             i += 1
     A = MonomialAlgebra.polynomial(p, gens)
+    # bar first: its word budget refuses an oversized cap before either
+    # route does any work
+    bar = bar_homology_dims(A, cap)
     k = ModuleViaMap.augmentation(A, cap)
     tor = tor_dims(A, k, k, cap)
-    bar = bar_homology_dims(A, cap)
     if tor != bar:
         raise CrossCheckError("Koszul and bar routes disagree on loop cohomology")
     totals = tor.total_dims()

@@ -88,8 +88,10 @@ def _vector_diagram(cat, values, maps, p):
     graded = {}
     for f, m in maps.items():
         src, dst = cat.arrows[f]
-        graded[f] = GradedMap(values[dst], values[src], int(m.get("degree", 0)),
-                              {int(d): b for d, b in m.get("blocks", {}).items()}, p)
+        blocks = {json_int(d, f"block key of map {f!r}"): b
+                  for d, b in m.get("blocks", {}).items()}
+        graded[f] = GradedMap(values[dst], values[src],
+                              json_int(m.get("degree", 0), f"degree of map {f!r}"), blocks, p)
     return dg.contravariant_diagram(cat, values, graded, p)
 
 
@@ -279,7 +281,7 @@ def cmd_stanley_reisner(data, args):
 
 def cmd_emss(data, args):
     if data.get("preset") == "diagonal-circle":
-        inp = apps.bu_to_bu1_input(int(data["n"]), p=args.prime, cap=args.cap)
+        inp = apps.bu_to_bu1_input(json_int(data["n"], "n"), p=args.prime, cap=args.cap)
     else:
         inp = apps.EMSSInput.from_json({**data, "p": data.get("p", args.prime)})
     checks = apps.emss_hypothesis_check(inp, cap=args.cap)

@@ -42,6 +42,7 @@ from .linalg import (
     _assemble,
     _homology,
     _RankOnce,
+    json_int,
 )
 from .monalg import AlgebraModule, MonomialAlgebra
 
@@ -54,7 +55,8 @@ class FiniteCategory:
     """
 
     def __init__(self, objects, arrows, comp=None):
-        self.objects = {str(o): int(l) for o, l in dict(objects).items()}
+        self.objects = {str(o): json_int(l, f"lambda of object {o!r}")
+                        for o, l in dict(objects).items()}
         self.arrows = {str(f): (str(s), str(d)) for f, (s, d) in dict(arrows).items()}
         for f, (s, d) in self.arrows.items():
             if s not in self.objects or d not in self.objects:
@@ -80,7 +82,8 @@ class FiniteCategory:
         arrows for all implied comparabilities and the full composition
         table are generated.
         """
-        objs = {str(o): int(l) for o, l in dict(levels).items()}
+        objs = {str(o): json_int(l, f"lambda of object {o!r}")
+                for o, l in dict(levels).items()}
         less = {o: set() for o in objs}
         for a, b in relations:
             less[str(a)].add(str(b))

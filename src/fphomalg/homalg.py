@@ -27,6 +27,8 @@ cycle, with the collapsed total-degree view given by ``t - s``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from . import _kernels as K
@@ -47,6 +49,11 @@ from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 # grow with it; the three-generator exterior algebra at ``aq --smax 4``
 # (7^6 = 117,649 words) fits, five generators (31^6) are refused up front.
 MAX_COCHAIN_WORDS = 200_000
+
+# Largest number of bar words of one length and degree, the column count of
+# a dense bar differential; the value of ``freelie.MAX_BUCKET_WORDS``.  The
+# exterior algebra on (x1, y3) peaks at 3,762 words at cap 22.
+MAX_BAR_BUCKET_WORDS = 4096
 
 
 class _Words:
@@ -765,13 +772,16 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     wherever both are defined.  The words of degree at most ``cap`` are
     built once and bucketed by degree, so the chains of degree ``t`` are
     read off a bucket; letter products are memoized, and each differential
-    is ranked once.
+    is ranked once.  A cap under which one bucket would hold more than
+    ``MAX_BAR_BUCKET_WORDS`` words raises ``CapError`` before any word is
+    built.
     """
     p = A.p
     letters = [(mon, d) for d in range(1, cap + 1) for mon in A.basis(d)]
     min_deg = min((d for _, d in letters), default=1)
     hard_s_max = cap // max(min_deg, 1)
     s_top = hard_s_max if s_max is None else min(s_max, hard_s_max)
+    _check_bar_words([d for _, d in letters], cap, s_top + 1)
     words = _Words(A, letters, s_top + 1, cap=cap)
 
     entries = {}
@@ -792,3 +802,21 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
         for s, h in _homology("bar", sizes, d, p, step=-1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
+
+
+def _check_bar_words(letter_degrees, cap: int, levels: int):
+    """Refuse bar words of length at most ``levels`` and degree at most
+    ``cap`` when some (length, degree) bucket would hold more than
+    ``MAX_BAR_BUCKET_WORDS`` of them.  The words are counted from the letter
+    degrees, not built."""
+    letters = Counter(letter_degrees)
+    layer = [1] + [0] * cap  # words of the current length, by degree
+    for s in range(1, levels + 1):
+        layer = [sum(n * layer[t - d] for d, n in letters.items() if d <= t)
+                 for t in range(cap + 1)]
+        t = max(range(cap + 1), key=layer.__getitem__)
+        if layer[t] > MAX_BAR_BUCKET_WORDS:
+            raise CapError(
+                f"{layer[t]} bar words of length {s} in degree {t} exceed the "
+                f"budget of {MAX_BAR_BUCKET_WORDS}; lower the degree cap"
+            )

@@ -113,7 +113,7 @@ class MonomialAlgebra:
 
     @classmethod
     def from_json(cls, obj):
-        p = int(obj["p"])
+        p = json_int(obj["p"], "p")
         kind = obj.get("kind", "polynomial")
         gens = [(g["name"], json_int(g["degree"], f"degree of {g['name']!r}"))
                 for g in obj.get("generators", [])]

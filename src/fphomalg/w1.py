@@ -23,6 +23,7 @@ from .linalg import (
     HilbertSeries,
     PrimeField,
     free_commutative_series,
+    json_int,
 )
 
 
@@ -312,7 +313,7 @@ class W1StructureTable:
     @classmethod
     def from_json(cls, obj) -> "W1StructureTable":
         return cls(
-            int(obj["p"]),
+            json_int(obj["p"], "p"),
             [(g["name"], g["degree"]) for g in obj["generators"]],
             obj.get("xi"),
             obj.get("zeta"),

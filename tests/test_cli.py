@@ -179,6 +179,21 @@ def test_exit_code_2_on_too_many_lie_words(tmp_path, command):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command, data, cap", [
+    # two degree-2 and one degree-4 polynomial generators: 23,680 bar words
+    # of one length and degree at cap 18, refused before either route runs
+    ("loops", {"dims": {"2": 2, "4": 1}}, "18"),
+    ("bar", {"algebra": {"kind": "exterior", "generators": [
+        {"name": "x", "degree": 1}, {"name": "y", "degree": 3}]}}, "23"),
+])
+def test_exit_code_2_on_too_many_bar_words(tmp_path, capsys, command, data, cap):
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command, data, "-p", "3", "-n", cap)
+    assert code == 2
+    assert "bar words" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("command", ["free-lie", "restricted"])
 @pytest.mark.parametrize("weight_cap", ["0", "-1"])
 def test_weight_cap_below_one_rejected(tmp_path, command, weight_cap):
@@ -260,7 +275,19 @@ AQ_ON_X3 = {"algebra": {"kind": "exterior", "generators": GENS_X3}}
     ("aq", {**AQ_ON_X3, "module": {"dims": {"a": 1}}}, "dims key"),
     ("aq", {"algebra": {"kind": "exterior", "generators": [{"name": "x", "degree": "a"}]}},
      "degree of 'x'"),
-], ids=["stanley-reisner", "diagram-lim", "free-lie", "free-lie-fraction", "aq", "aq-generator"])
+    ("invariants", {"p": "x", "matrices": [[[1]]], "degrees": [2]}, "p"),
+    ("invariants", {"p": 3, "matrices": [[[1]]], "degrees": ["x"]}, "degree"),
+    ("emss", {"p": 2.5}, "p"),
+    ("ext", {"algebra": {"kind": "exterior", "p": "x", "generators": GENS_X3}}, "p"),
+    ("diagram-lim", {**COSPAN, "category": {**COSPAN["category"], "objects": [
+        {"id": o, "lambda": "z"} for o in "zxy"]}}, "lambda of object 'z'"),
+    ("diagram-lim", {**COSPAN, "maps": {f: {"degree": "x"} for f in "ab"}},
+     "degree of map 'a'"),
+    ("diagram-lim", {**COSPAN, "maps": {f: {"blocks": {"two": [[2]]}} for f in "ab"}},
+     "block key of map 'a'"),
+], ids=["stanley-reisner", "diagram-lim", "free-lie", "free-lie-fraction", "aq", "aq-generator",
+        "invariants-p", "invariants-degree", "emss-p", "algebra-p", "lambda", "map-degree",
+        "block-key"])
 def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, data, field):
     code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
     err = capsys.readouterr().err

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fphomalg.errors import CrossCheckError, ValidationError
+from fphomalg import homalg
+from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import (
     FreeResolution,
     HochschildComplex,
@@ -303,6 +304,20 @@ def test_bar_exterior_divided_powers():
     Bh = bar_homology_dims(A, cap=12)
     assert Bh.entries == {(s, 3 * s): 1 for s in range(5)}
     assert Bh.total_dims() == {2 * s: 1 for s in range(5)}
+
+
+@pytest.mark.parametrize("A, cap", [(poly_alg(3, 2, 2, 4), 10), (ext_alg(2, 1, 3), 12)])
+def test_bar_word_budget_counts_the_largest_bucket(monkeypatch, A, cap):
+    # the count from letter degrees is exact: the largest bucket of the built
+    # words fits a budget of its own size and not one word less
+    letters = [(m, d) for d in range(1, cap + 1) for m in A.basis(d)]
+    words = homalg._Words(A, letters, cap + 1, cap=cap)
+    largest = max(len(b) for level in words.buckets for b in level.values())
+    monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest)
+    bar_homology_dims(A, cap)
+    monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest - 1)
+    with pytest.raises(CapError, match=f"{largest} bar words"):
+        bar_homology_dims(A, cap)
 
 
 def test_bar_trivial_algebra():

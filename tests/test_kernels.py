@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fphomalg import _kernels as K
+from fphomalg.homalg import bar_homology_dims
+from fphomalg.monalg import MonomialAlgebra
 
 
 PRIMES = [2, 3, 5, 7, 97]
@@ -92,15 +94,20 @@ def gauss_jordan(rows, p):
 
 def test_rref_and_rank_match_gauss_jordan():
     # The kernel against an independent reference on lists of Python ints.
+    # The last trials are sparse and large enough for ``rank`` to store more
+    # than FILL_CHECK_AFTER pivots, and so to reach its hand-off to rref.
     rng = np.random.default_rng(5)
     for p in (2, 3, 97):
-        for trial in range(30):
-            m, n = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        for trial in range(40):
+            size = 10 if trial < 30 else 45
+            m, n = int(rng.integers(1, size)), int(rng.integers(1, size))
             if trial % 2:  # rank at most k: dependent rows and skipped columns
-                k = int(rng.integers(1, 4))
+                k = int(rng.integers(1, 4 if trial < 30 else 30))
                 a = (random_matrix(rng, m, k, p) @ random_matrix(rng, k, n, p)) % p
             else:
                 a = random_matrix(rng, m, n, p)
+            if trial >= 30:
+                a *= rng.random(a.shape) < rng.choice([0.03, 0.1, 0.25, 0.5])
             ref, ref_pivots = gauss_jordan(a.tolist(), p)
             r, piv = K.rref(a, p)
             assert piv == ref_pivots and r.tolist() == ref
@@ -118,3 +125,32 @@ def test_rref_leaves_its_argument_unchanged(p):
         r, piv = K.rref(a, p)
         assert np.array_equal(a, before)
         assert r is not a and piv
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
+    rank, rref = K.rank, K.rref
+    bar = []  # the matrices bar homology ranks, up to degree 14
+    monkeypatch.setattr(K, "rank", lambda a, q: bar.append(np.array(a)) or rank(a, q))
+    bar_homology_dims(MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)]), cap=14)
+    monkeypatch.setattr(K, "rank", rank)
+    calls = []
+    monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a) or rref(a, q))
+    rng = np.random.default_rng(p)
+    # a dense input goes to rref whole
+    a = rng.integers(1, p, size=(60, 60), endpoint=p == 2)
+    assert K.rank(a, p) == len(rref(a, p)[1])
+    assert len(calls) == 1 and calls[0] is a
+    # a fifth nonzero: sparse at first, then the pivot columns are too full,
+    # and rref gets the pivots found plus the columns not yet read
+    calls.clear()
+    a = rng.integers(1, p, size=(60, 60), endpoint=p == 2) * (rng.random((60, 60)) < 0.2)
+    assert np.count_nonzero(a) * K.FILL_INPUT <= a.size
+    assert K.rank(a, p) == len(rref(a, p)[1])
+    assert len(calls) == 1 and calls[0] is not a
+    # the largest bar differential stays sparse throughout
+    calls.clear()
+    d = max(bar, key=np.size)
+    assert d.shape == (105, 84)
+    assert K.rank(d, p) == len(rref(d, p)[1]) > K.FILL_CHECK_AFTER
+    assert calls == []

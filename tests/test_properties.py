@@ -2,7 +2,7 @@
 homology against Koszul Tor, and the degree-bucketed cochain basis; on random
 generator sets: the free (restricted) Lie closure oracles against the symbol
 counts; and on random matrices: rank-nullity, kernels and solves of the
-elimination kernel."""
+elimination kernel, and the sparse rank against rref at every density."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -153,3 +153,28 @@ def test_solve_refuses_an_inconsistent_system(pa, data):
     # and a right-hand side is solvable exactly when it adds no rank
     consistent = K.rank(np.column_stack([a, b]), p) == K.rank(a, p)
     assert (K.solve(a, b, p) is not None) == consistent
+
+
+@st.composite
+def sparse_matrices(draw):
+    """``(p, a)`` with ``a`` up to 60 x 60 over F_p, 1% to 100% nonzero,
+    often a product of rank at most k."""
+    p = draw(kernel_primes)
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.01, 0.03, 0.1, 0.2, 0.4, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(shape):
+        return rng.integers(1, p, size=shape, endpoint=p == 2) * (rng.random(shape) < density)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 20))
+        return p, (sparse((rows, k)) @ sparse((k, cols))) % p
+    return p, sparse((rows, cols))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pa=sparse_matrices())
+def test_sparse_rank_matches_rref(pa):
+    p, a = pa
+    assert K.rank(a, p) == len(K.rref(a, p)[1])

@@ -104,6 +104,10 @@ def test_structure_table_validation():
     # zeta at p=2
     with pytest.raises(ValidationError):
         W1StructureTable(2, [("x3", 3), ("x5", 5)], zeta={"x3": "x5"})
+    # a non-integer p read from JSON
+    assert W1StructureTable.from_json(t.to_json()).degrees == t.degrees
+    with pytest.raises(ValidationError, match="p must be an integer"):
+        W1StructureTable.from_json({**t.to_json(), "p": "two"})
 
 
 def test_triviality_check():
