@@ -24,8 +24,8 @@ from .linalg import (
     HilbertSeries,
     PrimeField,
     Subquotient,
-    _assemble,
     _homology,
+    _matrix,
     free_commutative_series,
     json_int,
     series_mul,
@@ -61,7 +61,7 @@ class GroupAction:
         n = len(self.degrees)
         self.generator_matrices = []
         for m in matrices:
-            a = K.as_modp(m, p)
+            a = K.as_modp([[json_int(v, "matrix entry") for v in row] for row in m], p)
             if a.shape != (n, n):
                 raise ValidationError(f"matrix shape {a.shape} does not match {n} variables")
             if K.rank(a, p) != n:
@@ -107,36 +107,23 @@ class GroupAction:
         return cls(json_int(obj["p"], "p"), obj["matrices"], obj["degrees"], obj.get("order"))
 
 
-def _matrix_on_monomials(action: GroupAction, g: np.ndarray, d: int):
-    """Induced matrix of a group element on the degree-d monomial basis."""
-    ring = action.ring
-    mons = ring.basis(d)
-    idx = {m: i for i, m in enumerate(mons)}
-    n = len(action.degrees)
-    lin = [{ring.monomial_of(ring.names[i]): int(g[i, j]) for i in range(n) if g[i, j]}
-           for j in range(n)]
-    mat = np.zeros((len(mons), len(mons)), dtype=np.int64)
-    for jcol, mon in enumerate(mons):
-        for m, c in ring.image_of_monomial(mon, lin).items():
-            mat[idx[m], jcol] = c
-    return mat, mons
-
-
 def invariant_dims(action: GroupAction, cap: int, with_basis: bool = False):
     """Degreewise fixed subspace of the induced action on the symmetric
     algebra, solved as ``(g - 1)v = 0`` over every group element."""
+    ring, p = action.ring, action.p
+    n = len(ring.names)
+    # g acts as the algebra map x_j -> sum_i g[i, j] x_i
+    maps = [ModuleViaMap(ring, ring, {
+        ring.names[j]: {ring.monomial_of(ring.names[i]): int(g[i, j]) for i in range(n) if g[i, j]}
+        for j in range(n)}) for g in action.elements]
     dims = {}
     basis = {}
     for d in range(cap + 1):
-        if not action.ring.basis(d):
+        mons = ring.basis(d)
+        if not mons:
             continue
-        mats = []
-        mons = None
-        for g in action.elements:
-            mat, mons = _matrix_on_monomials(action, g, d)
-            mats.append((mat - np.eye(len(mons), dtype=np.int64)) % action.p)
-        stacked = np.concatenate(mats, axis=0) if mats else np.zeros((0, len(mons)), dtype=np.int64)
-        ker = K.nullspace(stacked, action.p)
+        eye = np.eye(len(mons), dtype=np.int64)
+        ker = K.nullspace(np.concatenate([(mv.block(d) - eye) % p for mv in maps]), p)
         if ker.shape[1]:
             dims[d] = ker.shape[1]
             basis[d] = (ker, mons)
@@ -184,16 +171,7 @@ def _polynomial_detection(action: GroupAction, cap: int):
     span_elems: dict[int, list[dict]] = {0: [{ring.one(): 1}]}
 
     def span_rank(d):
-        elems = span_elems.get(d, [])
-        if not elems:
-            return 0, None, None
-        mons = ring.basis(d)
-        idx = {m: i for i, m in enumerate(mons)}
-        mat = np.zeros((len(elems), len(mons)), dtype=np.int64)
-        for i, e in enumerate(elems):
-            for m, c in e.items():
-                mat[i, idx[m]] = c
-        return K.rank(mat, p), mat, (mons, idx)
+        return K.rank(_matrix(span_elems.get(d, []), ring.basis(d), dict.items, p), p)
 
     for d in range(1, cap + 1):
         inv_dim = series[d]
@@ -209,27 +187,22 @@ def _polynomial_detection(action: GroupAction, cap: int):
                     continue
                 for e in list(span_elems.get(d1, [])):
                     span_elems.setdefault(d, []).append(ring.mul_elements(e, gvec))
-        rank, mat, _ = span_rank(d)
-        deficit = inv_dim - rank
-        if deficit < 0:
+        rank = span_rank(d)
+        if rank > inv_dim:
             raise CrossCheckError("generated span exceeds the invariant space")
-        if deficit:
-            ker, mons = basis[d]
-            added = 0
-            for col in range(ker.shape[1]):
-                if added == deficit:
-                    break
-                cand = {mons[i]: int(ker[i, col]) for i in range(len(mons)) if ker[i, col]}
-                before, _, _ = span_rank(d)
-                span_elems.setdefault(d, []).append(cand)
-                after, _, _ = span_rank(d)
-                if after > before:
-                    chosen.append((d, cand))
-                    added += 1
-                else:
-                    span_elems[d].pop()
-            if added != deficit:
-                raise CrossCheckError("could not realize the invariant deficit with new generators")
+        ker, mons = basis[d]
+        for col in range(ker.shape[1]):
+            if rank == inv_dim:
+                break
+            cand = {mons[i]: int(ker[i, col]) for i in range(len(mons)) if ker[i, col]}
+            span_elems.setdefault(d, []).append(cand)
+            if span_rank(d) > rank:
+                chosen.append((d, cand))
+                rank += 1
+            else:
+                span_elems[d].pop()
+        if rank != inv_dim:
+            raise CrossCheckError("could not realize the invariant deficit with new generators")
     gen_degrees = sorted(d for d, _ in chosen)
     free = free_commutative_series(
         [(d, sum(1 for dd, _ in chosen if dd == d)) for d in sorted(set(gen_degrees))],
@@ -336,8 +309,8 @@ class EMSSInput:
         self.base, self.x, self.y = base, x, y
         self.p = base.p
         self.cap = cap
-        self.to_x = ModuleViaMap(base, x, to_x, cap)
-        self.to_y = ModuleViaMap(base, y, to_y, cap)
+        self.to_x = ModuleViaMap(base, x, to_x)
+        self.to_y = ModuleViaMap(base, y, to_y)
 
     @classmethod
     def from_json(cls, obj):
@@ -374,22 +347,10 @@ def emss_hypothesis_check(inp: EMSSInput, cap: int | None = None) -> dict:
     cap = inp.cap if cap is None else cap
     report = {}
     for label, mv in (("to_x", inp.to_x), ("to_y", inp.to_y)):
-        target = mv.target
-        images = [mv.image_of(name) for name in inp.base.names]
         fail_degree = None
         for d in range(1, cap + 1):
-            tdim = len(target.basis(d))
-            if tdim == 0:
-                continue
-            imgs = []
-            tidx = {m: i for i, m in enumerate(target.basis(d))}
-            for mon in inp.base.basis(d):
-                vec = np.zeros(tdim, dtype=np.int64)
-                for m, c in target.image_of_monomial(mon, images).items():
-                    vec[tidx[m]] = c
-                imgs.append(vec)
-            mat = np.array(imgs, dtype=np.int64) if imgs else np.zeros((0, tdim), dtype=np.int64)
-            if K.rank(mat.T, inp.p) < tdim:
+            tdim = len(mv.target.basis(d))
+            if tdim and K.rank(mv.block(d), inp.p) < tdim:
                 fail_degree = d
                 break
         linear = {}
@@ -440,27 +401,21 @@ class EMSSTorAlgebra:
         return self._basis_cache[key]
 
     def _differential(self, s, t):
-        src = self.basis(s, t)
-        row = {b: i for i, b in enumerate(self.basis(s - 1, t))}
         X, Y = self.inp.x, self.inp.y
-        rows, cols, vals = [], [], []
-        for j, (S, xm, yn) in enumerate(src):
+
+        def image(b):
+            S, xm, yn = b
             for pos, i in enumerate(S):
                 S2 = S[:pos] + S[pos + 1:]
                 sgn = -1 if pos % 2 else 1
                 name = self.gen_names[i]
                 # left term multiplies into H_X, right term into H_Y
-                terms = [((S2, mm, yn), sgn * c) for mm, c in
-                         X.mul_elements({xm: 1}, self.inp.to_x.image_of(name)).items()]
-                terms += [((S2, xm, nn), -sgn * c) for nn, c in
-                          Y.mul_elements(self.inp.to_y.image_of(name), {yn: 1}).items()]
-                for key, v in terms:
-                    r = row.get(key)
-                    if r is not None:
-                        rows.append(r)
-                        cols.append(j)
-                        vals.append(v)
-        return _assemble((len(row), len(src)), rows, cols, vals, self.p)
+                for mm, c in X.mul_elements({xm: 1}, self.inp.to_x.image_of(name)).items():
+                    yield (S2, mm, yn), sgn * c
+                for nn, c in Y.mul_elements(self.inp.to_y.image_of(name), {yn: 1}).items():
+                    yield (S2, xm, nn), -sgn * c
+
+        return _matrix(self.basis(s, t), self.basis(s - 1, t), image, self.p)
 
     def _subquotient(self, s, t, d=None):
         """Homology at ``(s, t)`` with class coordinates, built once; ``d``
@@ -613,7 +568,7 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
     # bar first: its word budget refuses an oversized cap before either
     # route does any work
     bar = bar_homology_dims(A, cap)
-    k = ModuleViaMap.augmentation(A, cap)
+    k = ModuleViaMap.augmentation(A)
     tor = tor_dims(A, k, k, cap)
     if tor != bar:
         raise CrossCheckError("Koszul and bar routes disagree on loop cohomology")

@@ -71,13 +71,13 @@ def _module(obj, A):
     return AlgebraModule.trivial(A, space)
 
 
-def _module_via_map(obj, A, cap):
+def _module_via_map(obj, A):
     if obj in (None, "k"):
-        return ModuleViaMap.augmentation(A, cap)
+        return ModuleViaMap.augmentation(A)
     if obj == "id":
-        return ModuleViaMap.identity(A, cap)
+        return ModuleViaMap.identity(A)
     target = _algebra(obj["target"], A.p)
-    return ModuleViaMap(A, target, obj["images"], cap)
+    return ModuleViaMap(A, target, obj["images"])
 
 
 def _vector_diagram(cat, values, maps, p):
@@ -88,7 +88,8 @@ def _vector_diagram(cat, values, maps, p):
     graded = {}
     for f, m in maps.items():
         src, dst = cat.arrows[f]
-        blocks = {json_int(d, f"block key of map {f!r}"): b
+        blocks = {json_int(d, f"block key of map {f!r}"):
+                  [[json_int(v, f"entry of map {f!r}") for v in row] for row in b]
                   for d, b in m.get("blocks", {}).items()}
         graded[f] = GradedMap(values[dst], values[src],
                               json_int(m.get("degree", 0), f"degree of map {f!r}"), blocks, p)
@@ -198,8 +199,8 @@ def cmd_aq(data, args):
 
 def cmd_tor(data, args):
     A = _algebra(data["base"], args.prime)
-    M = _module_via_map(data.get("left"), A, args.cap)
-    N = _module_via_map(data.get("right"), A, args.cap)
+    M = _module_via_map(data.get("left"), A)
+    N = _module_via_map(data.get("right"), A)
     table = homalg.tor_dims(A, M, N, cap=args.cap)
     return _table_result(table, extra={"totals": table.total_dims()})
 

@@ -41,10 +41,11 @@ from .linalg import (
     Subquotient,
     _assemble,
     _homology,
+    _matrix,
     _RankOnce,
     json_int,
 )
-from .monalg import AlgebraModule, MonomialAlgebra
+from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 
 
 class FiniteCategory:
@@ -463,7 +464,8 @@ def injective_by_criterion(I: FiniteCategory, D: VectorDiagram, cap: int) -> dic
 
 
 class AlgebraDiagram:
-    """Covariant diagram of monomial algebras with generator-image maps."""
+    """Covariant diagram of monomial algebras; the map of each arrow is a
+    ``ModuleViaMap`` given by generator images."""
 
     def __init__(self, base: FiniteCategory, values, maps, p: int):
         self.base = base
@@ -471,25 +473,8 @@ class AlgebraDiagram:
         self.values = {str(o): v for o, v in values.items()}
         self.maps = {}
         for f, images in maps.items():
-            src = self.values[base.arrows[str(f)][0]]
-            dst = self.values[base.arrows[str(f)][1]]
-            imgs = {}
-            sdeg = dict(src.generators)
-            for name, _ in src.generators:
-                if name not in images:
-                    raise ValidationError(f"arrow {f!r}: missing image of {name!r}")
-                expr = images[name]
-                vec = dst.parse_element(expr) if isinstance(expr, str) else dict(expr)
-                d = dst.element_degree(vec)
-                if d is not None and d != sdeg[name]:
-                    raise ValidationError(f"arrow {f!r}: image of {name!r} has wrong degree")
-                imgs[name] = vec
-            self.maps[str(f)] = imgs
-
-    def image_of_monomial(self, f, mon) -> dict:
-        src = self.values[self.base.arrows[f][0]]
-        dst = self.values[self.base.arrows[f][1]]
-        return dst.image_of_monomial(mon, [self.maps[f][name] for name in src.names])
+            src, dst = base.arrows[str(f)]
+            self.maps[str(f)] = ModuleViaMap(self.values[src], self.values[dst], images)
 
     def linearize(self, cap: int) -> VectorDiagram:
         """Matrices of the algebra maps on monomial bases, degree by degree."""
@@ -500,21 +485,10 @@ class AlgebraDiagram:
                 {d: tuple(A.monomial_str(m) for m in A.basis(d))
                  for d in range(cap + 1) if A.basis(d)},
             )
-        maps = {}
-        for f, (s, dte) in self.base.arrows.items():
-            src, dst = self.values[s], self.values[dte]
-            blocks = {}
-            for d in range(cap + 1):
-                sb, tb = src.basis(d), dst.basis(d)
-                if not sb or not tb:
-                    continue
-                tidx = {m: i for i, m in enumerate(tb)}
-                mat = np.zeros((len(tb), len(sb)), dtype=np.int64)
-                for j, mon in enumerate(sb):
-                    for mm, c in self.image_of_monomial(f, mon).items():
-                        mat[tidx[mm], j] = c
-                blocks[d] = mat
-            maps[f] = GradedMap(spaces[s], spaces[dte], 0, blocks, self.p)
+        maps = {f: GradedMap(spaces[s], spaces[dst], 0,
+                             {d: self.maps[f].block(d) for d in range(cap + 1)
+                              if spaces[s].dim(d) and spaces[dst].dim(d)}, self.p)
+                for f, (s, dst) in self.base.arrows.items()}
         return VectorDiagram(self.base, spaces, maps, self.p)
 
 
@@ -589,8 +563,10 @@ def _names_by_degree(alg) -> dict[int, list[str]]:
     return out
 
 
-def _algebra_map_elements(src_alg, dst_alg, block_by_degree, p):
-    """Generator images in the target algebra from linear degreewise blocks."""
+def _linear_algebra_map(src_alg, dst_alg, block_by_degree) -> ModuleViaMap:
+    """The algebra map sending the generators of each degree to linear
+    combinations of the target's generators, given by degreewise blocks
+    with entries in [0, p)."""
     images = {}
     by_degree_names = _names_by_degree(dst_alg)
     for d, names in _names_by_degree(src_alg).items():
@@ -600,27 +576,25 @@ def _algebra_map_elements(src_alg, dst_alg, block_by_degree, p):
             for i, tname in enumerate(by_degree_names.get(d, [])):
                 c = int(block[i, j]) if block.size else 0
                 if c:
-                    vec[dst_alg.monomial_of(tname)] = c % p
+                    vec[dst_alg.monomial_of(tname)] = c
             images[name] = vec
-    return images
+    return ModuleViaMap(src_alg, dst_alg, images)
 
 
-def _word_map_matrix(hc_src, hc_tgt, phi_images, level, t, p):
+def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
     """Cochain-level restriction Hom(Abar_tgtalg...) along an algebra map.
 
     ``hc_src`` is the complex of the pair (A1, M); ``hc_tgt`` of (A0, M)
-    with an algebra map phi: A0 -> A1 given by ``phi_images`` (monomial
-    dicts in A1).  Returns the matrix of psi -> psi o phi^{(x) level}.
+    with an algebra map phi: A0 -> A1.  Returns the matrix of
+    w -> phi^{(x) level}(w) from the cochain basis of ``hc_tgt`` to that of
+    ``hc_src``; its transpose is psi -> psi o phi^{(x) level}.
     """
-    src_basis = hc_src.basis(level, t)
-    tgt_basis = hc_tgt.basis(level, t)
-    sidx = {b: j for j, b in enumerate(src_basis)}
     src_letters, src_words = hc_src.abar_index, hc_src.word_index[level]
     # build per-letter images once
-    images = [phi_images[name] for name in hc_tgt.A.names]
-    letter_imgs = [(hc_src.A.image_of_monomial(mon, images), d) for mon, d in hc_tgt.abar]
-    rows, cols, vals = [], [], []
-    for col, (wi, dv, mi) in enumerate(tgt_basis):
+    letter_imgs = [(phi.image(mon), d) for mon, d in hc_tgt.abar]
+
+    def image(b):
+        wi, dv, mi = b
         # expand phi(w) as a combination of source words
         expansion = {(): 1}
         for li in hc_tgt.words[level][wi]:
@@ -631,30 +605,21 @@ def _word_map_matrix(hc_src, hc_tgt, phi_images, level, t, p):
                     key = word + (src_letters[(mon, d)],)
                     new[key] = (new.get(key, 0) + c * cm) % p
             expansion = {k: v for k, v in new.items() if v}
-        for word, c in expansion.items():
-            row = sidx.get((src_words.get(word), dv, mi))
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                vals.append(c)
-    return _assemble((len(src_basis), len(tgt_basis)), rows, cols, vals, p)
+        return (((src_words[word], dv, mi), c) for word, c in expansion.items())
+
+    return _matrix(hc_tgt.basis(level, t), hc_src.basis(level, t), image, p)
 
 
 def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int, shift: int = 0):
     """Matrix of postcomposition with the module map ``psi`` between bases of
     triples ``(label, degree, module index)``; the module degree is
     ``degree + shift``."""
-    row = {b: i for i, b in enumerate(tgt_basis)}
-    rows, cols, vals = [], [], []
-    for c, (label, d, mi) in enumerate(src_basis):
-        block = psi.block(d + shift)
-        for ri in np.flatnonzero(block[:, mi]):
-            r = row.get((label, d, ri))
-            if r is not None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(int(block[ri, mi]))
-    return _assemble((len(tgt_basis), len(src_basis)), rows, cols, vals, p)
+    def image(b):
+        label, d, mi = b
+        col = psi.block(d + shift)[:, mi]
+        return (((label, d, ri), int(col[ri])) for ri in np.flatnonzero(col))
+
+    return _matrix(src_basis, tgt_basis, image, p)
 
 
 def _induced(T: np.ndarray, srcq: Subquotient, tgtq: Subquotient, p: int) -> np.ndarray:
@@ -696,12 +661,9 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
             locals_cache[key] = _AQLocal(algs[a_obj], DM.value(m_obj), q_max)
         return locals_cache[key]
 
-    def phi_images(f):
-        src_alg = algs[J.arrows[f][0]]
-        dst_alg = algs[J.arrows[f][1]]
-        return _algebra_map_elements(
-            src_alg, dst_alg, lambda d: DV.map(f).block(d), p
-        )
+    def phi(f):
+        src, dst = J.arrows[f]
+        return _linear_algebra_map(algs[src], algs[dst], DV.map(f).block)
 
     levels = J.nerve(top=s_max + 1)
 
@@ -725,7 +687,7 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
                         vals.append(int(block[i, j]))
             return _assemble((len(row), len(col)), rows, cols, vals, p)
         # psi -> psi o phi on cochains, from the complex of A(j1) to that of A(j0)
-        T = _word_map_matrix(src.hc, tgt.hc, phi_images(f), q + 1, t, p)
+        T = _word_map_matrix(src.hc, tgt.hc, phi(f), q + 1, t, p)
         return _induced(T.T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
     def postcompose_on_h(a_obj, m_src, f, q, t):

@@ -13,12 +13,16 @@ resolution shortcut ``Ext(k, k) (x) M`` and from the normalized cochain
 complex, and any mismatch raises ``CrossCheckError``.
 
 Every complex here (the resolution's exactness check, Ext, Hochschild,
-Tor, bar) is built one internal degree at a time the same way: its
-differentials are assembled from (row, column, value) triples or block
-adds, and the shared step of ``linalg`` (``_homology``, with ``_check_dd``
-and ``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
-differential once and turns the ranks into homology dimensions; the
-diagram builders and the Eilenberg-Moore model use the same step.
+Tor, bar) is built one internal degree at a time the same way.  A
+differential between two listed bases is written by ``linalg._matrix``
+from the image of each source element (the resolution, Tor, bar); three
+are not: the Hochschild cochain differential computes its rows by index
+arithmetic, the resolution's ``d*d`` check discovers its rows as it goes,
+and Ext adds whole blocks.  The shared step of ``linalg`` (``_homology``,
+with ``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every
+composable pair, ranks each differential once and turns the ranks into
+homology dimensions; the diagram builders and the Eilenberg-Moore model
+use the same step.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -40,6 +44,7 @@ from .linalg import (
     _assemble,
     _check_dd,
     _homology,
+    _matrix,
     _RankOnce,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
@@ -104,10 +109,11 @@ class _Words:
         return self._merge[key]
 
     def faces(self, w: tuple) -> list:
-        """Inner faces of ``w``: ``(i, merged, scalar)`` for each product of
-        letters ``i - 1`` and ``i``, ``merged`` indexing one level down."""
+        """Inner faces of ``w`` with their signs: ``(merged, (-1)^i scalar)``
+        for each product of letters ``i - 1`` and ``i``, ``merged`` indexing
+        one level down."""
         below = self.index[len(w) - 1]
-        return [(i, below[w[: i - 1] + (li,) + w[i + 1:]], sc)
+        return [(below[w[: i - 1] + (li,) + w[i + 1:]], -sc if i % 2 else sc)
                 for i in range(1, len(w))
                 for li, sc in self.merge(w[i - 1], w[i])]
 
@@ -296,15 +302,12 @@ class FreeResolution:
     def _linear_block(self, s: int, src: list, tgt: list) -> np.ndarray:
         """Matrix of d_s : (F_s)_t -> (F_{s-1})_t over k on the bases
         ``module_basis(s, t)`` and ``module_basis(s - 1, t)``."""
-        row = {b: i for i, b in enumerate(tgt)}
-        rows, cols, vals = [], [], []
-        for j, (gi, mon) in enumerate(src):
+        def image(b):
+            gi, mon = b
             for hj, coeff in self.diff[s][gi]:
                 for m, v in self.A.mul_elements({mon: 1}, coeff).items():
-                    rows.append(row[(hj, m)])
-                    cols.append(j)
-                    vals.append(v)
-        return _assemble((len(tgt), len(src)), rows, cols, vals, self.p)
+                    yield (hj, m), v
+        return _matrix(src, tgt, image, self.p)
 
     def _validate_exactness(self):
         for t in range(0, self.cap + 1):
@@ -490,10 +493,10 @@ class HochschildComplex:
                 cols.append(start[below[w[1:]]] + mi)
                 vals.append(sign * val)
             # middle merges
-            for i, merged, sc in self._words.faces(w):
+            for merged, v in self._words.faces(w):
                 rows.append(r)
                 cols.append(start[merged] + ni)
-                vals.append(-sc if i % 2 else sc)
+                vals.append(v)
             # right action term
             az, az_deg = w[-1], self.abar[w[-1]][1]
             dmu = dv - az_deg
@@ -734,25 +737,18 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
                                  B.image_of_monomial((le,), [M.image_of(st.name)]),
                                  C.image_of_monomial((re,), [N.image_of(st.name)])))
 
-    def diff_matrix(src, tgt):
-        row = {b: i for i, b in enumerate(tgt)}
-        rows, cols, vals = [], [], []
-        for j, (S, bm, cn) in enumerate(src):
-            for S2, sign, left, right in terms[S]:
-                for mm, cm in B.mul_elements({bm: 1}, left).items():
-                    for nn, cn2 in C.mul_elements(right, {cn: 1}).items():
-                        r = row.get((S2, mm, nn))
-                        if r is not None:
-                            rows.append(r)
-                            cols.append(j)
-                            vals.append(sign * cm * cn2)
-        return _assemble((len(tgt), len(src)), rows, cols, vals, p)
+    def image(b):
+        S, bm, cn = b
+        for S2, sign, left, right in terms[S]:
+            for mm, cm in B.mul_elements({bm: 1}, left).items():
+                for nn, cn2 in C.mul_elements(right, {cn: 1}).items():
+                    yield (S2, mm, nn), sign * cm * cn2
 
     entries = {}
     max_s = max((sum(st.hom(k) for st, k in zip(strands, S)) for S in tuples), default=0)
     for t in range(0, cap + 1):
         bas = {s: basis(s, t) for s in range(max_s + 2)}
-        d = {s: diff_matrix(bas[s], bas[s - 1]) for s in range(1, max_s + 2)}
+        d = {s: _matrix(bas[s], bas[s - 1], image, p) for s in range(1, max_s + 2)}
         sizes = {s: len(bas[s]) for s in range(max_s + 1)}
         for s, h in _homology("two-sided Koszul", sizes, d, p, step=-1).items():
             entries[(s, t)] = h
@@ -767,7 +763,8 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     """Homology of the normalized bar complex of the augmented algebra.
 
     Words are tuples of positive-degree basis monomials; the differential
-    merges adjacent letters.  Entries at homological ``s`` and internal
+    is the sum over merges of adjacent letters i - 1 and i with sign
+    (-1)^i.  Entries at homological ``s`` and internal
     degree ``t`` (total degree ``t - s``); agrees with ``tor_dims(A, k, k)``
     wherever both are defined.  The words of degree at most ``cap`` are
     built once and bucketed by degree, so the chains of degree ``t`` are
@@ -789,15 +786,8 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
         bas = [bucket.get(t, []) for bucket in words.buckets]
         d = {}
         for s in range(1, s_top + 2):
-            src, tgt = bas[s], bas[s - 1]
-            row = {wi: i for i, wi in enumerate(tgt)}
-            rows, cols, vals = [], [], []
-            for j, wi in enumerate(src):
-                for i, merged, sc in words.faces(words.words[s][wi]):
-                    rows.append(row[merged])
-                    cols.append(j)
-                    vals.append(sc if i % 2 else -sc)
-            d[s] = _assemble((len(tgt), len(src)), rows, cols, vals, p)
+            level = words.words[s]
+            d[s] = _matrix(bas[s], bas[s - 1], lambda wi: words.faces(level[wi]), p)
         sizes = {s: len(bas[s]) for s in range(s_top + 1)}
         for s, h in _homology("bar", sizes, d, p, step=-1).items():
             entries[(s, t)] = h

@@ -3,10 +3,11 @@
 Carriers used everywhere else in the package: graded vector spaces with
 finite support, degreewise matrices between them, bigraded dimension
 tables with parity verdicts, and truncated Hilbert series.  A small private
-layer serves every derived-functor builder: ``_assemble`` builds a
-differential from (row, column, value) triples, ``_check_dd`` is the one
-``d*d = 0`` check, and ``_homology`` turns the sizes and differentials of
-one internal degree into homology dimensions, ranking each map once.
+layer serves every derived-functor builder: ``_matrix`` is the one writer
+of a linear map between two given bases, ``_assemble`` builds a matrix
+from (row, column, value) triples, ``_check_dd`` is the one ``d*d = 0``
+check, and ``_homology`` turns the sizes and differentials of one internal
+degree into homology dimensions, ranking each map once.
 
 Degree conventions, fixed once:
 
@@ -291,6 +292,20 @@ def _assemble(shape, rows, cols, vals, p: int) -> np.ndarray:
     return mat
 
 
+def _matrix(src, tgt, image, p: int) -> np.ndarray:
+    """Matrix mod p of the linear map sending ``src[j]`` to the sum of
+    ``v * tgt[i]`` over the pairs ``(tgt[i], v)`` that ``image(src[j])``
+    yields.  Repeats are summed; a key outside ``tgt`` raises ``KeyError``."""
+    row = {b: i for i, b in enumerate(tgt)}
+    rows, cols, vals = [], [], []
+    for j, b in enumerate(src):
+        for key, v in image(b):
+            rows.append(row[key])
+            cols.append(j)
+            vals.append(v)
+    return _assemble((len(tgt), len(src)), rows, cols, vals, p)
+
+
 class _RankOnce(dict):
     """``ranks[key]`` is the rank of ``matrix(key)``, computed on first use;
     a ``None`` matrix is the zero map.
@@ -439,8 +454,8 @@ class BigradedTable:
             raise ValidationError("bigraded table JSON must be a list of rows")
         entries = {}
         for row in obj:
-            key = (int(row["s"]), int(row["t"]))
-            entries[key] = entries.get(key, 0) + int(row["dim"])
+            key = (json_int(row["s"], "s"), json_int(row["t"], "t"))
+            entries[key] = entries.get(key, 0) + json_int(row["dim"], "dim")
         return cls(entries)
 
     def to_csv(self) -> str:
@@ -453,8 +468,7 @@ class BigradedTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "BigradedTable":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        return cls.from_json([{k: int(v) for k, v in r.items()} for r in rows])
+        return cls.from_json(list(csv.DictReader(io.StringIO(text))))
 
 
 def parity_verdict(T: BigradedTable) -> ParityVerdict:

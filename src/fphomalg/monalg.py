@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import GradedMap, GradedVectorSpace, PrimeField, json_int
+from .linalg import GradedMap, GradedVectorSpace, PrimeField, _matrix, json_int
 
 KINDS = (
     "polynomial",
@@ -98,7 +98,8 @@ class MonomialAlgebra:
 
     @classmethod
     def truncated(cls, p, generators, truncations):
-        caps = {str(n): int(e) - 1 for n, e in truncations.items()}
+        caps = {str(n): json_int(e, f"truncation of {n!r}") - 1
+                for n, e in truncations.items()}
         return cls(p, generators, caps=caps, kind="truncated")
 
     @classmethod
@@ -254,9 +255,6 @@ class MonomialAlgebra:
             raise ValidationError("inhomogeneous algebra element")
         return degs.pop() if degs else None
 
-    def graded_dims(self, cap: int) -> GradedVectorSpace:
-        return GradedVectorSpace({d: len(self.basis(d)) for d in range(cap + 1)})
-
     def parse_element(self, expr: str) -> dict:
         """Parse `3*u^2*v + w` style expressions over the generators."""
         import re
@@ -341,18 +339,9 @@ class AlgebraModule:
         action = {}
         for name, gdeg in algebra.generators:
             gmon = algebra.monomial_of(name)
-            blocks = {}
-            for d in range(cap + 1 - gdeg):
-                src = algebra.basis(d)
-                tgt = algebra.basis(d + gdeg)
-                if not src or not tgt:
-                    continue
-                tidx = {m: i for i, m in enumerate(tgt)}
-                mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-                for j, m in enumerate(src):
-                    for mm, s in algebra.mul(gmon, m).items():
-                        mat[tidx[mm], j] = s
-                blocks[d] = mat
+            blocks = {d: _matrix(algebra.basis(d), algebra.basis(d + gdeg),
+                                 lambda m: algebra.mul(gmon, m).items(), algebra.p)
+                      for d in range(cap + 1 - gdeg)}
             action[name] = GradedMap(space, space, gdeg, blocks, algebra.p)
         return cls(algebra, space, action)
 
@@ -443,15 +432,16 @@ class ModuleViaMap:
     """A target algebra made into a module via an algebra map.
 
     ``images`` sends each source generator name to an element expression in
-    the target algebra.  The module basis is the target's monomial basis up
-    to ``cap``; source generators act by multiplication with their image.
+    the target algebra.  The module basis is the target's monomial basis;
+    source generators act by multiplication with their image.  ``image``
+    maps a source monomial and ``block(d)`` is the degree-``d`` matrix on
+    the monomial bases.
     """
 
-    def __init__(self, source, target, images, cap: int):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.p = source.p
-        self.cap = int(cap)
         if target.p != source.p:
             raise ValidationError("algebra map across different primes")
         self.images: dict[str, dict] = {}
@@ -479,19 +469,24 @@ class ModuleViaMap:
     def image_of(self, name: str) -> dict:
         return self.images[name]
 
-    def basis(self, d: int):
-        return self.target.basis(d)
+    def image(self, mon) -> dict:
+        """Image in the target of the source monomial ``mon``."""
+        return self.target.image_of_monomial(
+            mon, [self.images[name] for name in self.source.names])
 
-    def graded_dims(self, cap: int) -> GradedVectorSpace:
-        return self.target.graded_dims(cap)
+    def block(self, d: int) -> np.ndarray:
+        """Matrix of the map from the degree-``d`` monomials of the source
+        to those of the target."""
+        return _matrix(self.source.basis(d), self.target.basis(d),
+                       lambda mon: self.image(mon).items(), self.p)
 
     @classmethod
-    def augmentation(cls, source, cap: int):
+    def augmentation(cls, source):
         """The ground field as a module via the augmentation."""
         return cls(source, MonomialAlgebra.trivial(source.p),
-                   {n: "0" for n, _ in source.generators}, cap)
+                   {n: "0" for n, _ in source.generators})
 
     @classmethod
-    def identity(cls, algebra, cap: int):
+    def identity(cls, algebra):
         return cls(algebra, algebra,
-                   {n: {algebra.monomial_of(n): 1} for n, _ in algebra.generators}, cap)
+                   {n: {algebra.monomial_of(n): 1} for n, _ in algebra.generators})

@@ -170,7 +170,7 @@ def test_criterion_06_tor_bar_loops():
     """Tor and bar agree and give the exterior loop series, exactly."""
     for p in PRIMES:
         A = MonomialAlgebra.polynomial(p, [("u", 2)])
-        k = ModuleViaMap.augmentation(A, 10)
+        k = ModuleViaMap.augmentation(A)
         T = tor_dims(A, k, k, cap=10)
         B = bar_homology_dims(A, cap=10)
         assert T == B

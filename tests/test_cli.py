@@ -265,6 +265,7 @@ def test_exit_code_2_on_nonpositive_action_degree(tmp_path, command, degree):
 
 
 AQ_ON_X3 = {"algebra": {"kind": "exterior", "generators": GENS_X3}}
+TRUNCATED_X2 = {"kind": "truncated", "generators": [{"name": "x", "degree": 2}]}
 
 
 @pytest.mark.parametrize("command, data, field", [
@@ -285,9 +286,21 @@ AQ_ON_X3 = {"algebra": {"kind": "exterior", "generators": GENS_X3}}
      "degree of map 'a'"),
     ("diagram-lim", {**COSPAN, "maps": {f: {"blocks": {"two": [[2]]}} for f in "ab"}},
      "block key of map 'a'"),
+    ("diagram-lim", {**COSPAN, "maps": {f: {"blocks": {"2": [["z"]]}} for f in "ab"}},
+     "entry of map 'a'"),
+    ("diagram-lim", {**COSPAN, "maps": {f: {"blocks": {"2": [[1.5]]}} for f in "ab"}},
+     "entry of map 'a'"),
+    ("invariants", {"p": 3, "matrices": [[["a"]]], "degrees": [2]}, "matrix entry"),
+    ("invariants", {"p": 3, "matrices": [[[1.5]]], "degrees": [2]}, "matrix entry"),
+    ("obstruction", {"table": [{"s": "x", "t": 1, "dim": 1}]}, "s"),
+    ("obstruction", {"table": [{"s": 1.5, "t": 1, "dim": 1}]}, "s"),
+    ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": "a"}}}, "truncation of 'x'"),
+    ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": 2.5}}}, "truncation of 'x'"),
 ], ids=["stanley-reisner", "diagram-lim", "free-lie", "free-lie-fraction", "aq", "aq-generator",
         "invariants-p", "invariants-degree", "emss-p", "algebra-p", "lambda", "map-degree",
-        "block-key"])
+        "block-key", "block-entry", "block-entry-fraction", "matrix-entry",
+        "matrix-entry-fraction", "table-row", "table-row-fraction", "truncation",
+        "truncation-fraction"])
 def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, data, field):
     code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
     err = capsys.readouterr().err

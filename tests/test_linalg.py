@@ -12,6 +12,7 @@ from fphomalg.linalg import (
     Subquotient,
     _check_dd,
     _homology,
+    _matrix,
     free_commutative_series,
     parity_verdict,
     shift,
@@ -82,6 +83,16 @@ def two_term_homology(entry, p):
     # k --(entry)--> k as a chain complex C_1 -> C_0
     d = {1: np.array([[entry % p]], dtype=np.int64)}
     return _homology("two-term", {0: 1, 1: 1}, d, p, step=-1)
+
+
+def test_matrix_sums_repeats_and_refuses_unknown_keys():
+    images = {"a": [("x", 2), ("z", 4), ("x", 3)], "b": [("y", 1), ("z", -1), ("y", 1)]}
+    m = _matrix(["a", "b"], ["x", "y", "z"], images.__getitem__, 5)
+    assert m.tolist() == [[0, 0], [0, 2], [4, 4]]  # 2 + 3 reaches p
+    assert _matrix([], ["x", "y"], images.__getitem__, 5).shape == (2, 0)
+    assert _matrix(["a"], [], lambda b: [], 5).shape == (0, 1)
+    with pytest.raises(KeyError):
+        _matrix(["a"], ["x", "y"], images.__getitem__, 5)
 
 
 def test_homology_of_zero_and_identity_differential():
