@@ -3,7 +3,8 @@
 Subpackages cover graded F_p linear algebra (`linalg`), tensor-algebra
 realizations of free shifted restricted Lie algebras (`freelie`), free
 W1-algebra bookkeeping (`w1`), resolutions and derived functors over
-monomial algebras (`homalg`), diagrams over finite direct categories
+monomial algebras (`homalg`) with the word complex under its bar and
+Hochschild complexes (`wordcomplex`), diagrams over finite direct categories
 (`diagrams`), and the worked pipelines (`applications`).  `cli` exposes
 everything as subcommands with JSON input and table/json/csv output.
 """

@@ -61,9 +61,11 @@ class GroupAction:
         n = len(self.degrees)
         self.generator_matrices = []
         for m in matrices:
-            a = K.as_modp([[json_int(v, "matrix entry") for v in row] for row in m], p)
-            if a.shape != (n, n):
-                raise ValidationError(f"matrix shape {a.shape} does not match {n} variables")
+            rows = [[json_int(v, "matrix entry") for v in row] for row in m]
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise ValidationError(f"matrix rows of lengths {[len(r) for r in rows]} "
+                                      f"do not make a square matrix on {n} variables")
+            a = K.as_modp(rows, p)
             if K.rank(a, p) != n:
                 raise ValidationError("group generator matrix is not invertible")
             for i in range(n):

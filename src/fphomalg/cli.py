@@ -5,6 +5,7 @@ table/json/csv out.  Exit codes: 0 success, 2 validation or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -381,8 +382,15 @@ def _render_csv(result) -> str:
     raise ValidationError("csv output is only available for table and series results")
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: building it costs more than
+    parsing with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -589,7 +589,7 @@ def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
     w -> phi^{(x) level}(w) from the cochain basis of ``hc_tgt`` to that of
     ``hc_src``; its transpose is psi -> psi o phi^{(x) level}.
     """
-    src_letters, src_words = hc_src.abar_index, hc_src.word_index[level]
+    src_letters = hc_src.abar_index
     # build per-letter images once
     letter_imgs = [(phi.image(mon), d) for mon, d in hc_tgt.abar]
 
@@ -597,7 +597,7 @@ def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
         wi, dv, mi = b
         # expand phi(w) as a combination of source words
         expansion = {(): 1}
-        for li in hc_tgt.words[level][wi]:
+        for li in hc_tgt.words[level][wi].tolist():
             img, d = letter_imgs[li]
             new = {}
             for word, c in expansion.items():
@@ -605,7 +605,7 @@ def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
                     key = word + (src_letters[(mon, d)],)
                     new[key] = (new.get(key, 0) + c * cm) % p
             expansion = {k: v for k, v in new.items() if v}
-        return (((src_words[word], dv, mi), c) for word, c in expansion.items())
+        return (((hc_src.word_index(word), dv, mi), c) for word, c in expansion.items())
 
     return _matrix(hc_tgt.basis(level, t), hc_src.basis(level, t), image, p)
 

@@ -15,14 +15,18 @@ complex, and any mismatch raises ``CrossCheckError``.
 Every complex here (the resolution's exactness check, Ext, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
 differential between two listed bases is written by ``linalg._matrix``
-from the image of each source element (the resolution, Tor, bar); three
-are not: the Hochschild cochain differential computes its rows by index
-arithmetic, the resolution's ``d*d`` check discovers its rows as it goes,
-and Ext adds whole blocks.  The shared step of ``linalg`` (``_homology``,
-with ``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every
-composable pair, ranks each differential once and turns the ranks into
-homology dimensions; the diagram builders and the Eilenberg-Moore model
-use the same step.
+from the image of each source element (the resolution, Tor); three are
+not.  The bar and Hochschild cochain differentials are read off the array
+word complex ``_Words``: its words are integer arrays indexed as a trie,
+and one numpy face table per level, ordered by degree, gives each
+differential's merges as a slice, which ``linalg._assemble`` writes.  The
+resolution's ``d*d`` check discovers its rows as it goes, and Ext adds
+whole blocks.  The shared step of ``linalg`` (``_homology``, with
+``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every composable
+pair, ranks each differential once and turns the ranks into homology
+dimensions; the diagram builders and the Eilenberg-Moore model use the
+same step.  A differential from or to a zero space is the zero map: it is
+neither assembled, ranked nor checked.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -48,74 +52,19 @@ from .linalg import (
     _RankOnce,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
+from .wordcomplex import _Words
 
 # Largest top level |Abar|^levels a normalized cochain complex may have.
-# Its words, their index and the dense differentials between degree buckets
-# grow with it; the three-generator exterior algebra at ``aq --smax 4``
-# (7^6 = 117,649 words) fits, five generators (31^6) are refused up front.
+# Its word arrays, its face table and the dense differentials between
+# degree buckets grow with it; the three-generator exterior algebra at
+# ``aq --smax 4`` (7^6 = 117,649 words) fits, five generators (31^6) are
+# refused up front.
 MAX_COCHAIN_WORDS = 200_000
 
 # Largest number of bar words of one length and degree, the column count of
 # a dense bar differential; the value of ``freelie.MAX_BUCKET_WORDS``.  The
 # exterior algebra on (x1, y3) peaks at 3,762 words at cap 22.
 MAX_BAR_BUCKET_WORDS = 4096
-
-
-class _Words:
-    """Words in letters of an algebra basis, shared by the bar and
-    Hochschild complexes.
-
-    ``letters`` lists ``(monomial, degree)`` pairs.  ``words[s]`` holds the
-    words of length ``s`` (tuples of letter indices) in lexicographic order,
-    built once from level ``s - 1`` with their degrees ``degrees[s]`` summed
-    as they grow; with a ``cap`` only words of degree at most ``cap`` are
-    kept.  ``index[s]`` maps a word to its position in ``words[s]``, and
-    ``buckets[s][d]`` lists, in word order, the positions of the words of
-    degree ``d``.  ``merge`` memoizes letter products, so ``A.mul`` runs
-    once per letter pair.
-    """
-
-    def __init__(self, A, letters, levels: int, cap: int | None = None):
-        self.A = A
-        self.letters = letters
-        self.letter_index = {l: i for i, l in enumerate(letters)}
-        self.words: list[list[tuple]] = [[()]]
-        self.degrees: list[list[int]] = [[0]]
-        for _ in range(levels):
-            words, degrees = [], []
-            for w, dw in zip(self.words[-1], self.degrees[-1]):
-                for i, (_, d) in enumerate(letters):
-                    if cap is None or dw + d <= cap:
-                        words.append(w + (i,))
-                        degrees.append(dw + d)
-            self.words.append(words)
-            self.degrees.append(degrees)
-        self.index = [{w: i for i, w in enumerate(ws)} for ws in self.words]
-        self.buckets: list[dict[int, list[int]]] = []
-        for degrees in self.degrees:
-            bucket: dict[int, list[int]] = {}
-            for wi, d in enumerate(degrees):
-                bucket.setdefault(d, []).append(wi)
-            self.buckets.append(bucket)
-        self._merge: dict[tuple[int, int], list] = {}
-
-    def merge(self, a: int, b: int) -> list:
-        """Product of letters ``a`` and ``b`` as ``[(letter, scalar)]``."""
-        key = (a, b)
-        if key not in self._merge:
-            (ma, da), (mb, db) = self.letters[a], self.letters[b]
-            self._merge[key] = [(self.letter_index[(m, da + db)], sc)
-                                for m, sc in self.A.mul(ma, mb).items()]
-        return self._merge[key]
-
-    def faces(self, w: tuple) -> list:
-        """Inner faces of ``w`` with their signs: ``(merged, (-1)^i scalar)``
-        for each product of letters ``i - 1`` and ``i``, ``merged`` indexing
-        one level down."""
-        below = self.index[len(w) - 1]
-        return [(below[w[: i - 1] + (li,) + w[i + 1:]], -sc if i % 2 else sc)
-                for i in range(1, len(w))
-                for li, sc in self.merge(w[i - 1], w[i])]
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +350,17 @@ class HochschildComplex:
     dimensional.  Cochain bidegrees are ``(s, t)`` with ``t`` the map
     degree; the differential uses the symmetric bimodule structure.
 
-    The words of every level are built once, bucketed by degree, so
-    ``basis(s, t)`` reads only the buckets of degree ``md - t`` for the
-    module degrees ``md``; letter products (``A.mul``) and the module action
-    of each letter from each degree are computed once and reused, and each
-    differential is assembled and ranked once per ``(s, t)``.  A top level
-    of more than ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any
+    The words of every level are built once as an array word complex
+    (``_Words``), and the dimension of every ``C^{s,t}`` is counted from
+    its degree buckets.  ``C^{s,t}`` holds, word by word in word order, the
+    words of degree ``md - t`` for the module degrees ``md``, each with the
+    ``dim M_md`` basis vectors of M (``_Layout``).  In ``delta`` the middle
+    terms are the face table's slice of word degree ``md - t``, and the
+    left and right action terms gather the action block of each (letter,
+    module degree), computed once, over the words by their first and last
+    letters.  Each differential is assembled and ranked once per
+    ``(s, t)``, and none from or to a zero space is built.  A top level of
+    more than ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any
     word is built.
     """
 
@@ -425,49 +379,48 @@ class HochschildComplex:
                 f"{MAX_COCHAIN_WORDS}; lower --smax"
             )
         self._words = _Words(A, self.abar, self.levels)
-        self.words = self._words.words
-        self.word_index = self._words.index
+        self.word_index = self._words.find
         self.abar_index = self._words.letter_index
+        self._mdims = {md: M.space.dim(md) for md in M.space.degrees()}
+        self._acts = any(mp.blocks for mp in M.action.values())
+        self._dims: dict[tuple[int, int], int] = Counter()
+        for s, buckets in enumerate(self._words.buckets):
+            for wd, ws in buckets.items():
+                for md, width in self._mdims.items():
+                    self._dims[(s, md - wd)] += width * len(ws)
         self._basis_cache = {}
         self._delta_cache = {}
         self._action_cache = {}
         self._ranks: dict[int, _RankOnce] = {}
+
+    @property
+    def words(self) -> list:
+        """Per level, the ``(n, s)`` array of the words' letters."""
+        return self._words.words
 
     def basis(self, s: int, t: int):
         """Cochains ``(word index, module degree, module index)`` in word order."""
         key = (s, t)
         if key not in self._basis_cache:
             buckets = self._words.buckets[s]
-            wis = [wi for md in self.M.space.degrees() for wi in buckets.get(md - t, ())]
-            wis.sort()
-            degrees = self._words.degrees[s]
-            out = []
-            for wi in wis:
-                d = degrees[wi] + t
-                out.extend((wi, d, mi) for mi in range(self.M.space.dim(d)))
-            self._basis_cache[key] = out
+            self._basis_cache[key] = sorted(
+                (wi, md, mi) for md, width in self._mdims.items() if md - t in buckets
+                for wi in buckets[md - t].tolist() for mi in range(width))
         return self._basis_cache[key]
 
     def t_range(self, s_levels=None):
         levels = range(self.levels + 1) if s_levels is None else s_levels
-        return sorted({md - wd for s in levels for wd in self._words.buckets[s]
-                       for md in self.M.space.degrees()})
+        return sorted({t for s, t in self._dims if s in levels})
 
-    def _action(self, li: int, d: int) -> list:
-        """Letter ``li`` acting from degree ``d``: row ``ni`` of the block
-        lists its nonzero entries ``(mi, value)``."""
+    def _action(self, li: int, d: int):
+        """Letter ``li`` acting from module degree ``d``: the nonzero
+        entries ``(ni, mi, value)`` of its block."""
         key = (li, d)
         if key not in self._action_cache:
-            mon, dl = self.abar[li]
-            rows = [[] for _ in range(self.M.space.dim(d + dl))]
-            n = self.M.space.dim(d)
-            for mi in range(n):
-                vec = np.zeros(n, dtype=np.int64)
-                vec[mi] = 1
-                _, img = self.M.act_monomial(mon, d, vec)
-                for ni in np.flatnonzero(img):
-                    rows[ni].append((mi, int(img[ni])))
-            self._action_cache[key] = rows
+            eye = np.eye(self.M.space.dim(d), dtype=np.int64)
+            _, img = self.M.act_monomial(self.abar[li][0], d, eye)
+            ni, mi = np.nonzero(img)
+            self._action_cache[key] = ni, mi, img[ni, mi]
         return self._action_cache[key]
 
     def delta(self, s: int, t: int) -> np.ndarray:
@@ -475,52 +428,72 @@ class HochschildComplex:
         key = (s, t)
         if key in self._delta_cache:
             return self._delta_cache[key]
-        p = self.p
-        words, below = self._words.words[s + 1], self._words.index[s]
-        src = self.basis(s, t)
-        tgt = self.basis(s + 1, t)
-        start = {wi: j for j, (wi, _, mi) in enumerate(src) if mi == 0}
-        right_sign = -1 if (s + 1) % 2 else 1
-        rows, cols, vals = [], [], []
-        for r, (wi, dv, ni) in enumerate(tgt):
-            w = words[wi]
-            # left action term
-            a0, a0_deg = w[0], self.abar[w[0]][1]
-            dmu = dv - a0_deg
-            sign = -1 if p != 2 and (a0_deg * t) % 2 else 1
-            for mi, val in self._action(a0, dmu)[ni]:
-                rows.append(r)
-                cols.append(start[below[w[1:]]] + mi)
-                vals.append(sign * val)
-            # middle merges
-            for merged, v in self._words.faces(w):
-                rows.append(r)
-                cols.append(start[merged] + ni)
-                vals.append(v)
-            # right action term
-            az, az_deg = w[-1], self.abar[w[-1]][1]
-            dmu = dv - az_deg
-            sign = -right_sign if p != 2 and (az_deg * dmu) % 2 else right_sign
-            for mi, val in self._action(az, dmu)[ni]:
-                rows.append(r)
-                cols.append(start[below[w[:-1]]] + mi)
-                vals.append(sign * val)
-        mat = _assemble((len(tgt), len(src)), rows, cols, vals, p)
+        n_src, n_tgt = self._dim(s, t), self._dim(s + 1, t)
+        if not (n_src and n_tgt):
+            return np.zeros((n_tgt, n_src), dtype=np.int64)
+        W = self._words
+        src, tgt = _Layout(W, s, t, self._mdims), _Layout(W, s + 1, t, self._mdims)
+        terms = []
+        for md, ws in tgt.blocks.items():
+            width = self._mdims[md]
+            # middle merges: the face table's rows of word degree md - t
+            f_src, merged, value = W.face_rows(s + 1, md - t)
+            rows, cols = tgt.start(f_src), src.start(merged)
+            if width > 1:
+                diag = np.arange(width)
+                rows, cols, value = _spread(rows, cols, value,
+                                            (diag, diag, np.ones(width, dtype=np.int64)))
+            terms.append((rows, cols, value))
+            if self._acts:
+                terms.extend(self._action_terms(s, t, md, ws, src, tgt))
+        rows, cols, vals = (np.concatenate(c) for c in zip(*terms))
+        mat = _assemble((n_tgt, n_src), rows, cols, vals, self.p)
         self._delta_cache[key] = mat
         return mat
 
+    def _action_terms(self, s, t, md, ws, src, tgt):
+        """Left and right action terms of ``delta(s, t)`` on the target
+        words ``ws`` of module degree ``md``: the letter ``a`` first (last)
+        in a word acts on the cochain of its tail (its prefix), from module
+        degree ``md - |a|``."""
+        p, W = self.p, self._words
+        right_sign = -1 if (s + 1) % 2 else 1
+        ends = ((W.words[s + 1][ws, 0], W.tails(s + 1)[ws]),
+                (W.last[s + 1][ws], W.parent[s + 1][ws]))
+        for a, (_, da) in enumerate(self.abar):
+            dmu = md - da
+            block = self._action(a, dmu) if dmu in src.blocks else ((), (), ())
+            if not len(block[2]):
+                continue
+            left = -1 if p != 2 and (da * t) % 2 else 1
+            right = -right_sign if p != 2 and (da * dmu) % 2 else right_sign
+            for (letters, below), sign in zip(ends, (left, right)):
+                hit = np.flatnonzero(letters == a)
+                yield _spread(tgt.start(ws[hit]), src.start(below[hit]),
+                              np.full(len(hit), sign), block)
+
+    def _dim(self, s: int, t: int) -> int:
+        """Dimension of ``C^{s,t}``."""
+        return self._dims.get((s, t), 0)
+
     def verify_dd(self, s: int, t: int):
-        _check_dd("Hochschild cochain", self.delta(s, t), self.delta(s + 1, t), self.p)
+        """``d*d = 0`` from ``C^{s,t}``, unless one of the three spaces is
+        zero."""
+        if self._dim(s, t) and self._dim(s + 1, t) and self._dim(s + 2, t):
+            _check_dd("Hochschild cochain", self.delta(s, t), self.delta(s + 1, t), self.p)
 
     def cohomology_dim(self, s: int, t: int) -> int:
         """Dimension at ``(s, t)``; ``verify_dd`` checks the differentials."""
-        n = len(self.basis(s, t))
-        if n == 0:
+        if not self._dim(s, t):
             return 0
+        n = len(self.basis(s, t))
         if s >= self.levels:
             raise CapError("cohomology requested at the top stored level")
         if t not in self._ranks:
-            self._ranks[t] = _RankOnce(lambda k: self.delta(k, t) if k >= 0 else None, self.p)
+            # a map from or to a zero space is the zero map (None)
+            self._ranks[t] = _RankOnce(
+                lambda k: self.delta(k, t) if k >= 0 and self._dim(k, t)
+                and self._dim(k + 1, t) else None, self.p)
         return _homology("Hochschild cochain", {s: n}, {}, self.p,
                          ranks=self._ranks[t]).get(s, 0)
 
@@ -528,6 +501,37 @@ class HochschildComplex:
         """Drop the differentials of map degree ``t``; their ranks stay."""
         for key in [key for key in self._delta_cache if key[1] == t]:
             del self._delta_cache[key]
+
+
+class _Layout:
+    """Where the cochains of a nonzero ``C^{s,t}`` sit: word by word in
+    word order, each word of degree ``d`` with the ``dim M_{d + t}`` basis
+    vectors of M.  ``blocks`` maps a module degree to its words (a degree
+    bucket) and ``words`` lists all of them in word order."""
+
+    def __init__(self, W: _Words, s: int, t: int, mdims: dict):
+        buckets = W.buckets[s]
+        self.blocks = {md: buckets[md - t] for md in mdims if md - t in buckets}
+        words = np.concatenate(list(self.blocks.values()))
+        width = np.array([mdims[md] for md in self.blocks]).repeat(
+            [len(ws) for ws in self.blocks.values()])
+        if len(self.blocks) > 1:
+            order = words.argsort()
+            words, width = words[order], width[order]
+        self.words = words
+        self._starts = np.add.accumulate(width) - width
+
+    def start(self, words) -> np.ndarray:
+        """Index of the first cochain of each of ``words``."""
+        return self._starts[self.words.searchsorted(words)]
+
+
+def _spread(rows, cols, vals, block):
+    """Triples of ``vals[k] * block`` with its corner at ``(rows[k],
+    cols[k])``, for a block given by its entries ``(ni, mi, value)``."""
+    ni, mi, bv = block
+    return ((rows[:, None] + ni).ravel(), (cols[:, None] + mi).ravel(),
+            (vals[:, None] * bv).ravel())
 
 
 def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
@@ -762,16 +766,16 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
 def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) -> BigradedTable:
     """Homology of the normalized bar complex of the augmented algebra.
 
-    Words are tuples of positive-degree basis monomials; the differential
-    is the sum over merges of adjacent letters i - 1 and i with sign
-    (-1)^i.  Entries at homological ``s`` and internal
-    degree ``t`` (total degree ``t - s``); agrees with ``tor_dims(A, k, k)``
+    Words are sequences of positive-degree basis monomials; the
+    differential is the sum over merges of adjacent letters i - 1 and i
+    with sign (-1)^i.  Entries at homological ``s`` and internal degree
+    ``t`` (total degree ``t - s``); agrees with ``tor_dims(A, k, k)``
     wherever both are defined.  The words of degree at most ``cap`` are
-    built once and bucketed by degree, so the chains of degree ``t`` are
-    read off a bucket; letter products are memoized, and each differential
-    is ranked once.  A cap under which one bucket would hold more than
-    ``MAX_BAR_BUCKET_WORDS`` words raises ``CapError`` before any word is
-    built.
+    built once as an array word complex (``_Words``), so the chains of
+    degree ``t`` are a bucket and each differential is a slice of a face
+    table, assembled and ranked once.  A cap under which one bucket would
+    hold more than ``MAX_BAR_BUCKET_WORDS`` words raises ``CapError``
+    before any word is built.
     """
     p = A.p
     letters = [(mon, d) for d in range(1, cap + 1) for mon in A.basis(d)]
@@ -781,14 +785,20 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     _check_bar_words([d for _, d in letters], cap, s_top + 1)
     words = _Words(A, letters, s_top + 1, cap=cap)
 
+    def block(s, t):
+        """The bar differential from length ``s`` to ``s - 1`` in degree
+        ``t``, on the two buckets: a slice of the face table."""
+        f_src, merged, value = words.face_rows(s, t)
+        return _assemble((words.count(s - 1, t), words.count(s, t)),
+                         words.pos[s - 1][merged], words.pos[s][f_src], value, p)
+
     entries = {}
     for t in range(0, cap + 1):
-        bas = [bucket.get(t, []) for bucket in words.buckets]
-        d = {}
-        for s in range(1, s_top + 2):
-            level = words.words[s]
-            d[s] = _matrix(bas[s], bas[s - 1], lambda wi: words.faces(level[wi]), p)
-        sizes = {s: len(bas[s]) for s in range(s_top + 1)}
+        sizes = {s: words.count(s, t) for s in range(s_top + 1)}
+        # a map without faces in degree t is the zero matrix: it is left out,
+        # so it is not ranked and no vacuous d*d product is formed with it
+        # (every map from or to a zero space is one of them)
+        d = {s: block(s, t) for s in range(1, s_top + 2) if words.has_faces(s, t)}
         for s, h in _homology("bar", sizes, d, p, step=-1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
@@ -799,12 +809,13 @@ def _check_bar_words(letter_degrees, cap: int, levels: int):
     ``cap`` when some (length, degree) bucket would hold more than
     ``MAX_BAR_BUCKET_WORDS`` of them.  The words are counted from the letter
     degrees, not built."""
-    letters = Counter(letter_degrees)
-    layer = [1] + [0] * cap  # words of the current length, by degree
+    letters = np.bincount(np.array(letter_degrees, dtype=np.int64), minlength=cap + 1)
+    layer = np.zeros(cap + 1, dtype=np.int64)  # words of the current length, by degree
+    layer[0] = 1
     for s in range(1, levels + 1):
-        layer = [sum(n * layer[t - d] for d, n in letters.items() if d <= t)
-                 for t in range(cap + 1)]
-        t = max(range(cap + 1), key=layer.__getitem__)
+        # exact in int64: every count of the length before is within the budget
+        layer = np.convolve(layer, letters)[: cap + 1]
+        t = int(layer.argmax())
         if layer[t] > MAX_BAR_BUCKET_WORDS:
             raise CapError(
                 f"{layer[t]} bar words of length {s} in degree {t} exceed the "

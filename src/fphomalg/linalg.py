@@ -308,7 +308,8 @@ def _matrix(src, tgt, image, p: int) -> np.ndarray:
 
 class _RankOnce(dict):
     """``ranks[key]`` is the rank of ``matrix(key)``, computed on first use;
-    a ``None`` matrix is the zero map.
+    a ``None`` matrix is the zero map, and a map from or to a zero space is
+    not ranked.
 
     A homology step needs the rank of each differential twice, once as the
     outgoing and once as the incoming map; this keeps it to one rank call.
@@ -321,7 +322,7 @@ class _RankOnce(dict):
 
     def __missing__(self, key):
         m = self._matrix(key)
-        r = self[key] = 0 if m is None else K.rank(m, self._p)
+        r = self[key] = 0 if m is None or not m.size else K.rank(m, self._p)
         return r
 
 

@@ -42,6 +42,9 @@ class MonomialAlgebra:
         if any(d < 1 for d in self.degrees):
             raise ValidationError("generator degrees must be positive")
         caps = dict(caps or {})
+        unknown = sorted(set(map(str, caps)) - set(names))
+        if unknown:
+            raise ValidationError(f"exponent caps name no generator: {unknown}")
         self.caps: list[int | None] = []
         for n, d in self.generators:
             cap = caps.get(n)
@@ -98,6 +101,9 @@ class MonomialAlgebra:
 
     @classmethod
     def truncated(cls, p, generators, truncations):
+        if not isinstance(truncations, dict):
+            raise ValidationError("truncation must map generator names to exponents, "
+                                  f"got {truncations!r}")
         caps = {str(n): json_int(e, f"truncation of {n!r}") - 1
                 for n, e in truncations.items()}
         return cls(p, generators, caps=caps, kind="truncated")

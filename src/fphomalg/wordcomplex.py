@@ -1,0 +1,196 @@
+"""The array word complex under the bar and normalized Hochschild complexes.
+
+Words in the letters of an algebra basis, level by level (a level is a word
+length), with the inner faces that merge two adjacent letters by the
+algebra's product.  Words are integer arrays indexed as a trie, letter
+products are a table, and the faces are one numpy table ordered by level
+and degree, so a differential between two degree buckets is a slice of it.
+``homalg`` assembles the bar and Hochschild differentials from those
+slices.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+
+def _group(keys: list, span: int):
+    """Sort items given level by level as arrays of degrees in ``[0, span)``
+    by (level, degree), stably.  Returns the order (positions with the
+    levels laid end to end), where each level starts in it, and the runs
+    ``(level, degree, lo, hi)`` of equal keys.
+
+    Here and in ``_Words`` arrays are tiny as often as large, so the code
+    calls array methods and ufuncs, which skip the dispatch layer of the
+    ``np.`` functions of the same name."""
+    sizes = [len(deg) for deg in keys]
+    key = np.arange(len(keys)).repeat(sizes) * span + np.concatenate(keys)
+    order = key.argsort(kind="stable")
+    key = key[order]
+    cuts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
+    starts = [0] + cuts if len(key) else []
+    runs = [(k // span, k % span, lo, hi)
+            for k, lo, hi in zip(key[starts].tolist(), starts, cuts + [len(key)])]
+    return order, np.add.accumulate([0] + sizes), runs
+
+
+class _Words:
+    """The array word complex shared by the bar and Hochschild complexes:
+    words in the letters of an algebra basis, and the inner faces between
+    consecutive lengths.
+
+    ``letters`` lists ``(monomial, degree)`` pairs in degree order.  Level
+    ``s`` holds the words of length ``s`` in lexicographic order, with a
+    ``cap`` only those of degree at most ``cap``: ``degrees[s]`` lists
+    their degrees, ``buckets[s][d]`` the indices of the words of degree
+    ``d`` in word order, ``pos[s]`` each word's position in its bucket and
+    ``words[s]`` (built on first use) the ``(n, s)`` array of their
+    letters.  Words are indexed as a trie: a word's one-letter extensions
+    are a prefix of the letters (they are in degree order), so they are
+    the contiguous run of ``nchild[s][w]`` words from ``child0[s][w]`` one
+    level up, and ``parent[s]``, ``last[s]`` undo the last step.  No index
+    exceeds the number of words, whatever the length.
+
+    ``A.mul`` returns at most one term, so the letter products are an
+    L x L table: ``product[a, b]`` is the letter of ``a * b`` (-1 for zero)
+    and ``scalar[a, b]`` its coefficient.  The face table has one row
+    ``(src, merged, value)`` per nonzero inner face: the product of letters
+    ``i - 1`` and ``i`` of the word ``src`` of level ``s`` is the word
+    ``merged`` of level ``s - 1``, with value ``(-1)^i scalar``.  Its rows
+    are ordered by level and then by the source's degree, so that
+    ``face_rows(s, d)`` is a slice.  A level inherits the faces of the one
+    below through the trie (a face of ``u`` gives one of each ``u a``) and
+    adds those merging its last two letters, so each row costs O(1): a
+    product letter has the summed degree, so a merged word has the degree
+    of its source and the same extensions.  A product outside the letters,
+    or a merged word outside the basis, raises ``KeyError``.
+    """
+
+    def __init__(self, A, letters, levels: int, cap: int | None = None):
+        self.letters = letters
+        self.letter_index = {l: i for i, l in enumerate(letters)}
+        n_letters = len(letters)
+        ldeg = np.array([d for _, d in letters], dtype=np.int64)
+        self.product = np.full((n_letters, n_letters), -1, dtype=np.int64)
+        self.scalar = np.zeros((n_letters, n_letters), dtype=np.int64)
+        for a, (ma, da) in enumerate(letters):
+            for b, (mb, db) in enumerate(letters):
+                if cap is not None and da + db > cap:
+                    break
+                for m, sc in A.mul(ma, mb).items():
+                    self.product[a, b] = self.letter_index[(m, da + db)]
+                    self.scalar[a, b] = sc
+        self._products = np.count_nonzero(self.product >= 0) > 0
+        self.degrees = [np.zeros(1, dtype=np.int64)]
+        self.parent, self.last, self.child0, self.nchild = [None], [None], [], []
+        for _ in range(levels):
+            deg = self.degrees[-1]
+            if not len(deg):  # so are all longer words
+                for part in (self.child0, self.nchild, self.parent, self.last, self.degrees):
+                    part.append(deg)
+                continue
+            nchild = (np.full(len(deg), n_letters) if cap is None
+                      else ldeg.searchsorted(cap - deg, side="right"))
+            child0 = np.add.accumulate(nchild) - nchild
+            parent = np.arange(len(deg)).repeat(nchild)
+            last = np.arange(len(parent)) - child0[parent]
+            self.child0.append(child0)
+            self.nchild.append(nchild)
+            self.parent.append(parent)
+            self.last.append(last)
+            self.degrees.append(deg[parent] + ldeg[last])
+        span = (levels * max(ldeg.tolist(), default=0) if cap is None else cap) + 1
+        # buckets: the words sorted by (level, degree)
+        order, first, runs = _group(self.degrees, span)
+        pos = np.empty(len(order), dtype=np.int64)
+        pos[order] = np.arange(len(order)) - np.array(
+            [lo for *_, lo, _ in runs]).repeat([hi - lo for *_, lo, hi in runs])
+        local = order - first[:-1].repeat(first[1:] - first[:-1])
+        self.pos = [pos[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
+        self.buckets = [{} for _ in self.degrees]
+        for s, d, lo, hi in runs:
+            self.buckets[s][d] = local[lo:hi]
+        # faces: level by level, then sorted by (level, source degree)
+        empty = np.zeros(0, dtype=np.int64)
+        rows = [(empty, empty, empty)] * min(2, levels + 1)
+        for s in range(2, levels + 1):
+            rows.append(self._faces(s, *rows[-1]))
+        self._face_table, self._face_bounds = rows[0], {}
+        if any(len(src) for src, _, _ in rows):
+            order, _, runs = _group([self.degrees[s][src] for s, (src, _, _) in enumerate(rows)],
+                                    span)
+            self._face_table = [np.concatenate(col)[order] for col in zip(*rows)]
+            self._face_bounds = {(s, d): (lo, hi) for s, d, lo, hi in runs}
+        self._tails = [None] + [np.zeros(len(d), dtype=np.int64) for d in self.degrees[1:2]]
+
+    def _faces(self, s: int, src, merged, value):
+        """Face rows of level ``s`` from those of level ``s - 1``."""
+        parts = []
+        if len(src):
+            # inherited: a face u -> m gives u a -> m a for each letter a
+            k = self.nchild[s - 1][src]
+            rep = np.arange(len(src)).repeat(k)
+            a = np.arange(len(rep)) - (np.add.accumulate(k) - k)[rep]
+            parts.append((self.child0[s - 1][src][rep] + a,
+                          self.child0[s - 2][merged][rep] + a, value[rep]))
+        if self._products and len(self.last[s]):
+            # new: the product c of the last two letters of w = v b z
+            up = self.parent[s]
+            v, b, z = self.parent[s - 1][up], self.last[s - 1][up], self.last[s]
+            c = self.product[b, z]
+            hit = (c >= 0).nonzero()[0]
+            sign = -1 if (s - 1) % 2 else 1
+            parts.append((hit, self._child(s - 2, v[hit], c[hit]),
+                          sign * self.scalar[b[hit], z[hit]]))
+        if not parts:
+            return src, merged, value
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
+
+    def _child(self, s: int, x, a):
+        """Index one level up of the word ``x`` of level ``s`` extended by
+        the letter ``a``; ``KeyError`` unless every extension is a word."""
+        if np.count_nonzero(a >= self.nchild[s][x]):
+            raise KeyError("merged word outside the word basis")
+        return self.child0[s][x] + a
+
+    @functools.cached_property
+    def words(self) -> list:
+        """Per level, the ``(n, s)`` array of the words' letters."""
+        dtype = np.min_scalar_type(max(len(self.letters) - 1, 0))
+        out = [np.zeros((1, 0), dtype=dtype)]
+        for parent, last in zip(self.parent[1:], self.last[1:]):
+            out.append(np.hstack([out[-1][parent], last[:, None].astype(dtype)]))
+        return out
+
+    def face_rows(self, s: int, d: int):
+        """Face rows ``(src, merged, value)`` of level ``s`` whose source
+        has degree ``d``."""
+        lo, hi = self._face_bounds.get((s, d), (0, 0))
+        return tuple(col[lo:hi] for col in self._face_table)
+
+    def has_faces(self, s: int, d: int) -> bool:
+        return (s, d) in self._face_bounds
+
+    def count(self, s: int, d: int) -> int:
+        """Number of words of length ``s`` and degree ``d``."""
+        bucket = self.buckets[s].get(d)
+        return 0 if bucket is None else len(bucket)
+
+    def find(self, word) -> int:
+        """Index of a word (a sequence of letter indices) in its level."""
+        x = 0
+        for s, a in enumerate(word):
+            x = int(self._child(s, x, a))
+        return x
+
+    def tails(self, s: int) -> np.ndarray:
+        """Index one level down of each word of level ``s`` without its
+        first letter (the tail of ``u a`` is the tail of ``u`` extended by
+        ``a``)."""
+        while len(self._tails) <= s:
+            r = len(self._tails)
+            self._tails.append(self._child(r - 2, self._tails[-1][self.parent[r]],
+                                           self.last[r]))
+        return self._tails[s]

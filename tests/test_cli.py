@@ -84,6 +84,18 @@ def test_tor_and_bar(tmp_path):
     assert code == 0
 
 
+def test_bar_with_many_levels_keeps_its_table(tmp_path):
+    # 6 letters and 31 word lengths: a word code in base 6 would need
+    # 6^31 (about 1.3e24) values, past int64; trie offsets stay below the
+    # number of words.  The table is that of Tor over k[y] (x) Lambda[x].
+    data = {"kind": "mixed", "exterior": ["x"],
+            "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 10}]}
+    code, text = run(tmp_path, "bar", data, "-p", "3", "-n", "30", "--smax", "8")
+    assert code == 0
+    got = {(r["s"], r["t"]): r["dim"] for r in json.loads(text)["table"]}
+    assert got == {(s, s): 1 for s in range(31)} | {(s, s + 9): 1 for s in range(1, 22)}
+
+
 def test_diagram_commands_on_simplicial_input(tmp_path):
     data = {"vertices": ["a", "b"], "facets": [["a"], ["b"]], "degree": 2}
     code, text = run(tmp_path, "diagram-lim", data, "-p", "2", "-n", "6")
@@ -307,6 +319,22 @@ def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, dat
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith(f"invalid input: {field} must be an integer")
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("ext", {"algebra": TRUNCATED_X2 | {"truncation": [3]}}, "truncation must map"),
+    ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": 3, "zz": 2}}},
+     "exponent caps name no generator: ['zz']"),
+    ("invariants", {"p": 3, "matrices": [[[1, 0], [0]]], "degrees": [2, 2]},
+     "matrix rows of lengths [2, 1]"),
+], ids=["truncation-not-an-object", "truncation-unknown-name", "ragged-matrix"])
+def test_malformed_algebra_and_action_are_validation_errors(tmp_path, capsys, command,
+                                                            data, message):
+    code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"invalid input: {message}")
 
 
 def test_diagram_aq_refuses_negative_smax(tmp_path, capsys):

@@ -208,6 +208,76 @@ def test_hochschild_differential_squares_to_zero_with_both_actions(p, degs):
             hc.verify_dd(s, t)
 
 
+def word_complex_algebras(p):
+    """Two exterior algebras, a truncated one and a finite mixed one."""
+    return [ext_alg(p, 1, 3), ext_alg(p, 3, 5),
+            MonomialAlgebra.truncated(p, [("y", 2)], {"y": 3}),
+            MonomialAlgebra(p, [("x", 1), ("y", 2)], caps={"x": 1, "y": 2}, kind="mixed")]
+
+
+def reference_delta(hc, s, t):
+    """The cochain differential C^{s,t} -> C^{s+1,t} from its definition,
+    one target word at a time: the left action of its first letter, the
+    merges of adjacent letters i - 1, i with sign (-1)^i, and the right
+    action of its last letter, on the bases ``hc.basis``."""
+    A, M, p = hc.A, hc.M, hc.p
+    index = {tuple(w): i for i, w in enumerate(hc.words[s].tolist())}
+    letter = {l: i for i, l in enumerate(hc.abar)}
+    col = {b: j for j, b in enumerate(hc.basis(s, t))}
+    tgt = hc.basis(s + 1, t)
+    mat = np.zeros((len(tgt), len(col)), dtype=np.int64)
+
+    def act(li, d):
+        _, img = M.act_monomial(hc.abar[li][0], d, np.eye(M.space.dim(d), dtype=np.int64))
+        return img
+
+    for r, (wi, dv, ni) in enumerate(tgt):
+        w = tuple(hc.words[s + 1][wi].tolist())
+        da = hc.abar[w[0]][1]
+        sign = -1 if p != 2 and (da * t) % 2 else 1
+        for mi, v in enumerate(act(w[0], dv - da)[ni]):
+            if v:
+                mat[r, col[(index[w[1:]], dv - da, mi)]] += sign * v
+        for i in range(1, len(w)):
+            (ma, d1), (mb, d2) = hc.abar[w[i - 1]], hc.abar[w[i]]
+            for m, sc in A.mul(ma, mb).items():
+                merged = w[: i - 1] + (letter[(m, d1 + d2)],) + w[i + 1:]
+                mat[r, col[(index[merged], dv, ni)]] += (-1) ** i * sc
+        dz = hc.abar[w[-1]][1]
+        sign = -1 if (s + 1) % 2 else 1
+        if p != 2 and (dz * (dv - dz)) % 2:
+            sign = -sign
+        for mi, v in enumerate(act(w[-1], dv - dz)[ni]):
+            if v:
+                mat[r, col[(index[w[:-1]], dv - dz, mi)]] += sign * v
+    return mat % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("case", range(4), ids=["ext13", "ext35", "trunc", "mixed"])
+@pytest.mark.parametrize("module", ["trivial", "regular"])
+def test_cochain_differential_matches_its_definition(p, case, module):
+    A = word_complex_algebras(p)[case]
+    M = (trivial_module(A, degree=3) if module == "trivial"
+         else AlgebraModule.regular(A, A.top_degree()))
+    hc = HochschildComplex(A, M, 3)
+    checked = 0
+    for t in hc.t_range():
+        for s in range(3):
+            got = hc.delta(s, t)
+            assert np.array_equal(got, reference_delta(hc, s, t)), (s, t)
+            checked += int(got.any())
+    assert checked
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bar_matches_tor_on_the_word_complex_algebras(p):
+    mixed = MonomialAlgebra.mixed(p, [("u", 2)], [("x", 3)])
+    for A in word_complex_algebras(p) + [mixed]:
+        k = ModuleViaMap.augmentation(A)
+        assert bar_homology_dims(A, cap=10) == tor_dims(A, k, k, cap=10), A.kind
+
+
 def test_hochschild_two_generators_routes_agree():
     A = ext_alg(3, 3, 5)
     M = AlgebraModule.trivial(A, GradedVectorSpace({3: 1, 5: 1}))
@@ -331,6 +401,13 @@ def test_bar_word_budget_counts_the_largest_bucket(monkeypatch, A, cap):
     monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest - 1)
     with pytest.raises(CapError, match=f"{largest} bar words"):
         bar_homology_dims(A, cap)
+
+
+def test_word_complex_refuses_a_product_outside_its_letters():
+    A = ext_alg(3, 1, 3)
+    letters = [(m, d) for d in (1, 3) for m in A.basis(d)]  # x and y, not x*y
+    with pytest.raises(KeyError):
+        homalg._Words(A, letters, 2)
 
 
 def test_bar_trivial_algebra():
