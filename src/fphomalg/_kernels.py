@@ -5,7 +5,8 @@ mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
 as sparse dictionaries, and hands the rest of the work to the numpy
 Gauss-Jordan elimination ``rref`` only when the input, or the fill the
 reduction produces, gets dense.  ``rref`` also serves ``nullspace``,
-``solve`` and ``in_span``.
+``solve`` and ``in_span``.  The sparse reduction step, ``eliminate``, also
+keeps the echelon forms of the Lie closure oracles, whose rows are words.
 
 Vectors are columns: ``nullspace(a, p)`` returns a matrix whose columns
 span ``{x : a @ x = 0}``.
@@ -67,6 +68,29 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def eliminate(col: dict, low, pivots: dict, p: int):
+    """Reduce the sparse column ``col`` in place until its lowest row is no
+    pivot's; return that row, or ``None`` once the column vanishes.
+
+    ``col`` maps rows to nonzero values mod p, and ``low`` is its largest
+    row.  ``pivots`` maps the lowest row of each stored column to that
+    column, normalised to a 1 there.  Rows may be any totally ordered keys:
+    matrix row indices in ``rank``, words in the Lie closure oracles.
+    """
+    while low in pivots:
+        f = col[low]
+        for r, v in pivots[low].items():
+            x = (col.get(r, 0) - f * v) % p
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+        if not col:
+            return None
+        low = max(col)
+    return low
+
+
 def rank(a, p: int) -> int:
     """Rank over F_p by sparse column reduction.
 
@@ -102,19 +126,10 @@ def rank(a, p: int) -> int:
         col = dict(zip(ri[start:end].tolist(), vals[start:end].tolist()))
         low = int(ri[end - 1])
         start = end
-        while low in pivots:
-            f = col[low]
-            for r, v in pivots[low].items():
-                x = (col.get(r, 0) - f * v) % p
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-            if not col:
-                break
-            low = max(col)
-        if not col:
-            continue
+        if low in pivots:
+            low = eliminate(col, low, pivots, p)
+            if low is None:
+                continue
         lead = col[low]
         if lead != 1:
             inv = pow(lead, p - 2, p)

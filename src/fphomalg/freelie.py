@@ -16,11 +16,15 @@ Two independent routes to the dimensions of the free algebras coexist:
   restriction towers ``d -> p d - p + 1``;
 * brute-force closure oracles inside the tensor algebra: the span of the
   generators closed under brackets (and p-th powers), kept per bidegree
-  (shifted degree, weight) and grown in semi-naive rounds, each bracketing
-  only the pairs that involve an element the previous round added.
+  (shifted degree, weight) as one sparse echelon form keyed by lowest word
+  and grown in semi-naive rounds, each bracketing only the pairs that
+  involve an element the previous round added and reducing each candidate
+  against its bidegree's echelon form once.
 
-The basis builders cross-check the two routes and raise ``CrossCheckError``
-on any disagreement instead of trusting either side.  Caps whose largest
+The basis builders realize each Lyndon element as one bracket of its
+standard factors' elements, check the realizations' independence by rank,
+cross-check the two routes and raise ``CrossCheckError`` on any
+disagreement instead of trusting either side.  Caps whose largest
 bidegree holds more than ``MAX_BUCKET_WORDS`` words are refused up front.
 """
 
@@ -46,12 +50,14 @@ DEFAULT_WEIGHT_CAP = 10
 MAX_GENERATORS = 4
 # Most words of one bidegree (shifted degree, weight) that the closure
 # oracles and the Lyndon span check accept, so that a run either fits in a
-# few hundred MB or exits 2 before it starts.  Their matrices have a row per
-# word of a bidegree (of a shifted degree, in the span check) and their
-# columns grow with it: three degree-1 generators at weight cap 10 have
+# few hundred MB or exits 2 before it starts.  An oracle's echelon form
+# holds a column per pivot with up to one entry per word of its bidegree, and
+# the span check's matrix a row per word of a shifted degree, so both grow
+# with the word count: three degree-1 generators at weight cap 10 have
 # 3^10 = 59,049 words of weight 10 in degree 1.  At this budget two degree-1
-# generators at weight cap 12 take about 180 MB; the inputs of the tests and
-# the benchmark need at most 3^7 = 2,187 words.
+# generators at weight cap 12 (4,096 words of weight 12) peak at 43-61 MB
+# for ``free-lie`` and 88-97 MB for ``restricted`` at p in {2, 3, 5}; the
+# inputs of the tests and the benchmark need at most 3^7 = 2,187 words.
 MAX_BUCKET_WORDS = 4096
 
 
@@ -284,13 +290,30 @@ def span_dims(elements, p: int) -> GradedVectorSpace:
                               for sdeg, elems in by_sdeg.items()})
 
 
-def _reduce_basis(basis, cands, p):
-    """The candidates that enlarge the span of ``basis``, an independent list
-    of elements of one bidegree, in order: the pivot columns past the basis
-    of one rref with the basis and then the candidates as columns."""
-    n = len(basis)
-    _, pivots = K.rref(_columns(basis + cands, p), p)
-    return [cands[j - n] for j in pivots if j >= n]
+def _reduce_basis(echelon, cands, p):
+    """The candidates that enlarge the span of one bucket, in order.
+
+    ``echelon`` is the bucket's span in echelon form, ``{lowest word:
+    column}`` with each column a coefficient dict normalised to a 1 at its
+    lowest (largest) word.  Each candidate's terms are reduced against it
+    once by ``_kernels.eliminate``; a column that does not vanish is stored,
+    so later candidates are reduced against it too.
+    """
+    added = []
+    for e in cands:
+        col = dict(e.terms)
+        low = max(col)
+        if low in echelon:
+            low = K.eliminate(col, low, echelon, p)
+            if low is None:
+                continue
+        lead = col[low]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            col = {w: c * inv % p for w, c in col.items()}
+        echelon[low] = col
+        added.append(e)
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +411,41 @@ def _lyndon_candidates(alphabet: Alphabet, weight_cap: int, degree_cap: int):
     return out
 
 
-def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 10, *,
-                 p: int, verify: bool = True) -> list[LyndonBasisElement]:
-    """Basis of the free shifted Lie algebra within the caps, realized.
+def _lyndon_elements(gens, weight_cap: int, degree_cap: int, p: int):
+    """The Lyndon basis elements within the caps, realized, and for odd p
+    their self-brackets; their independence is left to the caller.
 
-    Lyndon words carry their standard bracketing; for odd p each basis
-    symbol of even unshifted degree contributes a self-bracket ``[b, b]``
-    (towers stop there: ``[b, b]`` has odd degree, and ``[x, [x, x]] = 0``).
-    With ``verify=True`` the degreewise counts are checked against the
-    bracket-closure oracle and a ``CrossCheckError`` reports any mismatch.
+    Candidates come by length, so both standard factors of a word are built
+    before it, and each element is one bracket of theirs.  The right factor
+    is the longest proper Lyndon suffix; every Lyndon suffix is shorter and
+    of no larger degree, so it lies within the caps and has been built, and
+    the factorization is a lookup of the suffixes among the built words.
     """
     if weight_cap > 20 or degree_cap > 64:
         raise CapError("weight cap <= 20 and degree cap <= 64 supported")
     alphabet = Alphabet(parse_or_pass(gens), p)
     _check_caps(alphabet, degree_cap, weight_cap)
     basis = []
+    built: dict[tuple, LyndonBasisElement] = {}
     for word, sdeg in _lyndon_candidates(alphabet, weight_cap, degree_cap):
-        tree = standard_bracketing(word)
-        elem = expand_bracketing(tree, alphabet)
-        if elem.is_zero():
-            raise CrossCheckError(f"Lyndon bracketing of {word} expanded to zero")
-        basis.append(
-            LyndonBasisElement(
-                word=word,
-                names=tuple(alphabet.names[i] for i in word),
-                bracketing=tree,
-                selfbracket_flag=False,
-                v_degree=sdeg + 1,
-                weight=len(word),
-                element=elem,
-            )
+        if len(word) == 1:
+            tree, elem = word[0], TensorElement._trusted(alphabet, {word: 1}, sdeg)
+        else:
+            i = next(i for i in range(1, len(word)) if word[i:] in built)
+            u, v = built[word[:i]], built[word[i:]]
+            tree, elem = (u.bracketing, v.bracketing), shifted_bracket(u.element, v.element)
+            if elem.is_zero():
+                raise CrossCheckError(f"Lyndon bracketing of {word} expanded to zero")
+        b = built[word] = LyndonBasisElement(
+            word=word,
+            names=tuple(alphabet.names[i] for i in word),
+            bracketing=tree,
+            selfbracket_flag=False,
+            v_degree=sdeg + 1,
+            weight=len(word),
+            element=elem,
         )
+        basis.append(b)
     if p != 2:
         for b in list(basis):
             if b.v_degree % 2 == 0 and 2 * b.weight <= weight_cap and 2 * b.v_degree - 1 <= degree_cap:
@@ -436,9 +463,29 @@ def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 1
                         element=elem,
                     )
                 )
-    counted = {}
-    for b in basis:
-        counted[b.v_degree] = counted.get(b.v_degree, 0) + 1
+    return basis
+
+
+def _degree_counts(elems) -> dict[int, int]:
+    counted: dict[int, int] = {}
+    for e in elems:
+        counted[e.v_degree] = counted.get(e.v_degree, 0) + 1
+    return counted
+
+
+def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 10, *,
+                 p: int, verify: bool = True) -> list[LyndonBasisElement]:
+    """Basis of the free shifted Lie algebra within the caps, realized.
+
+    Lyndon words carry their standard bracketing; for odd p each basis
+    symbol of even unshifted degree contributes a self-bracket ``[b, b]``
+    (towers stop there: ``[b, b]`` has odd degree, and ``[x, [x, x]] = 0``).
+    The realizations are checked to be independent, and with
+    ``verify=True`` the degreewise counts are checked against the
+    bracket-closure oracle; a ``CrossCheckError`` reports any mismatch.
+    """
+    basis = _lyndon_elements(gens, weight_cap, degree_cap, p)
+    counted = _degree_counts(basis)
     realized = span_dims([b.element for b in basis], p)
     if realized.dims != counted:
         raise CrossCheckError(
@@ -498,6 +545,10 @@ def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
     The span is kept per bucket (shifted degree, weight): brackets and powers
     of weight-homogeneous elements are weight-homogeneous, so the span is the
     direct sum of its buckets, and the weight cap is tested on exact weights.
+    Each bucket keeps one sparse echelon form of its span for the whole run,
+    and ``_reduce_basis`` reduces each candidate against it once; the
+    bucket's dimension is the number of its pivots.
+
     The rounds are semi-naive.  A round brackets only the pairs with a member
     in the frontier (the elements the previous round added), each unordered
     pair once since ``[b, a] = -+[a, b]`` in the tensor algebra, takes powers
@@ -511,7 +562,7 @@ def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
     """
     alphabet = Alphabet(parse_or_pass(gens), p)
     _check_caps(alphabet, degree_cap, weight_cap)
-    basis: dict[tuple[int, int], list[TensorElement]] = {}
+    echelons: dict[tuple[int, int], dict] = {}
     old: list[tuple[TensorElement, int]] = []
     cands = [(TensorElement.from_generator(alphabet, name), 1)
              for name, d in zip(alphabet.names, alphabet.vdegs) if d <= degree_cap]
@@ -522,9 +573,7 @@ def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
                 buckets.setdefault((e.sdeg, w), []).append(e)
         frontier = []
         for key, new in buckets.items():
-            span = basis.setdefault(key, [])
-            added = _reduce_basis(span, new, p)
-            span += added
+            added = _reduce_basis(echelons.setdefault(key, {}), new, p)
             frontier += [(e, key[1]) for e in added]
         cands = []
         pool = old + frontier
@@ -537,8 +586,8 @@ def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
                 cands.append((restriction_power(a), p * wa))
         old = pool
     dims: dict[int, int] = {}
-    for (sdeg, _), span in basis.items():
-        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + len(span)
+    for (sdeg, _), echelon in echelons.items():
+        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + len(echelon)
     return GradedVectorSpace(dims)
 
 
@@ -694,11 +743,11 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
     """Symbols ``xi^i b`` with tensor realizations, plus their dimensions.
 
     Returns ``(symbols, dims)``.  Realizations are iterated p-th powers of
-    the Lyndon expansions; independence is checked by rank, and with
-    ``verify=True`` the counts are compared against the restricted closure
-    oracle.
+    the Lyndon expansions.  Independence is checked once, by rank over all
+    the symbols (the Lyndon elements among them), and with ``verify=True``
+    the counts are compared against the restricted closure oracle.
     """
-    base = lyndon_basis(gens, weight_cap, degree_cap, p=p, verify=False)
+    base = _lyndon_elements(gens, weight_cap, degree_cap, p)
     symbols = []
     for b in base:
         symbols.append(RestrictedBasisSymbol(0, b, b.v_degree, b.element))
@@ -715,9 +764,7 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
             if elem.is_zero():
                 raise CrossCheckError(f"restriction power of {b.word} vanished in realization")
             symbols.append(RestrictedBasisSymbol(i, b, d, elem))
-    counted: dict[int, int] = {}
-    for s in symbols:
-        counted[s.v_degree] = counted.get(s.v_degree, 0) + 1
+    counted = _degree_counts(symbols)
     realized = span_dims([s.element for s in symbols], p)
     if realized.dims != counted:
         raise CrossCheckError(

@@ -628,8 +628,10 @@ def derivations_dims(A, M: AlgebraModule, cap: int) -> GradedVectorSpace:
                         cols.append(col_index[(dc, kc, mi)])
                         vals.append(-sgn * int(img[r, mi]))
                 top += mdim
-        mat = _assemble((top, len(col_index)), rows, cols, vals, p)
-        hdim = len(col_index) - K.rank(mat, p)
+        # with no Leibniz rows (top == 0) every map of degree t is a derivation
+        hdim = len(col_index)
+        if top:
+            hdim -= K.rank(_assemble((top, hdim), rows, cols, vals, p), p)
         if hdim:
             dims[t] = hdim
     return GradedVectorSpace(dims)

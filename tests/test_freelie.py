@@ -1,5 +1,6 @@
 import pytest
 
+from fphomalg import freelie
 from fphomalg.errors import AlphabetError, CrossCheckError, ParityDomainError, ValidationError
 from fphomalg.freelie import (
     Alphabet,
@@ -9,6 +10,7 @@ from fphomalg.freelie import (
     ad_power,
     bracket_closure_dims,
     check_axioms,
+    expand_bracketing,
     free_lie_symbol_dims,
     is_lyndon,
     lyndon_basis,
@@ -20,6 +22,7 @@ from fphomalg.freelie import (
     restriction_power,
     shifted_bracket,
     span_dims,
+    standard_bracketing,
     standard_factorization,
     tensor_mul,
 )
@@ -232,3 +235,40 @@ def test_lyndon_candidates_equal_filtered_lyndon_words(degs, weight_cap, degree_
     want = sorted(((w, a.word_sdeg(w)) for w in lyndon_words(len(degs), weight_cap)
                    if a.word_sdeg(w) + 1 <= degree_cap), key=lambda t: (len(t[0]), t[0]))
     assert _lyndon_candidates(a, weight_cap, degree_cap) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("degs", [(1, 1), (2,), (2, 2), (2, 3), (2, 2, 3)])
+def test_lyndon_elements_equal_their_expanded_standard_bracketings(p, degs):
+    # each element is built as one bracket of its factors' elements; it must
+    # be the standard bracketing of its word, expanded from the letters up
+    a = alph(p, *degs)
+    basis = lyndon_basis(gens(*degs), 7, 9, p=p)
+    assert any(len(b.word) > 1 for b in basis) or (degs, p) == ((2,), 2)
+    for b in basis:
+        if b.selfbracket_flag:
+            half = standard_bracketing(b.word[: len(b.word) // 2])
+            assert b.bracketing == (half, half)
+        else:
+            assert b.bracketing == standard_bracketing(b.word)
+        assert b.element == expand_bracketing(b.bracketing, a)
+    if p != 2 and 2 in degs:  # x of even degree: [x, x] is a basis element
+        assert any(b.selfbracket_flag for b in basis)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_repeated_lyndon_word_fails_the_independence_check(monkeypatch, p):
+    # a candidate list that names the word xy twice realizes it twice;
+    # the one independence check of each basis builder must catch it
+    candidates = freelie._lyndon_candidates
+
+    def repeat_xy(alphabet, weight_cap, degree_cap):
+        out = candidates(alphabet, weight_cap, degree_cap)
+        i = [w for w, _ in out].index((0, 1))
+        return out[: i + 1] + out[i:]
+
+    monkeypatch.setattr(freelie, "_lyndon_candidates", repeat_xy)
+    with pytest.raises(CrossCheckError, match="dependent"):
+        lyndon_basis(gens(2, 2), 8, 9, p=p, verify=False)
+    with pytest.raises(CrossCheckError, match="dependent"):
+        restricted_basis(gens(2, 2), 9, p=p, weight_cap=8, verify=False)

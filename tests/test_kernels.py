@@ -154,3 +154,48 @@ def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
     assert d.shape == (105, 84)
     assert K.rank(d, p) == len(rref(d, p)[1]) > K.FILL_CHECK_AFTER
     assert calls == []
+
+
+def eliminate_rank(columns, p):
+    """Rank of sparse columns ({row key: value}) through ``K.eliminate``,
+    each column that does not vanish stored normalised at its lowest row."""
+    pivots = {}
+    for col in columns:
+        col = {r: v % p for r, v in col.items() if v % p}
+        if not col:
+            continue
+        low = K.eliminate(col, max(col), pivots, p)
+        if low is None:
+            continue
+        inv = pow(col[low], p - 2, p)
+        pivots[low] = {r: v * inv % p for r, v in col.items()}
+    for low, col in pivots.items():
+        assert low == max(col) and col[low] == 1
+    return len(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+@pytest.mark.parametrize("keys", ["int", "word"])
+def test_eliminate_rank_matches_gauss_jordan(p, keys):
+    # Random sparse matrices, half of them of low rank, as columns keyed by
+    # row index, or by distinct words of mixed lengths assigned in random
+    # order (the rank does not depend on the order of the rows).
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        if trial % 2:
+            k = int(rng.integers(1, 6))
+            a = (random_matrix(rng, m, k, p) @ random_matrix(rng, k, n, p)) % p
+        else:
+            a = random_matrix(rng, m, n, p)
+        a *= rng.random(a.shape) < rng.choice([0.05, 0.15, 0.4])
+        if keys == "int":
+            rows = list(range(m))
+        else:
+            words = set()
+            while len(words) < m:
+                words.add(tuple(int(x) for x in rng.integers(0, 3, size=int(rng.integers(1, 6)))))
+            words = sorted(words)
+            rows = [words[i] for i in rng.permutation(m)]
+        columns = [{rows[i]: int(a[i, j]) for i in np.flatnonzero(a[:, j])} for j in range(n)]
+        assert eliminate_rank(columns, p) == len(gauss_jordan(a.tolist(), p)[1])
