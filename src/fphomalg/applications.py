@@ -9,7 +9,6 @@ convergence itself is a topological input this library does not model.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import _kernels as K
 from .diagrams import face_ring_diagram, limit_dims
 from .errors import CapError, CrossCheckError, ValidationError
-from .homalg import bar_homology_dims, tor_dims
+from .homalg import _KoszulChains, bar_homology_dims, tor_dims
 from .linalg import (
     BigradedTable,
     GradedVectorSpace,
@@ -373,60 +372,33 @@ def emss_hypothesis_check(inp: EMSSInput, cap: int | None = None) -> dict:
 
 class EMSSTorAlgebra:
     """Koszul model ``H_X (x) Lambda(one class per base generator) (x) H_Y``
-    with homology classes, their products, and nilpotence probes."""
+    with homology classes, their products, and nilpotence probes.
+
+    The model is the two-sided Koszul complex of ``tor_dims(base, to_x,
+    to_y)``: its chains, ``basis`` and differentials are those of
+    ``homalg._KoszulChains``, and every symbol tuple is a 0/1 tuple, one
+    exterior class per base generator.
+    """
 
     def __init__(self, inp: EMSSInput, cap: int):
         self.inp = inp
         self.cap = cap
         self.p = inp.p
-        base = inp.base
-        self.gen_names = [n for n, _ in base.generators]
-        self.gen_degs = [d for _, d in base.generators]
-        self._basis_cache: dict[tuple, list] = {}
+        self.chains = _KoszulChains(inp.base, inp.to_x, inp.to_y, cap)
+        self.basis = self.chains.basis
+        # the top exterior degree, even where the chains stop below it
+        self.max_s = len(inp.base.generators)
         self._sub_cache: dict[tuple, Subquotient] = {}
         self._build()
-
-    def _sym_deg(self, S):
-        return sum(self.gen_degs[i] for i in S)
-
-    def basis(self, s, t):
-        """Chains ``(S, monomial of H_X, monomial of H_Y)``."""
-        key = (s, t)
-        if key not in self._basis_cache:
-            X, Y = self.inp.x, self.inp.y
-            out = []
-            for S in itertools.combinations(range(len(self.gen_names)), s):
-                di = self._sym_deg(S)
-                for dm in range(0, t - di + 1):
-                    out.extend((S, xm, yn) for xm in X.basis(dm) for yn in Y.basis(t - di - dm))
-            self._basis_cache[key] = out
-        return self._basis_cache[key]
-
-    def _differential(self, s, t):
-        X, Y = self.inp.x, self.inp.y
-
-        def image(b):
-            S, xm, yn = b
-            for pos, i in enumerate(S):
-                S2 = S[:pos] + S[pos + 1:]
-                sgn = -1 if pos % 2 else 1
-                name = self.gen_names[i]
-                # left term multiplies into H_X, right term into H_Y
-                for mm, c in X.mul_elements({xm: 1}, self.inp.to_x.image_of(name)).items():
-                    yield (S2, mm, yn), sgn * c
-                for nn, c in Y.mul_elements(self.inp.to_y.image_of(name), {yn: 1}).items():
-                    yield (S2, xm, nn), -sgn * c
-
-        return _matrix(self.basis(s, t), self.basis(s - 1, t), image, self.p)
 
     def _subquotient(self, s, t, d=None):
         """Homology at ``(s, t)`` with class coordinates, built once; ``d``
         maps ``s`` to the differential out of degree ``s`` at this ``t``."""
         key = (s, t)
         if key not in self._sub_cache:
-            max_s = len(self.gen_names)
+            max_s = self.max_s
             if d is None:
-                d = {r: self._differential(r, t) for r in (s, s + 1) if 1 <= r <= max_s}
+                d = {r: self.chains.differential(r, t) for r in (s, s + 1) if 1 <= r <= max_s}
             n = len(self.basis(s, t))
             d_out = d[s] if s >= 1 else np.zeros((0, n), dtype=np.int64)
             d_in = d[s + 1] if s < max_s else np.zeros((n, 0), dtype=np.int64)
@@ -436,9 +408,9 @@ class EMSSTorAlgebra:
     def _build(self):
         self.table_entries = {}
         self.classes = []
-        max_s = len(self.gen_names)
+        max_s = self.max_s
         for t in range(0, self.cap + 1):
-            d = {s: self._differential(s, t) for s in range(1, max_s + 1)}
+            d = {s: self.chains.differential(s, t) for s in range(1, max_s + 1)}
             sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
             homology = _homology("Koszul model", sizes, d, self.p, step=-1)
             for s, h in sorted(homology.items()):
@@ -466,11 +438,15 @@ class EMSSTorAlgebra:
                 if not c2:
                     continue
                 S2, xm2, yn2 = b2[i2]
-                if set(S1) & set(S2):
+                if any(a and b for a, b in zip(S1, S2)):
                     continue
-                merged = tuple(sorted(S1 + S2))
-                # shuffle sign of the odd exterior symbols
-                inv = sum(1 for a in S1 for b in S2 if a > b)
+                merged = tuple(a + b for a, b in zip(S1, S2))
+                # shuffle sign of the odd exterior symbols: the classes of
+                # S2 that come before each class of S1
+                inv = before = 0
+                for a, b in zip(S1, S2):
+                    inv += a * before
+                    before += b
                 sgn = -1 if (inv % 2 and self.p != 2) else 1
                 for mm, cm in X.mul_elements({xm1: 1}, {xm2: 1}).items():
                     for nn, cn in Y.mul_elements({yn1: 1}, {yn2: 1}).items():
@@ -484,7 +460,7 @@ class EMSSTorAlgebra:
     def product(self, cls1, cls2):
         """Coordinates of the product class, or None when out of range."""
         s, t = cls1["s"] + cls2["s"], cls1["t"] + cls2["t"]
-        if t > self.cap or s > len(self.gen_names):
+        if t > self.cap or s > self.max_s:
             return None
         vec = self._mul_elements(cls1["s"], cls1["t"], cls1["rep"],
                                  cls2["s"], cls2["t"], cls2["rep"])

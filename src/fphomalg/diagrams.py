@@ -111,12 +111,10 @@ class FiniteCategory:
         return cls(objs, arrows, comp)
 
     @classmethod
-    def face_poset(cls, vertices, facets, include_empty=True):
+    def face_poset(cls, vertices, facets):
         """Face poset of a simplicial complex, levels by cardinality."""
         verts = [str(v) for v in vertices]
-        faces = set()
-        if include_empty:
-            faces.add(frozenset())
+        faces = {frozenset()}
         for f in facets:
             f = frozenset(str(v) for v in f)
             if not f <= set(verts):
@@ -244,13 +242,12 @@ def validate_direct_category(I: FiniteCategory) -> dict:
 class VectorDiagram:
     """Covariant functor from a finite category to graded vector spaces."""
 
-    def __init__(self, base: FiniteCategory, values, maps, p: int, validate=True):
+    def __init__(self, base: FiniteCategory, values, maps, p: int):
         self.base = base
         self.p = PrimeField(p).p
         self.values = {str(o): v for o, v in values.items()}
         self.maps = {str(f): m for f, m in maps.items()}
-        if validate:
-            self.validate()
+        self.validate()
 
     def value(self, obj) -> GradedVectorSpace:
         return self.values[obj]

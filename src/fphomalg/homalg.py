@@ -4,8 +4,11 @@ The strand calculus: every polynomial generator contributes a two-step
 Koszul strand, every exponent-capped generator a periodic strand with
 divided-power symbols, and the resolution of the ground field is the tensor
 product of strands with Koszul signs taken in the total (homological plus
-internal) parity.  Both ``d*d = 0`` and degreewise exactness are checked at
-construction time inside the trusted window.
+internal) parity.  One function, ``_koszul_terms``, gives the signed terms of
+every strand differential: the two-sided chains ``_KoszulChains`` (Tor and
+the Eilenberg-Moore model) take them all, the one-sided resolution those
+without a right coefficient.  Both ``d*d = 0`` and degreewise exactness of
+the resolution are checked at construction time inside the trusted window.
 
 Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology is computed from the
@@ -15,10 +18,11 @@ complex, and any mismatch raises ``CrossCheckError``.
 Every complex here (the resolution's exactness check, Ext, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
 differential between two listed bases is written by ``linalg._matrix``
-from the image of each source element (the resolution, Tor); three are
-not.  The bar and Hochschild cochain differentials are read off the array
-word complex ``_Words``: its words are integer arrays indexed as a trie,
-and one numpy face table per level, ordered by degree, gives each
+from the image of each source element (the resolution, and
+``_KoszulChains`` for Tor and the Eilenberg-Moore model); three are not.
+The bar and Hochschild cochain differentials are read off the array word
+complex ``_Words``: its words are integer arrays indexed as a trie, and
+one numpy face table per level, ordered by degree, gives each
 differential's merges as a slice, which ``linalg._assemble`` writes.  The
 resolution's ``d*d`` check discovers its rows as it goes, and Ext adds
 whole blocks.  The shared step of ``linalg`` (``_homology``, with
@@ -100,23 +104,13 @@ class _Strand:
     def tau(self, k):
         return (self.hom(k) + self.internal(k)) % 2
 
-    def diff_onesided(self, k):
-        """Terms (exponent, scalar) for d(sym_k) = sum scalar * g^e * sym_{k-1}."""
+    def terms(self, k):
+        """Terms ``(left_exp, right_exp, scalar)`` of the bimodule strand:
+        ``d(sym_k) = sum scalar * g^left_exp sym_{k-1} g^right_exp``.  The
+        one-sided strand keeps the terms with ``right_exp == 0``."""
         if k == 0:
             return []
-        if self.cap is None:
-            return [(1, 1)]
-        if k % 2 == 1:
-            return [(1, 1)]
-        return [(self.n - 1, 1)]
-
-    def diff_twosided(self, k):
-        """Terms (left_exp, right_exp, scalar) of the bimodule strand."""
-        if k == 0:
-            return []
-        if self.cap is None:
-            return [(1, 0, 1), (0, 1, -1)]
-        if k % 2 == 1:
+        if self.cap is None or k % 2 == 1:
             return [(1, 0, 1), (0, 1, -1)]
         return [(i, self.n - 1 - i, 1) for i in range(self.n)]
 
@@ -132,9 +126,24 @@ def _strands(A: MonomialAlgebra):
     ]
 
 
-def _gen_power(A: MonomialAlgebra, idx: int, e: int) -> dict:
-    mon = tuple(e if j == idx else 0 for j in range(len(A.names)))
-    return {mon: 1}
+def _koszul_terms(strands, S, p):
+    """Terms ``(i, S2, sign, left_exp, right_exp)`` of the differential of
+    the symbol tuple ``S``: strand ``i`` lowered to give ``S2``, with the
+    Koszul sign of moving ``d`` and the left coefficient past the strands
+    before ``i`` and the right coefficient past those after it, in total
+    (homological plus internal) parity.  The one rule for every strand
+    complex: the resolution keeps the terms with ``right_exp == 0``."""
+    taus = [st.tau(k) for st, k in zip(strands, S)]
+    pre, suf = 0, sum(taus)
+    for i, (st, k) in enumerate(zip(strands, S)):
+        suf -= taus[i]
+        lowered = S[:i] + (k - 1,) + S[i + 1:]
+        for le, re, scal in st.terms(k):
+            sign = scal
+            if p != 2 and ((1 + le * st.deg) * pre + re * st.deg * suf) % 2:
+                sign = -sign
+            yield i, lowered, sign, le, re
+        pre += taus[i]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ class FreeResolution:
     augmented complex degreewise up to ``cap``.
     """
 
-    def __init__(self, A, s_max: int, cap: int, validate: bool = True):
+    def __init__(self, A, s_max: int, cap: int):
         self.A = A
         self.p = A.p
         self.s_max = int(s_max)
@@ -167,9 +176,8 @@ class FreeResolution:
             idx_prev = {g: i for i, g in enumerate(self.stages[s - 1])}
             self.diff.append([[(hj, c) for hj, c in self._d_of(g, idx_prev) if c]
                               for g in self.stages[s]])
-        if validate:
-            self._validate_dd()
-            self._validate_exactness()
+        self._validate_dd()
+        self._validate_exactness()
 
     def _combos(self, s):
         per = [st.symbols(s) for st in self.strands]
@@ -193,25 +201,18 @@ class FreeResolution:
         return sum(st.internal(k) for st, k in zip(self.strands, g))
 
     def _d_of(self, g, idx_prev):
-        # Leibniz signs in total (homological + internal) parity, then an
-        # extra twist by the parity of the target generator's internal
-        # degree: with that twist the entry matrices square to zero plainly,
-        # so Hom/tensor functors can be applied without further signs.
+        # the strand terms without a right coefficient, then an extra twist
+        # by the parity of the target generator's internal degree: with that
+        # twist the entry matrices square to zero plainly, so Hom/tensor
+        # functors can be applied without further signs.
         out = []
-        pre_tau = 0
-        for i, (st, k) in enumerate(zip(self.strands, g)):
-            for e, scal in st.diff_onesided(k):
-                coeff_deg = e * st.deg
-                sign = -1 if ((1 + coeff_deg) * pre_tau) % 2 else 1
-                h = g[:i] + (k - 1,) + g[i + 1:]
-                if h not in idx_prev:
-                    continue
-                if self._internal(h) % 2 and self.p != 2:
-                    sign = -sign
-                elem = _gen_power(self.A, self.A.names.index(st.name), e)
-                elem = {m: (c * scal * sign) % self.p for m, c in elem.items()}
-                out.append((idx_prev[h], elem))
-            pre_tau = (pre_tau + st.tau(k)) % 2
+        for i, h, sign, e, re in _koszul_terms(self.strands, g, self.p):
+            if re or h not in idx_prev:
+                continue
+            if self._internal(h) % 2 and self.p != 2:
+                sign = -sign
+            power = tuple(e if j == i else 0 for j in range(len(g)))  # g_i^e
+            out.append((idx_prev[h], {power: sign % self.p}))
         return out
 
     def _validate_dd(self):
@@ -280,17 +281,14 @@ def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
 # Ext
 
 
-def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None,
-             resolution: FreeResolution | None = None) -> BigradedTable:
+def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None) -> BigradedTable:
     """Dimensions of Ext_A(k, M): cohomology of Hom_A(resolution, M).
 
     Entries sit at ``(s, t)`` with ``t`` the map degree (value degree minus
     resolution-generator degree).
     """
-    if resolution is None:
-        val_cap = cap if cap is not None else max([0] + [d for d in M.space.degrees()])
-        resolution = FreeResolution(A, s_max + 1, max(val_cap, 0))
-    res = resolution
+    val_cap = cap if cap is not None else max([0] + [d for d in M.space.degrees()])
+    res = FreeResolution(A, s_max + 1, max(val_cap, 0))
     p = A.p
 
     def layout(s, t):
@@ -484,9 +482,9 @@ class HochschildComplex:
 
     def cohomology_dim(self, s: int, t: int) -> int:
         """Dimension at ``(s, t)``; ``verify_dd`` checks the differentials."""
-        if not self._dim(s, t):
+        n = self._dim(s, t)
+        if not n:
             return 0
-        n = len(self.basis(s, t))
         if s >= self.levels:
             raise CapError("cohomology requested at the top stored level")
         if t not in self._ranks:
@@ -681,82 +679,85 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
 # Tor via the two-sided strand resolution
 
 
-def _tau_prefix(strands, S, i):
-    return sum(st.tau(k) for st, k in zip(strands[:i], S[:i])) % 2
+class _KoszulChains:
+    """The chains ``M (x) strands (x) N`` of the two-sided Koszul complex,
+    for algebra maps ``M: A -> B`` and ``N: A -> C``, up to internal degree
+    ``cap``.  The differential is ``d(e_u) = u (x) 1 - 1 (x) u`` on
+    polynomial and odd periodic symbols and the norm map on even periodic
+    ones, with the signs of ``_koszul_terms``.
 
-
-def _tau_suffix(strands, S, i):
-    return sum(st.tau(k) for st, k in zip(strands[i + 1:], S[i + 1:])) % 2
-
-
-def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> BigradedTable:
-    """Tor^A(M, N) from ``M (x) strands (x) N`` with the bimodule Koszul
-    differential ``d(e_u) = u (x) 1 - 1 (x) u`` (and norm maps on periodic
-    strands).  Entries at homological ``s`` and internal degree ``t``.
+    ``tuples`` lists the strand symbol tuples of internal degree at most
+    ``cap`` in ascending order; ``terms[S]`` lists ``(S2, sign, left image,
+    right image)`` for each term of ``d(e_S)`` whose images are nonzero.  A
+    chain is ``(S, monomial of B, monomial of C)``; ``basis(s, t)`` lists
+    those of homological degree ``s`` and internal degree ``t``.
     """
-    p = A.p
-    strands = _strands(A)
-    B, C = M.target, N.target
 
-    # strand symbol tuples with bounded internal degree
-    tuples = [()]
-    for st in strands:
-        new = []
+    def __init__(self, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int):
+        self.p = A.p
+        self.B, self.C = B, C = M.target, N.target
+        strands = _strands(A)
+
+        internal = {(): 0}  # symbol tuple -> internal degree
+        for st in strands:
+            # a periodic strand's symbol k has internal degree at least k
+            top = 1 if st.cap is None else cap
+            internal = {S + (k,): d + st.internal(k) for S, d in internal.items()
+                        for k in range(top + 1) if d + st.internal(k) <= cap}
+        self.tuples = tuples = list(internal)
+        self._degree = {S: (sum(st.hom(k) for st, k in zip(strands, S)), d)
+                        for S, d in internal.items()}
+        self.max_s = max((s for s, _ in self._degree.values()), default=0)
+        self.terms = {S: [] for S in tuples}
         for S in tuples:
-            used = sum(x.internal(k) for x, k in zip(strands, S))
-            k = 0
-            while True:
-                if st.internal(k) + used > cap:
-                    break
-                new.append(S + (k,))
-                k += 1
-                if st.cap is None and k > 1:
-                    break
-        tuples = new
+            for i, S2, sign, le, re in _koszul_terms(strands, S, self.p):
+                left = B.image_of_monomial((le,), [M.image_of(strands[i].name)])
+                right = C.image_of_monomial((re,), [N.image_of(strands[i].name)])
+                if left and right:
+                    self.terms[S].append((S2, sign, left, right))
+        self._basis: dict[tuple[int, int], list] = {}
 
-    def basis(s, t):
-        """Chains ``(S, monomial of B, monomial of C)``."""
-        out = []
-        for S in tuples:
-            if sum(st.hom(k) for st, k in zip(strands, S)) != s:
-                continue
-            di = sum(st.internal(k) for st, k in zip(strands, S))
-            for dm in range(0, t - di + 1):
-                out.extend((S, bm, cn) for bm in B.basis(dm) for cn in C.basis(t - di - dm))
-        return out
+    def basis(self, s: int, t: int) -> list:
+        """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
+        key = (s, t)
+        if key not in self._basis:
+            B, C = self.B, self.C
+            out = []
+            for S in self.tuples:
+                hs, di = self._degree[S]
+                if hs != s:
+                    continue
+                for dm in range(0, t - di + 1):
+                    out.extend((S, bm, cn) for bm in B.basis(dm) for cn in C.basis(t - di - dm))
+            self._basis[key] = out
+        return self._basis[key]
 
-    # terms[S]: (S2, sign, left image, right image) of each term of d(e_S)
-    terms = {}
-    for S in tuples:
-        terms[S] = []
-        for i, (st, k) in enumerate(zip(strands, S)):
-            pre = _tau_prefix(strands, S, i)
-            suf = _tau_suffix(strands, S, i)
-            for (le, re, scal) in st.diff_twosided(k):
-                sign = scal
-                if p != 2:
-                    if ((1 + le * st.deg) * pre) % 2:
-                        sign = -sign
-                    if (re * st.deg * suf) % 2:
-                        sign = -sign
-                terms[S].append((S[:i] + (k - 1,) + S[i + 1:], sign,
-                                 B.image_of_monomial((le,), [M.image_of(st.name)]),
-                                 C.image_of_monomial((re,), [N.image_of(st.name)])))
-
-    def image(b):
+    def image(self, b):
+        """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
         S, bm, cn = b
-        for S2, sign, left, right in terms[S]:
+        B, C = self.B, self.C
+        for S2, sign, left, right in self.terms[S]:
             for mm, cm in B.mul_elements({bm: 1}, left).items():
                 for nn, cn2 in C.mul_elements(right, {cn: 1}).items():
                     yield (S2, mm, nn), sign * cm * cn2
 
+    def differential(self, s: int, t: int) -> np.ndarray:
+        """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``."""
+        return _matrix(self.basis(s, t), self.basis(s - 1, t), self.image, self.p)
+
+
+def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> BigradedTable:
+    """Tor^A(M, N): homology of the two-sided Koszul chains
+    (``_KoszulChains``).  Entries at homological ``s`` and internal degree
+    ``t``.
+    """
+    chains = _KoszulChains(A, M, N, cap)
+    max_s = chains.max_s
     entries = {}
-    max_s = max((sum(st.hom(k) for st, k in zip(strands, S)) for S in tuples), default=0)
     for t in range(0, cap + 1):
-        bas = {s: basis(s, t) for s in range(max_s + 2)}
-        d = {s: _matrix(bas[s], bas[s - 1], image, p) for s in range(1, max_s + 2)}
-        sizes = {s: len(bas[s]) for s in range(max_s + 1)}
-        for s, h in _homology("two-sided Koszul", sizes, d, p, step=-1).items():
+        d = {s: chains.differential(s, t) for s in range(1, max_s + 2)}
+        sizes = {s: len(chains.basis(s, t)) for s in range(max_s + 1)}
+        for s, h in _homology("two-sided Koszul", sizes, d, A.p, step=-1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
 

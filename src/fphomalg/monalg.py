@@ -315,7 +315,7 @@ class AlgebraModule:
     order, so associativity reduces to those checks.
     """
 
-    def __init__(self, algebra, space: GradedVectorSpace, action=None, validate=True):
+    def __init__(self, algebra, space: GradedVectorSpace, action=None):
         self.algebra = algebra
         self.p = algebra.p
         self.space = space
@@ -324,8 +324,7 @@ class AlgebraModule:
             if name not in [n for n, _ in algebra.generators]:
                 raise ValidationError(f"action for unknown generator {name!r}")
             self.action[str(name)] = mp
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def trivial(cls, algebra, space: GradedVectorSpace):

@@ -200,3 +200,42 @@ def test_emss_table_equals_tor():
     assert table == tor_dims(base, inp.to_x, inp.to_y, cap)
     assert set(table.entries) == {(0, 0), (0, 2), (0, 4), (1, 4), (0, 6), (1, 6),
                                   (0, 8), (1, 8)}
+
+
+def emss_commutation_products(inp):
+    """Check ``a b == (-1)^(s_a s_b) b a`` mod p on every pair of classes
+    whose product is in range; return how many products were compared and
+    how many of those are nonzero with both ``s`` odd."""
+    model = EMSSTorAlgebra(inp, inp.cap)
+    compared = odd_nonzero = 0
+    for a in model.classes:
+        for b in model.classes:
+            ab = model.product(a, b)
+            if ab is None:
+                continue
+            sign = (-1) ** (a["s"] * b["s"])
+            assert np.array_equal(ab % inp.p, (sign * model.product(b, a)) % inp.p), (a, b)
+            compared += 1
+            odd_nonzero += bool(a["s"] % 2 and b["s"] % 2 and ab.any())
+    return compared, odd_nonzero
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_emss_products_are_graded_commutative(n, p):
+    compared, odd_nonzero = emss_commutation_products(bu_to_bu1_input(n, p=p))
+    assert compared
+    if n > 2:
+        # the sign is seen: some product of two odd classes is nonzero
+        assert odd_nonzero
+
+
+def test_emss_products_are_graded_commutative_with_a_second_leg():
+    # H_Y = k[t] with u -> t: the class of u dies, those of v and w multiply
+    p = 3
+    base = MonomialAlgebra.polynomial(p, [("u", 2), ("v", 4), ("w", 6)])
+    inp = EMSSInput(base, MonomialAlgebra.trivial(p),
+                    MonomialAlgebra.polynomial(p, [("t", 2)]),
+                    {"u": "0", "v": "0", "w": "0"}, {"u": "t", "v": "0", "w": "0"}, cap=12)
+    compared, odd_nonzero = emss_commutation_products(inp)
+    assert compared and odd_nonzero

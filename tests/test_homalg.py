@@ -421,7 +421,7 @@ def test_resolution_rejects_a_differential_with_nonzero_square(monkeypatch):
     # cap 0 only the degree-free check on the generators can see it
     from fphomalg import homalg
 
-    monkeypatch.setattr(homalg._Strand, "diff_onesided", lambda self, k: [(1, 1)] if k else [])
+    monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [(1, 0, 1)] if k else [])
     A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
     with pytest.raises(CrossCheckError, match="d\\*d"):
         FreeResolution(A, 3, 0)

@@ -1,10 +1,13 @@
 """Property tests on random small algebras: the dual Hochschild routes, bar
-homology against Koszul Tor, and the degree-bucketed cochain basis; on random
-generator sets: the free (restricted) Lie closure oracles against the symbol
-counts; and on random matrices: rank-nullity, kernels and solves of the
-elimination kernel, and the sparse rank against rref at every density."""
+homology against Koszul Tor, and the degree-bucketed cochain basis; on
+fixed algebras of every resolved kind: Ext from the strand resolution
+against bar homology; on random generator sets: the free (restricted) Lie
+closure oracles against the symbol counts; and on random matrices:
+rank-nullity, kernels and solves of the elimination kernel, and the sparse
+rank against rref at every density."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,6 +23,7 @@ from fphomalg.freelie import (
 from fphomalg.homalg import (
     HochschildComplex,
     bar_homology_dims,
+    ext_dims,
     hochschild_dims,
     tor_dims,
     trivial_module,
@@ -76,6 +80,32 @@ def test_bar_matches_koszul_tor(p, kind, degrees, cap):
     A = getattr(MonomialAlgebra, kind)(p, gens(degrees))
     k = ModuleViaMap.augmentation(A)
     assert bar_homology_dims(A, cap=cap) == tor_dims(A, k, k, cap=cap)
+
+
+RESOLVED_ALGEBRAS = {
+    "polynomial x2": lambda p: MonomialAlgebra.polynomial(p, [("x", 2)]),
+    "polynomial x2 y4": lambda p: MonomialAlgebra.polynomial(p, [("x", 2), ("y", 4)]),
+    "exterior x1": lambda p: MonomialAlgebra.exterior(p, [("x", 1)]),
+    "exterior x1 y3": lambda p: MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)]),
+    "mixed x2 y3": lambda p: MonomialAlgebra.mixed(p, [("x", 2)], [("y", 3)]),
+    "truncated x2^3": lambda p: MonomialAlgebra.truncated(p, [("x", 2)], {"x": 3}),
+    "truncated x2^3 y4^2": lambda p: MonomialAlgebra.truncated(
+        p, [("x", 2), ("y", 4)], {"x": 3, "y": 2}),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(RESOLVED_ALGEBRAS))
+def test_resolution_ext_matches_bar_homology(name, p):
+    # the strand resolution is minimal, so Ext_A(k, k) at (s, -t) counts its
+    # generators, which Tor_A(k, k) from the bar words counts at (s, t)
+    A = RESOLVED_ALGEBRAS[name](p)
+    ext = ext_dims(A, trivial_module(A), s_max=4, cap=10)
+    bar = bar_homology_dims(A, cap=10)
+    for s in range(5):
+        for t in range(11):
+            assert ext.dim(s, -t) == bar.dim(s, t), (s, t)
+    assert any(bar.dim(s, t) for s in range(1, 5) for t in range(11))
 
 
 @SMALL
