@@ -384,7 +384,7 @@ class EMSSTorAlgebra:
         self.inp = inp
         self.cap = cap
         self.p = inp.p
-        self.chains = _KoszulChains(inp.base, inp.to_x, inp.to_y, cap)
+        self.chains = _KoszulChains(inp.base, inp.to_x, inp.to_y, cap=cap)
         self.basis = self.chains.basis
         # the top exterior degree, even where the chains stop below it
         self.max_s = len(inp.base.generators)

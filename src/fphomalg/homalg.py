@@ -1,14 +1,17 @@
 """Resolutions and derived functors over monomial graded-commutative algebras.
 
 The strand calculus: every polynomial generator contributes a two-step
-Koszul strand, every exponent-capped generator a periodic strand with
-divided-power symbols, and the resolution of the ground field is the tensor
-product of strands with Koszul signs taken in the total (homological plus
-internal) parity.  One function, ``_koszul_terms``, gives the signed terms of
-every strand differential: the two-sided chains ``_KoszulChains`` (Tor and
-the Eilenberg-Moore model) take them all, the one-sided resolution those
-without a right coefficient.  Both ``d*d = 0`` and degreewise exactness of
-the resolution are checked at construction time inside the trusted window.
+Koszul strand, every exponent-capped generator a periodic strand, and the
+two-sided Koszul chains ``M (x) strands (x) N`` (``_KoszulChains``) are the
+tensor product of strands with Koszul signs taken in the total (homological
+plus internal) parity.  One function, ``_koszul_terms``, gives the signed
+terms of every strand differential, and one chain builder serves Tor, the
+Eilenberg-Moore model and the free resolution of the ground field:
+``FreeResolution`` is the generator-level view of the chains with A on the
+left and k on the right, where every term with a right coefficient
+vanishes.  Both ``d*d = 0`` and degreewise exactness of the resolution (the
+chains' homology is k at ``(0, 0)``) are checked at construction time inside
+the trusted window.
 
 Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology is computed from the
@@ -18,8 +21,9 @@ complex, and any mismatch raises ``CrossCheckError``.
 Every complex here (the resolution's exactness check, Ext, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
 differential between two listed bases is written by ``linalg._matrix``
-from the image of each source element (the resolution, and
-``_KoszulChains`` for Tor and the Eilenberg-Moore model); three are not.
+from the image of each source element (``_KoszulChains``, for the
+resolution's exactness check, Tor and the Eilenberg-Moore model); three are
+not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree, gives each
@@ -76,43 +80,36 @@ MAX_BAR_BUCKET_WORDS = 4096
 
 
 class _Strand:
-    """Resolution strand of a single generator (one-sided or two-sided)."""
+    """Koszul strand of a single generator: symbol ``k`` sits in homological
+    degree ``k``.  A polynomial strand has the symbols 0 and 1, a periodic
+    (exponent-capped) one every ``k >= 0``."""
 
-    def __init__(self, name, deg, cap):
+    def __init__(self, name, deg, cap, p):
         self.name = name
         self.deg = deg
-        self.cap = cap  # None: polynomial; c: truncation exponent n = c + 1
-
-    @property
-    def n(self):
-        return None if self.cap is None else self.cap + 1
-
-    def symbols(self, s_max):
-        if self.cap is None:
-            return [0, 1][: s_max + 1]
-        return list(range(s_max + 1))
-
-    def hom(self, k):
-        return k
+        self.cap = cap  # None: polynomial; c: truncation by g^(c + 1)
+        self.odd = p != 2 and deg % 2 == 1  # then cap is 1: an exterior strand
 
     def internal(self, k):
         if self.cap is None:
             return k * self.deg
-        n = self.n
-        return ((k // 2) * n + (k % 2)) * self.deg
+        return ((k // 2) * (self.cap + 1) + k % 2) * self.deg
 
     def tau(self, k):
-        return (self.hom(k) + self.internal(k)) % 2
+        return (k + self.internal(k)) % 2
 
     def terms(self, k):
         """Terms ``(left_exp, right_exp, scalar)`` of the bimodule strand:
-        ``d(sym_k) = sum scalar * g^left_exp sym_{k-1} g^right_exp``.  The
-        one-sided strand keeps the terms with ``right_exp == 0``."""
+        ``d(sym_k) = sum scalar * g^left_exp sym_{k-1} g^right_exp``.  That
+        is ``g sym - sym g``, except on the even symbols of a periodic strand
+        of an even generator (or at p = 2), where it is the norm map
+        ``sum g^i sym g^(cap-i)``; an odd generator at odd p anticommutes
+        with itself, so ``g sym - sym g`` squares to zero on every level."""
         if k == 0:
             return []
-        if self.cap is None or k % 2 == 1:
+        if self.cap is None or k % 2 == 1 or self.odd:
             return [(1, 0, 1), (0, 1, -1)]
-        return [(i, self.n - 1 - i, 1) for i in range(self.n)]
+        return [(i, self.cap - i, 1) for i in range(self.cap + 1)]
 
 
 def _strands(A: MonomialAlgebra):
@@ -121,7 +118,7 @@ def _strands(A: MonomialAlgebra):
     if A.kind in ("stanley_reisner",):
         raise ValidationError(f"no strand resolution for algebra kind {A.kind!r}")
     return [
-        _Strand(name, deg, cap)
+        _Strand(name, deg, cap, A.p)
         for (name, deg), cap in zip(A.generators, A.caps)
     ]
 
@@ -131,8 +128,9 @@ def _koszul_terms(strands, S, p):
     the symbol tuple ``S``: strand ``i`` lowered to give ``S2``, with the
     Koszul sign of moving ``d`` and the left coefficient past the strands
     before ``i`` and the right coefficient past those after it, in total
-    (homological plus internal) parity.  The one rule for every strand
-    complex: the resolution keeps the terms with ``right_exp == 0``."""
+    (homological plus internal) parity.  The one sign rule of every strand
+    complex; ``_KoszulChains`` adds the sign of moving ``d`` past the left
+    module's monomial."""
     taus = [st.tau(k) for st, k in zip(strands, S)]
     pre, suf = 0, sum(taus)
     for i, (st, k) in enumerate(zip(strands, S)):
@@ -151,69 +149,55 @@ def _koszul_terms(strands, S, p):
 
 
 class FreeResolution:
-    """Free resolution of k over A by tensored strands.
+    """Free resolution of k over A to stage ``s_max``: the generator-level
+    view of the Koszul chains ``A (x) strands (x) k`` (``_KoszulChains``
+    with A on the left and k on the right).
 
-    ``stages[s]`` lists generator symbols (tuples of per-strand indices)
-    with their internal degrees; ``diff[s][gi]`` lists the terms
-    ``(target generator index, algebra element)`` of the differential of
-    generator ``gi``.  Validation checks ``d*d = 0`` and exactness of the
-    augmented complex degreewise up to ``cap``.
+    ``stages[s]`` lists the symbol tuples of homological degree ``s`` (the
+    generators of F_s) in ascending order and ``gen_degree[s]`` their
+    internal degrees; ``diff[s][gi]`` lists the terms ``(target generator
+    index, algebra element)`` of the differential of generator ``gi``.  They
+    are the chains' terms; k kills every right coefficient, so no term with
+    one is left.  Each term is twisted by the parity of its target's
+    internal degree: with that twist the entry matrices square to zero
+    plainly, so Hom/tensor functors can be applied without further signs.
+
+    Validation checks ``d*d = 0`` on ``diff`` and that the chains' homology
+    for ``s < s_max`` and internal degree up to ``cap`` is k at ``(0, 0)``.
+    The twist and the chains' sign ``(-1)^{|b|}`` of an A-monomial ``b`` are
+    diagonal sign changes of each k-linear differential (on ``b e_S`` in
+    stage ``s``: ``(-1)^{|b|}`` for odd ``s``, ``(-1)^{|S|}`` for even
+    ``s``), so the chains and the resolution have the same ranks.
     """
 
     def __init__(self, A, s_max: int, cap: int):
         self.A = A
-        self.p = A.p
+        self.p = p = A.p
         self.s_max = int(s_max)
         self.cap = int(cap)
-        self.strands = _strands(A)
-        self.stages: list[list[tuple]] = [sorted(self._combos(s))
-                                          for s in range(self.s_max + 1)]
+        chains = _KoszulChains(A, ModuleViaMap.identity(A),
+                               ModuleViaMap.augmentation(A), s_max=self.s_max)
+        self.stages: list[list[tuple]] = chains.tuples
         self.gen_degree: list[dict[tuple, int]] = [
-            {g: self._internal(g) for g in stage} for stage in self.stages
-        ]
-        self.diff: list[list[list]] = [[[] for _ in self.stages[0]]]
-        for s in range(1, self.s_max + 1):
-            idx_prev = {g: i for i, g in enumerate(self.stages[s - 1])}
-            self.diff.append([[(hj, c) for hj, c in self._d_of(g, idx_prev) if c]
-                              for g in self.stages[s]])
-        self._validate_dd()
-        self._validate_exactness()
+            {S: chains.degree[S] for S in stage} for stage in self.stages]
+        index = {S: i for stage in self.stages for i, S in enumerate(stage)}
 
-    def _combos(self, s):
-        per = [st.symbols(s) for st in self.strands]
-        if not self.strands:
-            return [()] if s == 0 else []
-        out = []
-
-        def rec(i, left, acc):
-            if i == len(per):
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            for k in per[i]:
-                if self.strands[i].hom(k) <= left:
-                    rec(i + 1, left - self.strands[i].hom(k), acc + [k])
-
-        rec(0, s, [])
-        return out
-
-    def _internal(self, g):
-        return sum(st.internal(k) for st, k in zip(self.strands, g))
-
-    def _d_of(self, g, idx_prev):
-        # the strand terms without a right coefficient, then an extra twist
-        # by the parity of the target generator's internal degree: with that
-        # twist the entry matrices square to zero plainly, so Hom/tensor
-        # functors can be applied without further signs.
-        out = []
-        for i, h, sign, e, re in _koszul_terms(self.strands, g, self.p):
-            if re or h not in idx_prev:
-                continue
-            if self._internal(h) % 2 and self.p != 2:
+        def term(S2, sign, left):
+            # twisted by the parity of the target's internal degree
+            if p != 2 and chains.degree[S2] % 2:
                 sign = -sign
-            power = tuple(e if j == i else 0 for j in range(len(g)))  # g_i^e
-            out.append((idx_prev[h], {power: sign % self.p}))
-        return out
+            return index[S2], {m: sign * v % p for m, v in left.items()}
+
+        self.diff: list[list[list]] = [
+            [[term(S2, sign, left) for S2, sign, left, _ in chains.terms[S]] for S in stage]
+            for stage in self.stages]
+        self._validate_dd()
+        for t in range(self.cap + 1):
+            homology = chains.homology("resolution", t, self.s_max)
+            inexact = [s for s in range(self.s_max)
+                       if homology.get(s, 0) != (s == t == 0)]
+            if inexact:
+                raise CrossCheckError(f"resolution not exact at stage {inexact[0]}, degree {t}")
 
     def _validate_dd(self):
         """``d*d = 0`` in every degree: on each stage, ``d_s`` on the
@@ -237,39 +221,6 @@ class FreeResolution:
                         vals.append(v)
             then = _assemble((len(low), len(mid)), rows, cols, vals, self.p)
             _check_dd("resolution", first, then, self.p)
-
-    def module_basis(self, s: int, t: int):
-        """k-basis of F_s in internal degree t: (generator index, monomial)."""
-        out = []
-        for gi, g in enumerate(self.stages[s]):
-            rem = t - self.gen_degree[s][g]
-            if rem < 0:
-                continue
-            for mon in self.A.basis(rem):
-                out.append((gi, mon))
-        return out
-
-    def _linear_block(self, s: int, src: list, tgt: list) -> np.ndarray:
-        """Matrix of d_s : (F_s)_t -> (F_{s-1})_t over k on the bases
-        ``module_basis(s, t)`` and ``module_basis(s - 1, t)``."""
-        def image(b):
-            gi, mon = b
-            for hj, coeff in self.diff[s][gi]:
-                for m, v in self.A.mul_elements({mon: 1}, coeff).items():
-                    yield (hj, m), v
-        return _matrix(src, tgt, image, self.p)
-
-    def _validate_exactness(self):
-        for t in range(0, self.cap + 1):
-            bases = [self.module_basis(s, t) for s in range(self.s_max + 1)]
-            d = {s: self._linear_block(s, bases[s], bases[s - 1])
-                 for s in range(1, self.s_max + 1)}
-            if t == 0:
-                d[0] = np.ones((1, 1), dtype=np.int64)  # augmentation F_0 = A -> k
-            sizes = {s: len(bases[s]) for s in range(self.s_max)}
-            inexact = _homology("resolution", sizes, d, self.p, step=-1)
-            if inexact:
-                raise CrossCheckError(f"resolution not exact at stage {min(inexact)}, degree {t}")
 
 
 def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
@@ -682,68 +633,104 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
 class _KoszulChains:
     """The chains ``M (x) strands (x) N`` of the two-sided Koszul complex,
     for algebra maps ``M: A -> B`` and ``N: A -> C``, up to internal degree
-    ``cap``.  The differential is ``d(e_u) = u (x) 1 - 1 (x) u`` on
-    polynomial and odd periodic symbols and the norm map on even periodic
-    ones, with the signs of ``_koszul_terms``.
+    ``cap`` (Tor, the Eilenberg-Moore model) or homological degree ``s_max``
+    (the resolution).  The differential is
+    ``d(b (x) e_S (x) c) = (-1)^{|b|} sum sign * b M(g^le) (x) e_S2 (x) N(g^re) c``
+    over the terms of ``_koszul_terms``.
 
-    ``tuples`` lists the strand symbol tuples of internal degree at most
-    ``cap`` in ascending order; ``terms[S]`` lists ``(S2, sign, left image,
-    right image)`` for each term of ``d(e_S)`` whose images are nonzero.  A
-    chain is ``(S, monomial of B, monomial of C)``; ``basis(s, t)`` lists
-    those of homological degree ``s`` and internal degree ``t``.
+    ``tuples[s]`` lists the strand symbol tuples of homological degree
+    ``s`` within the bound in ascending order, and ``degree`` maps each to
+    its internal degree; ``terms[S]`` lists ``(S2, sign, left image, right
+    image)`` for each term of ``d(e_S)`` whose images are nonzero, with
+    ``None`` for the unit image of a zero exponent.  A chain is ``(S,
+    monomial of B, monomial of C)``; ``basis(s, t)`` lists those of
+    homological degree ``s`` and internal degree ``t``.
     """
 
-    def __init__(self, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int):
+    def __init__(self, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap,
+                 cap: int | None = None, s_max: int | None = None):
         self.p = A.p
         self.B, self.C = B, C = M.target, N.target
         strands = _strands(A)
+        # a symbol's internal degree is at least its homological degree
+        s_top = cap if s_max is None else s_max
+        t_top = cap if cap is not None else float("inf")
 
-        internal = {(): 0}  # symbol tuple -> internal degree
+        degrees = {(): (0, 0)}  # symbol tuple -> (homological, internal) degree
         for st in strands:
-            # a periodic strand's symbol k has internal degree at least k
-            top = 1 if st.cap is None else cap
-            internal = {S + (k,): d + st.internal(k) for S, d in internal.items()
-                        for k in range(top + 1) if d + st.internal(k) <= cap}
-        self.tuples = tuples = list(internal)
-        self._degree = {S: (sum(st.hom(k) for st, k in zip(strands, S)), d)
-                        for S, d in internal.items()}
-        self.max_s = max((s for s, _ in self._degree.values()), default=0)
-        self.terms = {S: [] for S in tuples}
-        for S in tuples:
-            for i, S2, sign, le, re in _koszul_terms(strands, S, self.p):
-                left = B.image_of_monomial((le,), [M.image_of(strands[i].name)])
-                right = C.image_of_monomial((re,), [N.image_of(strands[i].name)])
-                if left and right:
-                    self.terms[S].append((S2, sign, left, right))
+            top = 1 if st.cap is None else s_top
+            degrees = {S + (k,): (s + k, d + st.internal(k)) for S, (s, d) in degrees.items()
+                       for k in range(top + 1)
+                       if s + k <= s_top and d + st.internal(k) <= t_top}
+        self.tuples: list[list[tuple]] = [[] for _ in range(max(s_top, 0) + 1)]
+        for S, (s, _) in degrees.items():
+            self.tuples[s].append(S)
+        self.degree = {S: d for S, (_, d) in degrees.items()}
+        self.max_s = max((s for s, _ in degrees.values()), default=0)
+
+        def powers(alg, f):
+            """Per strand, the images of ``g^e`` for ``e >= 1`` up to the
+            strand's top exponent, after ``None`` for the unit ``g^0``."""
+            return [[None] + [alg.image_of_monomial((e,), [f.image_of(st.name)])
+                              for e in range(1, (st.cap or 1) + 1)] for st in strands]
+
+        lefts, rights = powers(B, M), powers(C, N)
+        self.terms = {S: [(S2, sign, lefts[i][le], rights[i][re])
+                          for i, S2, sign, le, re in _koszul_terms(strands, S, self.p)
+                          if lefts[i][le] != {} and rights[i][re] != {}]
+                      for S in degrees}
+        self._pairs: list[list] = []
         self._basis: dict[tuple[int, int], list] = {}
+
+    def _pairs_to(self, t: int) -> list:
+        """Per degree ``d <= t``, the pairs ``(monomial of B, monomial of
+        C)`` of total degree ``d``."""
+        B, C, pairs = self.B, self.C, self._pairs
+        for d in range(len(pairs), t + 1):
+            out = []
+            for dm in range(d + 1):
+                cs = C.basis(d - dm)
+                out.extend((bm, cn) for bm in B.basis(dm) for cn in cs)
+            pairs.append(out)
+        return pairs
 
     def basis(self, s: int, t: int) -> list:
         """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
         key = (s, t)
         if key not in self._basis:
-            B, C = self.B, self.C
-            out = []
-            for S in self.tuples:
-                hs, di = self._degree[S]
-                if hs != s:
-                    continue
-                for dm in range(0, t - di + 1):
-                    out.extend((S, bm, cn) for bm in B.basis(dm) for cn in C.basis(t - di - dm))
-            self._basis[key] = out
+            pairs, degree = self._pairs_to(t), self.degree
+            tuples = self.tuples[s] if 0 <= s < len(self.tuples) else ()
+            self._basis[key] = [(S, bm, cn) for S in tuples if degree[S] <= t
+                                for bm, cn in pairs[t - degree[S]]]
         return self._basis[key]
 
     def image(self, b):
         """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
         S, bm, cn = b
         B, C = self.B, self.C
+        flip = self.p != 2 and B.deg(bm) % 2  # d moves past the B-monomial
         for S2, sign, left, right in self.terms[S]:
-            for mm, cm in B.mul_elements({bm: 1}, left).items():
-                for nn, cn2 in C.mul_elements(right, {cn: 1}).items():
+            if flip:
+                sign = -sign
+            lefts = B.mul_elements({bm: 1}, left).items() if left else ((bm, 1),)
+            rights = C.mul_elements(right, {cn: 1}).items() if right else ((cn, 1),)
+            for mm, cm in lefts:
+                for nn, cn2 in rights:
                     yield (S2, mm, nn), sign * cm * cn2
 
     def differential(self, s: int, t: int) -> np.ndarray:
         """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``."""
         return _matrix(self.basis(s, t), self.basis(s - 1, t), self.image, self.p)
+
+    def homology(self, what: str, t: int, top: int) -> dict[int, int]:
+        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``,
+        from the differentials out of ``s = 1 .. top``; one from or to a
+        zero space is the zero map and is not built."""
+        sizes = {s: len(self.basis(s, t)) for s in range(top + 1)}
+        d = {s: self.differential(s, t) for s in range(1, top + 1)
+             if sizes[s] and sizes[s - 1]}
+        del sizes[top]
+        return _homology(what, sizes, d, self.p, step=-1)
 
 
 def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> BigradedTable:
@@ -751,13 +738,10 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
     (``_KoszulChains``).  Entries at homological ``s`` and internal degree
     ``t``.
     """
-    chains = _KoszulChains(A, M, N, cap)
-    max_s = chains.max_s
+    chains = _KoszulChains(A, M, N, cap=cap)
     entries = {}
     for t in range(0, cap + 1):
-        d = {s: chains.differential(s, t) for s in range(1, max_s + 2)}
-        sizes = {s: len(chains.basis(s, t)) for s in range(max_s + 1)}
-        for s, h in _homology("two-sided Koszul", sizes, d, A.p, step=-1).items():
+        for s, h in chains.homology("two-sided Koszul", t, chains.max_s + 1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
 

@@ -67,6 +67,7 @@ class MonomialAlgebra:
             self.facets = [frozenset(idx[str(v)] for v in f) for f in facets]
         self.kind = kind or self._infer_kind()
         self._basis_cache: dict[int, list[tuple]] = {}
+        self._odd_last_first = [i for i, d in enumerate(self.degrees) if d % 2][::-1]
 
     def _infer_kind(self):
         if self.facets is not None:
@@ -208,26 +209,21 @@ class MonomialAlgebra:
         i = self.names.index(name)
         return tuple(1 if j == i else 0 for j in range(len(self.names)))
 
-    def _odd_positions(self):
-        return [i for i, d in enumerate(self.degrees) if d % 2 == 1]
-
     def mul(self, m1, m2) -> dict:
         """Product of two monomials: ``{}`` or ``{monomial: sign}``."""
-        if self.p != 2:
-            sign_exp = 0
-            for j in self._odd_positions():
-                if m2[j]:
-                    sign_exp += m2[j] * sum(m1[i] for i in self._odd_positions() if i > j)
-            sign = -1 if sign_exp % 2 else 1
-        else:
-            sign = 1
         out = tuple(a + b for a, b in zip(m1, m2))
         for e, cap in zip(out, self.caps):
             if cap is not None and e > cap:
                 return {}
         if not self._support_ok(out):
             return {}
-        return {out: sign % self.p}
+        # the odd letters of m2 move past the later odd letters of m1
+        sign_exp = later = 0
+        if self.p != 2:
+            for j in self._odd_last_first:
+                sign_exp += m2[j] * later
+                later += m1[j]
+        return {out: (-1) ** sign_exp % self.p}
 
     def mul_elements(self, x: dict, y: dict) -> dict:
         out: dict[tuple, int] = {}

@@ -84,6 +84,19 @@ def test_tor_and_bar(tmp_path):
     assert code == 0
 
 
+def test_tor_of_an_odd_exterior_algebra_on_both_sides(tmp_path):
+    # Tor^A(A, A) = A in row 0; the two-sided chains are a complex only with
+    # the sign of d passing the left monomial and g sym - sym g on every
+    # level of the odd exterior strands
+    data = {"base": {"kind": "exterior", "generators": [{"name": "x", "degree": 1},
+                                                        {"name": "y", "degree": 3}]},
+            "left": "id", "right": "id"}
+    code, text = run(tmp_path, "tor", data, "-p", "3", "-n", "8")
+    assert code == 0
+    rows = {(r["s"], r["t"], r["dim"]) for r in json.loads(text)["table"]}
+    assert rows == {(0, t, 1) for t in (0, 1, 3, 4)}
+
+
 def test_bar_with_many_levels_keeps_its_table(tmp_path):
     # 6 letters and 31 word lengths: a word code in base 6 would need
     # 6^31 (about 1.3e24) values, past int64; trie offsets stay below the

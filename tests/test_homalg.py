@@ -15,7 +15,7 @@ from fphomalg.homalg import (
     tor_dims,
     trivial_module,
 )
-from fphomalg.linalg import BigradedTable, GradedVectorSpace
+from fphomalg.linalg import BigradedTable, GradedVectorSpace, _matrix
 from fphomalg.monalg import (
     AlgebraModule,
     ModuleViaMap,
@@ -357,6 +357,71 @@ def test_tor_free_module_golden():
     assert T.entries == {(0, 0): 1}
 
 
+TOR_SWEEP = {
+    "poly(x2,y4)@3": MonomialAlgebra.polynomial(3, [("x", 2), ("y", 4)]),
+    "poly(x1,y2)@2": MonomialAlgebra.polynomial(2, [("x", 1), ("y", 2)]),
+    "ext(x1,y3)@3": MonomialAlgebra.exterior(3, [("x", 1), ("y", 3)]),
+    "ext(x1,y2,z3)@2": MonomialAlgebra.exterior(2, [("x", 1), ("y", 2), ("z", 3)]),
+    "ext(x3,y5,z7)@5": MonomialAlgebra.exterior(5, [("x", 3), ("y", 5), ("z", 7)]),
+    "mixed(x2;y3)@3": MonomialAlgebra.mixed(3, [("x", 2)], [("y", 3)]),
+    "mixed(x2,w4;y1,z3)@3": MonomialAlgebra.mixed(3, [("x", 2), ("w", 4)],
+                                                  [("y", 1), ("z", 3)]),
+    "trunc(x2^3,y4^2)@3": MonomialAlgebra.truncated(3, [("x", 2), ("y", 4)],
+                                                    {"x": 3, "y": 2}),
+    "trunc(x1^4,y3^3)@2": MonomialAlgebra.truncated(2, [("x", 1), ("y", 3)],
+                                                    {"x": 4, "y": 3}),
+}
+
+
+@pytest.mark.parametrize("right", ["k", "id"])
+@pytest.mark.parametrize("left", ["k", "id"])
+@pytest.mark.parametrize("name", sorted(TOR_SWEEP))
+def test_two_sided_tor_of_the_algebra_and_the_ground_field(name, left, right):
+    # Tor^A(A, k) = Tor^A(k, A) = k at (0, 0), Tor^A(A, A) = A in row 0,
+    # and Tor^A(k, k) is bar homology
+    A, cap = TOR_SWEEP[name], 8
+    side = {"k": ModuleViaMap.augmentation(A), "id": ModuleViaMap.identity(A)}
+    T = tor_dims(A, side[left], side[right], cap)
+    if left == right == "k":
+        assert T == bar_homology_dims(A, cap)
+    elif left == right == "id":
+        assert T.entries == {(0, t): len(A.basis(t)) for t in range(cap + 1) if A.basis(t)}
+    else:
+        assert T.entries == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("name", ["ext(x1,y3)@3", "ext(x3,y5,z7)@5",
+                                  "mixed(x2,w4;y1,z3)@3", "trunc(x2^3,y4^2)@3"])
+def test_resolution_is_the_koszul_chains_up_to_diagonal_signs(name):
+    # the resolution's differential, applied k-linearly to b e_S, is the
+    # chains' differential after the sign (-1)^|b| on odd stages and
+    # (-1)^|S| on even ones, so its exactness is the chains' homology
+    A = TOR_SWEEP[name]
+    p = A.p
+    res = FreeResolution(A, 4, 8)
+    chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
+                                  ModuleViaMap.augmentation(A), s_max=4)
+
+    def sign(s, b):
+        S, mon, _ = b
+        e = A.deg(mon) if s % 2 else chains.degree[S]
+        return -1 if p != 2 and e % 2 else 1
+
+    for s in range(1, 5):
+        def twisted(b):
+            S, mon, _ = b
+            for hj, coeff in res.diff[s][res.stages[s].index(S)]:
+                for m, v in A.mul_elements({mon: 1}, coeff).items():
+                    yield (res.stages[s - 1][hj], m, ()), v
+
+        for t in range(9):
+            src, tgt = chains.basis(s, t), chains.basis(s - 1, t)
+            signed = (np.diag([sign(s - 1, b) for b in tgt])
+                      @ _matrix(src, tgt, twisted, p)
+                      @ np.diag([sign(s, b) for b in src]))
+            assert not ((signed - chains.differential(s, t)) % p).any(), (s, t)
+
+
 def test_tor_pu2_data():
     # base F_2[c1 (2), c2 (4)], left F_2[t] via c1 -> 0, c2 -> t^2, right k
     B = MonomialAlgebra.polynomial(2, [("c1", 2), ("c2", 4)])
@@ -428,11 +493,11 @@ def test_resolution_rejects_a_differential_with_nonzero_square(monkeypatch):
 
 
 def test_resolution_rejects_a_complex_that_is_not_exact(monkeypatch):
-    # without its degree-one symbol the strand of k[x] is A alone, which
+    # with no strand terms the chains of k[x] have a zero differential, which
     # leaves the augmentation ideal uncovered from degree 2 on
     from fphomalg import homalg
 
-    monkeypatch.setattr(homalg._Strand, "symbols", lambda self, s_max: [0])
+    monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [])
     A = MonomialAlgebra.polynomial(3, [("x", 2)])
-    with pytest.raises(CrossCheckError, match="not exact"):
+    with pytest.raises(CrossCheckError, match="not exact at stage 0, degree 2"):
         FreeResolution(A, 2, 6)

@@ -1,5 +1,6 @@
 """Property tests on random small algebras: the dual Hochschild routes, bar
-homology against Koszul Tor, and the degree-bucketed cochain basis; on
+homology against Koszul Tor, two-sided Tor with the algebra on a side, and
+the degree-bucketed cochain basis; on
 fixed algebras of every resolved kind: Ext from the strand resolution
 against bar homology; on random generator sets: the free (restricted) Lie
 closure oracles against the symbol counts; and on random matrices:
@@ -80,6 +81,36 @@ def test_bar_matches_koszul_tor(p, kind, degrees, cap):
     A = getattr(MonomialAlgebra, kind)(p, gens(degrees))
     k = ModuleViaMap.augmentation(A)
     assert bar_homology_dims(A, cap=cap) == tor_dims(A, k, k, cap=cap)
+
+
+@st.composite
+def strand_algebras(draw):
+    """A polynomial, exterior, mixed or truncated algebra on one to three
+    generators over F_p, p in {2, 3, 5}: each generator is polynomial or
+    truncated by an exponent up to 4 (exterior, if odd at odd p)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    generators = list(zip("xyz", draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    caps = {}
+    for name, d in generators:
+        cap = draw(st.sampled_from([None, 1, 2, 3]))
+        if p != 2 and d % 2:
+            cap = 1
+        if cap is not None:
+            caps[name] = cap
+    return MonomialAlgebra(p, generators, caps=caps)
+
+
+@SMALL
+@given(A=strand_algebras())
+def test_two_sided_tor_with_the_algebra_on_a_side(A):
+    # A is free over itself: Tor^A(A, k) = Tor^A(k, A) = k at (0, 0) and
+    # Tor^A(A, A) = A in row 0
+    cap = 8
+    k, a = ModuleViaMap.augmentation(A), ModuleViaMap.identity(A)
+    assert tor_dims(A, a, k, cap).entries == {(0, 0): 1}
+    assert tor_dims(A, k, a, cap).entries == {(0, 0): 1}
+    assert tor_dims(A, a, a, cap).entries == {
+        (0, t): len(A.basis(t)) for t in range(cap + 1) if A.basis(t)}
 
 
 RESOLVED_ALGEBRAS = {
