@@ -4,7 +4,16 @@ Every homology dimension is a sum of ranks, and the differentials are
 mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
 as sparse dictionaries, and hands the rest of the work to the numpy
 Gauss-Jordan elimination ``rref`` only when the input, or the fill the
-reduction produces, gets dense.  ``rref`` also serves ``nullspace``,
+reduction produces, gets dense.  In a complex most columns of a
+differential reduce to zero, and the map into its source names many of
+them in advance.  This is the clearing of persistent homology (Chen and
+Kerber, *Persistent Homology Computation with a Twist*, EuroCG 2011;
+Bauer, Kerber and Reininghaus, *Clear and Compress*, 2014): if
+``B @ A = 0`` and a column ``z = A @ v`` has its lowest nonzero row at
+``i``, then ``B @ z = 0`` makes column ``i`` of ``B`` a combination of the
+columns left of it, so its reduction vanishes.  ``rank`` reports the
+lowest rows of the pivot columns it stores and skips the columns it is
+told to clear.  ``rref`` also serves ``nullspace``,
 ``solve`` and ``in_span``.  The sparse reduction step, ``eliminate``, also
 keeps the echelon forms of the Lie closure oracles, whose rows are words.
 
@@ -91,7 +100,7 @@ def eliminate(col: dict, low, pivots: dict, p: int):
     return low
 
 
-def rank(a, p: int) -> int:
+def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     """Rank over F_p by sparse column reduction.
 
     The nonzeros are read once, column by column, without a dense copy.
@@ -103,6 +112,19 @@ def rank(a, p: int) -> int:
     rest of the work once the stored pivot columns are more than
     ``1/FILL_PIVOTS`` nonzero: the pivot columns and the columns not yet
     read span the same space as ``a``.
+
+    ``clear`` is a set of columns known to reduce to zero; they are
+    skipped, never read into a column and never handed to ``rref``.  This
+    is the clearing of Chen and Kerber (*Persistent Homology Computation
+    with a Twist*, EuroCG 2011; Bauer, Kerber and Reininghaus, *Clear and
+    Compress*, 2014): if ``a @ b = 0`` and a column ``z = b @ v`` has its
+    lowest nonzero row at ``i``, then ``a @ z = 0`` makes column ``i`` of
+    ``a`` a combination of the columns left of it, so column ``i`` reduces
+    to zero and skipping it keeps the rank.  If ``lows`` is a set, the
+    lowest rows of the pivot columns stored here are added to it: each is
+    the low of a combination of columns of ``a``, so they clear the map
+    that follows.  After a hand-off to ``rref`` only those found before it
+    are reported, and an input that goes to ``rref`` at once reports none.
     """
     a = _int64_matrix(a)
     rows, cols = a.shape
@@ -110,7 +132,7 @@ def rank(a, p: int) -> int:
     if not nnz:
         return 0
     if nnz * FILL_INPUT > a.size:
-        return len(rref(a, p)[1])
+        return len(rref(_kept(a, 0, clear) if clear else a, p)[1])
     ri, ci = np.divmod(np.flatnonzero(a != 0), cols)
     ci, ri = np.divmod(np.sort(ci * rows + ri), rows)  # column by column, rows ascending
     vals = a[ri, ci] % p
@@ -122,6 +144,9 @@ def rank(a, p: int) -> int:
     stored = start = 0
     for j, end in enumerate(ends):
         if start == end:
+            continue
+        if j in clear:
+            start = end
             continue
         col = dict(zip(ri[start:end].tolist(), vals[start:end].tolist()))
         low = int(ri[end - 1])
@@ -137,12 +162,22 @@ def rank(a, p: int) -> int:
         pivots[low] = col
         stored += len(col)
         if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > rows * len(pivots):
-            dense = np.zeros((rows, len(pivots) + cols - j - 1), dtype=np.int64)
+            rest = _kept(a, j + 1, clear) if clear else a[:, j + 1:]
+            dense = np.zeros((rows, len(pivots) + rest.shape[1]), dtype=np.int64)
             for k, c in enumerate(pivots.values()):
                 dense[list(c), k] = list(c.values())
-            dense[:, len(pivots):] = a[:, j + 1:]
+            dense[:, len(pivots):] = rest
+            if lows is not None:
+                lows.update(pivots)
             return len(rref(dense, p)[1])
+    if lows is not None:
+        lows.update(pivots)
     return len(pivots)
+
+
+def _kept(a: np.ndarray, j: int, clear) -> np.ndarray:
+    """The columns of ``a`` from ``j`` on that ``clear`` does not name."""
+    return a[:, [c for c in range(j, a.shape[1]) if c not in clear]]
 
 
 def nullspace(a, p: int) -> np.ndarray:

@@ -724,7 +724,7 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
                 lambda c: local(c[0], J.chain_end(c)).dim(q, t),
                 lambda f, face: restriction_on_h(f, J.chain_end(face), q, t),
                 lambda face, f: postcompose_on_h(face[0], J.chain_end(face), f, q, t), p)
-            ranks = _RankOnce(d.get, p)
+            ranks = _RankOnce(d.get, p, 1)
             for s, h in _homology("diagram AQ cosimplicial", sizes, d, p, ranks=ranks).items():
                 entries[(s, t)] = h
             # the kernel formula reads ker(d_0) off the same ranks

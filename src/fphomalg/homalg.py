@@ -43,6 +43,8 @@ cycle, with the collapsed total-degree view given by ``t - s``.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -58,6 +60,7 @@ from .linalg import (
     _homology,
     _matrix,
     _RankOnce,
+    series_mul,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 from .wordcomplex import _Words
@@ -68,6 +71,12 @@ from .wordcomplex import _Words
 # ``aq --smax 4`` (7^6 = 117,649 words) fits, five generators (31^6) are
 # refused up front.
 MAX_COCHAIN_WORDS = 200_000
+
+# Largest differential, in cells (rows x columns), that the free
+# resolution's exactness check may build.  Over six degree-2 generators the
+# largest is 6,930 x 5,040 (35M cells, 280 MB as int64) at cap 16 and
+# 19,305 x 15,840 at cap 20, which is refused up front.
+MAX_RESOLUTION_CELLS = 50_000_000
 
 # Largest number of bar words of one length and degree, the column count of
 # a dense bar differential; the value of ``freelie.MAX_BUCKET_WORDS``.  The
@@ -177,6 +186,7 @@ class FreeResolution:
         self.cap = int(cap)
         chains = _KoszulChains(A, ModuleViaMap.identity(A),
                                ModuleViaMap.augmentation(A), s_max=self.s_max)
+        _check_resolution_cells(A, chains, self.s_max, self.cap)
         self.stages: list[list[tuple]] = chains.tuples
         self.gen_degree: list[dict[tuple, int]] = [
             {S: chains.degree[S] for S in stage} for stage in self.stages]
@@ -221,6 +231,50 @@ class FreeResolution:
                         vals.append(v)
             then = _assemble((len(low), len(mid)), rows, cols, vals, self.p)
             _check_dd("resolution", first, then, self.p)
+
+
+def _resolution_sizes(A: MonomialAlgebra, chains, s_max: int, cap: int) -> list[list[int]]:
+    """``sizes[s][t]`` is the dimension of the chains of ``(s, t)``, for
+    ``s <= s_max`` and ``t <= cap``: the sum of ``dim A_{t - |S|}`` over the
+    symbol tuples ``S`` of homological degree ``s``, counted from the
+    Hilbert series of A rather than built."""
+    series = [1] + [0] * cap
+    for deg, top in zip(A.degrees, A.caps):
+        top = cap // deg if top is None else min(top, cap // deg)
+        factor = [0] * (cap + 1)  # 1 + g + ... + g^top up to degree cap
+        factor[: top * deg + 1: deg] = [1] * (top + 1)
+        series = series_mul(series, factor, cap)
+    sizes = []
+    for stage in chains.tuples[: s_max + 1]:
+        count = [0] * (cap + 1)  # tuples by internal degree
+        for S in stage:
+            if chains.degree[S] <= cap:
+                count[chains.degree[S]] += 1
+        sizes.append(series_mul(count, series, cap))
+    return sizes
+
+
+def _check_resolution_cells(A: MonomialAlgebra, chains, s_max: int, cap: int):
+    """Refuse a resolution whose exactness check would build a differential
+    of more than ``MAX_RESOLUTION_CELLS`` cells, before building any.  A
+    chain space of degree at most ``cap`` has at most as many elements as
+    its symbol tuples times the exponent vectors of A up to that degree;
+    the sizes are counted only when this bound exceeds the budget."""
+    monomials = math.prod(1 + (cap // deg if top is None else min(top, cap // deg))
+                          for deg, top in zip(A.degrees, A.caps))
+    tuples = [len(stage) for stage in chains.tuples[: s_max + 1]]
+    bound = max(map(operator.mul, tuples, tuples[1:]), default=0) * monomials ** 2
+    if bound <= MAX_RESOLUTION_CELLS:
+        return
+    sizes = _resolution_sizes(A, chains, s_max, cap)
+    for s in range(1, len(sizes)):
+        cells = list(map(operator.mul, sizes[s - 1], sizes[s]))
+        if max(cells) > MAX_RESOLUTION_CELLS:
+            t = cells.index(max(cells))
+            raise CapError(
+                f"the resolution differential from (s, t) = ({s}, {t}) is "
+                f"{sizes[s - 1][t]} x {sizes[s][t]}, over the budget of "
+                f"{MAX_RESOLUTION_CELLS} cells; lower the degree cap")
 
 
 def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
@@ -425,11 +479,21 @@ class HochschildComplex:
         """Dimension of ``C^{s,t}``."""
         return self._dims.get((s, t), 0)
 
+    def _ranks_of(self, t: int) -> _RankOnce:
+        """The ranks of the differentials of map degree ``t``; a map from or
+        to a zero space is the zero map (``None``)."""
+        if t not in self._ranks:
+            self._ranks[t] = _RankOnce(
+                lambda k: self.delta(k, t) if k >= 0 and self._dim(k, t)
+                and self._dim(k + 1, t) else None, self.p, 1)
+        return self._ranks[t]
+
     def verify_dd(self, s: int, t: int):
         """``d*d = 0`` from ``C^{s,t}``, unless one of the three spaces is
-        zero."""
+        zero; once it passes, the rank of ``delta(s + 1, t)`` clears with the
+        lows of ``delta(s, t)``."""
         if self._dim(s, t) and self._dim(s + 1, t) and self._dim(s + 2, t):
-            _check_dd("Hochschild cochain", self.delta(s, t), self.delta(s + 1, t), self.p)
+            self._ranks_of(t).check("Hochschild cochain", s)
 
     def cohomology_dim(self, s: int, t: int) -> int:
         """Dimension at ``(s, t)``; ``verify_dd`` checks the differentials."""
@@ -438,13 +502,8 @@ class HochschildComplex:
             return 0
         if s >= self.levels:
             raise CapError("cohomology requested at the top stored level")
-        if t not in self._ranks:
-            # a map from or to a zero space is the zero map (None)
-            self._ranks[t] = _RankOnce(
-                lambda k: self.delta(k, t) if k >= 0 and self._dim(k, t)
-                and self._dim(k + 1, t) else None, self.p)
         return _homology("Hochschild cochain", {s: n}, {}, self.p,
-                         ranks=self._ranks[t]).get(s, 0)
+                         ranks=self._ranks_of(t)).get(s, 0)
 
     def _forget(self, t: int):
         """Drop the differentials of map degree ``t``; their ranks stay."""

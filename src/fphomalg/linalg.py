@@ -7,7 +7,11 @@ layer serves every derived-functor builder: ``_matrix`` is the one writer
 of a linear map between two given bases, ``_assemble`` builds a matrix
 from (row, column, value) triples, ``_check_dd`` is the one ``d*d = 0``
 check, and ``_homology`` turns the sizes and differentials of one internal
-degree into homology dimensions, ranking each map once.
+degree into homology dimensions, ranking each map once (``_RankOnce``).
+The map into a space is ranked before the map out of it, and once the pair
+has passed ``_check_dd`` the lowest rows of the first map's pivot columns
+name columns of the second that need not be reduced (clearing, see
+``_kernels``).
 
 Degree conventions, fixed once:
 
@@ -307,22 +311,43 @@ def _matrix(src, tgt, image, p: int) -> np.ndarray:
 
 
 class _RankOnce(dict):
-    """``ranks[key]`` is the rank of ``matrix(key)``, computed on first use;
-    a ``None`` matrix is the zero map, and a map from or to a zero space is
-    not ranked.
+    """``ranks[s]`` is the rank of ``matrix(s)``, the differential leaving
+    index ``s`` for ``s + step``, computed on first use; a ``None`` matrix
+    is the zero map, and a map from or to a zero space is not ranked.
 
     A homology step needs the rank of each differential twice, once as the
     outgoing and once as the incoming map; this keeps it to one rank call.
+    Each rank also keeps the lowest rows of the pivot columns ``K.rank``
+    stored, and the map out of ``s`` clears those of the map into ``s``
+    (see ``_kernels``), but only once ``check(what, s - step)`` has passed:
+    clearing is sound only where ``d*d = 0``.
     """
 
-    def __init__(self, matrix, p: int):
+    def __init__(self, matrix, p: int, step: int):
         super().__init__()
         self._matrix = matrix
         self._p = p
+        self._step = step
+        self._checked: set[int] = set()
+        self._lows: dict[int, set[int]] = {}
 
-    def __missing__(self, key):
-        m = self._matrix(key)
-        r = self[key] = 0 if m is None or not m.size else K.rank(m, self._p)
+    def check(self, what: str, s: int):
+        """``_check_dd`` on the maps out of ``s`` and out of ``s + step``;
+        once it passes, the map out of ``s + step`` is ranked with
+        clearing."""
+        _check_dd(what, self._matrix(s), self._matrix(s + self._step), self._p)
+        self._checked.add(s)
+
+    def __missing__(self, s):
+        m = self._matrix(s)
+        if m is None or not m.size:
+            r = 0
+        else:
+            into = s - self._step
+            clear = self._lows.pop(into, ()) if into in self._checked else ()
+            lows = self._lows[s] = set()
+            r = K.rank(m, self._p, clear, lows)
+        self[s] = r
         return r
 
 
@@ -345,28 +370,35 @@ def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1,
     """Homology dimensions of one internal degree of a complex.
 
     ``sizes[s]`` is the dimension of the space at index ``s``, for the
-    indices whose homology is wanted; ``d[s]`` is the differential leaving
-    index ``s`` for ``s + step`` (``step`` is 1 for cochains, -1 for
-    chains), and an index without one has a zero differential.  Every
-    composable pair in ``d`` passes ``_check_dd``.  ``ranks`` ranks each
-    differential once; a caller passes its own to read the ranks afterwards
-    or to keep them across calls.  Returns ``{s: dim}`` for the nonzero
-    dimensions and raises ``CrossCheckError`` on a negative one.
+    indices whose homology is wanted, listed in ascending order; ``d[s]``
+    is the differential leaving index ``s`` for ``s + step`` (``step`` is 1
+    for cochains, -1 for chains), and an index without one has a zero
+    differential.  Every composable pair in ``d`` passes ``_check_dd``.
+    ``ranks`` ranks each differential once; a caller passes its own to read
+    the ranks afterwards or to keep them across calls, either a
+    ``_RankOnce`` over the maps of ``d`` (it checks the pairs itself) or
+    the ranks outright.  The map into ``s`` is ranked before the map out of
+    ``s`` (ascending ``s`` for cochains, descending for chains), so a
+    ``_RankOnce`` clears each map with the lows of the one before it.
+    Returns ``{s: dim}`` for the nonzero dimensions, in ascending ``s``,
+    and raises ``CrossCheckError`` on a negative one.
     """
+    if ranks is None:
+        ranks = _RankOnce(d.get, p, step)
+    checks = ranks if isinstance(ranks, _RankOnce) else _RankOnce(d.get, p, step)
     for s in d:
         if s + step in d:
-            _check_dd(what, d[s], d[s + step], p)
-    if ranks is None:
-        ranks = _RankOnce(d.get, p)
+            checks.check(what, s)
     out = {}
-    for s, n in sizes.items():
+    for s in (sizes if step > 0 else reversed(sizes)):
+        n = sizes[s]
         if n:
-            h = n - ranks[s] - ranks[s - step]
+            h = n - ranks[s - step] - ranks[s]
             if h < 0:
                 raise CrossCheckError(f"negative {what} homology dimension at s = {s}")
             if h:
                 out[s] = h
-    return out
+    return out if step > 0 else dict(reversed(out.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,34 @@ def test_hochschild_differential_squares_to_zero_with_both_actions(p, degs):
             hc.verify_dd(s, t)
 
 
+def test_hochschild_ranks_clear_only_after_verify_dd(monkeypatch):
+    from fphomalg import _kernels as K
+
+    rank, cleared = K.rank, []
+
+    def ranking(a, q, clear=(), lows=None):
+        cleared.append(len(clear))
+        return rank(a, q, clear, lows)
+
+    monkeypatch.setattr(K, "rank", ranking)
+    A = ext_alg(3, 1, 2, 3)
+    M = trivial_module(A, 3)
+    tables = []
+    for verify in (False, True):
+        hc = HochschildComplex(A, M, 5)
+        cleared.clear()
+        dims = {}
+        for t in hc.t_range(range(5)):
+            if verify:
+                for s in range(3):
+                    hc.verify_dd(s, t)
+            for s in range(4):
+                dims[(s, t)] = hc.cohomology_dim(s, t)
+        tables.append(dims)
+        assert any(cleared) == verify
+    assert tables[0] == tables[1]
+
+
 def word_complex_algebras(p):
     """Two exterior algebras, a truncated one and a finite mixed one."""
     return [ext_alg(p, 1, 3), ext_alg(p, 3, 5),
@@ -466,6 +494,36 @@ def test_bar_word_budget_counts_the_largest_bucket(monkeypatch, A, cap):
     monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest - 1)
     with pytest.raises(CapError, match=f"{largest} bar words"):
         bar_homology_dims(A, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_resolution_sizes_count_the_built_chains(p):
+    # the count from the Hilbert series matches the chains the exactness
+    # check builds, on polynomial, exterior, truncated and mixed algebras
+    for A in (poly_alg(p, 2, 2, 4), ext_alg(p, 1, 3),
+              MonomialAlgebra.truncated(p, [("y", 2)], {"y": 3}),
+              MonomialAlgebra.mixed(p, [("u", 2)], [("x", 3)])):
+        cap, s_max = 12, 4
+        chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
+                                      ModuleViaMap.augmentation(A), s_max=s_max)
+        sizes = homalg._resolution_sizes(A, chains, s_max, cap)
+        assert sizes == [[len(chains.basis(s, t)) for t in range(cap + 1)]
+                         for s in range(s_max + 1)]
+
+
+def test_resolution_refuses_a_differential_over_the_cell_budget():
+    # six degree-2 generators: at cap 20 the resolution's d_3 for Ext up to
+    # s = 2 would be 19,305 x 15,840, and cap 16 stays within the budget
+    A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
+    chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
+                                  ModuleViaMap.augmentation(A), s_max=3)
+    sizes = homalg._resolution_sizes(A, chains, 3, 20)
+    assert (sizes[2][20], sizes[3][20]) == (19_305, 15_840)
+    sizes = homalg._resolution_sizes(A, chains, 3, 16)
+    largest = max(r * c for s in (1, 2, 3) for r, c in zip(sizes[s - 1], sizes[s]))
+    assert largest == 6_930 * 5_040 <= homalg.MAX_RESOLUTION_CELLS
+    with pytest.raises(CapError, match="over the budget"):
+        ext_dims(A, trivial_module(A), s_max=2, cap=20)
 
 
 def test_word_complex_refuses_a_product_outside_its_letters():

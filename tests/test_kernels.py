@@ -131,7 +131,8 @@ def test_rref_leaves_its_argument_unchanged(p):
 def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
     rank, rref = K.rank, K.rref
     bar = []  # the matrices bar homology ranks, up to degree 14
-    monkeypatch.setattr(K, "rank", lambda a, q: bar.append(np.array(a)) or rank(a, q))
+    monkeypatch.setattr(K, "rank",
+                        lambda a, *args, **kw: bar.append(np.array(a)) or rank(a, *args, **kw))
     bar_homology_dims(MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)]), cap=14)
     monkeypatch.setattr(K, "rank", rank)
     calls = []
@@ -154,6 +155,53 @@ def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
     assert d.shape == (105, 84)
     assert K.rank(d, p) == len(rref(d, p)[1]) > K.FILL_CHECK_AFTER
     assert calls == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_bar_homology_clears_and_eliminates_less(monkeypatch, p):
+    A = MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)])
+    rank, eliminate = K.rank, K.eliminate
+
+    def run(clearing):
+        cleared, steps = [], []
+
+        def ranking(a, q, clear=(), lows=None):
+            cleared.append(len(clear))
+            return rank(a, q, clear if clearing else (), lows)
+
+        monkeypatch.setattr(K, "rank", ranking)
+        monkeypatch.setattr(K, "eliminate", lambda *args: steps.append(1) or eliminate(*args))
+        return bar_homology_dims(A, cap=14), max(cleared), len(steps)
+
+    table, most, fewer = run(True)
+    unclear_table, _, more = run(False)
+    assert most > 0 and unclear_table == table and more > fewer
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rank_reports_lows_and_never_reads_cleared_columns(monkeypatch, p):
+    rng = np.random.default_rng(p + 1)
+    rref, calls = K.rref, []
+    monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a) or rref(a, q))
+    for density, path in ((0.03, "sparse"), (0.2, "hand-off"), (0.6, "at once")):
+        a = rng.integers(1, p, size=(60, 45), endpoint=p == 2) * (rng.random((60, 45)) < density)
+        # the rows i at which some vector of the column space has its lowest
+        # nonzero entry: the leading columns of the row space of a reversed
+        every_low = {59 - c for c in rref(a[::-1].T, p)[1]}
+        calls.clear()
+        lows = set()
+        assert K.rank(a, p, (), lows) == len(rref(a, p)[1])
+        assert bool(calls) == (path != "sparse") and bool(lows) == (path != "at once")
+        assert lows <= every_low
+        if path == "sparse":
+            assert lows == every_low
+        # a random column raises the rank if it is read, by the sparse
+        # reduction or by rref; the last one comes after any hand-off
+        for j in (7, 44):
+            poisoned = a.copy()
+            poisoned[:, j] = rng.integers(0, p, size=60)
+            rest = K.rank(np.delete(a, j, axis=1), p)
+            assert K.rank(poisoned, p) > rest == K.rank(poisoned, p, {j})
 
 
 def eliminate_rank(columns, p):

@@ -13,6 +13,7 @@ from fphomalg.linalg import (
     _check_dd,
     _homology,
     _matrix,
+    _RankOnce,
     free_commutative_series,
     parity_verdict,
     shift,
@@ -133,6 +134,91 @@ def test_homology_with_zero_differentials_equals_spaces():
     d = {1: np.zeros((3, 4), dtype=np.int64)}
     assert _homology("zero", sizes, d, p, step=-1) == sizes
     assert _homology("zero", sizes, {}, p) == sizes
+
+
+def _ranks_with_clearing(monkeypatch):
+    """Record, for every kernel rank call, the number of columns it was
+    told to clear and how it ended: "sparse" without ``rref``, "at once" if
+    ``rref`` ran and no lows came back, "hand-off" if both happened."""
+    rank, rref = K.rank, K.rref
+    seen, handed = [], []
+
+    def handing(a, q):
+        handed.append(1)
+        return rref(a, q)
+
+    def ranking(a, q, clear=(), lows=None):
+        before = len(handed)
+        r = rank(a, q, clear, lows)
+        path = "sparse" if len(handed) == before else "hand-off" if lows else "at once"
+        seen.append((a.shape, len(clear), path))
+        return r
+
+    monkeypatch.setattr(K, "rref", handing)
+    monkeypatch.setattr(K, "rank", ranking)
+    return seen
+
+
+def random_complex(rng, p, density):
+    """Maps ``a: F^60 -> F^120``, ``b: F^120 -> F^30`` and ``c: F^30 -> F^20``
+    with ``b @ a = c @ b = 0``: ``b`` is random with about ``density`` of
+    its entries nonzero, the columns of ``a`` are sparse combinations of
+    its kernel vectors, and the rows of ``c`` of its left kernel vectors."""
+    def sparse(m, n, dens):
+        return rng.integers(1, p, size=(m, n), endpoint=p == 2) * (rng.random((m, n)) < dens)
+
+    b = sparse(30, 120, density)
+    ker, coker = K.nullspace(b, p), K.nullspace(b.T, p)
+    a = ker @ sparse(ker.shape[1], 60, 1 / ker.shape[1]) % p
+    c = (coker @ sparse(coker.shape[1], 20, 0.3) % p).T
+    return a, b, c
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+@pytest.mark.parametrize("step", [1, -1])
+def test_homology_with_clearing_matches_rref_ranks(monkeypatch, p, step):
+    # the middle map b is cleared by the lows of a at each density: it stays
+    # sparse, hands off to rref part-way, or goes to rref at once
+    seen = _ranks_with_clearing(monkeypatch)
+    rng = np.random.default_rng(p)
+    for density, path in ((0.03, "sparse"), (0.2, "hand-off"), (0.6, "at once")):
+        a, b, c = random_complex(rng, p, density)
+        assert not (b @ a % p).any() and not (c @ b % p).any()
+        if step == 1:
+            sizes, d = {0: 60, 1: 120, 2: 30, 3: 20}, {0: a, 1: b, 2: c}
+        else:
+            sizes, d = {0: 20, 1: 30, 2: 120, 3: 60}, {3: a, 2: b, 1: c}
+        want = {s: len(K.rref(m, p)[1]) for s, m in d.items()}
+        homology = {s: n - want.get(s, 0) - want.get(s - step, 0) for s, n in sizes.items()}
+        seen.clear()
+        ranks = _RankOnce(d.get, p, step)
+        assert _homology("random", sizes, d, p, step, ranks) == {
+            s: h for s, h in homology.items() if h}
+        assert dict(ranks) == {s: want.get(s, 0) for s in ranks}
+        (a_shape, a_cleared, _), (b_shape, b_cleared, b_path) = seen[:2]
+        assert (a_shape, a_cleared) == (a.shape, 0)
+        assert b_shape == b.shape and b_cleared > 0 and b_path == path
+
+
+def test_failed_dd_check_never_clears(monkeypatch):
+    seen = _ranks_with_clearing(monkeypatch)
+    p = 3
+    a = np.array([[1], [0], [0], [0]])  # sparse, so its low is reported
+    bad, good = {0: a, 1: np.array([[1, 0, 0, 1]])}, {0: a, 1: np.array([[0, 0, 0, 1]])}
+    with pytest.raises(CrossCheckError, match="fails d\\*d = 0"):
+        _homology("bad", {0: 1, 1: 4, 2: 1}, bad, p)
+    assert seen == []  # the check comes before every rank
+    for d, checked in ((bad, False), (good, False), (good, True)):
+        ranks = _RankOnce(d.get, p, 1)
+        if d is bad:
+            with pytest.raises(CrossCheckError, match="fails d\\*d = 0"):
+                ranks.check("bad", 0)
+        elif checked:
+            ranks.check("good", 0)
+        seen.clear()
+        assert (ranks[0], ranks[1]) == (1, 1)
+        # the low of a, row 0, clears column 0 of the map after it
+        assert [cleared for _, cleared, _ in seen] == [0, 1 if checked else 0]
 
 
 @pytest.mark.parametrize("p", [2, 97])
