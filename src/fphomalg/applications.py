@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as K
 from .diagrams import face_ring_diagram, limit_dims
 from .errors import CapError, CrossCheckError, ValidationError
-from .homalg import _KoszulChains, bar_homology_dims, tor_dims
+from .homalg import _check_chain_cells, _KoszulChains, bar_homology_dims, tor_dims
 from .linalg import (
     BigradedTable,
     GradedVectorSpace,
@@ -385,6 +385,7 @@ class EMSSTorAlgebra:
         self.cap = cap
         self.p = inp.p
         self.chains = _KoszulChains(inp.base, inp.to_x, inp.to_y, cap=cap)
+        _check_chain_cells("Koszul model", self.chains, cap)
         self.basis = self.chains.basis
         # the top exterior degree, even where the chains stop below it
         self.max_s = len(inp.base.generators)

@@ -17,9 +17,9 @@ Two independent routes to the dimensions of the free algebras coexist:
 * brute-force closure oracles inside the tensor algebra: the span of the
   generators closed under brackets (and p-th powers), kept per bidegree
   (shifted degree, weight) as one sparse echelon form keyed by lowest word
-  and grown in semi-naive rounds, each bracketing only the pairs that
-  involve an element the previous round added and reducing each candidate
-  against its bidegree's echelon form once.
+  and grown in rounds, each bracketing the generators with the columns the
+  round before stored (right-normed brackets span a Lie algebra) and
+  reducing each candidate against its bidegree's echelon form once.
 
 The basis builders realize each Lyndon element as one bracket of its
 standard factors' elements, check the realizations' independence by rank,
@@ -30,7 +30,6 @@ bidegree holds more than ``MAX_BUCKET_WORDS`` words are refused up front.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,12 +51,12 @@ MAX_GENERATORS = 4
 # oracles and the Lyndon span check accept, so that a run either fits in a
 # few hundred MB or exits 2 before it starts.  An oracle's echelon form
 # holds a column per pivot with up to one entry per word of its bidegree, and
-# the span check's matrix a row per word of a shifted degree, so both grow
-# with the word count: three degree-1 generators at weight cap 10 have
-# 3^10 = 59,049 words of weight 10 in degree 1.  At this budget two degree-1
-# generators at weight cap 12 (4,096 words of weight 12) peak at 43-61 MB
-# for ``free-lie`` and 88-97 MB for ``restricted`` at p in {2, 3, 5}; the
-# inputs of the tests and the benchmark need at most 3^7 = 2,187 words.
+# the span check's matrix of a bidegree a row per word, so both grow with the
+# word count: three degree-1 generators at weight cap 10 have 3^10 = 59,049
+# words of weight 10 in degree 1.  At this budget two degree-1 generators at
+# weight cap 12 (4,096 words of weight 12) peak at 39-52 MB for ``free-lie``
+# and 53-67 MB for ``restricted`` at p in {2, 3, 5}; the inputs of the tests
+# and the benchmark need at most 3^7 = 2,187 words.
 MAX_BUCKET_WORDS = 4096
 
 
@@ -281,23 +280,40 @@ def _columns(elems, p):
 
 
 def span_dims(elements, p: int) -> GradedVectorSpace:
-    """Dimensions (per unshifted degree) of the span of tensor elements."""
-    by_sdeg: dict[int, list[TensorElement]] = {}
+    """Dimensions (per unshifted degree) of the span of weight-homogeneous
+    tensor elements.
+
+    Words of different weight are independent, so the span is the direct
+    sum of its buckets (shifted degree, weight), and each bucket's matrix
+    is ranked on its own; a bucket of one nonzero element has rank 1.  An
+    element whose words have different lengths raises ``ValidationError``.
+    """
+    buckets: dict[tuple[int, int], list[TensorElement]] = {}
     for e in elements:
-        if not e.is_zero():
-            by_sdeg.setdefault(e.sdeg, []).append(e)
-    return GradedVectorSpace({sdeg + 1: K.rank(_columns(elems, p), p)
-                              for sdeg, elems in by_sdeg.items()})
+        if e.is_zero():
+            continue
+        weights = set(map(len, e.terms))
+        if len(weights) > 1:
+            raise ValidationError(f"tensor element {e!r} is not weight-homogeneous")
+        buckets.setdefault((e.sdeg, weights.pop()), []).append(e)
+    dims: dict[int, int] = {}
+    for (sdeg, _), elems in buckets.items():
+        rank = K.rank(_columns(elems, p), p) if len(elems) > 1 else 1
+        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + rank
+    return GradedVectorSpace(dims)
 
 
 def _reduce_basis(echelon, cands, p):
-    """The candidates that enlarge the span of one bucket, in order.
+    """The columns that the candidates add to the span of one bucket, in
+    order, as elements.
 
     ``echelon`` is the bucket's span in echelon form, ``{lowest word:
     column}`` with each column a coefficient dict normalised to a 1 at its
     lowest (largest) word.  Each candidate's terms are reduced against it
     once by ``_kernels.eliminate``; a column that does not vanish is stored,
-    so later candidates are reduced against it too.
+    so later candidates are reduced against it too.  The stored columns are
+    returned, reduced and normalised, not the candidates they came from:
+    they span the same new part of the bucket, and they are sparser.
     """
     added = []
     for e in cands:
@@ -312,7 +328,7 @@ def _reduce_basis(echelon, cands, p):
             inv = pow(lead, p - 2, p)
             col = {w: c * inv % p for w, c in col.items()}
         echelon[low] = col
-        added.append(e)
+        added.append(TensorElement._trusted(e.alphabet, col, e.sdeg))
     return added
 
 
@@ -546,45 +562,45 @@ def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
     of weight-homogeneous elements are weight-homogeneous, so the span is the
     direct sum of its buckets, and the weight cap is tested on exact weights.
     Each bucket keeps one sparse echelon form of its span for the whole run,
-    and ``_reduce_basis`` reduces each candidate against it once; the
-    bucket's dimension is the number of its pivots.
+    and ``_reduce_basis`` reduces each candidate against it once and returns
+    the columns it stored; the bucket's dimension is the number of its
+    pivots.
 
-    The rounds are semi-naive.  A round brackets only the pairs with a member
-    in the frontier (the elements the previous round added), each unordered
-    pair once since ``[b, a] = -+[a, b]`` in the tensor algebra, takes powers
-    only of frontier elements, and keeps as the next frontier the candidates
-    that enlarge their bucket's span; the closure is reached when nothing is
-    added.  This is exact: the bracket is bilinear, so brackets of basis
-    elements span all brackets, and pairs of older elements were bracketed
-    in an earlier round; ``xi(c a) = c^p xi(a)`` and ``xi(a + b) - xi(a) -
-    xi(b)`` is a Lie polynomial in ``a`` and ``b`` of the same bidegree, so
-    powers of basis elements suffice.
+    Each round brackets every generator ``g`` with each column stored in the
+    round before, ``[g, col]``, and takes the p-th power of each admissible
+    one; the closure is reached when nothing is stored.  This is exact.  The
+    Lie algebra generated by a set S is spanned by the right-normed brackets
+    ``[s1, [s2, ... [s_{k-1}, s_k]]]`` with every ``s_i`` in S (Reutenauer,
+    *Free Lie Algebras*, 1993, ch. 0): ``ad`` of an element is a graded
+    derivation, so ``[[g, u], v] = [g, [u, v]] -+ [u, [g, v]]`` and a space
+    closed under ``ad g`` for each generator is closed under all brackets,
+    by induction on weight.  With powers, ``[xi(c), v] = -+ad(c)^p(v)`` keeps
+    that induction going, and Jacobson's formula makes ``xi(sum c_i b_i) -
+    sum c_i^p xi(b_i)`` a Lie polynomial in the ``b_i`` of the same
+    bidegree, so powers of the stored columns suffice.  Every intermediate
+    bracket of a bidegree within the caps is within them too, since letter
+    degrees and weights add and are not negative.
     """
     alphabet = Alphabet(parse_or_pass(gens), p)
     _check_caps(alphabet, degree_cap, weight_cap)
+    letters = [TensorElement.from_generator(alphabet, name)
+               for name, d in zip(alphabet.names, alphabet.vdegs) if d <= degree_cap]
     echelons: dict[tuple[int, int], dict] = {}
-    old: list[tuple[TensorElement, int]] = []
-    cands = [(TensorElement.from_generator(alphabet, name), 1)
-             for name, d in zip(alphabet.names, alphabet.vdegs) if d <= degree_cap]
+    cands = [(g, 1) for g in letters]
     while cands:
         buckets: dict[tuple[int, int], list[TensorElement]] = {}
         for e, w in cands:
             if not e.is_zero():
                 buckets.setdefault((e.sdeg, w), []).append(e)
-        frontier = []
-        for key, new in buckets.items():
-            added = _reduce_basis(echelons.setdefault(key, {}), new, p)
-            frontier += [(e, key[1]) for e in added]
         cands = []
-        pool = old + frontier
-        for i, (a, wa) in enumerate(frontier):
-            for b, wb in itertools.islice(pool, len(old) + i + 1):
-                if a.sdeg + b.sdeg < degree_cap and wa + wb <= weight_cap:
-                    cands.append((shifted_bracket(a, b), wa + wb))
-            if (restricted and (p == 2 or a.sdeg % 2 == 0)
-                    and p * a.sdeg < degree_cap and p * wa <= weight_cap):
-                cands.append((restriction_power(a), p * wa))
-        old = pool
+        for (sdeg, w), new in buckets.items():
+            brackets = [g for g in letters if sdeg + g.sdeg < degree_cap and w < weight_cap]
+            power = (restricted and (p == 2 or sdeg % 2 == 0)
+                     and p * sdeg < degree_cap and p * w <= weight_cap)
+            for col in _reduce_basis(echelons.setdefault((sdeg, w), {}), new, p):
+                cands += [(shifted_bracket(g, col), w + 1) for g in brackets]
+                if power:
+                    cands.append((restriction_power(col), p * w))
     dims: dict[int, int] = {}
     for (sdeg, _), echelon in echelons.items():
         dims[sdeg + 1] = dims.get(sdeg + 1, 0) + len(echelon)
@@ -743,9 +759,10 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
     """Symbols ``xi^i b`` with tensor realizations, plus their dimensions.
 
     Returns ``(symbols, dims)``.  Realizations are iterated p-th powers of
-    the Lyndon expansions.  Independence is checked once, by rank over all
-    the symbols (the Lyndon elements among them), and with ``verify=True``
-    the counts are compared against the restricted closure oracle.
+    the Lyndon expansions.  Independence is checked once over all the
+    symbols (the Lyndon elements among them), by one rank per bidegree
+    (``span_dims``), and with ``verify=True`` the counts are compared
+    against the restricted closure oracle.
     """
     base = _lyndon_elements(gens, weight_cap, degree_cap, p)
     symbols = []

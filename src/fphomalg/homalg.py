@@ -72,11 +72,12 @@ from .wordcomplex import _Words
 # refused up front.
 MAX_COCHAIN_WORDS = 200_000
 
-# Largest differential, in cells (rows x columns), that the free
-# resolution's exactness check may build.  Over six degree-2 generators the
-# largest is 6,930 x 5,040 (35M cells, 280 MB as int64) at cap 16 and
-# 19,305 x 15,840 at cap 20, which is refused up front.
-MAX_RESOLUTION_CELLS = 50_000_000
+# Largest differential, in cells (rows x columns), that the Koszul chains may
+# build: the free resolution's exactness check, Tor and the Eilenberg-Moore
+# model.  Over six degree-2 generators the resolution's largest is 6,930 x
+# 5,040 (35M cells, 280 MB as int64) at cap 16 and 19,305 x 15,840 at cap
+# 20, which is refused up front.
+MAX_CHAIN_CELLS = 50_000_000
 
 # Largest number of bar words of one length and degree, the column count of
 # a dense bar differential; the value of ``freelie.MAX_BUCKET_WORDS``.  The
@@ -186,7 +187,7 @@ class FreeResolution:
         self.cap = int(cap)
         chains = _KoszulChains(A, ModuleViaMap.identity(A),
                                ModuleViaMap.augmentation(A), s_max=self.s_max)
-        _check_resolution_cells(A, chains, self.s_max, self.cap)
+        _check_chain_cells("resolution", chains, self.cap)
         self.stages: list[list[tuple]] = chains.tuples
         self.gen_degree: list[dict[tuple, int]] = [
             {S: chains.degree[S] for S in stage} for stage in self.stages]
@@ -233,19 +234,28 @@ class FreeResolution:
             _check_dd("resolution", first, then, self.p)
 
 
-def _resolution_sizes(A: MonomialAlgebra, chains, s_max: int, cap: int) -> list[list[int]]:
-    """``sizes[s][t]`` is the dimension of the chains of ``(s, t)``, for
-    ``s <= s_max`` and ``t <= cap``: the sum of ``dim A_{t - |S|}`` over the
-    symbol tuples ``S`` of homological degree ``s``, counted from the
-    Hilbert series of A rather than built."""
+def _series(alg: MonomialAlgebra, cap: int) -> list[int]:
+    """``dim alg_t`` for ``t <= cap``: from the exponent caps, or by listing
+    the basis of a Stanley-Reisner algebra."""
+    if alg.facets is not None:
+        return [len(alg.basis(t)) for t in range(cap + 1)]
     series = [1] + [0] * cap
-    for deg, top in zip(A.degrees, A.caps):
+    for deg, top in zip(alg.degrees, alg.caps):
         top = cap // deg if top is None else min(top, cap // deg)
         factor = [0] * (cap + 1)  # 1 + g + ... + g^top up to degree cap
         factor[: top * deg + 1: deg] = [1] * (top + 1)
         series = series_mul(series, factor, cap)
+    return series
+
+
+def _chain_sizes(chains, cap: int) -> list[list[int]]:
+    """``sizes[s][t]`` is ``len(chains.basis(s, t))`` for every listed
+    homological degree ``s`` and ``t <= cap``: the sum of ``dim (B (x)
+    C)_{t - |S|}`` over the symbol tuples ``S`` of degree ``s``, counted
+    from the Hilbert series of both sides rather than built."""
+    series = series_mul(_series(chains.B, cap), _series(chains.C, cap), cap)
     sizes = []
-    for stage in chains.tuples[: s_max + 1]:
+    for stage in chains.tuples:
         count = [0] * (cap + 1)  # tuples by internal degree
         for S in stage:
             if chains.degree[S] <= cap:
@@ -254,27 +264,28 @@ def _resolution_sizes(A: MonomialAlgebra, chains, s_max: int, cap: int) -> list[
     return sizes
 
 
-def _check_resolution_cells(A: MonomialAlgebra, chains, s_max: int, cap: int):
-    """Refuse a resolution whose exactness check would build a differential
-    of more than ``MAX_RESOLUTION_CELLS`` cells, before building any.  A
-    chain space of degree at most ``cap`` has at most as many elements as
-    its symbol tuples times the exponent vectors of A up to that degree;
-    the sizes are counted only when this bound exceeds the budget."""
+def _check_chain_cells(what: str, chains, cap: int):
+    """Refuse chains, up to internal degree ``cap``, with a differential of
+    more than ``MAX_CHAIN_CELLS`` cells, before building any.  A chain space
+    of degree at most ``cap`` has at most as many elements as its symbol
+    tuples times the exponent vectors of B and C up to that degree; the
+    sizes are counted only when this bound exceeds the budget."""
     monomials = math.prod(1 + (cap // deg if top is None else min(top, cap // deg))
-                          for deg, top in zip(A.degrees, A.caps))
-    tuples = [len(stage) for stage in chains.tuples[: s_max + 1]]
+                          for alg in (chains.B, chains.C)
+                          for deg, top in zip(alg.degrees, alg.caps))
+    tuples = [len(stage) for stage in chains.tuples]
     bound = max(map(operator.mul, tuples, tuples[1:]), default=0) * monomials ** 2
-    if bound <= MAX_RESOLUTION_CELLS:
+    if bound <= MAX_CHAIN_CELLS:
         return
-    sizes = _resolution_sizes(A, chains, s_max, cap)
+    sizes = _chain_sizes(chains, cap)
     for s in range(1, len(sizes)):
         cells = list(map(operator.mul, sizes[s - 1], sizes[s]))
-        if max(cells) > MAX_RESOLUTION_CELLS:
+        if max(cells) > MAX_CHAIN_CELLS:
             t = cells.index(max(cells))
             raise CapError(
-                f"the resolution differential from (s, t) = ({s}, {t}) is "
+                f"the {what} differential from (s, t) = ({s}, {t}) is "
                 f"{sizes[s - 1][t]} x {sizes[s][t]}, over the budget of "
-                f"{MAX_RESOLUTION_CELLS} cells; lower the degree cap")
+                f"{MAX_CHAIN_CELLS} cells; lower the degree cap")
 
 
 def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
@@ -798,6 +809,7 @@ def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> 
     ``t``.
     """
     chains = _KoszulChains(A, M, N, cap=cap)
+    _check_chain_cells("two-sided Koszul", chains, cap)
     entries = {}
     for t in range(0, cap + 1):
         for s, h in chains.homology("two-sided Koszul", t, chains.max_s + 1).items():

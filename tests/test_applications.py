@@ -16,7 +16,8 @@ from fphomalg.applications import (
     loop_cohomology_dims,
     stanley_reisner_dims,
 )
-from fphomalg.errors import CrossCheckError, ValidationError
+from fphomalg import homalg
+from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import tor_dims
 from fphomalg.linalg import GradedVectorSpace
 from fphomalg.monalg import MonomialAlgebra
@@ -200,6 +201,20 @@ def test_emss_table_equals_tor():
     assert table == tor_dims(base, inp.to_x, inp.to_y, cap)
     assert set(table.entries) == {(0, 0), (0, 2), (0, 4), (1, 4), (0, 6), (1, 6),
                                   (0, 8), (1, 8)}
+
+
+def test_emss_refuses_a_model_over_the_cell_budget(monkeypatch):
+    # the Koszul model shares Tor's chains and their budget; it is refused
+    # before any differential is built
+    p, cap = 3, 8
+    base = MonomialAlgebra.polynomial(p, [("u", 2), ("v", 4)])
+    t = MonomialAlgebra.polynomial(p, [("t", 2)])
+    legs = {"u": "t", "v": "t^2"}
+    inp = EMSSInput(base, t, t, legs, legs, cap=cap)
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", 10)
+    monkeypatch.setattr(homalg._KoszulChains, "differential", None)
+    with pytest.raises(CapError, match=r"Koszul model differential from \(s, t\) = \(\d+, \d+\)"):
+        EMSSTorAlgebra(inp, cap)
 
 
 def emss_commutation_products(inp):

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fphomalg import _kernels as K
 from fphomalg import freelie
 from fphomalg.errors import AlphabetError, CrossCheckError, ParityDomainError, ValidationError
 from fphomalg.freelie import (
@@ -199,6 +203,108 @@ def test_span_dims_detects_dependence():
     a = alph(3, 2)
     x = TensorElement.from_generator(a, "x")
     assert span_dims([x, x.scale(2)], 3).dims == {2: 1}
+
+
+def test_span_dims_refuses_an_element_of_mixed_weight():
+    # x and xx both have shifted degree 0: homogeneous, but of two weights
+    a = alph(3, 1)
+    mixed = TensorElement(a, {(0,): 1, (0, 0): 1})
+    with pytest.raises(ValidationError, match="weight-homogeneous"):
+        span_dims([mixed], 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_dims_per_weight_equals_the_rank_per_degree(p):
+    # the reference ranks one matrix per shifted degree over every weight;
+    # sums of two elements of one bucket make dependent columns
+    rng = np.random.default_rng(p)
+    a = alph(p, 1, 2, 3)
+    for _ in range(20):
+        elems = [freelie._random_homogeneous(rng, a, 8, max_weight=4) for _ in range(12)]
+        elems = [e for e in elems if e is not None]
+        elems += [e + f for e, f in zip(elems, elems[1:])
+                  if e.sdeg == f.sdeg and len(next(iter(e.terms))) == len(next(iter(f.terms)))]
+        by_sdeg = {}
+        for e in elems:
+            if not e.is_zero():
+                by_sdeg.setdefault(e.sdeg, []).append(e)
+        expected = {sdeg + 1: K.rank(freelie._columns(es, p), p) for sdeg, es in by_sdeg.items()}
+        assert span_dims(elems, p).dims == expected
+
+
+def reference_closure_dims(degs, degree_cap, p, weight_cap, restricted):
+    """The closure by all pairs: each round brackets every element the round
+    before added with every element found so far, and takes p-th powers of
+    the admissible new ones; a candidate is kept if it enlarges the span of
+    its bucket (shifted degree, weight), in an echelon form of its own."""
+    a = alph(p, *degs)
+    spans = {}  # bucket -> {lowest word: column normalised to 1 there}
+
+    def enlarges(e, w):
+        echelon = spans.setdefault((e.sdeg, w), {})
+        col = dict(e.terms)
+        while col:
+            low = max(col)
+            if low not in echelon:
+                inv = pow(col[low], p - 2, p)
+                echelon[low] = {u: c * inv % p for u, c in col.items()}
+                return True
+            f = col[low]
+            for u, c in echelon[low].items():
+                x = (col.get(u, 0) - f * c) % p
+                if x:
+                    col[u] = x
+                else:
+                    col.pop(u, None)
+        return False
+
+    found = []
+    new = [(TensorElement.from_generator(a, n), 1)
+           for n, d in zip(a.names, a.vdegs) if d <= degree_cap]
+    while new:
+        new = [(e, w) for e, w in new if not e.is_zero() and enlarges(e, w)]
+        old, found = len(found), found + new
+        cands = []
+        for i, (x, wx) in enumerate(new):
+            for y, wy in found[: old + i + 1]:
+                if x.sdeg + y.sdeg < degree_cap and wx + wy <= weight_cap:
+                    cands.append((shifted_bracket(x, y), wx + wy))
+            if (restricted and (p == 2 or x.sdeg % 2 == 0)
+                    and p * x.sdeg < degree_cap and p * wx <= weight_cap):
+                cands.append((restriction_power(x), p * wx))
+        new = cands
+    dims = {}
+    for (sdeg, _), echelon in spans.items():
+        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + len(echelon)
+    return dims
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5]),
+       degs=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       cap=st.integers(1, 8), weight_cap=st.integers(1, 6))
+def test_closure_oracles_match_the_all_pairs_closure(p, degs, cap, weight_cap):
+    # the oracles bracket only the generators with the columns each round
+    # stores; all pairs of elements must give the same spans
+    g, caps = gens(*degs), dict(p=p, weight_cap=weight_cap)
+    assert (bracket_closure_dims(g, cap, **caps).dims
+            == reference_closure_dims(degs, cap, p, weight_cap, restricted=False))
+    assert (restricted_closure_dims(g, cap, **caps).dims
+            == reference_closure_dims(degs, cap, p, weight_cap, restricted=True))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_closure_oracles_on_two_degree_one_generators_to_weight_ten(p):
+    # every bracket lies in degree 1, where the buckets hold up to 2^10 words
+    # and the elimination chains are longest; the Lyndon words on two letters
+    # of lengths 1..10 number 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 + 56 + 99 = 226
+    lie = bracket_closure_dims(gens(1, 1), 2, p=p, weight_cap=10)
+    assert lie.dims == {1: 226}
+    assert lie.dims == reference_closure_dims((1, 1), 2, p, 10, restricted=False)
+    assert lie == free_lie_symbol_dims(gens(1, 1), 2, p=p, weight_cap=10)
+    restricted = restricted_closure_dims(gens(1, 1), 2, p=p, weight_cap=10)
+    assert restricted.dims == reference_closure_dims((1, 1), 2, p, 10, restricted=True)
+    assert restricted == restricted_symbol_dims(gens(1, 1), 2, p=p, weight_cap=10)
 
 
 @pytest.mark.parametrize("p,degs", [(2, (2, 3)), (3, (2, 3)), (5, (2, 4))])

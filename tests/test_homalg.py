@@ -506,7 +506,7 @@ def test_resolution_sizes_count_the_built_chains(p):
         cap, s_max = 12, 4
         chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
                                       ModuleViaMap.augmentation(A), s_max=s_max)
-        sizes = homalg._resolution_sizes(A, chains, s_max, cap)
+        sizes = homalg._chain_sizes(chains, cap)
         assert sizes == [[len(chains.basis(s, t)) for t in range(cap + 1)]
                          for s in range(s_max + 1)]
 
@@ -517,13 +517,66 @@ def test_resolution_refuses_a_differential_over_the_cell_budget():
     A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
     chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
                                   ModuleViaMap.augmentation(A), s_max=3)
-    sizes = homalg._resolution_sizes(A, chains, 3, 20)
+    sizes = homalg._chain_sizes(chains, 20)
     assert (sizes[2][20], sizes[3][20]) == (19_305, 15_840)
-    sizes = homalg._resolution_sizes(A, chains, 3, 16)
+    sizes = homalg._chain_sizes(chains, 16)
     largest = max(r * c for s in (1, 2, 3) for r, c in zip(sizes[s - 1], sizes[s]))
-    assert largest == 6_930 * 5_040 <= homalg.MAX_RESOLUTION_CELLS
+    assert largest == 6_930 * 5_040 <= homalg.MAX_CHAIN_CELLS
     with pytest.raises(CapError, match="over the budget"):
         ext_dims(A, trivial_module(A), s_max=2, cap=20)
+
+
+@pytest.mark.parametrize("name", sorted(TOR_SWEEP))
+def test_chain_sizes_count_the_built_tor_chains(name):
+    # B (x) C counted from the Hilbert series of both sides, with the
+    # algebra or the ground field on either side
+    A, cap = TOR_SWEEP[name], 8
+    side = {"k": ModuleViaMap.augmentation(A), "id": ModuleViaMap.identity(A)}
+    for left, right in (("id", "id"), ("id", "k"), ("k", "id"), ("k", "k")):
+        chains = homalg._KoszulChains(A, side[left], side[right], cap=cap)
+        assert homalg._chain_sizes(chains, cap) == [
+            [len(chains.basis(s, t)) for t in range(cap + 1)]
+            for s in range(len(chains.tuples))], (left, right)
+
+
+def test_chain_sizes_count_a_stanley_reisner_side():
+    # a face ring is smaller than the polynomial ring on its vertices: its
+    # series is read from its basis
+    A = poly_alg(2, 2, 2)
+    R = MonomialAlgebra.stanley_reisner(2, ["a", "b"], [["a"], ["b"]], degree=2)
+    chains = homalg._KoszulChains(A, ModuleViaMap(A, R, {"u": "a", "v": "b"}),
+                                  ModuleViaMap.identity(A), cap=10)
+    assert homalg._chain_sizes(chains, 10) == [
+        [len(chains.basis(s, t)) for t in range(11)] for s in range(len(chains.tuples))]
+
+
+@pytest.mark.parametrize("name", ["poly(x2,y4)@3", "mixed(x2,w4;y1,z3)@3"])
+def test_tor_refuses_a_differential_over_the_cell_budget(monkeypatch, name):
+    # the count is exact: the largest differential fits a budget of its own
+    # size and not one cell less, and the refusal names its (s, t) and shape
+    A, cap = TOR_SWEEP[name], 8
+    M = N = ModuleViaMap.identity(A)
+    sizes = homalg._chain_sizes(homalg._KoszulChains(A, M, N, cap=cap), cap)
+    cells = [[r * c for r, c in zip(sizes[s - 1], sizes[s])] for s in range(1, len(sizes))]
+    largest = max(map(max, cells))
+    s = next(s for s, row in enumerate(cells, 1) if max(row) == largest)
+    t = cells[s - 1].index(largest)
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest)
+    tor_dims(A, M, N, cap)
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest - 1)
+    shape = f"{sizes[s - 1][t]} x {sizes[s][t]}"
+    with pytest.raises(CapError, match=rf"two-sided Koszul differential from \(s, t\) = "
+                                       rf"\({s}, {t}\) is {shape},"):
+        tor_dims(A, M, N, cap)
+
+
+def test_tor_refuses_six_polynomial_generators_at_cap_18_before_building(monkeypatch):
+    # the algebra on the left: the differential from (2, 18) would be
+    # 7,722 x 11,880 (92M cells); it is refused from the counts alone
+    monkeypatch.setattr(homalg._KoszulChains, "differential", None)
+    A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
+    with pytest.raises(CapError, match=r"\(s, t\) = \(2, 18\) is 7722 x 11880"):
+        tor_dims(A, ModuleViaMap.identity(A), ModuleViaMap.augmentation(A), 18)
 
 
 def test_word_complex_refuses_a_product_outside_its_letters():
