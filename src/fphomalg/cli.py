@@ -17,19 +17,12 @@ from .linalg import (BigradedTable, GradedMap, GradedVectorSpace, HilbertSeries,
                      dump_json, json_int)
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 
-COMMANDS = (
-    "free-lie", "restricted", "free-w1", "axioms", "ext", "hochschild", "aq",
-    "tor", "bar", "diagram-lim", "diagram-aq", "injective", "invariants",
-    "lie-check", "stanley-reisner", "emss", "loops", "obstruction",
-)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fphomalg",
         description="exact homological algebra over prime fields",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(HANDLERS))
     parser.add_argument("-p", "--prime", type=int, default=2)
     parser.add_argument("-n", "--cap", type=int, default=12)
     parser.add_argument("--smax", type=int, default=5)

@@ -475,13 +475,8 @@ class AlgebraDiagram:
 
     def linearize(self, cap: int) -> VectorDiagram:
         """Matrices of the algebra maps on monomial bases, degree by degree."""
-        spaces = {}
-        for o, A in self.values.items():
-            spaces[o] = GradedVectorSpace(
-                {d: len(A.basis(d)) for d in range(cap + 1)},
-                {d: tuple(A.monomial_str(m) for m in A.basis(d))
-                 for d in range(cap + 1) if A.basis(d)},
-            )
+        spaces = {o: GradedVectorSpace({d: len(A.basis(d)) for d in range(cap + 1)})
+                  for o, A in self.values.items()}
         maps = {f: GradedMap(spaces[s], spaces[dst], 0,
                              {d: self.maps[f].block(d) for d in range(cap + 1)
                               if spaces[s].dim(d) and spaces[dst].dim(d)}, self.p)
@@ -517,7 +512,6 @@ class _AQLocal:
     def __init__(self, A: MonomialAlgebra, Mspace: GradedVectorSpace, q_max: int):
         self.A = A
         self.M = AlgebraModule.trivial(A, Mspace)
-        self.q_max = q_max
         self.hc = HochschildComplex(A, self.M, q_max + 3)
         self._sub_cache = {}
 

@@ -12,8 +12,9 @@ degree over from their inputs.
 Two independent routes to the dimensions of the free algebras coexist:
 
 * symbol counting: Lyndon words (necklace counts per multidegree) plus
-  self-brackets ``[b, b]`` for odd p on even-degree symbols, plus
-  restriction towers ``d -> p d - p + 1``;
+  self-brackets ``[b, b]`` for odd p on even-degree symbols, plus the
+  restriction tower of each (``restriction_tower``, the one walk of
+  ``d -> p d - p + 1``, shared with the restricted basis and ``w1``);
 * brute-force closure oracles inside the tensor algebra: the span of the
   generators closed under brackets (and p-th powers), kept per bidegree
   (shifted degree, weight) as one sparse echelon form keyed by lowest word
@@ -24,8 +25,10 @@ Two independent routes to the dimensions of the free algebras coexist:
 The basis builders realize each Lyndon element as one bracket of its
 standard factors' elements, check the realizations' independence by rank,
 cross-check the two routes and raise ``CrossCheckError`` on any
-disagreement instead of trusting either side.  Caps whose largest
-bidegree holds more than ``MAX_BUCKET_WORDS`` words are refused up front.
+disagreement instead of trusting either side.  The closure oracles walk
+no tower, so they stay independent of every count that shares it.  Caps
+under which some bidegree holds more than ``wordcomplex.MAX_BUCKET_WORDS``
+words are refused up front, by the word count the bar complex uses.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as K
+from . import wordcomplex
 from .errors import (
     AlphabetError,
     CapError,
@@ -47,17 +51,6 @@ from .linalg import GradedVectorSpace, PrimeField, _assemble, json_int
 
 DEFAULT_WEIGHT_CAP = 10
 MAX_GENERATORS = 4
-# Most words of one bidegree (shifted degree, weight) that the closure
-# oracles and the Lyndon span check accept, so that a run either fits in a
-# few hundred MB or exits 2 before it starts.  An oracle's echelon form
-# holds a column per pivot with up to one entry per word of its bidegree, and
-# the span check's matrix of a bidegree a row per word, so both grow with the
-# word count: three degree-1 generators at weight cap 10 have 3^10 = 59,049
-# words of weight 10 in degree 1.  At this budget two degree-1 generators at
-# weight cap 12 (4,096 words of weight 12) peak at 39-52 MB for ``free-lie``
-# and 53-67 MB for ``restricted`` at p in {2, 3, 5}; the inputs of the tests
-# and the benchmark need at most 3^7 = 2,187 words.
-MAX_BUCKET_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -528,29 +521,20 @@ def parse_or_pass(gens):
 
 def _check_caps(alphabet: Alphabet, degree_cap: int, weight_cap: int):
     """Refuse a weight cap below 1, and caps under which some bidegree
-    (shifted degree, weight) holds more than ``MAX_BUCKET_WORDS`` words.
+    (shifted degree, weight) holds more than ``wordcomplex.MAX_BUCKET_WORDS``
+    words: the bar complex's word count (``wordcomplex._over_budget``), with
+    weight as length and shifted degrees below ``degree_cap``.
 
     Counts words only, not Lyndon words, so that the oracles stay
     independent of the counting route.
     """
     if weight_cap < 1:
         raise ValidationError(f"weight cap must be >= 1, got {weight_cap}")
-    layer = {0: 1}  # words of the current weight, by shifted degree
-    for weight in range(1, weight_cap + 1):
-        nxt: dict[int, int] = {}
-        for sdeg, n in layer.items():
-            for d in alphabet.wdegs:
-                if sdeg + d < degree_cap:
-                    nxt[sdeg + d] = nxt.get(sdeg + d, 0) + n
-        if nxt == layer:  # every later weight has the same counts
-            break
-        for sdeg, n in nxt.items():
-            if n > MAX_BUCKET_WORDS:
-                raise CapError(
-                    f"{n} words of weight {weight} in degree {sdeg + 1} exceed "
-                    f"the budget of {MAX_BUCKET_WORDS}; lower the weight or degree cap"
-                )
-        layer = nxt
+    over = wordcomplex._over_budget(alphabet.wdegs, degree_cap - 1, weight_cap)
+    if over:
+        weight, sdeg, n = over
+        raise CapError(f"{n} words of weight {weight} in degree {sdeg + 1} exceed the budget "
+                       f"of {wordcomplex.MAX_BUCKET_WORDS}; lower the weight or degree cap")
 
 
 def _closure_dims(gens, degree_cap: int, p: int, weight_cap: int,
@@ -718,26 +702,28 @@ def lie_symbols(gens, degree_cap: int, *, p: int, weight_cap: int | None = None)
     return base
 
 
+def restriction_tower(d: int, w: int, p: int, degree_cap: int, weight_cap: int | None):
+    """``(i, degree, weight)`` of ``xi^i`` of a symbol of degree ``d`` and
+    weight ``w``, for i = 0, 1, ... while within both caps (None: no weight
+    cap).  ``xi`` sends ``(d, w)`` to ``(p d - p + 1, p w)``, on every degree
+    at p = 2 and on odd degrees at odd p, so at odd p the tower stops after
+    an even degree."""
+    i = 0
+    while d <= degree_cap and (weight_cap is None or w <= weight_cap):
+        yield i, d, w
+        if p != 2 and d % 2 == 0:
+            return
+        i, d, w = i + 1, p * d - p + 1, p * w
+
+
 def restricted_symbol_dims(gens, degree_cap: int, *, p: int,
                            weight_cap: int | None = None) -> GradedVectorSpace:
-    """Counting route to the free shifted restricted Lie dimensions.
-
-    Each Lie symbol of admissible parity (odd unshifted degree at odd p,
-    everything at p = 2) spawns a restriction tower ``d -> p d - p + 1``.
-    """
+    """Counting route to the free shifted restricted Lie dimensions: the
+    restriction tower (``restriction_tower``) of every Lie symbol."""
     dims: dict[int, int] = {}
     for vdeg, n, c in lie_symbols(gens, degree_cap, p=p, weight_cap=weight_cap):
-        dims[vdeg] = dims.get(vdeg, 0) + c
-        if p == 2 or vdeg % 2 == 1:
-            d, w = vdeg, n
-            while True:
-                d = p * d - p + 1
-                w = p * w
-                if d > degree_cap:
-                    break
-                if weight_cap is not None and w > weight_cap:
-                    break
-                dims[d] = dims.get(d, 0) + c
+        for _, d, _ in restriction_tower(vdeg, n, p, degree_cap, weight_cap):
+            dims[d] = dims.get(d, 0) + c
     return GradedVectorSpace(dims)
 
 
@@ -759,27 +745,22 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
     """Symbols ``xi^i b`` with tensor realizations, plus their dimensions.
 
     Returns ``(symbols, dims)``.  Realizations are iterated p-th powers of
-    the Lyndon expansions.  Independence is checked once over all the
-    symbols (the Lyndon elements among them), by one rank per bidegree
-    (``span_dims``), and with ``verify=True`` the counts are compared
-    against the restricted closure oracle.
+    the Lyndon expansions, one per step of their restriction tower
+    (``restriction_tower``, which ``restricted_symbol_dims`` shares).
+    Independence is checked once over all the symbols (the Lyndon elements
+    among them), by one rank per bidegree (``span_dims``), and with
+    ``verify=True`` the counts are compared against the restricted closure
+    oracle, which walks no tower.
     """
-    base = _lyndon_elements(gens, weight_cap, degree_cap, p)
     symbols = []
-    for b in base:
-        symbols.append(RestrictedBasisSymbol(0, b, b.v_degree, b.element))
-        if p != 2 and b.v_degree % 2 == 0:
-            continue
-        elem, d, w, i = b.element, b.v_degree, b.weight, 0
-        while True:
-            d = p * d - p + 1
-            w = p * w
-            i += 1
-            if d > degree_cap or w > weight_cap:
-                break
-            elem = restriction_power(elem)
-            if elem.is_zero():
-                raise CrossCheckError(f"restriction power of {b.word} vanished in realization")
+    for b in _lyndon_elements(gens, weight_cap, degree_cap, p):
+        elem = b.element
+        for i, d, _ in restriction_tower(b.v_degree, b.weight, p, degree_cap, weight_cap):
+            if i:
+                elem = restriction_power(elem)
+                if elem.is_zero():
+                    raise CrossCheckError(
+                        f"restriction power of {b.word} vanished in realization")
             symbols.append(RestrictedBasisSymbol(i, b, d, elem))
     counted = _degree_counts(symbols)
     realized = span_dims([s.element for s in symbols], p)

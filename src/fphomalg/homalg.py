@@ -50,6 +50,7 @@ from collections import Counter
 import numpy as np
 
 from . import _kernels as K
+from . import wordcomplex
 from .errors import CapError, CrossCheckError, ValidationError
 from .linalg import (
     BigradedTable,
@@ -78,11 +79,6 @@ MAX_COCHAIN_WORDS = 200_000
 # 5,040 (35M cells, 280 MB as int64) at cap 16 and 19,305 x 15,840 at cap
 # 20, which is refused up front.
 MAX_CHAIN_CELLS = 50_000_000
-
-# Largest number of bar words of one length and degree, the column count of
-# a dense bar differential; the value of ``freelie.MAX_BUCKET_WORDS``.  The
-# exterior algebra on (x1, y3) peaks at 3,762 words at cap 22.
-MAX_BAR_BUCKET_WORDS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -832,15 +828,19 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     built once as an array word complex (``_Words``), so the chains of
     degree ``t`` are a bucket and each differential is a slice of a face
     table, assembled and ranked once.  A cap under which one bucket would
-    hold more than ``MAX_BAR_BUCKET_WORDS`` words raises ``CapError``
-    before any word is built.
+    hold more than ``wordcomplex.MAX_BUCKET_WORDS`` words raises
+    ``CapError`` before any word is built.
     """
     p = A.p
     letters = [(mon, d) for d in range(1, cap + 1) for mon in A.basis(d)]
     min_deg = min((d for _, d in letters), default=1)
     hard_s_max = cap // max(min_deg, 1)
     s_top = hard_s_max if s_max is None else min(s_max, hard_s_max)
-    _check_bar_words([d for _, d in letters], cap, s_top + 1)
+    over = wordcomplex._over_budget([d for _, d in letters], cap, s_top + 1)
+    if over:
+        s, t, n = over
+        raise CapError(f"{n} bar words of length {s} in degree {t} exceed the budget of "
+                       f"{wordcomplex.MAX_BUCKET_WORDS}; lower the degree cap")
     words = _Words(A, letters, s_top + 1, cap=cap)
 
     def block(s, t):
@@ -860,22 +860,3 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
         for s, h in _homology("bar", sizes, d, p, step=-1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
-
-
-def _check_bar_words(letter_degrees, cap: int, levels: int):
-    """Refuse bar words of length at most ``levels`` and degree at most
-    ``cap`` when some (length, degree) bucket would hold more than
-    ``MAX_BAR_BUCKET_WORDS`` of them.  The words are counted from the letter
-    degrees, not built."""
-    letters = np.bincount(np.array(letter_degrees, dtype=np.int64), minlength=cap + 1)
-    layer = np.zeros(cap + 1, dtype=np.int64)  # words of the current length, by degree
-    layer[0] = 1
-    for s in range(1, levels + 1):
-        # exact in int64: every count of the length before is within the budget
-        layer = np.convolve(layer, letters)[: cap + 1]
-        t = int(layer.argmax())
-        if layer[t] > MAX_BAR_BUCKET_WORDS:
-            raise CapError(
-                f"{layer[t]} bar words of length {s} in degree {t} exceed the "
-                f"budget of {MAX_BAR_BUCKET_WORDS}; lower the degree cap"
-            )

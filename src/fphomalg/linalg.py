@@ -87,9 +87,9 @@ class PrimeField:
 
 
 class GradedVectorSpace:
-    """Finitely supported dimension (and optional basis labels) per degree."""
+    """Finitely supported dimension per degree."""
 
-    def __init__(self, dims=None, labels=None):
+    def __init__(self, dims=None):
         clean = {}
         for d, n in dict(dims or {}).items():
             d = int(d)
@@ -99,17 +99,6 @@ class GradedVectorSpace:
             if n:
                 clean[d] = n
         self._dims = clean
-        self._labels = {}
-        if labels:
-            for d, names in labels.items():
-                d = int(d)
-                names = tuple(names)
-                if self.dim(d) != len(names):
-                    raise ValidationError(
-                        f"{len(names)} labels for dimension {self.dim(d)} in degree {d}"
-                    )
-                if names:
-                    self._labels[d] = names
 
     @property
     def dims(self) -> dict[int, int]:
@@ -117,12 +106,6 @@ class GradedVectorSpace:
 
     def dim(self, d: int) -> int:
         return self._dims.get(int(d), 0)
-
-    def labels(self, d: int):
-        d = int(d)
-        if d in self._labels:
-            return self._labels[d]
-        return tuple(f"e{d}_{i}" for i in range(self.dim(d)))
 
     def degrees(self) -> list[int]:
         return sorted(self._dims)
@@ -134,10 +117,7 @@ class GradedVectorSpace:
         return not self._dims
 
     def shift(self, k: int) -> "GradedVectorSpace":
-        return GradedVectorSpace(
-            {d + k: n for d, n in self._dims.items()},
-            {d + k: v for d, v in self._labels.items()},
-        )
+        return GradedVectorSpace({d + k: n for d, n in self._dims.items()})
 
     def __add__(self, other: "GradedVectorSpace") -> "GradedVectorSpace":
         dims = dict(self._dims)

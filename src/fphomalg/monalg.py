@@ -243,14 +243,6 @@ class MonomialAlgebra:
                 out = self.mul_elements(out, img)
         return out
 
-    def monomial_str(self, mon) -> str:
-        bits = [
-            n if e == 1 else f"{n}^{e}"
-            for n, e in zip(self.names, mon)
-            if e
-        ]
-        return "*".join(bits) if bits else "1"
-
     def element_degree(self, x: dict):
         degs = {self.deg(m) for m in x}
         if len(degs) > 1:
@@ -329,14 +321,7 @@ class AlgebraModule:
     @classmethod
     def regular(cls, algebra: MonomialAlgebra, cap: int):
         """The algebra as a module over itself, truncated at ``cap``."""
-        dims = {}
-        labels = {}
-        for d in range(cap + 1):
-            mons = algebra.basis(d)
-            if mons:
-                dims[d] = len(mons)
-                labels[d] = tuple(algebra.monomial_str(m) for m in mons)
-        space = GradedVectorSpace(dims, labels)
+        space = GradedVectorSpace({d: len(algebra.basis(d)) for d in range(cap + 1)})
         action = {}
         for name, gdeg in algebra.generators:
             gmon = algebra.monomial_of(name)

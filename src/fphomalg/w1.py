@@ -5,9 +5,18 @@ The free W1-algebra on a generator list is the free graded-commutative
 algebra on admissible symbols ``zeta^e xi^i b`` where ``b`` runs over the
 Lyndon/self-bracket symbols, ``xi`` iterates ``d -> p d - p + 1`` on odd
 degrees (every degree at p = 2), and ``zeta`` (odd p only) sends an odd
-degree ``d`` to ``p d - p + 2``.  Two independent dimension routes are
-provided: explicit monomial enumeration on the symbols, and the series
-``Sym(g + zeta g)`` evaluated on the restricted-symbol dimensions.
+degree ``d`` to ``p d - p + 2``.  ``_w1_symbols`` walks those symbols
+once: ``freelie.restriction_tower`` on each ``freelie.lie_symbols`` entry,
+plus zeta of each odd degree.
+
+The three dimension routes all start from ``lie_symbols`` and walk
+``restriction_tower``.  ``free_w1_dims`` and ``free_w1_dims_via_sym_zeta``
+(``Sym(g + zeta g)`` on the restricted-symbol dimensions) also share
+``free_commutative_series``, so they check only the zeta bookkeeping.  The
+checks that stay independent are the restricted closure oracle of
+``freelie`` (against ``restricted_symbol_dims`` and ``restricted_basis``)
+and ``free_w1_dims_enumerated``, which enumerates monomials instead of
+multiplying series.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import CapError, ValidationError
-from .freelie import lie_symbols, parse_or_pass, restricted_symbol_dims
+from .freelie import lie_symbols, parse_or_pass, restricted_symbol_dims, restriction_tower
 from .linalg import (
     BigradedTable,
     GradedVectorSpace,
@@ -86,29 +95,25 @@ class W1Monomial:
         return out + self.lie_symbol
 
 
+def _w1_symbols(gens, cap: int, p: int, weight_cap: int | None):
+    """The admissible symbols ``zeta^e xi^i b`` within the caps, as
+    ``(b, e, i, degree)``, where ``b`` is a ``lie_symbols`` triple
+    ``(v_degree, weight, count)`` standing for ``count`` Lie symbols."""
+    PrimeField(p)
+    for b in lie_symbols(parse_or_pass(gens), cap, p=p, weight_cap=weight_cap):
+        for i, d, _ in restriction_tower(b[0], b[1], p, cap, weight_cap):
+            yield b, 0, i, d
+            if p != 2 and d % 2 == 1 and zeta_degree(d, p) <= cap:
+                yield b, 1, i, zeta_degree(d, p)
+
+
 def w1_symbol_counts(gens, cap: int, p: int,
                      weight_cap: int | None = None) -> dict[int, int]:
-    """Aggregated count of admissible symbols per degree.
-
-    Walks the restriction tower of every Lie symbol (odd degrees at odd p,
-    all degrees at p = 2) and attaches the zeta variant of each odd-degree
-    symbol.  Counts stay aggregated per multidegree, so this scales to the
-    large Lyndon counts of several low-degree generators.
-    """
-    PrimeField(p)
+    """Aggregated count of admissible symbols per degree (``_w1_symbols``),
+    which scales to the large Lyndon counts of low-degree generators."""
     counts: dict[int, int] = {}
-    for vdeg, weight, count in lie_symbols(parse_or_pass(gens), cap, p=p, weight_cap=weight_cap):
-        d, w = vdeg, weight
-        while d <= cap:
-            if weight_cap is not None and w > weight_cap:
-                break
-            counts[d] = counts.get(d, 0) + count
-            if p != 2 and d % 2 == 1 and zeta_degree(d, p) <= cap:
-                z = zeta_degree(d, p)
-                counts[z] = counts.get(z, 0) + count
-            if p != 2 and d % 2 == 0:
-                break  # xi undefined on even degrees at odd p
-            d, w = xi_degree(d, p), p * w
+    for (_, _, count), _, _, d in _w1_symbols(gens, cap, p, weight_cap):
+        counts[d] = counts.get(d, 0) + count
     return dict(sorted(counts.items()))
 
 
@@ -116,24 +121,12 @@ def w1_generator_symbols(gens, cap: int, p: int,
                          weight_cap: int | None = None,
                          max_symbols: int = 20000) -> list[W1Monomial]:
     """Explicit labelled symbol list for small inputs (display, tests)."""
-    PrimeField(p)
-    total = sum(w1_symbol_counts(gens, cap, p, weight_cap).values())
+    walk = list(_w1_symbols(gens, cap, p, weight_cap))
+    total = sum(count for (_, _, count), *_ in walk)
     if total > max_symbols:
         raise CapError(f"{total} symbols exceed the explicit-list bound {max_symbols}")
-    symbols: list[W1Monomial] = []
-    for vdeg, weight, count in lie_symbols(parse_or_pass(gens), cap, p=p, weight_cap=weight_cap):
-        for j in range(count):
-            tag = f"l[{vdeg}w{weight}#{j}]"
-            d, w, i = vdeg, weight, 0
-            while d <= cap:
-                if weight_cap is not None and w > weight_cap:
-                    break
-                symbols.append(W1Monomial(0, i, tag, vdeg, d))
-                if p != 2 and d % 2 == 1 and zeta_degree(d, p) <= cap:
-                    symbols.append(W1Monomial(1, i, tag, vdeg, zeta_degree(d, p)))
-                if p != 2 and d % 2 == 0:
-                    break
-                d, w, i = xi_degree(d, p), p * w, i + 1
+    symbols = [W1Monomial(e, i, f"l[{vdeg}w{weight}#{j}]", vdeg, d)
+               for (vdeg, weight, count), e, i, d in walk for j in range(count)]
     return sorted(symbols, key=lambda s: (s.degree, s.lie_symbol, s.xi_power, s.epsilon))
 
 
@@ -144,7 +137,8 @@ def free_w1_dims(gens, cap: int, p: int,
     Counts graded-commutative monomials on the symbol set assembled by
     ``w1_symbol_counts`` (odd symbols square to zero at odd p).  Must agree
     with ``sym_zeta_dims`` applied to the free shifted restricted Lie
-    dimensions; the dedicated tests enforce that identity.
+    dimensions, which shares its tower and series; the dedicated tests
+    enforce that identity.
     """
     counts = w1_symbol_counts(gens, cap, p, weight_cap)
     return free_commutative_series(sorted(counts.items()), cap, p)
@@ -152,7 +146,8 @@ def free_w1_dims(gens, cap: int, p: int,
 
 def free_w1_dims_enumerated(gens, cap: int, p: int,
                             weight_cap: int | None = None) -> HilbertSeries:
-    """Third route for small inputs: explicit monomial enumeration."""
+    """Third route for small inputs: explicit monomial enumeration on the
+    symbols of ``w1_generator_symbols``, with no series product."""
     symbols = w1_generator_symbols(gens, cap, p, weight_cap)
     counts = [0] * (cap + 1)
 

@@ -7,6 +7,10 @@ products are a table, and the faces are one numpy table ordered by level
 and degree, so a differential between two degree buckets is a slice of it.
 ``homalg`` assembles the bar and Hochschild differentials from those
 slices.
+
+``_over_budget`` is the one word budget of the bar complex and of the Lie
+oracles of ``freelie``: it counts the words per (length, degree) from the
+letter degrees, before any is built.
 """
 
 from __future__ import annotations
@@ -14,6 +18,48 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+# Most words of one (length, degree) bucket that the bar complex and the Lie
+# oracles accept, so that a run fits in a few hundred MB or exits 2 before it
+# starts.  A bar bucket is the column count of a dense bar differential; the
+# exterior algebra on (x1, y3) peaks at 3,762 words at cap 22.  A Lie bucket
+# is a bidegree (weight, shifted degree), whose echelon form and span matrix
+# grow with its words: two degree-1 generators at weight cap 12 (4,096 words)
+# peak at 39-67 MB, three at weight cap 10 (59,049 words) are refused.
+MAX_BUCKET_WORDS = 4096
+
+
+def _over_budget(letter_degrees, max_degree: int, max_length: int):
+    """``(length, degree, count)`` of the largest bucket (lowest degree on a
+    tie) at the first length up to ``max_length`` where a bucket of words of
+    degree at most ``max_degree`` holds more than ``MAX_BUCKET_WORDS``, or
+    None.  Counted in pure Python over the distinct letter degrees (none
+    negative) in order: numpy's fixed costs exceed a whole Lie count, which
+    runs in every Lie job.  A length that
+    repeats the counts of the one before ends the count, as every later one
+    repeats them: degree-0 letters (degree-1 Lie generators) under a
+    user-set weight cap, or no word left in bound."""
+    counts: dict[int, int] = {}
+    for d in letter_degrees:
+        counts[d] = counts.get(d, 0) + 1
+    letters = sorted(counts.items())
+    layer = {0: 1}  # words of the current length, by degree
+    for length in range(1, max_length + 1):
+        nxt: dict[int, int] = {}
+        for deg, n in layer.items():
+            room = max_degree - deg
+            for d, m in letters:
+                if d > room:
+                    break
+                nxt[deg + d] = nxt.get(deg + d, 0) + n * m
+        if nxt == layer:
+            return None
+        if nxt:
+            largest = max(nxt.values())
+            if largest > MAX_BUCKET_WORDS:
+                return length, min(d for d, n in nxt.items() if n == largest), largest
+        layer = nxt
+    return None
 
 
 def _group(keys: list, span: int):

@@ -1,11 +1,20 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fphomalg import _kernels as K
-from fphomalg import freelie
-from fphomalg.errors import AlphabetError, CrossCheckError, ParityDomainError, ValidationError
+from fphomalg import freelie, wordcomplex
+from fphomalg.errors import (
+    AlphabetError,
+    CapError,
+    CrossCheckError,
+    ParityDomainError,
+    ValidationError,
+)
 from fphomalg.freelie import (
     Alphabet,
     Generator,
@@ -305,6 +314,27 @@ def test_closure_oracles_on_two_degree_one_generators_to_weight_ten(p):
     restricted = restricted_closure_dims(gens(1, 1), 2, p=p, weight_cap=10)
     assert restricted.dims == reference_closure_dims((1, 1), 2, p, 10, restricted=True)
     assert restricted == restricted_symbol_dims(gens(1, 1), 2, p=p, weight_cap=10)
+
+
+@pytest.mark.parametrize("degs, cap, weight_cap", [((1, 1), 3, 6), ((1, 1, 2), 4, 5)])
+def test_lie_word_budget_counts_the_largest_bucket(monkeypatch, degs, cap, weight_cap):
+    # the count from letter degrees is exact: the largest (weight, degree)
+    # bucket of the enumerated words fits a budget of its own size and not
+    # one word less, and the refusal names it (on (x1, y1, z2) two buckets
+    # of weight 5 tie at 80 words, and the lower degree is named)
+    buckets = Counter()
+    for n in range(1, weight_cap + 1):
+        for word in itertools.product([d - 1 for d in degs], repeat=n):
+            if sum(word) < cap:
+                buckets[n, sum(word) + 1] += 1
+    largest = max(buckets.values())
+    weight, degree = min(k for k, v in buckets.items() if v == largest)
+    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest)
+    bracket_closure_dims(gens(*degs), cap, p=3, weight_cap=weight_cap)
+    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest - 1)
+    with pytest.raises(CapError, match=f"^{largest} words of weight {weight} in degree "
+                                       f"{degree} exceed the budget of {largest - 1};"):
+        bracket_closure_dims(gens(*degs), cap, p=3, weight_cap=weight_cap)
 
 
 @pytest.mark.parametrize("p,degs", [(2, (2, 3)), (3, (2, 3)), (5, (2, 4))])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fphomalg import homalg
+from fphomalg import homalg, wordcomplex
 from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import (
     FreeResolution,
@@ -489,9 +489,9 @@ def test_bar_word_budget_counts_the_largest_bucket(monkeypatch, A, cap):
     letters = [(m, d) for d in range(1, cap + 1) for m in A.basis(d)]
     words = homalg._Words(A, letters, cap + 1, cap=cap)
     largest = max(len(b) for level in words.buckets for b in level.values())
-    monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest)
+    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest)
     bar_homology_dims(A, cap)
-    monkeypatch.setattr(homalg, "MAX_BAR_BUCKET_WORDS", largest - 1)
+    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest - 1)
     with pytest.raises(CapError, match=f"{largest} bar words"):
         bar_homology_dims(A, cap)
 

@@ -1,7 +1,16 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fphomalg.errors import ValidationError
-from fphomalg.freelie import Generator, restricted_symbol_dims
+from fphomalg.freelie import (
+    DEFAULT_WEIGHT_CAP,
+    Generator,
+    restricted_basis,
+    restricted_symbol_dims,
+)
 from fphomalg.linalg import BigradedTable, GradedVectorSpace
 from fphomalg.w1 import (
     W1StructureTable,
@@ -13,6 +22,7 @@ from fphomalg.w1 import (
     sym_zeta_dims,
     triviality_check,
     w1_generator_symbols,
+    w1_symbol_counts,
     zeta_space,
 )
 
@@ -145,3 +155,29 @@ def test_restricted_dims_feed_sym_zeta():
     g = restricted_symbol_dims(gens(3), 11, p=3)
     assert g.dims == {3: 1, 7: 1}
     assert sym_zeta_dims(g, 11, 3) == free_w1_dims(gens(3), 11, 3)
+
+
+@st.composite
+def tower_inputs(draw):
+    # degree-1 generators need a weight cap: their shifted degree is 0
+    weight_cap = draw(st.one_of(st.none(), st.integers(1, 6)))
+    low = 1 if weight_cap else 2
+    degs = draw(st.lists(st.integers(low, 5), min_size=1, max_size=3))
+    return draw(st.sampled_from([2, 3, 5])), degs, draw(st.integers(1, 8)), weight_cap
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tower_inputs())
+def test_every_count_walks_the_same_tower(case):
+    # the W1 symbols, the restricted symbol counts and the restricted basis
+    # all walk one restriction tower; their tallies must agree
+    p, degs, cap, weight_cap = case
+    g = gens(*degs)
+    counts = w1_symbol_counts(g, cap, p, weight_cap)
+    assert Counter(s.degree for s in w1_generator_symbols(g, cap, p, weight_cap)) == counts
+    restricted = restricted_symbol_dims(g, cap, p=p, weight_cap=weight_cap)
+    with_zeta = restricted + zeta_space(restricted, p)
+    assert counts == {d: n for d, n in with_zeta.dims.items() if d <= cap}
+    symbols, dims = restricted_basis(g, cap, p=p, weight_cap=weight_cap or DEFAULT_WEIGHT_CAP,
+                                     verify=False)
+    assert Counter(s.v_degree for s in symbols) == restricted.dims == dims.dims
