@@ -152,6 +152,8 @@ def cmd_free_w1(data, args):
         raise CrossCheckError(
             f"symbol route {series.nonzero()} disagrees with series route {other.nonzero()}"
         )
+    # both routes walk the restriction tower; the closure oracle does not
+    freelie.check_restricted_counts(gens, args.cap, p=args.prime, weight_cap=args.weight_cap)
     return {
         "kind": "series",
         "series": series,

@@ -318,7 +318,8 @@ def _cosimplicial(J: FiniteCategory, levels, top: int, dim, face0, last, p: int)
     drops the first arrow ``f`` and acts by the block ``face0(f, face)``,
     the middle faces compose two adjacent arrows and are identity blocks with
     sign (-1)^k, and the last face drops the last arrow ``f`` and acts by
-    ``last(face, f)`` with sign (-1)^(s+1).  Returns the sizes of levels
+    ``last(face, f)`` with sign (-1)^(s+1).  ``face0`` and ``last`` are
+    called only between two nonzero components.  Returns the sizes of levels
     0..top and ``d_0, ..., d_top``, as ``_homology`` takes them.
     """
     spaces = [_offsets(levels[s] if s < len(levels) else (), dim) for s in range(top + 2)]
@@ -332,7 +333,7 @@ def _cosimplicial(J: FiniteCategory, levels, top: int, dim, face0, last, p: int)
                 continue
             start, fs = c
             face = (J.arrows[fs[0]][1], fs[1:])
-            if face in src:
+            if face in src and dim(face):
                 B = face0(fs[0], face)
                 mat[off: off + n, src[face]: src[face] + B.shape[1]] += B
             diag = np.arange(n)
@@ -341,7 +342,7 @@ def _cosimplicial(J: FiniteCategory, levels, top: int, dim, face0, last, p: int)
                 if face in src:
                     mat[off + diag, src[face] + diag] += -1 if k % 2 else 1
             face = (start, fs[:-1])
-            if face in src:
+            if face in src and dim(face):
                 B = last(face, fs[-1])
                 mat[off: off + n, src[face]: src[face] + B.shape[1]] += (
                     (-1 if (s + 1) % 2 else 1) * B)
@@ -507,12 +508,21 @@ def face_ring_diagram(vertices, facets, degree: int, cap: int, p: int):
 
 
 class _AQLocal:
-    """AQ^q spaces of one pair (exterior algebra, trivial odd module)."""
+    """AQ^q spaces of one pair (exterior algebra, trivial odd module).
+
+    For q >= 1, AQ^q in map degree t is the cohomology of the pair's
+    Hochschild cochains at ``(q + 1, t)``.  Its dimension comes from the
+    complex's ranks, after the d*d check from ``(q, t)``, and costs nothing
+    on a zero space; a ``Subquotient`` with representatives and class
+    coordinates is built only for an induced map, once per ``(q, t)``.
+    """
 
     def __init__(self, A: MonomialAlgebra, Mspace: GradedVectorSpace, q_max: int):
         self.A = A
         self.M = AlgebraModule.trivial(A, Mspace)
-        self.hc = HochschildComplex(A, self.M, q_max + 3)
+        # AQ^q reads delta(q + 1, t), into level q + 2
+        self.hc = HochschildComplex(A, self.M, q_max + 2)
+        self._dims = {}
         self._sub_cache = {}
 
     def der_basis(self, t: int):
@@ -531,9 +541,14 @@ class _AQLocal:
         return self._sub_cache[key]
 
     def dim(self, q: int, t: int) -> int:
-        if q == 0:
-            return len(self.der_basis(t))
-        return self.subquotient(q, t).dim
+        key = (q, t)
+        if key not in self._dims:
+            if q == 0:
+                self._dims[key] = len(self.der_basis(t))
+            else:
+                self.hc.verify_dd(q, t)
+                self._dims[key] = self.hc.cohomology_dim(q + 1, t)
+        return self._dims[key]
 
 
 def _exterior_from_space(p, V: GradedVectorSpace) -> MonomialAlgebra:
@@ -614,10 +629,10 @@ def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int, shift: int
 
 
 def _induced(T: np.ndarray, srcq: Subquotient, tgtq: Subquotient, p: int) -> np.ndarray:
-    """Matrix on class coordinates of the cochain map ``T`` between subquotients."""
-    imgs = (T @ srcq.representatives()) % p
-    cols = [tgtq.coords(v) for v in imgs.T]
-    return np.array(cols, dtype=np.int64).reshape(srcq.dim, tgtq.dim).T
+    """Matrix on class coordinates of the cochain map ``T`` between two
+    nonzero subquotients: the target coordinates of the images of the
+    source representatives, solved in one ``coords`` call."""
+    return tgtq.coords((T @ srcq.representatives()) % p)
 
 
 def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
@@ -692,18 +707,15 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         T = _postcompose_matrix(src.hc.basis(q + 1, t), tgt.hc.basis(q + 1, t), psi, p)
         return _induced(T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
-    degrees = set()
-    for o in J.objects:
-        for d in DM.value(o).degrees():
-            for dd in [0] + list(DV.value(o).degrees()):
-                degrees.add(d - dd)
-            degrees.add(d)
-    for o in J.objects:
-        loc = local(o, o)
-        for t in loc.hc.t_range(range(q_max + 2)):
-            degrees.add(t)
-
     top = min(len(levels) - 1, s_max)
+    # every map degree where the component AQ^q(A(j0), M(js)) of a chain
+    # of levels 0..top may be nonzero: where its pair has cochains at
+    # levels 0..q_max + 1 (derivations are the level-1 cochains)
+    degrees = set()
+    for level in levels[: top + 1]:
+        for c in level:
+            degrees.update(local(c[0], J.chain_end(c)).hc.t_range(range(q_max + 2)))
+
     tables = {}
     kernel_rows = {}
     for q in range(q_max + 1):
@@ -713,9 +725,13 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
             # the component of a chain j0 -> ... -> js is AQ^q(A(j0), M(js)):
             # face 0 restricts along the first arrow, the last face
             # postcomposes with the module map of the last one
+            def dim(c):
+                return local(c[0], J.chain_end(c)).dim(q, t)
+
+            if not any(dim(c) for level in levels[: top + 1] for c in level):
+                continue
             sizes, d = _cosimplicial(
-                J, levels, top,
-                lambda c: local(c[0], J.chain_end(c)).dim(q, t),
+                J, levels, top, dim,
                 lambda f, face: restriction_on_h(f, J.chain_end(face), q, t),
                 lambda face, f: postcompose_on_h(face[0], J.chain_end(face), f, q, t), p)
             ranks = _RankOnce(d.get, p, 1)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -488,11 +489,15 @@ class HochschildComplex:
 
     def _ranks_of(self, t: int) -> _RankOnce:
         """The ranks of the differentials of map degree ``t``; a map from or
-        to a zero space is the zero map (``None``)."""
+        to a zero space is the zero map (``None``).  The ranks reach the
+        complex by a weak proxy: they live in ``self._ranks``, and a strong
+        reference would leave every complex in a cycle that only the cyclic
+        garbage collector frees."""
         if t not in self._ranks:
+            hc = weakref.proxy(self)
             self._ranks[t] = _RankOnce(
-                lambda k: self.delta(k, t) if k >= 0 and self._dim(k, t)
-                and self._dim(k + 1, t) else None, self.p, 1)
+                lambda k: hc.delta(k, t) if k >= 0 and hc._dim(k, t)
+                and hc._dim(k + 1, t) else None, self.p, 1)
         return self._ranks[t]
 
     def verify_dd(self, s: int, t: int):

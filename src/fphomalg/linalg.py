@@ -614,12 +614,11 @@ class Subquotient:
         self.dim = len(self._free)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """Class coordinates of cycle coordinates ``x``, a vector or a
+        matrix of columns: the rows of ``_red_rows`` are reduced, so each
+        pivot entry of ``x`` is the multiple of its row to subtract."""
         x = x % self.p
-        for row, pc in zip(self._red_rows, self._piv):
-            c = int(x[pc])
-            if c:
-                x = (x - c * row) % self.p
-        return x[self._free]
+        return (x[self._free] - self._red_rows[:, self._free].T @ x[self._piv]) % self.p
 
     def representatives(self) -> np.ndarray:
         """(n, dim) matrix whose columns represent the chosen basis classes."""
@@ -628,7 +627,9 @@ class Subquotient:
         return self.cycles[:, self._free] % self.p
 
     def coords(self, v) -> np.ndarray:
-        """Class coordinates of a cycle ``v``."""
+        """Class coordinates of a cycle ``v``, or of each column of a
+        matrix ``v`` of cycles in one solve; ``ValidationError`` if some
+        column is not a cycle."""
         v = np.asarray(v, dtype=np.int64) % self.p
         x = K.solve(self.cycles, v, self.p)
         if x is None:

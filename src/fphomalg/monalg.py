@@ -369,28 +369,29 @@ class AlgebraModule:
         return d + deg, out
 
     def validate(self):
-        degs = self.space.degrees()
-        if not degs:
+        """Graded commutation, exponent caps and non-face products, over
+        the generators that act: a zero action commutes with every map, its
+        powers vanish, and a product containing it vanishes."""
+        if not self.space.degrees():
             return
-        names = [n for n, _ in self.algebra.generators]
-        gdeg = dict(self.algebra.generators)
+        acting = [(name, d) for name, d in self.algebra.generators if name in self.action]
         # graded commutation g.(h.m) = (-1)^{|g||h|} h.(g.m)
-        for a in names:
-            for b in names:
-                sign = -1 if (self.p != 2 and gdeg[a] % 2 and gdeg[b] % 2) else 1
-                left = self.gen_action(a).compose(self.gen_action(b))
-                right = self.gen_action(b).compose(self.gen_action(a)).scale(sign)
+        for a, da in acting:
+            for b, db in acting:
+                sign = -1 if (self.p != 2 and da % 2 and db % 2) else 1
+                left = self.action[a].compose(self.action[b])
+                right = self.action[b].compose(self.action[a]).scale(sign)
                 if left != right:
                     raise ValidationError(
                         f"module actions of {a!r} and {b!r} do not graded-commute"
                     )
         # relations: exponent caps annihilate
         for (name, _), cap in zip(self.algebra.generators, self.algebra.caps):
-            if cap is None:
+            if cap is None or name not in self.action:
                 continue
             power = GradedMap.identity(self.space, self.p)
             for _ in range(cap + 1):
-                power = self.gen_action(name).compose(power)
+                power = self.action[name].compose(power)
             if not power.is_zero():
                 raise ValidationError(f"relation {name}^{cap + 1} = 0 not respected")
         if self.algebra.facets is not None:
@@ -399,17 +400,19 @@ class AlgebraModule:
                     raise ValidationError("non-face monomial acts nontrivially")
 
     def _nonface_products(self):
+        """Actions of the non-faces of size 2 and 3 whose generators all
+        act (any other product vanishes)."""
         # non-faces of size <= 3 cover every minimal non-face seen in practice
-        n = len(self.algebra.names)
+        acting = [i for i, name in enumerate(self.algebra.names) if name in self.action]
         out = []
         for r in (2, 3):
-            for comb in itertools.combinations(range(n), r):
+            for comb in itertools.combinations(acting, r):
                 supp = frozenset(comb)
                 if any(supp <= f for f in self.algebra.facets):
                     continue
                 mp = GradedMap.identity(self.space, self.p)
                 for i in comb:
-                    mp = self.gen_action(self.algebra.names[i]).compose(mp)
+                    mp = self.action[self.algebra.names[i]].compose(mp)
                 out.append(mp)
         return out
 

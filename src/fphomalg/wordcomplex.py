@@ -8,9 +8,10 @@ and degree, so a differential between two degree buckets is a slice of it.
 ``homalg`` assembles the bar and Hochschild differentials from those
 slices.
 
-``_over_budget`` is the one word budget of the bar complex and of the Lie
-oracles of ``freelie``: it counts the words per (length, degree) from the
-letter degrees, before any is built.
+``_word_counts`` counts the words per (length, degree) from the letter
+degrees, before any is built.  ``_over_budget`` is the one word budget of
+the bar complex and of the Lie oracles of ``freelie``, and ``_word_total``
+sizes the window of ``free-w1``'s closure check.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ import numpy as np
 MAX_BUCKET_WORDS = 4096
 
 
-def _over_budget(letter_degrees, max_degree: int, max_length: int):
-    """``(length, degree, count)`` of the largest bucket (lowest degree on a
-    tie) at the first length up to ``max_length`` where a bucket of words of
-    degree at most ``max_degree`` holds more than ``MAX_BUCKET_WORDS``, or
-    None.  Counted in pure Python over the distinct letter degrees (none
-    negative) in order: numpy's fixed costs exceed a whole Lie count, which
-    runs in every Lie job.  A length that
-    repeats the counts of the one before ends the count, as every later one
-    repeats them: degree-0 letters (degree-1 Lie generators) under a
-    user-set weight cap, or no word left in bound."""
+def _word_counts(letter_degrees, max_degree: int, max_length: int):
+    """Yield ``(length, counts)`` for length 1, 2, ... up to ``max_length``,
+    where ``counts`` maps each degree up to ``max_degree`` to its number of
+    words of that length; ends at the first length with no word.  Counted in
+    pure Python over the distinct letter degrees (none negative) in order:
+    numpy's fixed costs exceed a whole Lie count, which runs in every Lie
+    job."""
     counts: dict[int, int] = {}
     for d in letter_degrees:
         counts[d] = counts.get(d, 0) + 1
@@ -52,14 +50,35 @@ def _over_budget(letter_degrees, max_degree: int, max_length: int):
                 if d > room:
                     break
                 nxt[deg + d] = nxt.get(deg + d, 0) + n * m
-        if nxt == layer:
-            return None
-        if nxt:
-            largest = max(nxt.values())
-            if largest > MAX_BUCKET_WORDS:
-                return length, min(d for d, n in nxt.items() if n == largest), largest
+        if not nxt:
+            return
+        yield length, nxt
         layer = nxt
+
+
+def _over_budget(letter_degrees, max_degree: int, max_length: int):
+    """``(length, degree, count)`` of the largest bucket (lowest degree on a
+    tie) at the first length up to ``max_length`` where a bucket of words of
+    degree at most ``max_degree`` holds more than ``MAX_BUCKET_WORDS``, or
+    None.  A length that repeats the counts of the one before ends the
+    count, as every later one repeats them: degree-0 letters (degree-1 Lie
+    generators) under a user-set weight cap."""
+    before = None
+    for length, layer in _word_counts(letter_degrees, max_degree, max_length):
+        if layer == before:
+            return None
+        largest = max(layer.values())
+        if largest > MAX_BUCKET_WORDS:
+            return length, min(d for d, n in layer.items() if n == largest), largest
+        before = layer
     return None
+
+
+def _word_total(letter_degrees, max_degree: int, max_length: int) -> int:
+    """Number of words of length 1 to ``max_length`` and degree at most
+    ``max_degree``, over every bucket."""
+    return sum(sum(layer.values())
+               for _, layer in _word_counts(letter_degrees, max_degree, max_length))
 
 
 def _group(keys: list, span: int):

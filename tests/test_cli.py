@@ -170,6 +170,48 @@ def test_exit_code_3_on_cross_check_mismatch(tmp_path, monkeypatch):
     assert main(["free-w1", "-p", "2", "-n", "6", str(path)]) == 3
 
 
+def stepping_tower(d, w, p, degree_cap, weight_cap):
+    # a faulty restriction tower that also steps even degrees at odd p
+    i = 0
+    while d <= degree_cap and (weight_cap is None or w <= weight_cap):
+        yield i, d, w
+        i, d, w = i + 1, p * d - p + 1, p * w
+
+
+def test_free_w1_closure_check_catches_a_tower_fault(tmp_path, monkeypatch):
+    # both series routes walk the tower and agree on wrong dimensions; the
+    # closure oracle does not walk it
+    from fphomalg import freelie, w1
+
+    gens = [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]
+    code, text = run(tmp_path, "free-w1", gens, "-p", "3", "-n", "14")
+    assert code == 0 and json.loads(text)["series"]["series"]["4"] == 2
+    monkeypatch.setattr(w1, "restriction_tower", stepping_tower)
+    monkeypatch.setattr(freelie, "restriction_tower", stepping_tower)
+    assert w1.free_w1_dims(gens, 14, 3) == w1.free_w1_dims_via_sym_zeta(gens, 14, 3)
+    assert w1.free_w1_dims(gens, 14, 3).nonzero()[4] == 3
+    code, _ = run(tmp_path, "free-w1", gens, "-p", "3", "-n", "14")
+    assert code == 3
+    # past MAX_GENERATORS the check runs on the first four generators
+    code, _ = run(tmp_path, "free-w1", GENS_5, "-p", "3", "-n", "8")
+    assert code == 3
+
+
+GENS_5 = [{"name": c, "degree": d} for c, d in zip("abcde", (2, 3, 4, 5, 6))]
+
+
+@pytest.mark.parametrize("gens,series", [
+    (GENS_5, {"0": 1, "2": 1, "3": 2, "4": 3, "5": 5, "6": 10, "7": 21, "8": 37}),
+    ([], {"0": 1}),
+])
+def test_free_w1_closure_check_refuses_no_input_the_series_takes(tmp_path, gens, series):
+    # the closure oracle takes 1-4 generators; free-w1 takes more, and none
+    code, text = run(tmp_path, "free-w1", gens, "-p", "3", "-n", "8")
+    assert code == 0
+    assert json.loads(text) == {"routes_agree": True,
+                                "series": {"cap": 8, "series": series}}
+
+
 def test_exit_code_2_on_bad_input(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -348,6 +390,39 @@ def test_malformed_algebra_and_action_are_validation_errors(tmp_path, capsys, co
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith(f"invalid input: {message}")
+
+
+SPAN_35 = {  # V = {3: 1, 5: 1} with identity maps; M as in the sweep's span
+    "category": {"objects": [{"id": "z", "lambda": 0}, {"id": "x", "lambda": 1},
+                             {"id": "y", "lambda": 1}],
+                 "arrows": [{"id": "a", "src": "z", "dst": "x"},
+                            {"id": "b", "src": "z", "dst": "y"}]},
+    "v_values": {o: {"dims": {"3": 1, "5": 1}} for o in "zxy"},
+    "v_maps": {f: {"blocks": {"3": [[1]], "5": [[1]]}} for f in "ab"},
+    "m_values": {"z": {"dims": {"3": 1}}, "x": {"dims": {"3": 2}}, "y": {"dims": {"3": 1}}},
+    "m_maps": {"a": {"blocks": {"3": [[1, 0]]}}, "b": {"blocks": {"3": [[1]]}}},
+}
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_diagram_aq_on_a_two_generator_span(tmp_path, p):
+    code, text = run(tmp_path, "diagram-aq", SPAN_35, "-p", p, "--smax", "3", "--qmax", "5")
+    assert code == 0
+    report = json.loads(text)
+    kernel = {
+        "0": {"-2": 2, "0": 2},
+        "1": {"-7": 2, "-5": 2, "-3": 2},
+        "2": {"-12": 2, "-10": 2, "-8": 2, "-6": 2},
+        "3": {"-17": 2, "-15": 2, "-13": 2, "-11": 2, "-9": 2},
+        "4": {"-22": 2, "-20": 2, "-18": 2, "-16": 2, "-14": 2, "-12": 2},
+        "5": {"-27": 2, "-25": 2, "-23": 2, "-21": 2, "-19": 2, "-17": 2, "-15": 2},
+    }
+    assert report["kernel_formula"] == kernel
+    # every table sits in s = 0 and equals the kernel formula
+    assert report["tables"] == {
+        q: [{"dim": n, "s": 0, "t": int(t)} for t, n in row.items()]
+        for q, row in kernel.items()}
+    assert report["notes"] == []
 
 
 def test_diagram_aq_refuses_negative_smax(tmp_path, capsys):

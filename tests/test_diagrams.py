@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fphomalg import diagrams
 from fphomalg.diagrams import (
     AlgebraDiagram,
     FiniteCategory,
@@ -12,8 +13,9 @@ from fphomalg.diagrams import (
     limit_dims,
     validate_direct_category,
 )
-from fphomalg.errors import ValidationError
-from fphomalg.linalg import BigradedTable, GradedMap, GradedVectorSpace
+from fphomalg.errors import CrossCheckError, ValidationError
+from fphomalg.homalg import HochschildComplex
+from fphomalg.linalg import BigradedTable, GradedMap, GradedVectorSpace, Subquotient
 from fphomalg.monalg import MonomialAlgebra
 
 
@@ -277,6 +279,156 @@ def test_diagram_aq_ranks_each_differential_once(monkeypatch):
     out = diagram_aq_table(I, DV, DM, s_max=2, q_max=2)
     assert out["kernel_formula"][0]
     assert seen and len({id(m) for m in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("degrees, module, q_max", [
+    ((3,), {3: 1}, 3),
+    ((1, 3), {1: 1, 5: 2}, 2),
+    ((1, 3, 5), {3: 1}, 1),
+])
+def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
+    V = GradedVectorSpace({d: degrees.count(d) for d in set(degrees)})
+    loc = diagrams._AQLocal(diagrams._exterior_from_space(p, V),
+                            GradedVectorSpace(module), q_max)
+    hc = loc.hc
+    ts = hc.t_range(range(q_max + 2))
+    nonzero = 0
+    for q in range(1, q_max + 1):
+        for t in range(ts[0] - 1, ts[-1] + 2):
+            want = Subquotient(hc.delta(q + 1, t), hc.delta(q, t), p).dim
+            assert loc.dim(q, t) == want, (q, t)
+            nonzero += want > 0
+    assert nonzero and not loc._sub_cache
+
+
+def _record_aq(monkeypatch):
+    """Record the subquotients diagram AQ builds and those its induced maps
+    read, its local pairs, the sizes of each complex it assembles, and the
+    faces from a zero component onto a nonzero chain; every face block
+    must join two nonzero components."""
+    rec = {"built": [], "read": [], "pairs": [], "assembled": [], "zero_faces": set()}
+
+    class Counted(Subquotient):
+        def __init__(self, *args):
+            rec["built"].append(self)
+            super().__init__(*args)
+
+    class Recorded(diagrams._AQLocal):
+        def __init__(self, *args):
+            rec["pairs"].append(self)
+            super().__init__(*args)
+
+    induced, cosimplicial = diagrams._induced, diagrams._cosimplicial
+
+    def reading(T, srcq, tgtq, p):
+        rec["read"].extend((srcq, tgtq))
+        return induced(T, srcq, tgtq, p)
+
+    def between_nonzero(block):
+        def call(*args):
+            B = block(*args)
+            assert B.size, args
+            return B
+        return call
+
+    def assembling(J, levels, top, dim, face0, last, p):
+        for level in levels[1: top + 2]:
+            for start, fs in level:
+                if dim((start, fs)):
+                    if not dim((J.arrows[fs[0]][1], fs[1:])):
+                        rec["zero_faces"].add("first")
+                    if not dim((start, fs[:-1])):
+                        rec["zero_faces"].add("last")
+        sizes, d = cosimplicial(J, levels, top, dim, between_nonzero(face0),
+                                between_nonzero(last), p)
+        rec["assembled"].append(sizes)
+        return sizes, d
+
+    monkeypatch.setattr(diagrams, "Subquotient", Counted)
+    monkeypatch.setattr(diagrams, "_AQLocal", Recorded)
+    monkeypatch.setattr(diagrams, "_induced", reading)
+    monkeypatch.setattr(diagrams, "_cosimplicial", assembling)
+    return rec
+
+
+def _subquotients_read_once(rec) -> int:
+    """The subquotients built are those the induced maps read, each once
+    and nonzero; returns their number."""
+    assert {id(sq) for sq in rec["built"]} == {id(sq) for sq in rec["read"]}
+    cached = [(loc, key, sq) for loc in rec["pairs"] for key, sq in loc._sub_cache.items()]
+    assert len(rec["built"]) == len(cached)
+    assert all(sq.dim == loc.dim(*key) > 0 for loc, key, sq in cached)
+    # no complex is assembled for a (q, t) whose components are all zero
+    assert rec["assembled"] and all(any(sizes.values()) for sizes in rec["assembled"])
+    return len(cached)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_diagram_aq_builds_a_subquotient_per_read_component(monkeypatch, p):
+    rec = _record_aq(monkeypatch)
+    I, DV, DM = _span_aq_setup(p)
+    diagram_aq_table(I, DV, DM, s_max=2, q_max=3)
+    assert _subquotients_read_once(rec) == 15
+
+
+def _mixed_degree_span(p):
+    """V and M are {3: 1} at z and {5: 1} at x and y, with zero maps: the
+    component AQ(A(x), M(z)) of a chain x -> z is nonzero in other map
+    degrees than its faces AQ(A(z), M(z)) and AQ(A(x), M(x))."""
+    I = FiniteCategory.span()
+    V3, V5 = GradedVectorSpace({3: 1}), GradedVectorSpace({5: 1})
+    values = {"z": V3, "x": V5, "y": V5}
+    zero = {f: GradedMap.zero(V5, V3, 0, p) for f in "ab"}
+    return I, contravariant_diagram(I, values, zero, p), contravariant_diagram(I, values, zero, p)
+
+
+def test_diagram_aq_builds_no_face_block_from_a_zero_component(monkeypatch):
+    rec = _record_aq(monkeypatch)
+    out = diagram_aq_table(*_mixed_degree_span(3), s_max=2, q_max=2)
+    assert rec["zero_faces"] == {"first", "last"}
+    assert any(table.entries for table in out["tables"].values())
+    # every face of a nonzero chain is zero here: no map, no subquotient
+    assert _subquotients_read_once(rec) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_diagram_aq_reads_the_degrees_of_every_chain(p):
+    # the two chains x -> z and y -> z carry AQ^q(Lambda(e5), k[3]), nonzero
+    # in map degree 3 - 5 (q + 1), where every object's own pair vanishes,
+    # so each such degree holds a 2 in s = 1
+    out = diagram_aq_table(*_mixed_degree_span(p), s_max=2, q_max=2)
+    assert {q: table.entries for q, table in out["tables"].items()} == {
+        0: {(0, 0): 3, (1, -2): 2},
+        1: {(0, -5): 2, (0, -3): 1, (1, -7): 2},
+        2: {(0, -10): 2, (0, -6): 1, (1, -12): 2},
+    }
+    assert out["kernel_formula"] == {0: {0: 3}, 1: {-5: 2, -3: 1}, 2: {-10: 2, -6: 1}}
+
+
+def test_diagram_aq_rank_route_checks_dd(monkeypatch):
+    # one wrong entry in one delta(s, t), s >= 1, in a row delta(s + 1, t) reads
+    delta = HochschildComplex.delta
+    corrupted = {}
+
+    def corrupt(self, s, t):
+        key = (id(self), s, t)
+        if key in corrupted:
+            return corrupted[key]
+        m = delta(self, s, t)
+        if s >= 1 and not corrupted and m.size:
+            read = np.flatnonzero(delta(self, s + 1, t).any(axis=0))
+            if read.size:
+                m = m.copy()
+                m[read[0], 0] = (m[read[0], 0] + 1) % self.p
+                corrupted[key] = m
+        return m
+
+    monkeypatch.setattr(HochschildComplex, "delta", corrupt)
+    I, DV, DM = _span_aq_setup(3)
+    with pytest.raises(CrossCheckError, match="d\\*d"):
+        diagram_aq_table(I, DV, DM, s_max=2, q_max=2)
+    assert corrupted
 
 
 def test_diagram_aq_restricts_along_maps_into_larger_algebras():

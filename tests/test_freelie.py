@@ -337,6 +337,52 @@ def test_lie_word_budget_counts_the_largest_bucket(monkeypatch, degs, cap, weigh
         bracket_closure_dims(gens(*degs), cap, p=3, weight_cap=weight_cap)
 
 
+@pytest.mark.parametrize("degs,degree_cap,weight_cap,window", [
+    ((3, 4), 80, None, (23, 23)),  # CI's free-w1 input
+    ((2, 3), 14, None, (14, 14)),  # whole
+    ((1, 1, 1), 6, 8, (5, 5)),  # the weight cap alone is 3^8 words
+    ((1, 1, 1, 1), 3, 10, (3, 3)),
+    ((1, 2, 2, 3), 20, 6, (5, 5)),
+    ((2, 3, 4, 5, 6), 8, None, (8, 8)),  # the first four generators
+])
+def test_restricted_count_check_window(monkeypatch, degs, degree_cap, weight_cap, window):
+    # the window is bounded by words over all buckets, lowers the weight cap
+    # with the degree cap, and is never empty where there are symbols
+    seen = []
+
+    def oracle(gens, cap, *, p, weight_cap):
+        dims = restricted_closure_dims(gens, cap, p=p, weight_cap=weight_cap)
+        seen.append((len(gens), cap, weight_cap, dims))
+        return dims
+
+    monkeypatch.setattr(freelie, "restricted_closure_dims", oracle)
+    letters = [Generator(c, d) for c, d in zip("xyzwv", degs)]
+    freelie.check_restricted_counts(letters, degree_cap, p=3, weight_cap=weight_cap)
+    [(n, cap, wc, dims)] = seen
+    assert n == min(len(degs), freelie.MAX_GENERATORS) and (cap, wc) == window
+    assert dims.dims and min(dims.dims) == min(degs)
+    wdegs = [d - 1 for d in degs[:n]]
+    assert wordcomplex._word_total(wdegs, cap - 1, wc) <= freelie.MAX_CHECK_WORDS
+    wider = min(weight_cap or degree_cap, cap + 1)
+    assert cap == degree_cap or \
+        wordcomplex._word_total(wdegs, cap, wider) > freelie.MAX_CHECK_WORDS
+
+
+@pytest.mark.parametrize("degree_cap,weight_cap", [(8, 0), (0, None), (-1, 4)])
+def test_restricted_count_check_compares_nothing_without_symbols(monkeypatch, degree_cap,
+                                                                  weight_cap):
+    monkeypatch.setattr(freelie, "restricted_closure_dims", None)
+    freelie.check_restricted_counts(gens(2, 3), degree_cap, p=3, weight_cap=weight_cap)
+    freelie.check_restricted_counts([], 8, p=3)
+
+
+def test_word_total_counts_every_bucket():
+    for degs, max_degree, max_length in [((0, 0, 1), 3, 5), ((2, 3), 12, 6), ((1,), 0, 3)]:
+        words = sum(1 for n in range(1, max_length + 1)
+                    for word in itertools.product(degs, repeat=n) if sum(word) <= max_degree)
+        assert wordcomplex._word_total(degs, max_degree, max_length) == words
+
+
 @pytest.mark.parametrize("p,degs", [(2, (2, 3)), (3, (2, 3)), (5, (2, 4))])
 def test_check_axioms_all_pass(p, degs):
     report = check_axioms(gens(*degs), degree_cap=14, trials=40, rng_seed=7, p=p)

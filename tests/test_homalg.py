@@ -94,6 +94,28 @@ def test_module_relation_violation_rejected():
         AlgebraModule(A, space, {"x": bad})
 
 
+def test_module_validation_fails_with_generators_that_do_not_act():
+    from fphomalg.linalg import GradedMap
+
+    space = GradedVectorSpace({0: 1, 3: 1, 6: 1})
+    # x then y is zero, y then x is not: no graded commutation; z does not act
+    x = GradedMap(space, space, 3, {0: [[1]]}, 3)
+    y = GradedMap(space, space, 3, {3: [[1]]}, 3)
+    with pytest.raises(ValidationError, match="graded-commute"):
+        AlgebraModule(ext_alg(3, 3, 3, 5), space, {"x": x, "y": y})
+    # x^2 acts nonzero at p = 2, where x commutes with itself; y does not act
+    x2 = GradedMap(space, space, 3, {0: [[1]], 3: [[1]]}, 2)
+    with pytest.raises(ValidationError, match="relation x\\^2"):
+        AlgebraModule(ext_alg(2, 3, 5), space, {"x": x2})
+    # a and b commute but {a, b} is no face; c does not act
+    A = MonomialAlgebra.stanley_reisner(2, ["a", "b", "c"], [["a"], ["b"], ["c"]])
+    even = GradedVectorSpace({0: 1, 2: 1, 4: 1})
+    a = GradedMap(even, even, 2, {0: [[1]], 2: [[1]]}, 2)
+    with pytest.raises(ValidationError, match="non-face"):
+        AlgebraModule(A, even, {"a": a, "b": a})
+    AlgebraModule(A, even, {"a": a})
+
+
 # --- resolutions -------------------------------------------------------------
 
 
@@ -175,6 +197,27 @@ def test_hochschild_degree_one_generator():
     A = ext_alg(2, 1)
     hh = hochschild_dims(A, trivial_module(A, degree=1), s_max=5)
     assert hh.entries == {(s, 1 - s): 1 for s in range(6)}
+
+
+def test_hochschild_complex_is_freed_once_unreferenced():
+    # its ranks reach it weakly, so no reference cycle waits for the collector
+    import gc
+    import weakref
+
+    A = ext_alg(3, 3, 5)
+    hc = HochschildComplex(A, trivial_module(A, degree=3), 4)
+    for t in hc.t_range(range(4)):
+        for s in range(3):
+            hc.verify_dd(s, t)
+            hc.cohomology_dim(s, t)
+    assert hc._ranks
+    ref = weakref.ref(hc)
+    gc.disable()
+    try:
+        del hc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_hochschild_zero_module():

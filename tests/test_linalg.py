@@ -312,6 +312,35 @@ def test_subquotient_dims_and_coords():
         H.coords(np.array([1, 0, 0]))  # not a cycle
 
 
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_subquotient_coords_of_a_matrix_are_its_columns_coords(p):
+    rng = np.random.default_rng(p)
+    _, b, _ = random_complex(rng, p, 0.05)
+    ker = K.nullspace(b, p)
+    # four boundaries dense in the cycle coordinates
+    a = ker @ rng.integers(0, p, (ker.shape[1], 4)) % p
+    H = Subquotient(b, a, p)
+    assert H.dim == ker.shape[1] - 4
+    reps = H.representatives()
+    mixed = (reps[:, :4] + a) % p
+    combos = H.cycles @ rng.integers(0, p, (H.cycles.shape[1], 6)) % p
+    cycles = np.concatenate([reps, a, mixed, combos], axis=1)
+    got = H.coords(cycles)
+    assert got.shape == (H.dim, cycles.shape[1])
+    assert (got == np.stack([H.coords(v) for v in cycles.T], axis=1)).all()
+    # a representative is its unit vector, a boundary is zero, and adding
+    # a boundary keeps the class
+    n = H.dim
+    assert (got[:, :n] == np.eye(n, dtype=np.int64)).all()
+    assert not got[:, n: n + 4].any()
+    assert (got[:, n + 4: n + 8] == np.eye(n, dtype=np.int64)[:, :4]).all()
+    # one column off the cycles spoils the whole call
+    off = next(e for e in np.eye(b.shape[1], dtype=np.int64) if (b @ e % p).any())
+    cycles[:, 3] = off
+    with pytest.raises(ValidationError):
+        H.coords(cycles)
+
+
 def test_graded_map_from_triplets_matches_dense():
     p = 7
     V = GradedVectorSpace({0: 2})
