@@ -44,14 +44,16 @@ class GroupAction:
     ``ring`` is the polynomial ring on those generators, whose monomial
     bases and products the induced action and the invariants are read in.
 
-    ``order`` overrides the closure count: the abstract group order matters
-    for the divisibility test even when the matrix image mod p is smaller
-    (a sign-representation collapses at p = 2, for instance).
+    ``order``, at least 1, overrides the closure count: the abstract group
+    order matters for the divisibility test even when the matrix image mod p
+    is smaller (a sign-representation collapses at p = 2, for instance).
     """
 
     def __init__(self, p: int, matrices, degrees, order: int | None = None):
         self.p = PrimeField(p).p
         self.declared_order = json_int(order, "order") if order is not None else None
+        if self.declared_order is not None and self.declared_order < 1:
+            raise ValidationError(f"group order must be >= 1, got {self.declared_order}")
         self.degrees = [json_int(d, "degree") for d in degrees]
         if any(d % 2 for d in self.degrees):
             raise ValidationError("group actions are supported on even-degree generators")
@@ -108,9 +110,11 @@ class GroupAction:
         return cls(json_int(obj["p"], "p"), obj["matrices"], obj["degrees"], obj.get("order"))
 
 
-def invariant_dims(action: GroupAction, cap: int, with_basis: bool = False):
+def invariant_dims(action: GroupAction, cap: int):
     """Degreewise fixed subspace of the induced action on the symmetric
-    algebra, solved as ``(g - 1)v = 0`` over every group element."""
+    algebra, solved as ``(g - 1)v = 0`` over every group element.  Returns
+    the series and, per degree, the fixed basis with the monomials its rows
+    index."""
     ring, p = action.ring, action.p
     n = len(ring.names)
     # g acts as the algebra map x_j -> sum_i g[i, j] x_i
@@ -129,12 +133,12 @@ def invariant_dims(action: GroupAction, cap: int, with_basis: bool = False):
             dims[d] = ker.shape[1]
             basis[d] = (ker, mons)
     series = HilbertSeries({d: n for d, n in dims.items()}, cap)
-    return (series, basis) if with_basis else series
+    return series, basis
 
 
 def invariants_closed_under_products(action: GroupAction, cap: int) -> bool:
     """Products of fixed basis elements stay in the fixed span (subring)."""
-    series, basis = invariant_dims(action, cap, with_basis=True)
+    series, basis = invariant_dims(action, cap)
     for d1, (k1, mons1) in basis.items():
         for d2, (k2, mons2) in basis.items():
             d = d1 + d2
@@ -166,7 +170,7 @@ def _polynomial_detection(action: GroupAction, cap: int):
     conclusive up to the cap.
     """
     p = action.p
-    series, basis = invariant_dims(action, cap, with_basis=True)
+    series, basis = invariant_dims(action, cap)
     chosen: list[tuple[int, dict]] = []
     ring = action.ring
     span_elems: dict[int, list[dict]] = {0: [{ring.one(): 1}]}

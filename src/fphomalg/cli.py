@@ -36,6 +36,12 @@ def build_parser():
     return parser
 
 
+# The least value of each numeric option (flag, attribute); a lower one is
+# refused while parsing, before any input is read.
+AT_LEAST = {("-n", "cap"): 0, ("--smax", "smax"): 0, ("--qmax", "qmax"): 0,
+            ("--seed", "seed"): 0, ("--trials", "trials"): 1, ("--weight-cap", "weight_cap"): 1}
+
+
 def _load(path):
     try:
         with open(path) as fh:
@@ -245,7 +251,7 @@ def cmd_diagram_aq(data, args):
 
 def cmd_invariants(data, args):
     action = apps.GroupAction.from_json({**data, "p": data.get("p", args.prime)})
-    series, basis = apps.invariant_dims(action, args.cap, with_basis=True)
+    series, basis = apps.invariant_dims(action, args.cap)
     return {
         "kind": "series",
         "series": series,
@@ -388,6 +394,10 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        for (flag, name), low in AT_LEAST.items():
+            value = getattr(args, name)
+            if value is not None and value < low:
+                parser.error(f"{flag} must be >= {low}, got {value}")
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -487,15 +487,15 @@ def _degree_counts(elems) -> dict[int, int]:
 
 
 def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 10, *,
-                 p: int, verify: bool = True) -> list[LyndonBasisElement]:
+                 p: int) -> list[LyndonBasisElement]:
     """Basis of the free shifted Lie algebra within the caps, realized.
 
     Lyndon words carry their standard bracketing; for odd p each basis
     symbol of even unshifted degree contributes a self-bracket ``[b, b]``
     (towers stop there: ``[b, b]`` has odd degree, and ``[x, [x, x]] = 0``).
-    The realizations are checked to be independent, and with
-    ``verify=True`` the degreewise counts are checked against the
-    bracket-closure oracle; a ``CrossCheckError`` reports any mismatch.
+    The realizations are checked to be independent, and then the degreewise
+    counts against the bracket-closure oracle; a ``CrossCheckError``
+    reports any mismatch.
     """
     basis = _lyndon_elements(gens, weight_cap, degree_cap, p)
     counted = _degree_counts(basis)
@@ -504,12 +504,11 @@ def lyndon_basis(gens, weight_cap: int = DEFAULT_WEIGHT_CAP, degree_cap: int = 1
         raise CrossCheckError(
             f"Lyndon realizations are dependent: counts {counted} vs span {realized.dims}"
         )
-    if verify:
-        oracle = bracket_closure_dims(gens, degree_cap, p=p, weight_cap=weight_cap)
-        if oracle.dims != counted:
-            raise CrossCheckError(
-                f"basis counts {counted} disagree with closure oracle {oracle.dims}"
-            )
+    oracle = bracket_closure_dims(gens, degree_cap, p=p, weight_cap=weight_cap)
+    if oracle.dims != counted:
+        raise CrossCheckError(
+            f"basis counts {counted} disagree with closure oracle {oracle.dims}"
+        )
     return basis
 
 
@@ -781,16 +780,16 @@ class RestrictedBasisSymbol:
 
 
 def restricted_basis(gens, degree_cap: int = 10, *, p: int,
-                     weight_cap: int = DEFAULT_WEIGHT_CAP, verify: bool = True):
+                     weight_cap: int = DEFAULT_WEIGHT_CAP):
     """Symbols ``xi^i b`` with tensor realizations, plus their dimensions.
 
     Returns ``(symbols, dims)``.  Realizations are iterated p-th powers of
     the Lyndon expansions, one per step of their restriction tower
     (``restriction_tower``, which ``restricted_symbol_dims`` shares).
     Independence is checked once over all the symbols (the Lyndon elements
-    among them), by one rank per bidegree (``span_dims``), and with
-    ``verify=True`` the counts are compared against the restricted closure
-    oracle, which walks no tower.
+    among them), by one rank per bidegree (``span_dims``), and then the
+    counts are compared against the restricted closure oracle, which walks
+    no tower.
     """
     symbols = []
     for b in _lyndon_elements(gens, weight_cap, degree_cap, p):
@@ -809,12 +808,11 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
             f"restricted symbols are dependent: counts {counted} vs span {realized.dims}"
         )
     dims = GradedVectorSpace(counted)
-    if verify:
-        oracle = restricted_closure_dims(gens, degree_cap, p=p, weight_cap=weight_cap)
-        if oracle != dims:
-            raise CrossCheckError(
-                f"restricted basis {dims.dims} disagrees with closure oracle {oracle.dims}"
-            )
+    oracle = restricted_closure_dims(gens, degree_cap, p=p, weight_cap=weight_cap)
+    if oracle != dims:
+        raise CrossCheckError(
+            f"restricted basis {dims.dims} disagrees with closure oracle {oracle.dims}"
+        )
     return symbols, dims
 
 

@@ -9,32 +9,33 @@ terms of every strand differential, and one chain builder serves Tor, the
 Eilenberg-Moore model and the free resolution of the ground field:
 ``FreeResolution`` is the generator-level view of the chains with A on the
 left and k on the right, where every term with a right coefficient
-vanishes.  Both ``d*d = 0`` and degreewise exactness of the resolution (the
-chains' homology is k at ``(0, 0)``) are checked at construction time inside
-the trusted window.
+vanishes.  Its minimality (no coefficient of degree 0), ``d*d = 0`` on its
+generators and degreewise exactness (the chains' homology is k at
+``(0, 0)``) are checked at construction time inside the trusted window.
+Ext into a trivial module is read off the minimal resolution: its Hom
+complex has the zero differential, so nothing is assembled or ranked.
 
 Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology is computed from the
 resolution shortcut ``Ext(k, k) (x) M`` and from the normalized cochain
 complex, and any mismatch raises ``CrossCheckError``.
 
-Every complex here (the resolution's exactness check, Ext, Hochschild,
+Every other complex here (the resolution's exactness check, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
 differential between two listed bases is written by ``linalg._matrix``
 from the image of each source element (``_KoszulChains``, for the
-resolution's exactness check, Tor and the Eilenberg-Moore model); three are
+resolution's exactness check, Tor and the Eilenberg-Moore model); two are
 not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree, gives each
 differential's merges as a slice, which ``linalg._assemble`` writes.  The
-resolution's ``d*d`` check discovers its rows as it goes, and Ext adds
-whole blocks.  The shared step of ``linalg`` (``_homology``, with
-``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every composable
-pair, ranks each differential once and turns the ranks into homology
-dimensions; the diagram builders and the Eilenberg-Moore model use the
-same step.  A differential from or to a zero space is the zero map: it is
-neither assembled, ranked nor checked.
+shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
+``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
+differential once and turns the ranks into homology dimensions; the
+diagram builders and the Eilenberg-Moore model use the same step.  A
+differential from or to a zero space is the zero map: it is neither
+assembled, ranked nor checked.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -58,7 +59,6 @@ from .linalg import (
     GradedVectorSpace,
     ParityVerdict,
     _assemble,
-    _check_dd,
     _homology,
     _matrix,
     _RankOnce,
@@ -156,30 +156,25 @@ def _koszul_terms(strands, S, p):
 
 
 class FreeResolution:
-    """Free resolution of k over A to stage ``s_max``: the generator-level
-    view of the Koszul chains ``A (x) strands (x) k`` (``_KoszulChains``
-    with A on the left and k on the right).
+    """Minimal free resolution of k over A to stage ``s_max``: the
+    generator-level view of the Koszul chains ``A (x) strands (x) k``
+    (``_KoszulChains`` with A on the left and k on the right).
 
     ``stages[s]`` lists the symbol tuples of homological degree ``s`` (the
     generators of F_s) in ascending order and ``gen_degree[s]`` their
-    internal degrees; ``diff[s][gi]`` lists the terms ``(target generator
-    index, algebra element)`` of the differential of generator ``gi``.  They
-    are the chains' terms; k kills every right coefficient, so no term with
-    one is left.  Each term is twisted by the parity of its target's
-    internal degree: with that twist the entry matrices square to zero
-    plainly, so Hom/tensor functors can be applied without further signs.
+    internal degrees.  The differential of a generator ``e_S`` is the
+    chains' ``terms[S]``; k kills every right coefficient, so no term with
+    one is left.
 
-    Validation checks ``d*d = 0`` on ``diff`` and that the chains' homology
-    for ``s < s_max`` and internal degree up to ``cap`` is k at ``(0, 0)``.
-    The twist and the chains' sign ``(-1)^{|b|}`` of an A-monomial ``b`` are
-    diagonal sign changes of each k-linear differential (on ``b e_S`` in
-    stage ``s``: ``(-1)^{|b|}`` for odd ``s``, ``(-1)^{|S|}`` for even
-    ``s``), so the chains and the resolution have the same ranks.
+    Validation checks that the resolution is minimal (every coefficient
+    has positive degree, so ``Hom_A(F, k)`` has the zero differential),
+    ``d*d = 0`` on the generators, and that the chains' homology for
+    ``s < s_max`` and internal degree up to ``cap`` is k at ``(0, 0)``.
     """
 
     def __init__(self, A, s_max: int, cap: int):
         self.A = A
-        self.p = p = A.p
+        self.p = A.p
         self.s_max = int(s_max)
         self.cap = int(cap)
         chains = _KoszulChains(A, ModuleViaMap.identity(A),
@@ -188,18 +183,10 @@ class FreeResolution:
         self.stages: list[list[tuple]] = chains.tuples
         self.gen_degree: list[dict[tuple, int]] = [
             {S: chains.degree[S] for S in stage} for stage in self.stages]
-        index = {S: i for stage in self.stages for i, S in enumerate(stage)}
-
-        def term(S2, sign, left):
-            # twisted by the parity of the target's internal degree
-            if p != 2 and chains.degree[S2] % 2:
-                sign = -sign
-            return index[S2], {m: sign * v % p for m, v in left.items()}
-
-        self.diff: list[list[list]] = [
-            [[term(S2, sign, left) for S2, sign, left, _ in chains.terms[S]] for S in stage]
-            for stage in self.stages]
-        self._validate_dd()
+        if any(left is None or not all(map(A.deg, left))
+               for terms in chains.terms.values() for _, _, left, _ in terms):
+            raise CrossCheckError("resolution is not minimal: a coefficient has degree 0")
+        self._validate_dd(chains)
         for t in range(self.cap + 1):
             homology = chains.homology("resolution", t, self.s_max)
             inexact = [s for s in range(self.s_max)
@@ -207,28 +194,18 @@ class FreeResolution:
             if inexact:
                 raise CrossCheckError(f"resolution not exact at stage {inexact[0]}, degree {t}")
 
-    def _validate_dd(self):
-        """``d*d = 0`` in every degree: on each stage, ``d_s`` on the
-        generators of F_s, then ``d_{s-1}`` on the terms it reaches."""
-        for s in range(2, self.s_max + 1):
-            mid, low = {}, {}
-            rows, cols, vals = [], [], []
-            for gi, terms in enumerate(self.diff[s]):
-                for hj, coeff in terms:
-                    for m, v in coeff.items():
-                        rows.append(mid.setdefault((hj, m), len(mid)))
-                        cols.append(gi)
-                        vals.append(v)
-            first = _assemble((len(mid), len(self.diff[s])), rows, cols, vals, self.p)
-            rows, cols, vals = [], [], []
-            for (hj, m), j in mid.items():
-                for cc, coeff in self.diff[s - 1][hj]:
-                    for mm, v in self.A.mul_elements({m: 1}, coeff).items():
-                        rows.append(low.setdefault((cc, mm), len(low)))
-                        cols.append(j)
-                        vals.append(v)
-            then = _assemble((len(low), len(mid)), rows, cols, vals, self.p)
-            _check_dd("resolution", first, then, self.p)
+    def _validate_dd(self, chains):
+        """``d*d = 0`` in every degree: the chains' differential applied
+        twice to each generator ``e_S`` of stage 2 and up."""
+        unit = (self.A.one(), chains.C.one())
+        for stage in self.stages[2:]:
+            for S in stage:
+                twice = Counter()
+                for b, c in chains.image((S, *unit)):
+                    for b2, c2 in chains.image(b):
+                        twice[b2] += c * c2
+                if any(v % self.p for v in twice.values()):
+                    raise CrossCheckError("resolution differential fails d*d = 0")
 
 
 def _series(alg: MonomialAlgebra, cap: int) -> list[int]:
@@ -285,64 +262,32 @@ def _check_chain_cells(what: str, chains, cap: int):
                 f"{MAX_CHAIN_CELLS} cells; lower the degree cap")
 
 
-def koszul_resolution(A, cap: int, s_max: int = 8) -> FreeResolution:
-    """Strand resolution of k over a polynomial/exterior/mixed/truncated algebra."""
-    return FreeResolution(A, s_max, cap)
-
-
 # ---------------------------------------------------------------------------
 # Ext
 
 
 def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None) -> BigradedTable:
-    """Dimensions of Ext_A(k, M): cohomology of Hom_A(resolution, M).
+    """Dimensions of Ext_A(k, M) for a module M on which A acts trivially.
+
+    The strand resolution F is minimal, so ``Hom_A(F, M)`` has the zero
+    differential and Ext^{s,t} is read off the generators S of F_s: the sum
+    of ``dim M_{|S| + t}``.  The resolution is built, and checked, to stage
+    ``s_max + 1`` and internal degree ``cap`` (default: the top degree of
+    M).  A module on which A acts raises ``ValidationError``.
 
     Entries sit at ``(s, t)`` with ``t`` the map degree (value degree minus
     resolution-generator degree).
     """
+    if any(mp.blocks for mp in M.action.values()):
+        raise ValidationError("Ext is read off the minimal resolution only for a module "
+                              "on which the algebra acts trivially")
     val_cap = cap if cap is not None else max([0] + [d for d in M.space.degrees()])
     res = FreeResolution(A, s_max + 1, max(val_cap, 0))
-    p = A.p
-
-    def layout(s, t):
-        """Start and width of each generator's block in Hom(F_s, M) of map
-        degree t, and the total dimension."""
-        out, n = [], 0
-        for g in res.stages[s]:
-            width = M.space.dim(res.gen_degree[s][g] + t)
-            out.append((n, width))
-            n += width
-        return out, n
-
-    def delta(s, t, src, tgt):
-        (src, n_src), (tgt, n_tgt) = src, tgt
-        mat = np.zeros((n_tgt, n_src), dtype=np.int64)
-        for h, (r0, rows), terms in zip(res.stages[s + 1], tgt, res.diff[s + 1]):
-            if not rows:
-                continue
-            for b, coeff in terms:
-                c0, cols = src[b]
-                if not cols:
-                    continue
-                dg = res.gen_degree[s][res.stages[s][b]] + t
-                cdeg = res.gen_degree[s + 1][h] + t - dg
-                sign = -1 if (cdeg * t) % 2 and p != 2 else 1
-                _, block = M.act_element(coeff, dg, np.eye(cols, dtype=np.int64))
-                mat[r0: r0 + rows, c0: c0 + cols] += sign * block
-        return mat % p
-
-    t_values = set()
+    entries = Counter()
     for s in range(s_max + 1):
-        for g in res.stages[s]:
+        for deg in res.gen_degree[s].values():
             for d in M.space.degrees():
-                t_values.add(d - res.gen_degree[s][g])
-    entries = {}
-    for t in sorted(t_values):
-        lay = [layout(s, t) for s in range(s_max + 2)]
-        d = {s: delta(s, t, lay[s], lay[s + 1]) for s in range(s_max + 1)}
-        sizes = {s: lay[s][1] for s in range(s_max + 1)}
-        for s, h in _homology("Ext", sizes, d, p).items():
-            entries[(s, t)] = h
+                entries[(s, d - deg)] += M.space.dim(d)
     return BigradedTable(entries)
 
 
@@ -555,7 +500,7 @@ def _spread(rows, cols, vals, block):
 
 
 def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
-                    cap: int | None = None, check: bool = True) -> BigradedTable:
+                    cap: int | None = None) -> BigradedTable:
     """Hochschild cohomology HH^{s}(A, M), computed two ways and compared.
 
     Route one tensors ``Ext_A(k, k)`` with M (valid for symmetric bimodules,
@@ -563,7 +508,6 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
     normalized cochain complex.  Any entrywise mismatch raises
     ``CrossCheckError``.  Entries at ``(s, t)``, ``t`` the map degree.
     """
-    p = A.p
     ext_table = ext_dims(A, trivial_module(A), s_max=s_max,
                          cap=cap if cap is not None else 0)
     entries: dict[tuple, int] = {}
@@ -572,8 +516,6 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
             key = (s, te + d)
             entries[key] = entries.get(key, 0) + n * M.space.dim(d)
     shortcut = BigradedTable(entries)
-    if not check:
-        return shortcut
     hc = HochschildComplex(A, M, s_max + 1)
     direct_entries = {}
     for t in hc.t_range(range(s_max + 1)):
@@ -585,12 +527,11 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
                 direct_entries[(s, t)] = h
         hc._forget(t)
     direct = BigradedTable(direct_entries)
-    if direct != shortcut.restrict(s_max=s_max):
+    if direct != shortcut:
         raise CrossCheckError(
-            "Hochschild routes disagree: "
-            f"shortcut {shortcut.restrict(s_max=s_max).entries} vs direct {direct.entries}"
+            f"Hochschild routes disagree: shortcut {shortcut.entries} vs direct {direct.entries}"
         )
-    return shortcut.restrict(s_max=s_max)
+    return shortcut
 
 
 # ---------------------------------------------------------------------------

@@ -354,21 +354,20 @@ def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1,
     is the differential leaving index ``s`` for ``s + step`` (``step`` is 1
     for cochains, -1 for chains), and an index without one has a zero
     differential.  Every composable pair in ``d`` passes ``_check_dd``.
-    ``ranks`` ranks each differential once; a caller passes its own to read
-    the ranks afterwards or to keep them across calls, either a
-    ``_RankOnce`` over the maps of ``d`` (it checks the pairs itself) or
-    the ranks outright.  The map into ``s`` is ranked before the map out of
-    ``s`` (ascending ``s`` for cochains, descending for chains), so a
-    ``_RankOnce`` clears each map with the lows of the one before it.
+    ``ranks``, a ``_RankOnce``, ranks each differential once; a caller
+    passes its own to read the ranks afterwards or to keep them across
+    calls, and may then leave ``d`` empty and check the pairs itself with
+    ``ranks.check``.  The map into ``s`` is ranked before the map out of
+    ``s`` (ascending ``s`` for cochains, descending for chains), so each map
+    is cleared with the lows of the one before it.
     Returns ``{s: dim}`` for the nonzero dimensions, in ascending ``s``,
     and raises ``CrossCheckError`` on a negative one.
     """
     if ranks is None:
         ranks = _RankOnce(d.get, p, step)
-    checks = ranks if isinstance(ranks, _RankOnce) else _RankOnce(d.get, p, step)
     for s in d:
         if s + step in d:
-            checks.check(what, s)
+            ranks.check(what, s)
     out = {}
     for s in (sizes if step > 0 else reversed(sizes)):
         n = sizes[s]

@@ -35,6 +35,10 @@ from .linalg import (
     json_int,
 )
 
+# Longest explicit symbol list ``w1_generator_symbols`` builds; the counts
+# (``w1_symbol_counts``) have no such bound.
+MAX_LISTED_SYMBOLS = 20_000
+
 
 def zeta_degree(d: int, p: int) -> int:
     return p * d - p + 2
@@ -118,13 +122,12 @@ def w1_symbol_counts(gens, cap: int, p: int,
 
 
 def w1_generator_symbols(gens, cap: int, p: int,
-                         weight_cap: int | None = None,
-                         max_symbols: int = 20000) -> list[W1Monomial]:
+                         weight_cap: int | None = None) -> list[W1Monomial]:
     """Explicit labelled symbol list for small inputs (display, tests)."""
     walk = list(_w1_symbols(gens, cap, p, weight_cap))
     total = sum(count for (_, _, count), *_ in walk)
-    if total > max_symbols:
-        raise CapError(f"{total} symbols exceed the explicit-list bound {max_symbols}")
+    if total > MAX_LISTED_SYMBOLS:
+        raise CapError(f"{total} symbols exceed the explicit-list bound {MAX_LISTED_SYMBOLS}")
     symbols = [W1Monomial(e, i, f"l[{vdeg}w{weight}#{j}]", vdeg, d)
                for (vdeg, weight, count), e, i, d in walk for j in range(count)]
     return sorted(symbols, key=lambda s: (s.degree, s.lie_symbol, s.xi_power, s.epsilon))

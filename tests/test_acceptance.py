@@ -92,14 +92,14 @@ def test_criterion_02_oracle_equality():
     for p in PRIMES:
         for degs in sets:
             gens = _gens(degs)
-            basis = lyndon_basis(gens, wcap, cap, p=p, verify=True)
+            basis = lyndon_basis(gens, wcap, cap, p=p)
             counted = {}
             for b in basis:
                 counted[b.v_degree] = counted.get(b.v_degree, 0) + 1
             oracle = bracket_closure_dims(gens, cap, p=p, weight_cap=wcap)
             assert counted == oracle.dims
             assert free_lie_symbol_dims(gens, cap, p=p, weight_cap=wcap) == oracle
-            _, rdims = restricted_basis(gens, cap, p=p, weight_cap=wcap, verify=True)
+            _, rdims = restricted_basis(gens, cap, p=p, weight_cap=wcap)
             roracle = restricted_closure_dims(gens, cap, p=p, weight_cap=wcap)
             assert rdims == roracle
             assert restricted_symbol_dims(gens, cap, p=p, weight_cap=wcap) == roracle

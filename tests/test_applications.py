@@ -40,21 +40,25 @@ def test_group_closure_and_validation():
         GroupAction(3, [[[1, 1], [0, 1]]], [2, 4])  # mixes degrees
     with pytest.raises(ValidationError):
         GroupAction(3, [[[0, 0], [0, 0]]], [2, 2])  # singular
+    for order in (0, -2):
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            GroupAction(3, [[[2, 0], [0, 2]]], [2, 2], order=order)
+    assert GroupAction(3, [[[2, 0], [0, 2]]], [2, 2], order=4).order == 4
 
 
 def test_invariants_golden_minus_one():
-    series = invariant_dims(minus_one_action(3), 12)
+    series, _ = invariant_dims(minus_one_action(3), 12)
     assert series.nonzero() == {0: 1, 4: 3, 8: 5, 12: 7}
 
 
 def test_invariants_trivial_group_full_sym():
     triv = GroupAction(3, [[[1, 0], [0, 1]]], [2, 2])
-    series = invariant_dims(triv, 8)
+    series, _ = invariant_dims(triv, 8)
     assert series.nonzero() == {0: 1, 2: 2, 4: 3, 6: 4, 8: 5}
 
 
 def test_invariants_symmetric_group():
-    series = invariant_dims(swap_action(5), 8)
+    series, _ = invariant_dims(swap_action(5), 8)
     assert series.nonzero() == {0: 1, 2: 1, 4: 2, 6: 2, 8: 3}
 
 

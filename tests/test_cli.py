@@ -444,3 +444,42 @@ def test_command_line_errors_exit_2(tmp_path):
     assert main(["no-such-command", str(path)]) == 2
     assert main(["free-w1", "--format", "xml", str(path)]) == 2
     assert main(["free-w1", "-p", "3", "-n", "4", str(path)]) == 0
+
+
+SR_TWO_POINTS = {"vertices": ["a", "b"], "facets": [["a"], ["b"]]}
+
+
+@pytest.mark.parametrize("command, data, option, value, low", [
+    ("bar", {"kind": "exterior", "generators": GENS_X3}, "-n", "-1", 0),
+    ("loops", {"dims": {"2": 1}}, "-n", "-1", 0),
+    ("bar", {"kind": "exterior", "generators": GENS_X3}, "--smax", "-1", 0),
+    ("stanley-reisner", SR_TWO_POINTS, "-n", "-1", 0),
+    ("ext", AQ_ON_X3, "-n", "-1", 0),
+    ("aq", AQ_ON_X3, "-n", "-5", 0),
+    ("hochschild", AQ_ON_X3, "--smax", "-1", 0),
+    ("diagram-aq", None, "--qmax", "-1", 0),
+    ("axioms", GENS_X3, "--trials", "0", 1),
+    ("axioms", GENS_X3, "--trials", "-1", 1),
+    ("axioms", GENS_X3, "--seed", "-1", 0),
+    ("free-w1", GENS_X3, "--weight-cap", "0", 1),
+])
+def test_out_of_range_options_exit_2_before_any_work(tmp_path, capsys, command, data,
+                                                     option, value, low):
+    if data is None:
+        data = {"category": COSPAN["category"],
+                "v_values": {o: {"dims": {"3": 1}} for o in "zxy"},
+                "m_values": {o: {"dims": {"3": 1}} for o in "zxy"}}
+        data["v_maps"] = data["m_maps"] = {f: {"blocks": {"3": [[1]]}} for f in "ab"}
+    code, text = run(tmp_path, command, data, "-p", "3", option, value)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "Traceback" not in err
+    assert f"{option} must be >= {low}, got {value}" in err
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_lie_check_refuses_a_declared_order_below_1(tmp_path, capsys, order):
+    action = {"p": 3, "matrices": [[[2, 0], [0, 2]]], "degrees": [2, 2], "order": order}
+    code, text = run(tmp_path, "lie-check", action, "-n", "12")
+    assert code == 2 and text == ""
+    assert f"group order must be >= 1, got {order}" in capsys.readouterr().err

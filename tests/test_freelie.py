@@ -451,6 +451,6 @@ def test_repeated_lyndon_word_fails_the_independence_check(monkeypatch, p):
 
     monkeypatch.setattr(freelie, "_lyndon_candidates", repeat_xy)
     with pytest.raises(CrossCheckError, match="dependent"):
-        lyndon_basis(gens(2, 2), 8, 9, p=p, verify=False)
+        lyndon_basis(gens(2, 2), 8, 9, p=p)
     with pytest.raises(CrossCheckError, match="dependent"):
-        restricted_basis(gens(2, 2), 9, p=p, weight_cap=8, verify=False)
+        restricted_basis(gens(2, 2), 9, p=p, weight_cap=8)

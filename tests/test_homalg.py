@@ -11,11 +11,10 @@ from fphomalg.homalg import (
     derivations_dims,
     ext_dims,
     hochschild_dims,
-    koszul_resolution,
     tor_dims,
     trivial_module,
 )
-from fphomalg.linalg import BigradedTable, GradedVectorSpace, _matrix
+from fphomalg.linalg import BigradedTable, GradedMap, GradedVectorSpace
 from fphomalg.monalg import (
     AlgebraModule,
     ModuleViaMap,
@@ -121,7 +120,7 @@ def test_module_validation_fails_with_generators_that_do_not_act():
 
 def test_koszul_strand_shapes_exterior():
     A = ext_alg(2, 3)
-    res = koszul_resolution(A, cap=12, s_max=6)
+    res = FreeResolution(A, 6, 12)
     # one generator per stage, degrees 0,3,6,...
     for s in range(7):
         assert len(res.stages[s]) == 1
@@ -131,21 +130,21 @@ def test_koszul_strand_shapes_exterior():
 
 def test_koszul_strand_shapes_polynomial():
     A = poly_alg(3, 2)
-    res = koszul_resolution(A, cap=8, s_max=4)
+    res = FreeResolution(A, 4, 8)
     assert [len(st) for st in res.stages] == [1, 1, 0, 0, 0]
     assert res.gen_degree[1][res.stages[1][0]] == 2
 
 
 def test_mixed_resolution_validates_to_cap():
     A = MonomialAlgebra.mixed(2, [("u", 2)], [("x", 3)])
-    koszul_resolution(A, cap=12, s_max=5)
+    FreeResolution(A, 5, 12)
     A3 = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3)])
-    koszul_resolution(A3, cap=12, s_max=5)
+    FreeResolution(A3, 5, 12)
 
 
 def test_two_exterior_generators_resolution():
     A = ext_alg(3, 3, 5)
-    res = koszul_resolution(A, cap=10, s_max=4)
+    res = FreeResolution(A, 4, 10)
     assert [len(st) for st in res.stages] == [1, 2, 3, 4, 5]
 
 
@@ -461,38 +460,6 @@ def test_two_sided_tor_of_the_algebra_and_the_ground_field(name, left, right):
         assert T.entries == {(0, 0): 1}
 
 
-@pytest.mark.parametrize("name", ["ext(x1,y3)@3", "ext(x3,y5,z7)@5",
-                                  "mixed(x2,w4;y1,z3)@3", "trunc(x2^3,y4^2)@3"])
-def test_resolution_is_the_koszul_chains_up_to_diagonal_signs(name):
-    # the resolution's differential, applied k-linearly to b e_S, is the
-    # chains' differential after the sign (-1)^|b| on odd stages and
-    # (-1)^|S| on even ones, so its exactness is the chains' homology
-    A = TOR_SWEEP[name]
-    p = A.p
-    res = FreeResolution(A, 4, 8)
-    chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
-                                  ModuleViaMap.augmentation(A), s_max=4)
-
-    def sign(s, b):
-        S, mon, _ = b
-        e = A.deg(mon) if s % 2 else chains.degree[S]
-        return -1 if p != 2 and e % 2 else 1
-
-    for s in range(1, 5):
-        def twisted(b):
-            S, mon, _ = b
-            for hj, coeff in res.diff[s][res.stages[s].index(S)]:
-                for m, v in A.mul_elements({mon: 1}, coeff).items():
-                    yield (res.stages[s - 1][hj], m, ()), v
-
-        for t in range(9):
-            src, tgt = chains.basis(s, t), chains.basis(s - 1, t)
-            signed = (np.diag([sign(s - 1, b) for b in tgt])
-                      @ _matrix(src, tgt, twisted, p)
-                      @ np.diag([sign(s, b) for b in src]))
-            assert not ((signed - chains.differential(s, t)) % p).any(), (s, t)
-
-
 def test_tor_pu2_data():
     # base F_2[c1 (2), c2 (4)], left F_2[t] via c1 -> 0, c2 -> t^2, right k
     B = MonomialAlgebra.polynomial(2, [("c1", 2), ("c2", 4)])
@@ -644,6 +611,63 @@ def test_resolution_rejects_a_differential_with_nonzero_square(monkeypatch):
     A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
     with pytest.raises(CrossCheckError, match="d\\*d"):
         FreeResolution(A, 3, 0)
+
+
+def test_resolution_rejects_a_unit_coefficient(monkeypatch, tmp_path, capsys):
+    # d(sym_k) = sym_{k-1}, with the unit as its coefficient, is no minimal
+    # differential: Hom into k would not be zero
+    import json
+
+    from fphomalg import homalg
+    from fphomalg.cli import main
+
+    monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [(0, 0, 1)] if k else [])
+    A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
+    with pytest.raises(CrossCheckError, match="not minimal"):
+        FreeResolution(A, 3, 6)
+    with pytest.raises(CrossCheckError, match="not minimal"):
+        ext_dims(A, trivial_module(A), s_max=2)
+    path = tmp_path / "x2.json"
+    path.write_text(json.dumps({"algebra": {"kind": "truncated", "truncation": {"x": 3},
+                                            "generators": [{"name": "x", "degree": 2}]}}))
+    assert main(["ext", "-p", "3", "--smax", "2", str(path)]) == 3
+    assert "not minimal" in capsys.readouterr().err
+
+
+def test_ext_refuses_a_module_on_which_the_algebra_acts():
+    A = ext_alg(3, 3)
+    with pytest.raises(ValidationError, match="acts trivially"):
+        ext_dims(A, AlgebraModule.regular(A, 8))
+    # a module whose action is all zero blocks is trivial
+    space = GradedVectorSpace({0: 1, 3: 1})
+    zero = GradedMap(space, space, 3, {0: [[0]]}, 3)
+    assert ext_dims(A, AlgebraModule(A, space, {"x": zero}), s_max=2) == \
+        ext_dims(A, AlgebraModule.trivial(A, space), s_max=2)
+
+
+def test_ext_ranks_nothing_beyond_its_resolution(monkeypatch):
+    # Ext is read off the resolution's generators: the only homology and the
+    # only ranks are those of the resolution's exactness check
+    from fphomalg import _kernels, homalg
+
+    A = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3), ("y", 5)])
+    M = AlgebraModule.trivial(A, GradedVectorSpace({0: 2, 4: 1}))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0] if name == "homology" else name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(homalg, "_homology", counted("homology", homalg._homology))
+    monkeypatch.setattr(_kernels, "rank", counted("rank", _kernels.rank))
+    FreeResolution(A, 4, 4)
+    alone = list(calls)
+    calls.clear()
+    table = ext_dims(A, M, s_max=3)
+    assert calls == alone and set(calls) == {"resolution", "rank"}
+    assert table.dim(2, -6) == 3 and table.dim(2, -2) == 1
 
 
 def test_resolution_rejects_a_complex_that_is_not_exact(monkeypatch):

@@ -122,10 +122,11 @@ def test_dd_nonzero_rejected():
 
 
 def test_negative_homology_dimension_rejected():
-    # ranks that no complex can have: both maps of rank 1 around a line
-    d = {0: np.array([[1]]), 1: np.array([[0]])}
+    # both maps of rank 1 around a line, whose d*d nobody checked: the
+    # ranks passed with an empty d, as ``cohomology_dim`` passes them
+    maps = {0: np.array([[1]]), 1: np.array([[1]])}
     with pytest.raises(CrossCheckError, match="negative"):
-        _homology("bad", {1: 1}, d, 3, ranks={0: 1, 1: 1})
+        _homology("bad", {1: 1}, {}, 3, ranks=_RankOnce(maps.get, 3, 1))
 
 
 def test_homology_with_zero_differentials_equals_spaces():

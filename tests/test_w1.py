@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fphomalg.errors import ValidationError
+from fphomalg import w1
+from fphomalg.errors import CapError, ValidationError
 from fphomalg.freelie import (
     DEFAULT_WEIGHT_CAP,
     Generator,
@@ -80,6 +81,15 @@ def test_w1_symbols_for_small_input():
     assert any(s.epsilon == 1 and s.degree == 8 for s in symbols)
     assert any(s.xi_power == 1 and s.degree == 7 for s in symbols)
     assert all("l[" in lab for lab in labels)
+
+
+def test_w1_symbol_list_is_bounded(monkeypatch):
+    # the explicit list stops at MAX_LISTED_SYMBOLS; its three symbols fit
+    monkeypatch.setattr(w1, "MAX_LISTED_SYMBOLS", 3)
+    assert len(w1_generator_symbols(gens(3), 11, 3)) == 3
+    monkeypatch.setattr(w1, "MAX_LISTED_SYMBOLS", 2)
+    with pytest.raises(CapError, match="3 symbols exceed the explicit-list bound 2"):
+        w1_generator_symbols(gens(3), 11, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -178,6 +188,5 @@ def test_every_count_walks_the_same_tower(case):
     restricted = restricted_symbol_dims(g, cap, p=p, weight_cap=weight_cap)
     with_zeta = restricted + zeta_space(restricted, p)
     assert counts == {d: n for d, n in with_zeta.dims.items() if d <= cap}
-    symbols, dims = restricted_basis(g, cap, p=p, weight_cap=weight_cap or DEFAULT_WEIGHT_CAP,
-                                     verify=False)
+    symbols, dims = restricted_basis(g, cap, p=p, weight_cap=weight_cap or DEFAULT_WEIGHT_CAP)
     assert Counter(s.v_degree for s in symbols) == restricted.dims == dims.dims
