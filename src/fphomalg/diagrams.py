@@ -15,7 +15,9 @@ Andre-Quillen tables share one chain calculus:
 - ``_cosimplicial`` assembles the cosimplicial differentials from a face-0
   block and a last-face block, with identity middle faces, for
   ``derived_limit_dims`` (identity and the diagram map) and
-  ``diagram_aq_table`` (restriction and postcomposition on AQ^q);
+  ``diagram_aq_table`` (restriction and postcomposition on AQ^q, which is
+  H^{q+1} of the pair's Hochschild cochains for every q >= 0; the kernel
+  row is the s = 0 row);
 - ``face_ring_diagram`` builds sigma -> k[sigma] over a face poset, for the
   CLI's simplicial inputs and the face-ring cross-check.
 
@@ -39,10 +41,8 @@ from .linalg import (
     GradedVectorSpace,
     PrimeField,
     Subquotient,
-    _assemble,
     _homology,
     _matrix,
-    _RankOnce,
     json_int,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
@@ -510,44 +510,35 @@ def face_ring_diagram(vertices, facets, degree: int, cap: int, p: int):
 class _AQLocal:
     """AQ^q spaces of one pair (exterior algebra, trivial odd module).
 
-    For q >= 1, AQ^q in map degree t is the cohomology of the pair's
-    Hochschild cochains at ``(q + 1, t)``.  Its dimension comes from the
-    complex's ranks, after the d*d check from ``(q, t)``, and costs nothing
-    on a zero space; a ``Subquotient`` with representatives and class
-    coordinates is built only for an induced map, once per ``(q, t)``.
+    For every q >= 0, AQ^q in map degree t is the cohomology of the pair's
+    Hochschild cochains at ``(q + 1, t)``.  For q = 0 that is HH^1: with a
+    trivial symmetric module a 1-cocycle is a derivation and none is inner,
+    so AQ^0 is the derivations, one per generator and module basis vector
+    of degree ``|g| + t``.  The dimension comes from the complex's ranks,
+    after the d*d check from ``(q, t)``, and costs nothing on a zero space;
+    a ``Subquotient`` with representatives and class coordinates is built
+    only for an induced map, once per ``(q, t)``.
     """
 
     def __init__(self, A: MonomialAlgebra, Mspace: GradedVectorSpace, q_max: int):
-        self.A = A
-        self.M = AlgebraModule.trivial(A, Mspace)
         # AQ^q reads delta(q + 1, t), into level q + 2
-        self.hc = HochschildComplex(A, self.M, q_max + 2)
+        self.hc = HochschildComplex(A, AlgebraModule.trivial(A, Mspace), q_max + 2)
         self._dims = {}
         self._sub_cache = {}
-
-    def der_basis(self, t: int):
-        out = []
-        for name, d in self.A.generators:
-            for mi in range(self.M.space.dim(d + t)):
-                out.append((name, d, mi))
-        return out
 
     def subquotient(self, q: int, t: int) -> Subquotient:
         key = (q, t)
         if key not in self._sub_cache:
             d_out = self.hc.delta(q + 1, t)
             d_in = self.hc.delta(q, t)
-            self._sub_cache[key] = Subquotient(d_out, d_in, self.A.p)
+            self._sub_cache[key] = Subquotient(d_out, d_in, self.hc.p)
         return self._sub_cache[key]
 
     def dim(self, q: int, t: int) -> int:
         key = (q, t)
         if key not in self._dims:
-            if q == 0:
-                self._dims[key] = len(self.der_basis(t))
-            else:
-                self.hc.verify_dd(q, t)
-                self._dims[key] = self.hc.cohomology_dim(q + 1, t)
+            self.hc.verify_dd(q, t)
+            self._dims[key] = self.hc.cohomology_dim(q + 1, t)
         return self._dims[key]
 
 
@@ -616,14 +607,13 @@ def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
     return _matrix(hc_tgt.basis(level, t), hc_src.basis(level, t), image, p)
 
 
-def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int, shift: int = 0):
+def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int):
     """Matrix of postcomposition with the module map ``psi`` between bases of
-    triples ``(label, degree, module index)``; the module degree is
-    ``degree + shift``."""
+    cochains ``(word index, module degree, module index)``."""
     def image(b):
-        label, d, mi = b
-        col = psi.block(d + shift)[:, mi]
-        return (((label, d, ri), int(col[ri])) for ri in np.flatnonzero(col))
+        wi, d, mi = b
+        col = psi.block(d)[:, mi]
+        return (((wi, d, ri), int(col[ri])) for ri in np.flatnonzero(col))
 
     return _matrix(src_basis, tgt_basis, image, p)
 
@@ -640,6 +630,11 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
     """Per AQ-degree q, the cochain complex over nondegenerate chains
     with components AQ^q(A(first), M(last)) and cosimplicial differential;
     returns ``{q: BigradedTable}`` plus the kernel-formula row.
+
+    Every component, q = 0 included, is AQ^q = H^{q+1} of its pair's
+    Hochschild cochains (``_AQLocal``), so one restriction map
+    (``_word_map_matrix``) and one postcomposition serve every q.  The
+    kernel-formula row, ker(d_0), is the s = 0 row of the q-table.
 
     ``DV``/``DM`` are the covariant avatars over the opposite of the direct
     category ``I``; the algebras are exterior on the V values objectwise.
@@ -659,6 +654,8 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
                 break
 
     algs = {o: _exterior_from_space(p, DV.value(o)) for o in J.objects}
+    phi = {f: _linear_algebra_map(algs[src], algs[dst], DV.map(f).block)
+           for f, (src, dst) in J.arrows.items()}
     locals_cache: dict[tuple, _AQLocal] = {}
 
     def local(a_obj, m_obj) -> _AQLocal:
@@ -667,10 +664,6 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
             locals_cache[key] = _AQLocal(algs[a_obj], DM.value(m_obj), q_max)
         return locals_cache[key]
 
-    def phi(f):
-        src, dst = J.arrows[f]
-        return _linear_algebra_map(algs[src], algs[dst], DV.map(f).block)
-
     levels = J.nerve(top=s_max + 1)
 
     def restriction_on_h(f, m_obj, q, t):
@@ -678,39 +671,22 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
         j0, j1 = J.arrows[f]
         src = local(j1, m_obj)
         tgt = local(j0, m_obj)
-        if q == 0:
-            # (D o phi)(e0_j) = sum_i phi[i, j] D(e1_i), degree by degree
-            row = {b: i for i, b in enumerate(tgt.der_basis(t))}
-            col = {b: j for j, b in enumerate(src.der_basis(t))}
-            names1 = _names_by_degree(algs[j1])
-            rows, cols, vals = [], [], []
-            for d0, names0 in _names_by_degree(algs[j0]).items():
-                block = DV.map(f).block(d0)
-                for i, j in zip(*np.nonzero(block)):
-                    for mi in range(tgt.M.space.dim(d0 + t)):
-                        rows.append(row[(names0[j], d0, mi)])
-                        cols.append(col[(names1[d0][i], d0, mi)])
-                        vals.append(int(block[i, j]))
-            return _assemble((len(row), len(col)), rows, cols, vals, p)
         # psi -> psi o phi on cochains, from the complex of A(j1) to that of A(j0)
-        T = _word_map_matrix(src.hc, tgt.hc, phi(f), q + 1, t, p)
+        T = _word_map_matrix(src.hc, tgt.hc, phi[f], q + 1, t, p)
         return _induced(T.T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
     def postcompose_on_h(a_obj, m_src, f, q, t):
         """AQ^q(A, M(j_s)) -> AQ^q(A, M(j_{s+1})) along the module map."""
         src = local(a_obj, m_src)
         tgt = local(a_obj, J.arrows[f][1])
-        psi = DM.map(f)
-        if q == 0:
-            return _postcompose_matrix(src.der_basis(t), tgt.der_basis(t), psi, p, shift=t)
         # cochain-level postcomposition: same words, module index mapped
-        T = _postcompose_matrix(src.hc.basis(q + 1, t), tgt.hc.basis(q + 1, t), psi, p)
+        T = _postcompose_matrix(src.hc.basis(q + 1, t), tgt.hc.basis(q + 1, t), DM.map(f), p)
         return _induced(T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
     top = min(len(levels) - 1, s_max)
     # every map degree where the component AQ^q(A(j0), M(js)) of a chain
     # of levels 0..top may be nonzero: where its pair has cochains at
-    # levels 0..q_max + 1 (derivations are the level-1 cochains)
+    # levels 0..q_max + 1 (AQ^q reads level q + 1)
     degrees = set()
     for level in levels[: top + 1]:
         for c in level:
@@ -720,7 +696,6 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
     kernel_rows = {}
     for q in range(q_max + 1):
         entries = {}
-        kernel_entries = {}
         for t in sorted(degrees):
             # the component of a chain j0 -> ... -> js is AQ^q(A(j0), M(js)):
             # face 0 restricts along the first arrow, the last face
@@ -734,12 +709,9 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
                 J, levels, top, dim,
                 lambda f, face: restriction_on_h(f, J.chain_end(face), q, t),
                 lambda face, f: postcompose_on_h(face[0], J.chain_end(face), f, q, t), p)
-            ranks = _RankOnce(d.get, p, 1)
-            for s, h in _homology("diagram AQ cosimplicial", sizes, d, p, ranks=ranks).items():
+            for s, h in _homology("diagram AQ cosimplicial", sizes, d, p).items():
                 entries[(s, t)] = h
-            # the kernel formula reads ker(d_0) off the same ranks
-            if sizes[0] and sizes[0] - ranks[0]:
-                kernel_entries[t] = sizes[0] - ranks[0]
         tables[q] = BigradedTable(entries)
-        kernel_rows[q] = kernel_entries
+        # the kernel formula: ker(d_0) is the s = 0 row
+        kernel_rows[q] = {t: h for (s, t), h in entries.items() if s == 0}
     return {"tables": tables, "kernel_formula": kernel_rows, "notes": notes}

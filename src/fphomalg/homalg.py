@@ -17,8 +17,9 @@ complex has the zero differential, so nothing is assembled or ranked.
 
 Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology is computed from the
-resolution shortcut ``Ext(k, k) (x) M`` and from the normalized cochain
-complex, and any mismatch raises ``CrossCheckError``.
+resolution shortcut ``Ext_A(k, M)`` (``ext_dims``, A acting trivially on
+M) and from the normalized cochain complex, and any mismatch raises
+``CrossCheckError``.
 
 Every other complex here (the resolution's exactness check, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
@@ -503,19 +504,14 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
                     cap: int | None = None) -> BigradedTable:
     """Hochschild cohomology HH^{s}(A, M), computed two ways and compared.
 
-    Route one tensors ``Ext_A(k, k)`` with M (valid for symmetric bimodules,
-    where the twisted module structure is trivial); route two is the
-    normalized cochain complex.  Any entrywise mismatch raises
-    ``CrossCheckError``.  Entries at ``(s, t)``, ``t`` the map degree.
+    Route one is ``Ext_A(k, M)`` with A acting trivially on the space of M
+    (valid for symmetric bimodules, where the twisted module structure is
+    trivial); route two is the normalized cochain complex.  Any entrywise
+    mismatch raises ``CrossCheckError``.  Entries at ``(s, t)``, ``t`` the
+    map degree.
     """
-    ext_table = ext_dims(A, trivial_module(A), s_max=s_max,
-                         cap=cap if cap is not None else 0)
-    entries: dict[tuple, int] = {}
-    for (s, te), n in ext_table.items():
-        for d in M.space.degrees():
-            key = (s, te + d)
-            entries[key] = entries.get(key, 0) + n * M.space.dim(d)
-    shortcut = BigradedTable(entries)
+    shortcut = ext_dims(A, AlgebraModule.trivial(A, M.space), s_max=s_max,
+                        cap=cap if cap is not None else 0)
     hc = HochschildComplex(A, M, s_max + 1)
     direct_entries = {}
     for t in hc.t_range(range(s_max + 1)):
@@ -607,13 +603,6 @@ class AQResult:
         self.table = table
         self.verdict = verdict
         self.notes = notes
-
-    def to_json(self):
-        return {
-            "table": self.table.to_json(),
-            "parity": self.verdict.to_json(),
-            "notes": self.notes,
-        }
 
 
 def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,

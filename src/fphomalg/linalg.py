@@ -256,12 +256,6 @@ class GradedMap:
     def kernel_dim(self, i: int) -> int:
         return self.source.dim(i) - self.rank(i)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "blocks": {str(i): m.tolist() for i, m in sorted(self.blocks.items())},
-        }
-
 
 # ---------------------------------------------------------------------------
 # assembly and homology steps shared by the derived-functor builders
@@ -419,25 +413,12 @@ class BigradedTable:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def support(self):
-        return sorted(self._entries)
-
     def __eq__(self, other):
         return isinstance(other, BigradedTable) and other._entries == self._entries
 
     def __repr__(self):
         body = ", ".join(f"({s},{t}):{n}" for (s, t), n in self.items())
         return "BigradedTable({%s})" % body
-
-    def restrict(self, s_max=None, t_range=None) -> "BigradedTable":
-        out = {}
-        for (s, t), n in self._entries.items():
-            if s_max is not None and s > s_max:
-                continue
-            if t_range is not None and not t_range[0] <= t <= t_range[1]:
-                continue
-            out[(s, t)] = n
-        return BigradedTable(out)
 
     def parity_verdict(self) -> ParityVerdict:
         if not self._entries:
@@ -449,12 +430,11 @@ class BigradedTable:
             return ParityVerdict("odd", False)
         return ParityVerdict("neither", False)
 
-    def total_dims(self, sign: int = -1) -> dict[int, int]:
-        """Collapse to total degree ``t + sign*s`` (default ``t - s``)."""
+    def total_dims(self) -> dict[int, int]:
+        """Collapse to total degree ``t - s``."""
         out: dict[int, int] = {}
         for (s, t), n in self._entries.items():
-            k = t + sign * s
-            out[k] = out.get(k, 0) + n
+            out[t - s] = out.get(t - s, 0) + n
         return dict(sorted(out.items()))
 
     def to_json(self) -> list:

@@ -140,21 +140,6 @@ class MonomialAlgebra:
             )
         raise ValidationError(f"unsupported algebra kind {kind!r} in JSON")
 
-    def to_json(self):
-        out = {
-            "p": self.p,
-            "kind": self.kind,
-            "generators": [{"name": n, "degree": d} for n, d in self.generators],
-        }
-        if self.kind in ("mixed", "truncated"):
-            out["truncation"] = {
-                n: c + 1 for (n, _), c in zip(self.generators, self.caps) if c is not None
-            }
-        if self.facets is not None:
-            out["vertices"] = list(self.names)
-            out["facets"] = [sorted(self.names[i] for i in f) for f in self.facets]
-        return out
-
     # --- basis and products -------------------------------------------------
 
     def one(self):

@@ -208,18 +208,26 @@ def test_diagram_aq_concentrated_for_injective_modules(p):
         assert row0 == out["kernel_formula"][q]
 
 
-def test_diagram_aq_single_object_matches_aq():
-    from fphomalg.homalg import aq_ass_dims, trivial_module
-    p = 3
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("v, m, q_max", [
+    pytest.param({3: 1}, {3: 1}, 3, id="v3-m3"),
+    pytest.param({1: 1, 3: 1}, {3: 1}, 2, id="v13-m3"),
+    pytest.param({3: 2}, {1: 1, 5: 1}, 2, id="v33-m15"),
+])
+def test_diagram_aq_single_object_matches_aq(p, v, m, q_max):
+    # row 0 of aq_ass_dims solves the Leibniz system of derivations_dims,
+    # a route independent of the HH^1 that diagram AQ reads for q = 0
+    from fphomalg.homalg import aq_ass_dims
+    from fphomalg.monalg import AlgebraModule
     I = FiniteCategory({"pt": 0}, {})
-    V = GradedVectorSpace({3: 1})
-    M = GradedVectorSpace({3: 1})
+    V, M = GradedVectorSpace(v), GradedVectorSpace(m)
     DV = contravariant_diagram(I, {"pt": V}, {}, p)
     DM = contravariant_diagram(I, {"pt": M}, {}, p)
-    out = diagram_aq_table(I, DV, DM, s_max=2, q_max=3)
-    A = MonomialAlgebra.exterior(p, [("e3_0", 3)])
-    ref = aq_ass_dims(A, trivial_module(A, degree=3), cap=12, s_max=3)
-    for q in range(4):
+    out = diagram_aq_table(I, DV, DM, s_max=2, q_max=q_max)
+    A = diagrams._exterior_from_space(p, V)
+    ref = aq_ass_dims(A, AlgebraModule.trivial(A, M), cap=12, s_max=q_max)
+    assert ref.table.entries
+    for q in range(q_max + 1):
         got = {t: n for (s, t), n in out["tables"][q].items() if s == 0}
         want = {t: n for (s, t), n in ref.table.items() if s == q}
         assert got == want, (q, got, want)
@@ -294,12 +302,48 @@ def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
     hc = loc.hc
     ts = hc.t_range(range(q_max + 2))
     nonzero = 0
-    for q in range(1, q_max + 1):
+    for q in range(q_max + 1):
         for t in range(ts[0] - 1, ts[-1] + 2):
             want = Subquotient(hc.delta(q + 1, t), hc.delta(q, t), p).dim
             assert loc.dim(q, t) == want, (q, t)
             nonzero += want > 0
     assert nonzero and not loc._sub_cache
+
+
+@pytest.mark.parametrize("p, degrees", [
+    (2, (3,)), (2, (2,)), (2, (1, 2)), (2, (2, 4, 5)),
+    (3, (3,)), (3, (1, 3)), (3, (1, 3, 5)),
+    (5, (1,)), (5, (3, 3)), (5, (1, 1, 3)),
+])
+@pytest.mark.parametrize("module", [{3: 1}, {1: 2}, {1: 1, 5: 2}, {2: 1, 4: 1}])
+def test_aq_local_dim_at_q0_counts_derivations(p, degrees, module):
+    # AQ^0 = HH^1: one derivation per generator g and basis vector of
+    # M in degree |g| + t
+    V = GradedVectorSpace({d: degrees.count(d) for d in set(degrees)})
+    M = GradedVectorSpace(module)
+    loc = diagrams._AQLocal(diagrams._exterior_from_space(p, V), M, 0)
+    want = {}
+    for d in degrees:
+        for md in M.degrees():
+            want[md - d] = want.get(md - d, 0) + M.dim(md)
+    for t in range(min(want) - 2, max(want) + 3):
+        assert loc.dim(0, t) == want.get(t, 0), t
+
+
+def test_diagram_aq_builds_one_algebra_map_per_arrow(monkeypatch):
+    calls = []
+    build = diagrams._linear_algebra_map
+
+    def counting(src, dst, block):
+        calls.append((src, dst))
+        return build(src, dst, block)
+
+    monkeypatch.setattr(diagrams, "_linear_algebra_map", counting)
+    for setup, arrows in ((_span_aq_setup(3), 2), (_chain_aq_setup(3), 3)):
+        calls.clear()
+        out = diagram_aq_table(*setup, s_max=3, q_max=2)
+        assert any(table.entries for table in out["tables"].values())
+        assert len(calls) == arrows
 
 
 def _record_aq(monkeypatch):
@@ -369,7 +413,8 @@ def test_diagram_aq_builds_a_subquotient_per_read_component(monkeypatch, p):
     rec = _record_aq(monkeypatch)
     I, DV, DM = _span_aq_setup(p)
     diagram_aq_table(I, DV, DM, s_max=2, q_max=3)
-    assert _subquotients_read_once(rec) == 15
+    # five local pairs, each read at q = 0, 1, 2, 3
+    assert _subquotients_read_once(rec) == 20
 
 
 def _mixed_degree_span(p):
@@ -466,16 +511,20 @@ def test_derived_limit_of_a_face_ring_at_an_odd_prime():
     assert derived_limit_dims(D, cap).entries == {(0, 0): 1, (0, 2): 3, (0, 4): 6, (0, 6): 9}
 
 
-def test_diagram_aq_on_a_chain_of_three_objects():
-    # 0 < 1 < 2 has chains of two arrows, so the middle faces and their signs
-    # enter; identity maps make the module side injective
-    p = 3
+def _chain_aq_setup(p):
+    """0 < 1 < 2 with identity maps on k[3] for both V and M."""
     I = FiniteCategory.poset({"0": 0, "1": 1, "2": 2}, [("0", "1"), ("1", "2")])
     V = GradedVectorSpace({3: 1})
     maps = {f: GradedMap.identity(V, p) for f in I.arrows}
     DV = contravariant_diagram(I, {o: V for o in "012"}, maps, p)
     DM = contravariant_diagram(I, {o: V for o in "012"}, maps, p)
-    out = diagram_aq_table(I, DV, DM, s_max=3, q_max=2)
+    return I, DV, DM
+
+
+def test_diagram_aq_on_a_chain_of_three_objects():
+    # 0 < 1 < 2 has chains of two arrows, so the middle faces and their signs
+    # enter; identity maps make the module side injective
+    out = diagram_aq_table(*_chain_aq_setup(3), s_max=3, q_max=2)
     for q, table in out["tables"].items():
         assert table.entries == {(0, -3 * q): 1}
         assert out["kernel_formula"][q] == {-3 * q: 1}

@@ -237,6 +237,49 @@ def test_hochschild_regular_coefficients_routes_agree(p):
         assert hh.dim(s, 3 - 3 * s) == 1
 
 
+def _raise_ext_entry(monkeypatch):
+    """Route one of ``hochschild_dims`` reads one entry 1 too high."""
+    ext = homalg.ext_dims
+
+    def raised(*args, **kwargs):
+        entries = ext(*args, **kwargs).entries
+        entries[min(entries)] += 1
+        return BigradedTable(entries)
+
+    monkeypatch.setattr(homalg, "ext_dims", raised)
+
+
+def _raise_cochain_entry(monkeypatch):
+    """Route two of ``hochschild_dims`` reads its nonzero entries at s = 1
+    1 too high."""
+    dim = HochschildComplex.cohomology_dim
+
+    def raised(self, s, t):
+        h = dim(self, s, t)
+        return h + 1 if s == 1 and h else h
+
+    monkeypatch.setattr(HochschildComplex, "cohomology_dim", raised)
+
+
+@pytest.mark.parametrize("fault", [_raise_ext_entry, _raise_cochain_entry])
+def test_hochschild_routes_disagree_on_one_entry(tmp_path, monkeypatch, fault):
+    import json
+
+    from fphomalg.cli import main
+
+    A = ext_alg(3, 3)
+    M = trivial_module(A, degree=3)
+    assert hochschild_dims(A, M, s_max=4).entries == {(s, 3 - 3 * s): 1 for s in range(5)}
+    fault(monkeypatch)
+    with pytest.raises(CrossCheckError, match="Hochschild routes disagree"):
+        hochschild_dims(A, M, s_max=4)
+    path = tmp_path / "x3.json"
+    path.write_text(json.dumps({
+        "algebra": {"kind": "exterior", "generators": [{"name": "x", "degree": 3}]},
+        "module": {"dims": {"3": 1}}}))
+    assert main(["hochschild", "-p", "3", "--smax", "4", str(path)]) == 3
+
+
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("degs", [(1,), (3,), (1, 2), (1, 3), (3, 5), (1, 2, 3)])
 def test_hochschild_differential_squares_to_zero_with_both_actions(p, degs):
