@@ -13,9 +13,9 @@ Bauer, Kerber and Reininghaus, *Clear and Compress*, 2014): if
 ``i``, then ``B @ z = 0`` makes column ``i`` of ``B`` a combination of the
 columns left of it, so its reduction vanishes.  ``rank`` reports the
 lowest rows of the pivot columns it stores and skips the columns it is
-told to clear.  ``rref`` also serves ``nullspace``,
-``solve`` and ``in_span``.  The sparse reduction step, ``eliminate``, also
-keeps the echelon forms of the Lie closure oracles, whose rows are words.
+told to clear.  ``rref`` also serves ``nullspace`` and ``solve``.  The
+sparse reduction step, ``eliminate``, also keeps the echelon forms of the
+Lie closure oracles, whose rows are words.
 
 Vectors are columns: ``nullspace(a, p)`` returns a matrix whose columns
 span ``{x : a @ x = 0}``.
@@ -220,8 +220,3 @@ def solve(a, b, p: int):
         x[pc] = r[i, cols:]
     return x[:, 0] if single else x
 
-
-def in_span(rows, v, p: int) -> bool:
-    """Is the vector ``v`` in the span of the given row vectors?"""
-    m = as_modp(rows, p)
-    return solve(m.T, np.asarray(v, dtype=np.int64) % p, p) is not None

@@ -45,7 +45,7 @@ from .linalg import (
     _matrix,
     json_int,
 )
-from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
+from .monalg import ModuleViaMap, MonomialAlgebra
 
 
 class FiniteCategory:
@@ -522,7 +522,7 @@ class _AQLocal:
 
     def __init__(self, A: MonomialAlgebra, Mspace: GradedVectorSpace, q_max: int):
         # AQ^q reads delta(q + 1, t), into level q + 2
-        self.hc = HochschildComplex(A, AlgebraModule.trivial(A, Mspace), q_max + 2)
+        self.hc = HochschildComplex(A, Mspace, q_max + 2)
         self._dims = {}
         self._sub_cache = {}
 

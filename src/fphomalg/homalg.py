@@ -16,10 +16,11 @@ Ext into a trivial module is read off the minimal resolution: its Hom
 complex has the zero differential, so nothing is assembled or ranked.
 
 Derived functors follow two independent routes wherever the statements
-being verified demand it: Hochschild cohomology is computed from the
-resolution shortcut ``Ext_A(k, M)`` (``ext_dims``, A acting trivially on
-M) and from the normalized cochain complex, and any mismatch raises
-``CrossCheckError``.
+being verified demand it: Hochschild cohomology with coefficients in a
+module M on which A acts trivially is computed from the resolution
+shortcut ``Ext_A(k, M)`` (``ext_dims``) and from the normalized cochain
+complex, the dual of the bar complex tensored with M, and any mismatch
+raises ``CrossCheckError``.  A module on which A acts is refused.
 
 Every other complex here (the resolution's exactness check, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
@@ -30,7 +31,8 @@ not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree, gives each
-differential's merges as a slice, which ``linalg._assemble`` writes.  The
+differential's merges as a slice, which ``linalg._assemble`` writes (a
+cochain differential once per basis vector of each degree of M).  The
 shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
 ``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
 differential once and turns the ranks into homology dimensions; the
@@ -301,31 +303,32 @@ def trivial_module(A, degree: int = 0, dim: int = 1) -> AlgebraModule:
 
 
 class HochschildComplex:
-    """Normalized cochain complex Hom(Abar^{(x) s}, M) of a finite algebra.
+    """Normalized cochain complex Hom(Abar^{(x) s}, M) of a finite algebra
+    with coefficients in a graded vector space M, on which A acts trivially.
 
     Requires every generator exponent-capped so that Abar is finite
     dimensional.  Cochain bidegrees are ``(s, t)`` with ``t`` the map
-    degree; the differential uses the symmetric bimodule structure.
+    degree.  With trivial coefficients only the inner faces of the cochain
+    differential survive, so ``C^{*,t}`` is the dual of the bar complex
+    tensored with M (Loday, *Cyclic Homology*, 1992, ch. 1).
 
     The words of every level are built once as an array word complex
     (``_Words``), and the dimension of every ``C^{s,t}`` is counted from
-    its degree buckets.  ``C^{s,t}`` holds, word by word in word order, the
-    words of degree ``md - t`` for the module degrees ``md``, each with the
-    ``dim M_md`` basis vectors of M (``_Layout``).  In ``delta`` the middle
-    terms are the face table's slice of word degree ``md - t``, and the
-    left and right action terms gather the action block of each (letter,
-    module degree), computed once, over the words by their first and last
-    letters.  Each differential is assembled and ranked once per
-    ``(s, t)``, and none from or to a zero space is built.  A top level of
-    more than ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any
-    word is built.
+    its degree buckets.  ``C^{s,t}`` is one block per module degree ``md``,
+    in ascending order: the words of degree ``md - t`` in word order, each
+    followed by the ``dim M_md`` basis vectors of M.  ``delta`` is block
+    diagonal: each block is the face table's slice of word degree
+    ``md - t`` at bucket positions, once per basis vector of ``M_md``.
+    Each differential is assembled and ranked once per ``(s, t)``, and
+    none from or to a zero space is built.  A top level of more than
+    ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any word is
+    built.
     """
 
-    def __init__(self, A: MonomialAlgebra, M: AlgebraModule, levels: int):
+    def __init__(self, A: MonomialAlgebra, M: GradedVectorSpace, levels: int):
         if not A.is_finite_dimensional():
             raise ValidationError("normalized cochains need a finite-dimensional algebra")
         self.A = A
-        self.M = M
         self.p = A.p
         self.levels = int(levels)
         top = A.top_degree()
@@ -338,8 +341,7 @@ class HochschildComplex:
         self._words = _Words(A, self.abar, self.levels)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
-        self._mdims = {md: M.space.dim(md) for md in M.space.degrees()}
-        self._acts = any(mp.blocks for mp in M.action.values())
+        self._mdims = {md: M.dim(md) for md in M.degrees()}
         self._dims: dict[tuple[int, int], int] = Counter()
         for s, buckets in enumerate(self._words.buckets):
             for wd, ws in buckets.items():
@@ -347,7 +349,6 @@ class HochschildComplex:
                     self._dims[(s, md - wd)] += width * len(ws)
         self._basis_cache = {}
         self._delta_cache = {}
-        self._action_cache = {}
         self._ranks: dict[int, _RankOnce] = {}
 
     @property
@@ -356,29 +357,19 @@ class HochschildComplex:
         return self._words.words
 
     def basis(self, s: int, t: int):
-        """Cochains ``(word index, module degree, module index)`` in word order."""
+        """Cochains ``(word index, module degree, module index)``, block by
+        block."""
         key = (s, t)
         if key not in self._basis_cache:
             buckets = self._words.buckets[s]
-            self._basis_cache[key] = sorted(
+            self._basis_cache[key] = [
                 (wi, md, mi) for md, width in self._mdims.items() if md - t in buckets
-                for wi in buckets[md - t].tolist() for mi in range(width))
+                for wi in buckets[md - t].tolist() for mi in range(width)]
         return self._basis_cache[key]
 
     def t_range(self, s_levels=None):
         levels = range(self.levels + 1) if s_levels is None else s_levels
         return sorted({t for s, t in self._dims if s in levels})
-
-    def _action(self, li: int, d: int):
-        """Letter ``li`` acting from module degree ``d``: the nonzero
-        entries ``(ni, mi, value)`` of its block."""
-        key = (li, d)
-        if key not in self._action_cache:
-            eye = np.eye(self.M.space.dim(d), dtype=np.int64)
-            _, img = self.M.act_monomial(self.abar[li][0], d, eye)
-            ni, mi = np.nonzero(img)
-            self._action_cache[key] = ni, mi, img[ni, mi]
-        return self._action_cache[key]
 
     def delta(self, s: int, t: int) -> np.ndarray:
         """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}."""
@@ -389,45 +380,20 @@ class HochschildComplex:
         if not (n_src and n_tgt):
             return np.zeros((n_tgt, n_src), dtype=np.int64)
         W = self._words
-        src, tgt = _Layout(W, s, t, self._mdims), _Layout(W, s + 1, t, self._mdims)
-        terms = []
-        for md, ws in tgt.blocks.items():
-            width = self._mdims[md]
-            # middle merges: the face table's rows of word degree md - t
+        rows, cols, vals = [], [], []
+        row0 = col0 = 0  # where the block of the module degree starts
+        for md, width in self._mdims.items():
             f_src, merged, value = W.face_rows(s + 1, md - t)
-            rows, cols = tgt.start(f_src), src.start(merged)
-            if width > 1:
-                diag = np.arange(width)
-                rows, cols, value = _spread(rows, cols, value,
-                                            (diag, diag, np.ones(width, dtype=np.int64)))
-            terms.append((rows, cols, value))
-            if self._acts:
-                terms.extend(self._action_terms(s, t, md, ws, src, tgt))
-        rows, cols, vals = (np.concatenate(c) for c in zip(*terms))
-        mat = _assemble((n_tgt, n_src), rows, cols, vals, self.p)
+            mi = np.arange(width)
+            rows.append(((row0 + W.pos[s + 1][f_src] * width)[:, None] + mi).ravel())
+            cols.append(((col0 + W.pos[s][merged] * width)[:, None] + mi).ravel())
+            vals.append(value.repeat(width))
+            row0 += width * W.count(s + 1, md - t)
+            col0 += width * W.count(s, md - t)
+        mat = _assemble((n_tgt, n_src), np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals), self.p)
         self._delta_cache[key] = mat
         return mat
-
-    def _action_terms(self, s, t, md, ws, src, tgt):
-        """Left and right action terms of ``delta(s, t)`` on the target
-        words ``ws`` of module degree ``md``: the letter ``a`` first (last)
-        in a word acts on the cochain of its tail (its prefix), from module
-        degree ``md - |a|``."""
-        p, W = self.p, self._words
-        right_sign = -1 if (s + 1) % 2 else 1
-        ends = ((W.words[s + 1][ws, 0], W.tails(s + 1)[ws]),
-                (W.last[s + 1][ws], W.parent[s + 1][ws]))
-        for a, (_, da) in enumerate(self.abar):
-            dmu = md - da
-            block = self._action(a, dmu) if dmu in src.blocks else ((), (), ())
-            if not len(block[2]):
-                continue
-            left = -1 if p != 2 and (da * t) % 2 else 1
-            right = -right_sign if p != 2 and (da * dmu) % 2 else right_sign
-            for (letters, below), sign in zip(ends, (left, right)):
-                hit = np.flatnonzero(letters == a)
-                yield _spread(tgt.start(ws[hit]), src.start(below[hit]),
-                              np.full(len(hit), sign), block)
 
     def _dim(self, s: int, t: int) -> int:
         """Dimension of ``C^{s,t}``."""
@@ -469,50 +435,19 @@ class HochschildComplex:
             del self._delta_cache[key]
 
 
-class _Layout:
-    """Where the cochains of a nonzero ``C^{s,t}`` sit: word by word in
-    word order, each word of degree ``d`` with the ``dim M_{d + t}`` basis
-    vectors of M.  ``blocks`` maps a module degree to its words (a degree
-    bucket) and ``words`` lists all of them in word order."""
-
-    def __init__(self, W: _Words, s: int, t: int, mdims: dict):
-        buckets = W.buckets[s]
-        self.blocks = {md: buckets[md - t] for md in mdims if md - t in buckets}
-        words = np.concatenate(list(self.blocks.values()))
-        width = np.array([mdims[md] for md in self.blocks]).repeat(
-            [len(ws) for ws in self.blocks.values()])
-        if len(self.blocks) > 1:
-            order = words.argsort()
-            words, width = words[order], width[order]
-        self.words = words
-        self._starts = np.add.accumulate(width) - width
-
-    def start(self, words) -> np.ndarray:
-        """Index of the first cochain of each of ``words``."""
-        return self._starts[self.words.searchsorted(words)]
-
-
-def _spread(rows, cols, vals, block):
-    """Triples of ``vals[k] * block`` with its corner at ``(rows[k],
-    cols[k])``, for a block given by its entries ``(ni, mi, value)``."""
-    ni, mi, bv = block
-    return ((rows[:, None] + ni).ravel(), (cols[:, None] + mi).ravel(),
-            (vals[:, None] * bv).ravel())
-
-
 def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
                     cap: int | None = None) -> BigradedTable:
-    """Hochschild cohomology HH^{s}(A, M), computed two ways and compared.
+    """Hochschild cohomology HH^{s}(A, M) of a module M on which A acts
+    trivially, computed two ways and compared.
 
-    Route one is ``Ext_A(k, M)`` with A acting trivially on the space of M
-    (valid for symmetric bimodules, where the twisted module structure is
-    trivial); route two is the normalized cochain complex.  Any entrywise
-    mismatch raises ``CrossCheckError``.  Entries at ``(s, t)``, ``t`` the
-    map degree.
+    Route one is ``Ext_A(k, M)``; route two is the normalized cochain
+    complex, the dual bar complex tensored with M.  A module on which A
+    acts is refused by route one, as in ``ext_dims`` (``ValidationError``).
+    Any entrywise mismatch raises ``CrossCheckError``.  Entries at
+    ``(s, t)``, ``t`` the map degree.
     """
-    shortcut = ext_dims(A, AlgebraModule.trivial(A, M.space), s_max=s_max,
-                        cap=cap if cap is not None else 0)
-    hc = HochschildComplex(A, M, s_max + 1)
+    shortcut = ext_dims(A, M, s_max=s_max, cap=cap if cap is not None else 0)
+    hc = HochschildComplex(A, M.space, s_max + 1)
     direct_entries = {}
     for t in hc.t_range(range(s_max + 1)):
         for s in range(s_max):

@@ -146,11 +146,6 @@ class GradedVectorSpace:
                     for d, n in obj["dims"].items()})
 
 
-def shift(V: GradedVectorSpace, k: int) -> GradedVectorSpace:
-    """Regrade so that the degree-``i`` part lands in degree ``i + k``."""
-    return V.shift(k)
-
-
 # ---------------------------------------------------------------------------
 # graded maps
 
@@ -199,18 +194,6 @@ class GradedMap:
             p,
         )
 
-    @classmethod
-    def from_triplets(cls, source, target, degree, triplets, p):
-        """Build from sparse entries ``{src_degree: [(row, col, value), ...]}``."""
-        blocks = {}
-        for i, entries in triplets.items():
-            i = int(i)
-            m = np.zeros((target.dim(i + degree), source.dim(i)), dtype=np.int64)
-            for r, c, v in entries:
-                m[r, c] = v % p
-            blocks[i] = m
-        return cls(source, target, degree, blocks, p)
-
     def compose(self, other: "GradedMap") -> "GradedMap":
         """``self`` after ``other``."""
         if self.p != other.p:
@@ -249,12 +232,6 @@ class GradedMap:
             if (self.block(i) != other.block(i)).any():
                 return False
         return True
-
-    def rank(self, i: int) -> int:
-        return K.rank(self.block(i), self.p)
-
-    def kernel_dim(self, i: int) -> int:
-        return self.source.dim(i) - self.rank(i)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +438,6 @@ class BigradedTable:
     @classmethod
     def from_csv(cls, text: str) -> "BigradedTable":
         return cls.from_json(list(csv.DictReader(io.StringIO(text))))
-
-
-def parity_verdict(T: BigradedTable) -> ParityVerdict:
-    """``even``/``odd``/``neither``; empty tables report even with a flag."""
-    return T.parity_verdict()
 
 
 # ---------------------------------------------------------------------------

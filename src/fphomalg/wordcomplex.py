@@ -188,7 +188,6 @@ class _Words:
                                     span)
             self._face_table = [np.concatenate(col)[order] for col in zip(*rows)]
             self._face_bounds = {(s, d): (lo, hi) for s, d, lo, hi in runs}
-        self._tails = [None] + [np.zeros(len(d), dtype=np.int64) for d in self.degrees[1:2]]
 
     def _faces(self, s: int, src, merged, value):
         """Face rows of level ``s`` from those of level ``s - 1``."""
@@ -249,13 +248,3 @@ class _Words:
         for s, a in enumerate(word):
             x = int(self._child(s, x, a))
         return x
-
-    def tails(self, s: int) -> np.ndarray:
-        """Index one level down of each word of level ``s`` without its
-        first letter (the tail of ``u a`` is the tail of ``u`` extended by
-        ``a``)."""
-        while len(self._tails) <= s:
-            r = len(self._tails)
-            self._tails.append(self._child(r - 2, self._tails[-1][self.parent[r]],
-                                           self.last[r]))
-        return self._tails[s]
