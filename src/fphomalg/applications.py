@@ -548,8 +548,8 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
             gens.append((f"u{i}", d))
             i += 1
     A = MonomialAlgebra.polynomial(p, gens)
-    # bar first: its word budget refuses an oversized cap before either
-    # route does any work
+    # bar first: its differentials outgrow the Koszul chains', so the cell
+    # budget refuses an oversized cap before either route does any work
     bar = bar_homology_dims(A, cap)
     k = ModuleViaMap.augmentation(A)
     tor = tor_dims(A, k, k, cap)

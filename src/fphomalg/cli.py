@@ -76,6 +76,8 @@ def _module_via_map(obj, A):
         return ModuleViaMap.augmentation(A)
     if obj == "id":
         return ModuleViaMap.identity(A)
+    if not isinstance(obj, dict) or not {"target", "images"} <= obj.keys():
+        raise ValidationError('a tor side is "k", "id" or an object with "target" and "images"')
     target = _algebra(obj["target"], A.p)
     return ModuleViaMap(A, target, obj["images"])
 

@@ -28,7 +28,7 @@ cross-check the two routes and raise ``CrossCheckError`` on any
 disagreement instead of trusting either side.  The closure oracles walk
 no tower, so they stay independent of every count that shares it.  Caps
 under which some bidegree holds more than ``wordcomplex.MAX_BUCKET_WORDS``
-words are refused up front, by the word count the bar complex uses.
+words are refused up front (``wordcomplex._over_budget``).
 """
 
 from __future__ import annotations
@@ -525,8 +525,8 @@ def parse_or_pass(gens):
 def _check_caps(alphabet: Alphabet, degree_cap: int, weight_cap: int):
     """Refuse a weight cap below 1, and caps under which some bidegree
     (shifted degree, weight) holds more than ``wordcomplex.MAX_BUCKET_WORDS``
-    words: the bar complex's word count (``wordcomplex._over_budget``), with
-    weight as length and shifted degrees below ``degree_cap``.
+    words (``wordcomplex._over_budget``), with weight as length and shifted
+    degrees below ``degree_cap``.
 
     Counts words only, not Lyndon words, so that the oracles stay
     independent of the counting route.

@@ -55,7 +55,6 @@ from collections import Counter
 import numpy as np
 
 from . import _kernels as K
-from . import wordcomplex
 from .errors import CapError, CrossCheckError, ValidationError
 from .linalg import (
     BigradedTable,
@@ -68,18 +67,11 @@ from .linalg import (
     series_mul,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
-from .wordcomplex import _Words
+from .wordcomplex import _word_counts, _Words
 
-# Largest top level |Abar|^levels a normalized cochain complex may have.
-# Its word arrays, its face table and the dense differentials between
-# degree buckets grow with it; the three-generator exterior algebra at
-# ``aq --smax 4`` (7^6 = 117,649 words) fits, five generators (31^6) are
-# refused up front.
-MAX_COCHAIN_WORDS = 200_000
-
-# Largest differential, in cells (rows x columns), that the Koszul chains may
-# build: the free resolution's exactness check, Tor and the Eilenberg-Moore
-# model.  Over six degree-2 generators the resolution's largest is 6,930 x
+# Largest differential, in cells (rows x columns), that the Koszul chains
+# (resolution, Tor, Eilenberg-Moore model), bar and Hochschild cochains may
+# build.  Over six degree-2 generators the resolution's largest is 6,930 x
 # 5,040 (35M cells, 280 MB as int64) at cap 16 and 19,305 x 15,840 at cap
 # 20, which is refused up front.
 MAX_CHAIN_CELLS = 50_000_000
@@ -241,28 +233,34 @@ def _chain_sizes(chains, cap: int) -> list[list[int]]:
     return sizes
 
 
+def _check_cells(what: str, sizes, step: int):
+    """Refuse, before any is built, the largest differential over
+    ``MAX_CHAIN_CELLS`` cells (lowest ``t`` on a tie) of the lowest ``s``
+    with one; ``sizes`` maps each ``(s, t)`` to its counted dimension, and
+    the differential from ``(s, t)`` goes to ``(s + step, t)``."""
+    over = [(s, -cells, t) for (s, t), n in sizes.items()
+            if (cells := n * sizes.get((s + step, t), 0)) > MAX_CHAIN_CELLS]
+    if over:
+        s, _, t = min(over)
+        raise CapError(
+            f"the {what} differential from (s, t) = ({s}, {t}) is "
+            f"{sizes[s + step, t]} x {sizes[s, t]}, over the budget of "
+            f"{MAX_CHAIN_CELLS} cells; lower {'--smax' if step > 0 else 'the degree cap'}")
+
+
 def _check_chain_cells(what: str, chains, cap: int):
-    """Refuse chains, up to internal degree ``cap``, with a differential of
-    more than ``MAX_CHAIN_CELLS`` cells, before building any.  A chain space
-    of degree at most ``cap`` has at most as many elements as its symbol
-    tuples times the exponent vectors of B and C up to that degree; the
-    sizes are counted only when this bound exceeds the budget."""
+    """``_check_cells`` on chains up to internal degree ``cap``.  A chain
+    space of degree at most ``cap`` has at most as many elements as its
+    symbol tuples times the exponent vectors of B and C up to that degree;
+    the sizes are counted only when this bound exceeds the budget."""
     monomials = math.prod(1 + (cap // deg if top is None else min(top, cap // deg))
                           for alg in (chains.B, chains.C)
                           for deg, top in zip(alg.degrees, alg.caps))
     tuples = [len(stage) for stage in chains.tuples]
     bound = max(map(operator.mul, tuples, tuples[1:]), default=0) * monomials ** 2
-    if bound <= MAX_CHAIN_CELLS:
-        return
-    sizes = _chain_sizes(chains, cap)
-    for s in range(1, len(sizes)):
-        cells = list(map(operator.mul, sizes[s - 1], sizes[s]))
-        if max(cells) > MAX_CHAIN_CELLS:
-            t = cells.index(max(cells))
-            raise CapError(
-                f"the {what} differential from (s, t) = ({s}, {t}) is "
-                f"{sizes[s - 1][t]} x {sizes[s][t]}, over the budget of "
-                f"{MAX_CHAIN_CELLS} cells; lower the degree cap")
+    if bound > MAX_CHAIN_CELLS:
+        _check_cells(what, {(s, t): n for s, row in enumerate(_chain_sizes(chains, cap))
+                            for t, n in enumerate(row)}, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +310,17 @@ class HochschildComplex:
     differential survive, so ``C^{*,t}`` is the dual of the bar complex
     tensored with M (Loday, *Cyclic Homology*, 1992, ch. 1).
 
-    The words of every level are built once as an array word complex
-    (``_Words``), and the dimension of every ``C^{s,t}`` is counted from
-    its degree buckets.  ``C^{s,t}`` is one block per module degree ``md``,
-    in ascending order: the words of degree ``md - t`` in word order, each
-    followed by the ``dim M_md`` basis vectors of M.  ``delta`` is block
-    diagonal: each block is the face table's slice of word degree
-    ``md - t`` at bucket positions, once per basis vector of ``M_md``.
-    Each differential is assembled and ranked once per ``(s, t)``, and
-    none from or to a zero space is built.  A top level of more than
-    ``MAX_COCHAIN_WORDS`` words raises ``CapError`` before any word is
-    built.
+    ``C^{s,t}`` is one block per module degree ``md``, in ascending order:
+    the words of length ``s`` and degree ``md - t`` in word order, each
+    followed by the ``dim M_md`` basis vectors of M.  Its dimension is
+    counted from the letter degrees (``wordcomplex._word_counts``), and a
+    differential over ``MAX_CHAIN_CELLS`` raises ``CapError`` before any
+    word is built; then the words of every level are built once as an
+    array word complex (``_Words``).  ``delta`` is block diagonal: each
+    block is the face table's slice of word degree ``md - t`` at bucket
+    positions, once per basis vector of ``M_md``.  Each differential is
+    assembled and ranked once per ``(s, t)``, and none from or to a zero
+    space is built.
     """
 
     def __init__(self, A: MonomialAlgebra, M: GradedVectorSpace, levels: int):
@@ -333,20 +331,17 @@ class HochschildComplex:
         self.levels = int(levels)
         top = A.top_degree()
         self.abar = [(mon, d) for d in range(1, top + 1) for mon in A.basis(d)]
-        if len(self.abar) ** self.levels > MAX_COCHAIN_WORDS:
-            raise CapError(
-                f"{len(self.abar)}^{self.levels} cochain words exceed the budget of "
-                f"{MAX_COCHAIN_WORDS}; lower --smax"
-            )
+        self._mdims = {md: M.dim(md) for md in M.degrees()}
+        self._dims: dict[tuple[int, int], int] = Counter()
+        words = _word_counts([d for _, d in self.abar], self.levels * top, self.levels)
+        for s, counts in [(0, {0: 1}), *words]:
+            for wd, n in counts.items():
+                for md, width in self._mdims.items():
+                    self._dims[(s, md - wd)] += width * n
+        _check_cells("Hochschild cochain", self._dims, 1)
         self._words = _Words(A, self.abar, self.levels)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
-        self._mdims = {md: M.dim(md) for md in M.degrees()}
-        self._dims: dict[tuple[int, int], int] = Counter()
-        for s, buckets in enumerate(self._words.buckets):
-            for wd, ws in buckets.items():
-                for md, width in self._mdims.items():
-                    self._dims[(s, md - wd)] += width * len(ws)
         self._basis_cache = {}
         self._delta_cache = {}
         self._ranks: dict[int, _RankOnce] = {}
@@ -550,8 +545,9 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
         notes.append("hypothesis violation: algebra generators not all odd")
     if any(d % 2 == 0 for d in M.space.degrees()):
         notes.append("hypothesis violation: module not concentrated in odd degrees")
-    der = derivations_dims(A, M, cap)
+    # Hochschild first: its refusals come before the Leibniz solve
     hh = hochschild_dims(A, M, s_max=s_max + 1, cap=cap)
+    der = derivations_dims(A, M, cap)
     entries = {}
     for t in der.degrees():
         entries[(0, t)] = der.dim(t)
@@ -697,20 +693,17 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     wherever both are defined.  The words of degree at most ``cap`` are
     built once as an array word complex (``_Words``), so the chains of
     degree ``t`` are a bucket and each differential is a slice of a face
-    table, assembled and ranked once.  A cap under which one bucket would
-    hold more than ``wordcomplex.MAX_BUCKET_WORDS`` words raises
+    table, assembled and ranked once.  A differential of more than
+    ``MAX_CHAIN_CELLS`` cells, counted from the letter degrees, raises
     ``CapError`` before any word is built.
     """
     p = A.p
     letters = [(mon, d) for d in range(1, cap + 1) for mon in A.basis(d)]
-    min_deg = min((d for _, d in letters), default=1)
-    hard_s_max = cap // max(min_deg, 1)
+    degrees = [d for _, d in letters]
+    hard_s_max = cap // max(min(degrees, default=1), 1)
     s_top = hard_s_max if s_max is None else min(s_max, hard_s_max)
-    over = wordcomplex._over_budget([d for _, d in letters], cap, s_top + 1)
-    if over:
-        s, t, n = over
-        raise CapError(f"{n} bar words of length {s} in degree {t} exceed the budget of "
-                       f"{wordcomplex.MAX_BUCKET_WORDS}; lower the degree cap")
+    _check_cells("bar", {(s, t): n for s, counts in _word_counts(degrees, cap, s_top + 1)
+                         for t, n in counts.items()}, -1)
     words = _Words(A, letters, s_top + 1, cap=cap)
 
     def block(s, t):

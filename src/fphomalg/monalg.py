@@ -418,19 +418,24 @@ class ModuleViaMap:
         self.p = source.p
         if target.p != source.p:
             raise ValidationError("algebra map across different primes")
+        if not isinstance(images, dict):
+            raise ValidationError(f"generator images must be an object, got {images!r}")
         self.images: dict[str, dict] = {}
         sdeg = dict(source.generators)
         for name, _ in source.generators:
             if name not in images:
                 raise ValidationError(f"missing image for generator {name!r}")
             expr = images[name]
-            vec = target.parse_element(expr) if isinstance(expr, str) else dict(expr)
+            vec = target.parse_element(expr) if isinstance(expr, str) else expr
+            if not isinstance(vec, dict) or any(
+                    not isinstance(m, tuple) or len(m) != len(target.names) for m in vec):
+                raise ValidationError(f"image of {name!r} must be an expression, got {expr!r}")
             d = target.element_degree(vec)
             if d is not None and d != sdeg[name]:
                 raise ValidationError(
                     f"image of {name!r} has degree {d}, expected {sdeg[name]}"
                 )
-            self.images[name] = vec
+            self.images[name] = dict(vec)
         self._validate_relations()
 
     def _validate_relations(self):

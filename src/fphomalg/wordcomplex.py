@@ -9,9 +9,10 @@ and degree, so a differential between two degree buckets is a slice of it.
 slices.
 
 ``_word_counts`` counts the words per (length, degree) from the letter
-degrees, before any is built.  ``_over_budget`` is the one word budget of
-the bar complex and of the Lie oracles of ``freelie``, and ``_word_total``
-sizes the window of ``free-w1``'s closure check.
+degrees, before any is built.  The cell budget of ``homalg`` reads it for
+the bar and Hochschild complexes, ``_over_budget`` for the word budget of
+the Lie oracles of ``freelie`` and ``_word_total`` for the window of
+``free-w1``'s closure check.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import functools
 
 import numpy as np
 
-# Most words of one (length, degree) bucket that the bar complex and the Lie
-# oracles accept, so that a run fits in a few hundred MB or exits 2 before it
-# starts.  A bar bucket is the column count of a dense bar differential; the
-# exterior algebra on (x1, y3) peaks at 3,762 words at cap 22.  A Lie bucket
-# is a bidegree (weight, shifted degree), whose echelon form and span matrix
-# grow with its words: two degree-1 generators at weight cap 12 (4,096 words)
-# peak at 39-67 MB, three at weight cap 10 (59,049 words) are refused.
+# Most words of one (length, degree) bucket that the Lie oracles accept, so
+# that a run fits in a few hundred MB or exits 2 before it starts.  A Lie
+# bucket is a bidegree (weight, shifted degree), whose sparse echelon form
+# and span matrix grow with its words: two degree-1 generators at weight cap
+# 12 (4,096 words) peak at 39-67 MB, three at weight cap 10 (59,049 words)
+# are refused.  Dense differentials answer to ``homalg.MAX_CHAIN_CELLS``.
 MAX_BUCKET_WORDS = 4096
 
 

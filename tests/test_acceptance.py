@@ -5,7 +5,6 @@ import functools
 import time
 
 import numpy as np
-import pytest
 
 from fphomalg.applications import (
     GroupAction,
@@ -23,7 +22,6 @@ from fphomalg.diagrams import (
     derived_limit_dims,
     diagram_aq_table,
     injective_by_criterion,
-    limit_dims,
 )
 from fphomalg.freelie import (
     Generator,
@@ -36,7 +34,7 @@ from fphomalg.freelie import (
     restricted_symbol_dims,
 )
 from fphomalg.homalg import aq_ass_dims, bar_homology_dims, ext_dims, tor_dims, trivial_module
-from fphomalg.linalg import BigradedTable, GradedMap, GradedVectorSpace
+from fphomalg.linalg import GradedMap, GradedVectorSpace
 from fphomalg.monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
 from fphomalg.w1 import (
     free_w1_dims,

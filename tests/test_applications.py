@@ -17,7 +17,7 @@ from fphomalg.applications import (
     stanley_reisner_dims,
 )
 from fphomalg import homalg
-from fphomalg.errors import CapError, CrossCheckError, ValidationError
+from fphomalg.errors import CapError, ValidationError
 from fphomalg.homalg import tor_dims
 from fphomalg.linalg import GradedVectorSpace
 from fphomalg.monalg import MonomialAlgebra

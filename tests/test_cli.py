@@ -225,8 +225,8 @@ def test_exit_code_2_on_bad_input(tmp_path):
 
 
 def test_exit_code_2_on_too_many_cochain_words(tmp_path):
-    # Five exterior generators: Abar has 31 letters and --smax 4 needs 31^6
-    # cochain words, refused before any word is built.
+    # Five exterior generators: at --smax 4 the cochain differential from
+    # (4, -54) is 718,585 x 26,700 cells, refused before any word is built.
     gens = [{"name": n, "degree": d} for n, d in zip("abcde", (1, 3, 5, 7, 9))]
     data = {"algebra": {"kind": "exterior", "generators": gens}, "module": {"dims": {"3": 1}}}
     start = time.perf_counter()
@@ -247,17 +247,20 @@ def test_exit_code_2_on_too_many_lie_words(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, data, cap", [
-    # two degree-2 and one degree-4 polynomial generators: 23,680 bar words
-    # of one length and degree at cap 18, refused before either route runs
+    # two degree-2 and one degree-4 polynomial generators: at cap 18 the bar
+    # differential from (4, 18) is 4,446 x 13,856 (61.6M cells), refused
+    # before either route runs
     ("loops", {"dims": {"2": 2, "4": 1}}, "18"),
+    # exterior on (x1, y3): at cap 24 the largest bar differential is
+    # 9,339 x 9,295 (86.8M cells)
     ("bar", {"algebra": {"kind": "exterior", "generators": [
-        {"name": "x", "degree": 1}, {"name": "y", "degree": 3}]}}, "23"),
+        {"name": "x", "degree": 1}, {"name": "y", "degree": 3}]}}, "24"),
 ])
 def test_exit_code_2_on_too_many_bar_words(tmp_path, capsys, command, data, cap):
     start = time.perf_counter()
     code, _ = run(tmp_path, command, data, "-p", "3", "-n", cap)
     assert code == 2
-    assert "bar words" in capsys.readouterr().err
+    assert "bar differential" in capsys.readouterr().err
     assert time.perf_counter() - start < 2.0
 
 
@@ -389,6 +392,30 @@ def test_malformed_algebra_and_action_are_validation_errors(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
+    assert err.startswith(f"invalid input: {message}")
+
+
+POLY_V2 = {"kind": "polynomial", "generators": [{"name": "v0", "degree": 2}]}
+POLY_T2 = {"generators": [{"name": "t", "degree": 2}]}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("tor", {"base": POLY_V2, "left": {"target": POLY_V2, "images": {"v0": {"v0": 1}}}},
+     "image of 'v0' must be an expression"),
+    ("emss", {"base": {"generators": [{"name": "c1", "degree": 2}]}, "x": POLY_T2,
+              "y": POLY_T2, "to_x": {"c1": {"t": 1}}, "to_y": {"c1": "t"}},
+     "image of 'c1' must be an expression"),
+    ("tor", {"base": POLY_V2, "left": {"algebra": POLY_V2, "images": {"v0": "v0"}}},
+     "a tor side is \"k\", \"id\" or an object with \"target\" and \"images\""),
+    ("tor", {"base": POLY_V2, "left": {"target": POLY_V2, "images": ["v0"]}},
+     "generator images must be an object"),
+], ids=["tor-dict-images", "emss-dict-images", "tor-side-without-target",
+        "tor-images-not-an-object"])
+def test_malformed_algebra_maps_are_validation_errors(tmp_path, capsys, command, data,
+                                                      message):
+    code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
+    err = capsys.readouterr().err
+    assert code == 2
     assert err.startswith(f"invalid input: {message}")
 
 

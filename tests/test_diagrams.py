@@ -5,7 +5,6 @@ from fphomalg import diagrams
 from fphomalg.diagrams import (
     AlgebraDiagram,
     FiniteCategory,
-    VectorDiagram,
     contravariant_diagram,
     derived_limit_dims,
     diagram_aq_table,

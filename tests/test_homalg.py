@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fphomalg import homalg, wordcomplex
+from fphomalg import homalg
 from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import (
     FreeResolution,
@@ -225,11 +225,17 @@ def test_hochschild_zero_module():
     assert hh.is_empty()
 
 
-def test_hochschild_and_aq_refuse_a_module_on_which_the_algebra_acts():
+def test_hochschild_and_aq_refuse_a_module_on_which_the_algebra_acts(monkeypatch):
     # the cochains are the dual bar complex tensored with M, which holds
-    # only for a trivial M; route one refuses any other, as Ext does
+    # only for a trivial M; route one refuses any other, as Ext does, and
+    # aq refuses before its derivations are solved
     A = MonomialAlgebra.truncated(2, [("y", 2)], {"y": 3})
     M = AlgebraModule.regular(A, A.top_degree())
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("derivations solved before the refusal")
+
+    monkeypatch.setattr(homalg, "derivations_dims", unreachable)
     with pytest.raises(ValidationError, match="acts trivially"):
         hochschild_dims(A, M, s_max=3)
     with pytest.raises(ValidationError, match="acts trivially"):
@@ -503,17 +509,37 @@ def test_bar_exterior_divided_powers():
 
 
 @pytest.mark.parametrize("A, cap", [(poly_alg(3, 2, 2, 4), 10), (ext_alg(2, 1, 3), 12)])
-def test_bar_word_budget_counts_the_largest_bucket(monkeypatch, A, cap):
-    # the count from letter degrees is exact: the largest bucket of the built
-    # words fits a budget of its own size and not one word less
+def test_bar_cell_budget_counts_the_largest_differential(monkeypatch, A, cap):
+    # the count from letter degrees is exact: the largest differential
+    # between buckets of the built words fits a budget of its own size and
+    # not one cell less
     letters = [(m, d) for d in range(1, cap + 1) for m in A.basis(d)]
     words = homalg._Words(A, letters, cap + 1, cap=cap)
-    largest = max(len(b) for level in words.buckets for b in level.values())
-    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest)
+    largest = max(words.count(s - 1, t) * words.count(s, t)
+                  for s in range(1, cap + 2) for t in range(cap + 1))
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest)
     bar_homology_dims(A, cap)
-    monkeypatch.setattr(wordcomplex, "MAX_BUCKET_WORDS", largest - 1)
-    with pytest.raises(CapError, match=f"{largest} bar words"):
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest - 1)
+    with pytest.raises(CapError, match="bar differential from"):
         bar_homology_dims(A, cap)
+
+
+@pytest.mark.parametrize("module", [{3: 1}, {3: 2, 5: 1}, {1: 2, 3: 1, 4: 2}])
+def test_hochschild_cell_budget_counts_the_built_cochains(monkeypatch, module):
+    # the sizes counted from the letter degrees are those of the built
+    # cochains, and the largest differential fits a budget of its own size
+    # and not one cell less; the refusal comes before any word is built
+    A, M, levels = ext_alg(3, 3, 5), GradedVectorSpace(module), 4
+    hc = HochschildComplex(A, M, levels)
+    assert all(len(hc.basis(s, t)) == n for (s, t), n in hc._dims.items())
+    largest = max(hc.delta(s, t).size for s in range(levels) for t in hc.t_range())
+    assert largest == max(n * hc._dim(s + 1, t) for (s, t), n in hc._dims.items())
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest)
+    HochschildComplex(A, M, levels)
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest - 1)
+    monkeypatch.setattr(homalg, "_Words", None)
+    with pytest.raises(CapError, match="Hochschild cochain differential from .*; lower --smax"):
+        HochschildComplex(A, M, levels)
 
 
 @pytest.mark.parametrize("p", [2, 3])
