@@ -4,7 +4,9 @@ Every homology dimension is a sum of ranks, and the differentials are
 mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
 as sparse dictionaries, and hands the rest of the work to the numpy
 Gauss-Jordan elimination ``rref`` only when the input, or the fill the
-reduction produces, gets dense.  In a complex most columns of a
+reduction produces, gets dense.  It reads a dense matrix or a ``Sparse``
+one, the nonzeros of a matrix listed by column, which the bar complex
+hands it without ever writing a dense copy.  In a complex most columns of a
 differential reduce to zero, and the map into its source names many of
 them in advance.  This is the clearing of persistent homology (Chen and
 Kerber, *Persistent Homology Computation with a Twist*, EuroCG 2011;
@@ -100,10 +102,48 @@ def eliminate(col: dict, low, pivots: dict, p: int):
     return low
 
 
+class Sparse:
+    """A matrix of ``shape`` as its entries ``(rows[k], cols[k], vals[k])``,
+    sorted by column, with no position listed twice; the rows within a
+    column may come in any order and a value may be any integer.
+    ``np.asarray`` gives the dense matrix."""
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows, cols, vals):
+        self.shape = shape
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def dense(self, j: int = 0, clear=()) -> np.ndarray:
+        """The dense matrix of the columns from ``j`` on that ``clear`` does
+        not name, in order."""
+        lo = self.cols.searchsorted(j)
+        rows, cols, vals = self.rows[lo:], self.cols[lo:] - j, self.vals[lo:]
+        width = self.shape[1] - j
+        if clear:
+            kept = np.ones(width, dtype=bool)
+            kept[[c - j for c in clear if c >= j]] = False
+            hit = kept[cols]
+            rows, cols, vals = rows[hit], (kept.cumsum() - 1)[cols[hit]], vals[hit]
+            width = int(kept.sum())
+        out = np.zeros((self.shape[0], width), dtype=np.int64)
+        out[rows, cols] = vals
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.dense()
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     """Rank over F_p by sparse column reduction.
 
-    The nonzeros are read once, column by column, without a dense copy.
+    ``a`` is a dense matrix or a ``Sparse`` one.  The nonzeros mod p are
+    read once, column by column, without a dense copy.
     Each column is reduced against the pivot columns found so far, keyed by
     their lowest nonzero row, the one of largest index (the boundary-matrix
     reduction of persistent homology), and stored normalised to a 1 there
@@ -111,7 +151,8 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     than ``1/FILL_INPUT`` nonzero goes to ``rref`` at once, and so does the
     rest of the work once the stored pivot columns are more than
     ``1/FILL_PIVOTS`` nonzero: the pivot columns and the columns not yet
-    read span the same space as ``a``.
+    read span the same space as ``a``.  Only the columns handed on are
+    written densely.
 
     ``clear`` is a set of columns known to reduce to zero; they are
     skipped, never read into a column and never handed to ``rref``.  This
@@ -126,20 +167,27 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     that follows.  After a hand-off to ``rref`` only those found before it
     are reported, and an input that goes to ``rref`` at once reports none.
     """
-    a = _int64_matrix(a)
-    rows, cols = a.shape
-    nnz = np.count_nonzero(a)
+    if isinstance(a, Sparse):
+        rows, cols = a.shape
+        ri, ci, vals = a.rows, a.cols, a.vals % p
+        nnz = len(vals)
+    else:
+        a = _int64_matrix(a)
+        rows, cols = a.shape
+        nnz = np.count_nonzero(a)
     if not nnz:
         return 0
-    if nnz * FILL_INPUT > a.size:
-        return len(rref(_kept(a, 0, clear) if clear else a, p)[1])
-    ri, ci = np.divmod(np.flatnonzero(a != 0), cols)
-    ci, ri = np.divmod(np.sort(ci * rows + ri), rows)  # column by column, rows ascending
-    vals = a[ri, ci] % p
+    if nnz * FILL_INPUT > rows * cols:
+        return len(rref(_kept(a, 0, clear), p)[1])
+    if not isinstance(a, Sparse):
+        ri, ci = np.divmod(np.flatnonzero(a != 0), cols)
+        ci, ri = np.divmod(np.sort(ci * rows + ri), rows)  # column by column
+        vals = a[ri, ci] % p
     if not vals.all():  # entries divisible by p
         keep = vals != 0
         ri, ci, vals = ri[keep], ci[keep], vals[keep]
     ends = np.cumsum(np.bincount(ci, minlength=cols)).tolist()
+    ri, vals = ri.tolist(), vals.tolist()
     pivots: dict[int, dict[int, int]] = {}
     stored = start = 0
     for j, end in enumerate(ends):
@@ -148,8 +196,8 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
         if j in clear:
             start = end
             continue
-        col = dict(zip(ri[start:end].tolist(), vals[start:end].tolist()))
-        low = int(ri[end - 1])
+        col = dict(zip(ri[start:end], vals[start:end]))
+        low = max(col)  # a Sparse column lists its rows in any order
         start = end
         if low in pivots:
             low = eliminate(col, low, pivots, p)
@@ -162,7 +210,7 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
         pivots[low] = col
         stored += len(col)
         if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > rows * len(pivots):
-            rest = _kept(a, j + 1, clear) if clear else a[:, j + 1:]
+            rest = _kept(a, j + 1, clear)
             dense = np.zeros((rows, len(pivots) + rest.shape[1]), dtype=np.int64)
             for k, c in enumerate(pivots.values()):
                 dense[list(c), k] = list(c.values())
@@ -175,9 +223,14 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     return len(pivots)
 
 
-def _kept(a: np.ndarray, j: int, clear) -> np.ndarray:
-    """The columns of ``a`` from ``j`` on that ``clear`` does not name."""
-    return a[:, [c for c in range(j, a.shape[1]) if c not in clear]]
+def _kept(a, j: int, clear):
+    """The columns of ``a`` from ``j`` on that ``clear`` does not name, as
+    a dense matrix; ``a`` itself if that is all of a dense ``a``."""
+    if isinstance(a, Sparse):
+        return a.dense(j, clear)
+    if clear:
+        return a[:, [c for c in range(j, a.shape[1]) if c not in clear]]
+    return a[:, j:] if j else a
 
 
 def nullspace(a, p: int) -> np.ndarray:

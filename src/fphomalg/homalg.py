@@ -30,15 +30,17 @@ resolution's exactness check, Tor and the Eilenberg-Moore model); two are
 not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
-one numpy face table per level, ordered by degree, gives each
-differential's merges as a slice, which ``linalg._assemble`` writes (a
-cochain differential once per basis vector of each degree of M).  The
-shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
-``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
-differential once and turns the ranks into homology dimensions; the
-diagram builders and the Eilenberg-Moore model use the same step.  A
-differential from or to a zero space is the zero map: it is neither
-assembled, ranked nor checked.
+one numpy face table per level, ordered by degree and then by source,
+gives each differential's merges as a slice.  A bar differential is that
+slice itself, a ``_kernels.Sparse`` matrix sorted by column, which is
+ranked and checked without a dense copy; a cochain differential is
+written densely by ``linalg._assemble``, once per basis vector of each
+degree of M.  The shared step of ``linalg`` (``_homology``, with
+``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every composable
+pair, ranks each differential once and turns the ranks into homology
+dimensions; the diagram builders and the Eilenberg-Moore model use the
+same step.  A differential from or to a zero space is the zero map: it is
+neither assembled, ranked nor checked.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -71,9 +73,11 @@ from .wordcomplex import _word_counts, _Words
 
 # Largest differential, in cells (rows x columns), that the Koszul chains
 # (resolution, Tor, Eilenberg-Moore model), bar and Hochschild cochains may
-# build.  Over six degree-2 generators the resolution's largest is 6,930 x
+# have.  Over six degree-2 generators the resolution's largest is 6,930 x
 # 5,040 (35M cells, 280 MB as int64) at cap 16 and 19,305 x 15,840 at cap
-# 20, which is refused up front.
+# 20, which is refused up front.  A bar differential is never written
+# densely; for bar the budget bounds the dense hand-off of ``K.rank`` to
+# ``rref``, which may be as large as the differential.
 MAX_CHAIN_CELLS = 50_000_000
 
 
@@ -233,6 +237,17 @@ def _chain_sizes(chains, cap: int) -> list[list[int]]:
     return sizes
 
 
+class _OverBudget(CapError):
+    """``_check_cells``'s refusal of the ``what`` differential from
+    ``(s, t)``, of ``shape`` (rows, columns)."""
+
+    def __init__(self, what: str, s: int, t: int, shape, advice: str):
+        super().__init__(f"the {what} differential from (s, t) = ({s}, {t}) is "
+                         f"{shape[0]} x {shape[1]}, over the budget of "
+                         f"{MAX_CHAIN_CELLS} cells; {advice}")
+        self.what, self.s, self.t, self.shape = what, s, t, shape
+
+
 def _check_cells(what: str, sizes, step: int):
     """Refuse, before any is built, the largest differential over
     ``MAX_CHAIN_CELLS`` cells (lowest ``t`` on a tie) of the lowest ``s``
@@ -242,10 +257,8 @@ def _check_cells(what: str, sizes, step: int):
             if (cells := n * sizes.get((s + step, t), 0)) > MAX_CHAIN_CELLS]
     if over:
         s, _, t = min(over)
-        raise CapError(
-            f"the {what} differential from (s, t) = ({s}, {t}) is "
-            f"{sizes[s + step, t]} x {sizes[s, t]}, over the budget of "
-            f"{MAX_CHAIN_CELLS} cells; lower {'--smax' if step > 0 else 'the degree cap'}")
+        raise _OverBudget(what, s, t, (sizes[s + step, t], sizes[s, t]),
+                          f"lower {'--smax' if step > 0 else 'the degree cap'}")
 
 
 def _check_chain_cells(what: str, chains, cap: int):
@@ -546,7 +559,19 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
     if any(d % 2 == 0 for d in M.space.degrees()):
         notes.append("hypothesis violation: module not concentrated in odd degrees")
     # Hochschild first: its refusals come before the Leibniz solve
-    hh = hochschild_dims(A, M, s_max=s_max + 1, cap=cap)
+    try:
+        hh = hochschild_dims(A, M, s_max=s_max + 1, cap=cap)
+    except _OverBudget as err:
+        if err.what != "Hochschild cochain":
+            raise
+        # HH^s is aq row s - 1, and every run reads HH^0 and HH^1
+        s = err.s
+        raise CapError(
+            f"the Hochschild cochain differential from level {s} in map degree {err.t}, "
+            f"which {f'aq row {s - 1}' if s >= 2 else 'every aq run'} needs, is "
+            f"{err.shape[0]} x {err.shape[1]}, over the budget of {MAX_CHAIN_CELLS} cells; "
+            f"{f'--smax {s - 2} is the largest that fits' if s >= 2 else 'no --smax fits'}"
+        ) from None
     der = derivations_dims(A, M, cap)
     entries = {}
     for t in der.degrees():
@@ -693,7 +718,8 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     wherever both are defined.  The words of degree at most ``cap`` are
     built once as an array word complex (``_Words``), so the chains of
     degree ``t`` are a bucket and each differential is a slice of a face
-    table, assembled and ranked once.  A differential of more than
+    table, checked and ranked once as a ``K.Sparse`` matrix with no dense
+    copy.  A differential of more than
     ``MAX_CHAIN_CELLS`` cells, counted from the letter degrees, raises
     ``CapError`` before any word is built.
     """
@@ -708,10 +734,11 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
 
     def block(s, t):
         """The bar differential from length ``s`` to ``s - 1`` in degree
-        ``t``, on the two buckets: a slice of the face table."""
+        ``t``, on the two buckets: a slice of the face table, sorted by
+        column."""
         f_src, merged, value = words.face_rows(s, t)
-        return _assemble((words.count(s - 1, t), words.count(s, t)),
-                         words.pos[s - 1][merged], words.pos[s][f_src], value, p)
+        return K.Sparse((words.count(s - 1, t), words.count(s, t)),
+                        words.pos[s - 1][merged], words.pos[s][f_src], value)
 
     entries = {}
     for t in range(0, cap + 1):

@@ -302,18 +302,42 @@ class _RankOnce(dict):
         return r
 
 
-def _check_dd(what: str, first: np.ndarray, then: np.ndarray, p: int):
+def _check_dd(what: str, first, then, p: int):
     """Raise ``CrossCheckError`` unless ``then @ first`` vanishes mod p.
 
-    The product runs in float64 and is reduced afterwards.  It is exact:
-    entries lie in [0, p) with p <= 97, so every dot product of an inner
-    dimension n is at most n * 96^2, below 2^53 for any n < 9 * 10^11 (the
-    delayed reduction of Dumas, Giorgi and Pernet, ACM TOMS 2008).
+    Two ``K.Sparse`` maps are multiplied exactly, by a join on the middle
+    index (``_sparse_product``).  Dense ones are multiplied in float64 and
+    reduced afterwards.  That is exact: entries lie in [0, p) with p <= 97,
+    so every dot product of an inner dimension n is at most n * 96^2, below
+    2^53 for any n < 9 * 10^11 (the delayed reduction of Dumas, Giorgi and
+    Pernet, ACM TOMS 2008).
     """
-    if first.size and then.size:
-        prod = then.astype(np.float64) @ first.astype(np.float64)
-        if np.fmod(prod, p).any():
-            raise CrossCheckError(f"{what} differential fails d*d = 0")
+    if not (first.size and then.size):
+        return
+    if isinstance(first, K.Sparse):
+        bad = _sparse_product(then, first, p).any()
+    else:
+        bad = np.fmod(then.astype(np.float64) @ first.astype(np.float64), p).any()
+    if bad:
+        raise CrossCheckError(f"{what} differential fails d*d = 0")
+
+
+def _sparse_product(a: K.Sparse, b: K.Sparse, p: int) -> np.ndarray:
+    """The sums mod p of ``a @ b`` at the positions some pair of entries
+    reaches: an entry ``(k, j)`` of ``b`` meets the entries of column ``k``
+    of ``a``, which are contiguous."""
+    per_col = np.bincount(a.cols, minlength=a.shape[1])
+    n = per_col[b.rows]  # how many entries of a each entry of b meets
+    ends = np.add.accumulate(n)
+    if not (len(ends) and ends[-1]):
+        return n
+    # the entries of a met, entry of b by entry of b
+    ia = np.arange(ends[-1]) + (np.add.accumulate(per_col)[b.rows] - ends).repeat(n)
+    key = a.rows[ia] * b.shape[1] + b.cols.repeat(n)
+    order = key.argsort()
+    key = key[order]
+    cuts = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
+    return np.add.reduceat((a.vals[ia] * b.vals.repeat(n) % p)[order], cuts) % p
 
 
 def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1,

@@ -3,10 +3,10 @@
 Words in the letters of an algebra basis, level by level (a level is a word
 length), with the inner faces that merge two adjacent letters by the
 algebra's product.  Words are integer arrays indexed as a trie, letter
-products are a table, and the faces are one numpy table ordered by level
-and degree, so a differential between two degree buckets is a slice of it.
-``homalg`` assembles the bar and Hochschild differentials from those
-slices.
+products are a table, and the faces are one numpy table ordered by level,
+degree and source, so a differential between two degree buckets is a
+slice of it.  ``homalg`` ranks a bar differential as that slice, and
+assembles the Hochschild differentials from the slices.
 
 ``_word_counts`` counts the words per (length, degree) from the letter
 degrees, before any is built.  The cell budget of ``homalg`` reads it for
@@ -81,18 +81,23 @@ def _word_total(letter_degrees, max_degree: int, max_length: int) -> int:
                for _, layer in _word_counts(letter_degrees, max_degree, max_length))
 
 
-def _group(keys: list, span: int):
+def _group(keys: list, span: int, within: list | None = None, width: int = 0):
     """Sort items given level by level as arrays of degrees in ``[0, span)``
-    by (level, degree), stably.  Returns the order (positions with the
-    levels laid end to end), where each level starts in it, and the runs
-    ``(level, degree, lo, hi)`` of equal keys.
+    by (level, degree), stably, or with ``within``, arrays of integers in
+    ``[0, width)`` of the same sizes, by (level, degree, within).  Returns
+    the order (positions with the levels laid end to end), where each level
+    starts in it, and the runs ``(level, degree, lo, hi)`` of equal (level,
+    degree).
 
     Here and in ``_Words`` arrays are tiny as often as large, so the code
     calls array methods and ufuncs, which skip the dispatch layer of the
     ``np.`` functions of the same name."""
     sizes = [len(deg) for deg in keys]
     key = np.arange(len(keys)).repeat(sizes) * span + np.concatenate(keys)
-    order = key.argsort(kind="stable")
+    if within is None:
+        order = key.argsort(kind="stable")
+    else:
+        order = (key * width + np.concatenate(within)).argsort(kind="stable")
     key = key[order]
     cuts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
     starts = [0] + cuts if len(key) else []
@@ -124,8 +129,13 @@ class _Words:
     ``(src, merged, value)`` per nonzero inner face: the product of letters
     ``i - 1`` and ``i`` of the word ``src`` of level ``s`` is the word
     ``merged`` of level ``s - 1``, with value ``(-1)^i scalar``.  Its rows
-    are ordered by level and then by the source's degree, so that
-    ``face_rows(s, d)`` is a slice.  A level inherits the faces of the one
+    are ordered by level, then by the source's degree, so that
+    ``face_rows(s, d)`` is a slice, and then by the source, so that the
+    slice lists the faces by the source's bucket position: with rows
+    ``pos[s - 1][merged]`` and columns ``pos[s][src]`` it is a matrix
+    sorted by column.  No position repeats: two merges of one word give
+    different sequences of letter degrees, as every letter degree is
+    positive.  A level inherits the faces of the one
     below through the trie (a face of ``u`` gives one of each ``u a``) and
     adds those merging its last two letters, so each row costs O(1): a
     product letter has the summed degree, so a merged word has the degree
@@ -185,7 +195,8 @@ class _Words:
         self._face_table, self._face_bounds = rows[0], {}
         if any(len(src) for src, _, _ in rows):
             order, _, runs = _group([self.degrees[s][src] for s, (src, _, _) in enumerate(rows)],
-                                    span)
+                                    span, [src for src, _, _ in rows],
+                                    max(map(len, self.degrees)))
             self._face_table = [np.concatenate(col)[order] for col in zip(*rows)]
             self._face_bounds = {(s, d): (lo, hi) for s, d, lo, hi in runs}
 

@@ -264,6 +264,21 @@ def test_exit_code_2_on_too_many_bar_words(tmp_path, capsys, command, data, cap)
     assert time.perf_counter() - start < 2.0
 
 
+def test_aq_refusal_names_the_aq_row_and_the_largest_smax_that_fits(tmp_path, capsys):
+    # aq --smax 9 reads HH^10, whose cochain differential from level 10 in
+    # map degree -25 is 15,642 x 5,680 (88.8M cells); --smax 8 fits
+    data = {"algebra": {"kind": "exterior", "generators": [
+        {"name": "x", "degree": 1}, {"name": "y", "degree": 3}]}, "module": {"dims": {"3": 1}}}
+    start = time.perf_counter()
+    code, _ = run(tmp_path, "aq", data, "-p", "3", "--smax", "9")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: the Hochschild cochain differential from level 10 in map degree -25, "
+        "which aq row 9 needs, is 15642 x 5680, over the budget of 50000000 cells; "
+        "--smax 8 is the largest that fits\n")
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("command", ["free-lie", "restricted"])
 @pytest.mark.parametrize("weight_cap", ["0", "-1"])
 def test_weight_cap_below_one_rejected(tmp_path, command, weight_cap):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fphomalg import homalg
+from fphomalg import homalg, wordcomplex
+from fphomalg.applications import loop_cohomology_dims
 from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import (
     FreeResolution,
@@ -630,6 +631,65 @@ def test_word_complex_refuses_a_product_outside_its_letters():
     letters = [(m, d) for d in (1, 3) for m in A.basis(d)]  # x and y, not x*y
     with pytest.raises(KeyError):
         homalg._Words(A, letters, 2)
+
+
+def plant_face_fault(monkeypatch, p, pick, fault):
+    """Make every ``_Words`` change one face value by ``fault``: the value
+    of a face ``src -> merged`` of level ``s`` whose word ``merged`` has a
+    face nonzero mod p in the same degree, so that the row lies in the
+    composable pair of the maps out of ``s`` and ``s - 1``.  Changing it by
+    a nonzero amount mod p makes the product nonzero there.  ``pick`` is 0,
+    1 or 2 for the first, middle or last such row."""
+    init = wordcomplex._Words.__init__
+
+    def planted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        src, merged, value = self._face_table
+        faces, rows = self._face_bounds, []
+        for (s, d), (lo, hi) in sorted(faces.items()):
+            if (s - 1, d) in faces:
+                lo1, hi1 = faces[s - 1, d]
+                faced = set(src[lo1:hi1][value[lo1:hi1] % p != 0].tolist())
+                rows += [i for i in range(lo, hi) if int(merged[i]) in faced]
+        i = rows[pick * (len(rows) - 1) // 2]
+        value[i] = fault(int(value[i]))
+
+    monkeypatch.setattr(wordcomplex._Words, "__init__", planted)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_a_planted_face_fault_fails_the_sparse_dd_check(monkeypatch, tmp_path, p):
+    # a flipped sign (a change of 2v, nothing at p = 2) and a value made
+    # divisible by p each fail d*d = 0 in bar and in loops, whose bar route
+    # runs first, and the commands exit 3: a zero mod p in a column must
+    # not reach the elimination
+    import json
+
+    from fphomalg.cli import main
+
+    V = GradedVectorSpace({2: 1, 4: 1})
+    gens = [("u0", 2), ("u1", 4)]
+    A = MonomialAlgebra.polynomial(p, gens)
+    bar_in, loops_in = tmp_path / "bar.json", tmp_path / "loops.json"
+    bar_in.write_text(json.dumps({"kind": "polynomial", "generators": [
+        {"name": g, "degree": d} for g, d in gens]}))
+    loops_in.write_text(json.dumps({"dims": {"2": 1, "4": 1}}))
+    commands = [["bar", "-p", str(p), "-n", "12", "-o", str(tmp_path / "out"), str(bar_in)],
+                ["loops", "-p", str(p), "-n", "12", "-o", str(tmp_path / "out"), str(loops_in)]]
+    expected = bar_homology_dims(A, 12)
+    assert loop_cohomology_dims(V, 12, p)["routes_agree"]
+    assert [main(argv) for argv in commands] == [0, 0]
+    faults = [lambda v: v * p] + ([lambda v: -v] if p > 2 else [])
+    for fault in faults:
+        for pick in range(3):
+            with monkeypatch.context() as m:
+                plant_face_fault(m, p, pick, fault)
+                with pytest.raises(CrossCheckError, match="bar differential fails d\\*d = 0"):
+                    bar_homology_dims(A, 12)
+                with pytest.raises(CrossCheckError, match="bar differential fails d\\*d = 0"):
+                    loop_cohomology_dims(V, 12, p)
+                assert [main(argv) for argv in commands] == [3, 3]
+    assert bar_homology_dims(A, 12) == expected
 
 
 def test_bar_trivial_algebra():

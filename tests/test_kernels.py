@@ -177,9 +177,21 @@ def test_bar_homology_clears_and_eliminates_less(monkeypatch, p):
     assert most > 0 and unclear_table == table and more > fewer
 
 
+def sparse(a, rng):
+    """``a`` as a ``K.Sparse``: its nonzeros by column, in random order
+    within each column."""
+    ci, ri = np.nonzero(a.T)
+    order = np.lexsort((rng.random(len(ci)), ci))
+    ri, ci = ri[order], ci[order]
+    return K.Sparse(a.shape, ri, ci, a[ri, ci])
+
+
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_rank_reports_lows_and_never_reads_cleared_columns(monkeypatch, p):
-    rng = np.random.default_rng(p + 1)
+    # each input runs as a dense array and as a K.Sparse with its rows
+    # shuffled within each column; at p = 2 some entries are 2, divisible by p
+    rng, shuffle = np.random.default_rng(p + 1), np.random.default_rng(0)
+    forms = (np.asarray, lambda m: sparse(m, shuffle))
     rref, calls = K.rref, []
     monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a) or rref(a, q))
     for density, path in ((0.03, "sparse"), (0.2, "hand-off"), (0.6, "at once")):
@@ -187,20 +199,25 @@ def test_rank_reports_lows_and_never_reads_cleared_columns(monkeypatch, p):
         # the rows i at which some vector of the column space has its lowest
         # nonzero entry: the leading columns of the row space of a reversed
         every_low = {59 - c for c in rref(a[::-1].T, p)[1]}
-        calls.clear()
-        lows = set()
-        assert K.rank(a, p, (), lows) == len(rref(a, p)[1])
-        assert bool(calls) == (path != "sparse") and bool(lows) == (path != "at once")
-        assert lows <= every_low
-        if path == "sparse":
-            assert lows == every_low
+        reported = []
+        for form in forms:
+            calls.clear()
+            lows = set()
+            assert K.rank(form(a), p, (), lows) == len(rref(a, p)[1])
+            assert bool(calls) == (path != "sparse") and bool(lows) == (path != "at once")
+            assert lows <= every_low
+            if path == "sparse":
+                assert lows == every_low
+            reported.append(lows)
+        assert reported[0] == reported[1]
         # a random column raises the rank if it is read, by the sparse
         # reduction or by rref; the last one comes after any hand-off
         for j in (7, 44):
             poisoned = a.copy()
             poisoned[:, j] = rng.integers(0, p, size=60)
-            rest = K.rank(np.delete(a, j, axis=1), p)
-            assert K.rank(poisoned, p) > rest == K.rank(poisoned, p, {j})
+            for form in forms:
+                rest = K.rank(form(np.delete(a, j, axis=1)), p)
+                assert K.rank(form(poisoned), p) > rest == K.rank(form(poisoned), p, {j})
 
 
 def eliminate_rank(columns, p):
