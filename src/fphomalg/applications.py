@@ -396,17 +396,22 @@ class EMSSTorAlgebra:
         self._sub_cache: dict[tuple, Subquotient] = {}
         self._build()
 
+    def _differentials(self, t, degrees) -> dict:
+        """The differentials out of ``degrees`` at ``t`` between nonzero spaces."""
+        return {s: self.chains.differential(s, t) for s in degrees
+                if 1 <= s <= self.max_s and self.basis(s, t) and self.basis(s - 1, t)}
+
     def _subquotient(self, s, t, d=None):
         """Homology at ``(s, t)`` with class coordinates, built once; ``d``
-        maps ``s`` to the differential out of degree ``s`` at this ``t``."""
+        maps ``s`` to the differential out of degree ``s`` at this ``t``,
+        and a missing one is zero."""
         key = (s, t)
         if key not in self._sub_cache:
-            max_s = self.max_s
             if d is None:
-                d = {r: self.chains.differential(r, t) for r in (s, s + 1) if 1 <= r <= max_s}
+                d = self._differentials(t, (s, s + 1))
             n = len(self.basis(s, t))
-            d_out = d[s] if s >= 1 else np.zeros((0, n), dtype=np.int64)
-            d_in = d[s + 1] if s < max_s else np.zeros((n, 0), dtype=np.int64)
+            d_out = d[s] if s in d else np.zeros((0, n), dtype=np.int64)
+            d_in = d[s + 1] if s + 1 in d else np.zeros((n, 0), dtype=np.int64)
             self._sub_cache[key] = Subquotient(d_out, d_in, self.p)
         return self._sub_cache[key]
 
@@ -415,7 +420,7 @@ class EMSSTorAlgebra:
         self.classes = []
         max_s = self.max_s
         for t in range(0, self.cap + 1):
-            d = {s: self.chains.differential(s, t) for s in range(1, max_s + 1)}
+            d = self._differentials(t, range(1, max_s + 1))
             sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
             homology = _homology("Koszul model", sizes, d, self.p, step=-1)
             for s, h in sorted(homology.items()):

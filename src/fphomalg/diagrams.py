@@ -16,8 +16,9 @@ Andre-Quillen tables share one chain calculus:
   block and a last-face block, with identity middle faces, for
   ``derived_limit_dims`` (identity and the diagram map) and
   ``diagram_aq_table`` (restriction and postcomposition on AQ^q, which is
-  H^{q+1} of the pair's Hochschild cochains for every q >= 0; the kernel
-  row is the s = 0 row);
+  H^{q+1} of the Hochschild cochains of the chain's first algebra with
+  coefficients k, tensored with its last module, for every q >= 0; the
+  kernel row is the s = 0 row);
 - ``face_ring_diagram`` builds sigma -> k[sigma] over a face poset, for the
   CLI's simplicial inputs and the face-ring cross-check.
 
@@ -28,7 +29,9 @@ degreewise.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -508,21 +511,23 @@ def face_ring_diagram(vertices, facets, degree: int, cap: int, p: int):
 
 
 class _AQLocal:
-    """AQ^q spaces of one pair (exterior algebra, trivial odd module).
+    """AQ^q spaces of one exterior algebra with coefficients k.
 
-    For every q >= 0, AQ^q in map degree t is the cohomology of the pair's
-    Hochschild cochains at ``(q + 1, t)``.  For q = 0 that is HH^1: with a
-    trivial symmetric module a 1-cocycle is a derivation and none is inner,
-    so AQ^0 is the derivations, one per generator and module basis vector
-    of degree ``|g| + t``.  The dimension comes from the complex's ranks,
-    after the d*d check from ``(q, t)``, and costs nothing on a zero space;
-    a ``Subquotient`` with representatives and class coordinates is built
-    only for an induced map, once per ``(q, t)``.
+    For every q >= 0, AQ^q in map degree t is the cohomology of the
+    algebra's Hochschild cochains at ``(q + 1, t)``.  For q = 0 that is
+    HH^1: into the trivial module k a 1-cocycle is a derivation and none is
+    inner, so AQ^0 is the derivations, one per generator of degree ``-t``.
+    Into a trivial module M, AQ^q in map degree t is the sum over the
+    degrees ``md`` of M of AQ^q(A; k) in map degree ``t - md`` tensored with
+    ``M_md``.  The dimension comes from the complex's ranks, after the d*d
+    check from ``(q, t)``, and costs nothing on a zero space; a
+    ``Subquotient`` with representatives and class coordinates is built
+    only for a restriction, once per ``(q, t)``.
     """
 
-    def __init__(self, A: MonomialAlgebra, Mspace: GradedVectorSpace, q_max: int):
+    def __init__(self, A: MonomialAlgebra, q_max: int):
         # AQ^q reads delta(q + 1, t), into level q + 2
-        self.hc = HochschildComplex(A, Mspace, q_max + 2)
+        self.hc = HochschildComplex(A, q_max + 2)
         self._dims = {}
         self._sub_cache = {}
 
@@ -579,19 +584,18 @@ def _linear_algebra_map(src_alg, dst_alg, block_by_degree) -> ModuleViaMap:
 
 
 def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
-    """Cochain-level restriction Hom(Abar_tgtalg...) along an algebra map.
+    """Cochain-level restriction along an algebra map.
 
-    ``hc_src`` is the complex of the pair (A1, M); ``hc_tgt`` of (A0, M)
-    with an algebra map phi: A0 -> A1.  Returns the matrix of
-    w -> phi^{(x) level}(w) from the cochain basis of ``hc_tgt`` to that of
+    ``hc_src`` is the complex of A1, ``hc_tgt`` that of A0, with an algebra
+    map phi: A0 -> A1.  Returns the matrix of w -> phi^{(x) level}(w) from
+    the words of ``hc_tgt`` in cochain bidegree ``(level, t)`` to those of
     ``hc_src``; its transpose is psi -> psi o phi^{(x) level}.
     """
     src_letters = hc_src.abar_index
     # build per-letter images once
     letter_imgs = [(phi.image(mon), d) for mon, d in hc_tgt.abar]
 
-    def image(b):
-        wi, dv, mi = b
+    def image(wi):
         # expand phi(w) as a combination of source words
         expansion = {(): 1}
         for li in hc_tgt.words[level][wi].tolist():
@@ -602,20 +606,9 @@ def _word_map_matrix(hc_src, hc_tgt, phi: ModuleViaMap, level, t, p):
                     key = word + (src_letters[(mon, d)],)
                     new[key] = (new.get(key, 0) + c * cm) % p
             expansion = {k: v for k, v in new.items() if v}
-        return (((hc_src.word_index(word), dv, mi), c) for word, c in expansion.items())
+        return ((hc_src.word_index(word), c) for word, c in expansion.items())
 
     return _matrix(hc_tgt.basis(level, t), hc_src.basis(level, t), image, p)
-
-
-def _postcompose_matrix(src_basis, tgt_basis, psi: GradedMap, p: int):
-    """Matrix of postcomposition with the module map ``psi`` between bases of
-    cochains ``(word index, module degree, module index)``."""
-    def image(b):
-        wi, d, mi = b
-        col = psi.block(d)[:, mi]
-        return (((wi, d, ri), int(col[ri])) for ri in np.flatnonzero(col))
-
-    return _matrix(src_basis, tgt_basis, image, p)
 
 
 def _induced(T: np.ndarray, srcq: Subquotient, tgtq: Subquotient, p: int) -> np.ndarray:
@@ -631,10 +624,18 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
     with components AQ^q(A(first), M(last)) and cosimplicial differential;
     returns ``{q: BigradedTable}`` plus the kernel-formula row.
 
-    Every component, q = 0 included, is AQ^q = H^{q+1} of its pair's
-    Hochschild cochains (``_AQLocal``), so one restriction map
-    (``_word_map_matrix``) and one postcomposition serve every q.  The
-    kernel-formula row, ker(d_0), is the s = 0 row of the q-table.
+    Every component, q = 0 included, is AQ^q = H^{q+1} of the Hochschild
+    cochains of its first algebra with coefficients k (``_AQLocal``, one
+    per object) tensored with its last module: in map degree t, the sum
+    over the degrees ``md`` of M of AQ^q(A; k) in map degree ``t - md``
+    tensored with ``M_md``.  Face 0, the restriction along the first
+    arrow's algebra map (``_word_map_matrix``), the middle faces and the
+    last face, the last arrow's module map, all keep ``md``, so the
+    complex of map degree t is the sum over ``md`` of complexes whose face
+    0 is the restriction on AQ^q(-; k) tensored with the identity of
+    ``M_md`` and whose last face is the identity tensored with the module
+    map in degree ``md``.  The kernel-formula row, ker(d_0), is the s = 0
+    row of the q-table.
 
     ``DV``/``DM`` are the covariant avatars over the opposite of the direct
     category ``I``; the algebras are exterior on the V values objectwise.
@@ -656,62 +657,56 @@ def diagram_aq_table(I: FiniteCategory, DV: VectorDiagram, DM: VectorDiagram,
     algs = {o: _exterior_from_space(p, DV.value(o)) for o in J.objects}
     phi = {f: _linear_algebra_map(algs[src], algs[dst], DV.map(f).block)
            for f, (src, dst) in J.arrows.items()}
-    locals_cache: dict[tuple, _AQLocal] = {}
-
-    def local(a_obj, m_obj) -> _AQLocal:
-        key = (a_obj, m_obj)
-        if key not in locals_cache:
-            locals_cache[key] = _AQLocal(algs[a_obj], DM.value(m_obj), q_max)
-        return locals_cache[key]
-
     levels = J.nerve(top=s_max + 1)
+    top = min(len(levels) - 1, s_max)
+    chains = [c for level in levels[: top + 1] for c in level]
 
-    def restriction_on_h(f, m_obj, q, t):
-        """AQ^q(A(j1), M) -> AQ^q(A(j0), M) along the arrow f: j0 -> j1."""
+    @functools.cache
+    def local(o) -> _AQLocal:
+        """The AQ spaces of A(o), built only for an object that starts a
+        chain ending at a nonzero module."""
+        return _AQLocal(algs[o], q_max)
+
+    @functools.cache
+    def restriction(f, q, t):
+        """AQ^q(A(j1); k) -> AQ^q(A(j0); k) in map degree t along the arrow
+        f: j0 -> j1."""
         j0, j1 = J.arrows[f]
-        src = local(j1, m_obj)
-        tgt = local(j0, m_obj)
+        src, tgt = local(j1), local(j0)
         # psi -> psi o phi on cochains, from the complex of A(j1) to that of A(j0)
         T = _word_map_matrix(src.hc, tgt.hc, phi[f], q + 1, t, p)
         return _induced(T.T, src.subquotient(q, t), tgt.subquotient(q, t), p)
 
-    def postcompose_on_h(a_obj, m_src, f, q, t):
-        """AQ^q(A, M(j_s)) -> AQ^q(A, M(j_{s+1})) along the module map."""
-        src = local(a_obj, m_src)
-        tgt = local(a_obj, J.arrows[f][1])
-        # cochain-level postcomposition: same words, module index mapped
-        T = _postcompose_matrix(src.hc.basis(q + 1, t), tgt.hc.basis(q + 1, t), DM.map(f), p)
-        return _induced(T, src.subquotient(q, t), tgt.subquotient(q, t), p)
-
-    top = min(len(levels) - 1, s_max)
-    # every map degree where the component AQ^q(A(j0), M(js)) of a chain
-    # of levels 0..top may be nonzero: where its pair has cochains at
-    # levels 0..q_max + 1 (AQ^q reads level q + 1)
-    degrees = set()
-    for level in levels[: top + 1]:
-        for c in level:
-            degrees.update(local(c[0], J.chain_end(c)).hc.t_range(range(q_max + 2)))
+    # the module degrees, and every map degree where AQ^q(A(j0); k) of a
+    # chain j0 -> ... -> js with M(js) nonzero may be nonzero: where the
+    # cochains of A(j0) at levels 0..q_max + 1 are (AQ^q reads level q + 1)
+    mdegrees = sorted({md for o in J.objects for md in DM.value(o).degrees()})
+    kdegrees = sorted({t for c in chains if not DM.value(J.chain_end(c)).is_zero()
+                       for t in local(c[0]).hc.t_range(range(q_max + 2))})
 
     tables = {}
     kernel_rows = {}
     for q in range(q_max + 1):
-        entries = {}
-        for t in sorted(degrees):
-            # the component of a chain j0 -> ... -> js is AQ^q(A(j0), M(js)):
-            # face 0 restricts along the first arrow, the last face
-            # postcomposes with the module map of the last one
-            def dim(c):
-                return local(c[0], J.chain_end(c)).dim(q, t)
+        entries = Counter()
+        for md in mdegrees:
+            for t in kdegrees:
+                # the component of a chain j0 -> ... -> js is AQ^q(A(j0); k)
+                # in map degree t tensored with M(js)_md
+                def dim(c):
+                    width = DM.value(J.chain_end(c)).dim(md)
+                    return width * local(c[0]).dim(q, t) if width else 0
 
-            if not any(dim(c) for level in levels[: top + 1] for c in level):
-                continue
-            sizes, d = _cosimplicial(
-                J, levels, top, dim,
-                lambda f, face: restriction_on_h(f, J.chain_end(face), q, t),
-                lambda face, f: postcompose_on_h(face[0], J.chain_end(face), f, q, t), p)
-            for s, h in _homology("diagram AQ cosimplicial", sizes, d, p).items():
-                entries[(s, t)] = h
+                if not any(map(dim, chains)):
+                    continue
+                sizes, d = _cosimplicial(
+                    J, levels, top, dim,
+                    lambda f, face: np.kron(restriction(f, q, t), np.eye(
+                        DM.value(J.chain_end(face)).dim(md), dtype=np.int64)),
+                    lambda face, f: np.kron(np.eye(local(face[0]).dim(q, t), dtype=np.int64),
+                                            DM.map(f).block(md)), p)
+                for s, h in _homology("diagram AQ cosimplicial", sizes, d, p).items():
+                    entries[(s, t + md)] += h
         tables[q] = BigradedTable(entries)
         # the kernel formula: ker(d_0) is the s = 0 row
-        kernel_rows[q] = {t: h for (s, t), h in entries.items() if s == 0}
+        kernel_rows[q] = {t: h for (s, t), h in tables[q].items() if s == 0}
     return {"tables": tables, "kernel_formula": kernel_rows, "notes": notes}

@@ -19,8 +19,9 @@ Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology with coefficients in a
 module M on which A acts trivially is computed from the resolution
 shortcut ``Ext_A(k, M)`` (``ext_dims``) and from the normalized cochain
-complex, the dual of the bar complex tensored with M, and any mismatch
-raises ``CrossCheckError``.  A module on which A acts is refused.
+complex with coefficients k, the dual of the bar complex, tensored with M
+afterwards, and any mismatch raises ``CrossCheckError``.  A module on
+which A acts is refused.
 
 Every other complex here (the resolution's exactness check, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
@@ -33,14 +34,14 @@ complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree and then by source,
 gives each differential's merges as a slice.  A bar differential is that
 slice itself, a ``_kernels.Sparse`` matrix sorted by column, which is
-ranked and checked without a dense copy; a cochain differential is
-written densely by ``linalg._assemble``, once per basis vector of each
-degree of M.  The shared step of ``linalg`` (``_homology``, with
-``_check_dd`` and ``_RankOnce``) checks ``d*d = 0`` on every composable
-pair, ranks each differential once and turns the ranks into homology
-dimensions; the diagram builders and the Eilenberg-Moore model use the
-same step.  A differential from or to a zero space is the zero map: it is
-neither assembled, ranked nor checked.
+ranked and checked without a dense copy; a cochain differential is the
+same slice transposed, written densely by ``linalg._assemble``.  The
+shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
+``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
+differential once and turns the ranks into homology dimensions; the
+diagram builders and the Eilenberg-Moore model use the same step.  A
+differential from or to a zero space is the zero map: it is neither
+assembled, ranked nor checked.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -74,10 +75,13 @@ from .wordcomplex import _word_counts, _Words
 # Largest differential, in cells (rows x columns), that the Koszul chains
 # (resolution, Tor, Eilenberg-Moore model), bar and Hochschild cochains may
 # have.  Over six degree-2 generators the resolution's largest is 6,930 x
-# 5,040 (35M cells, 280 MB as int64) at cap 16 and 19,305 x 15,840 at cap
-# 20, which is refused up front.  A bar differential is never written
-# densely; for bar the budget bounds the dense hand-off of ``K.rank`` to
-# ``rref``, which may be as large as the differential.
+# 5,040 (35M cells) at cap 16 and 19,305 x 15,840 at cap 20, which is
+# refused up front.  It counts cells, not bytes: the Koszul chains' and
+# the Hochschild cochains' differentials (and the diagram layer's, which
+# no budget counts) are dense, and a dense run has peaked near 57 bytes a
+# cell (assembly, the rank's copies, the float64 d*d product).  A bar
+# differential is never written densely; for bar the budget bounds only
+# the dense hand-off of ``K.rank`` to ``rref``.
 MAX_CHAIN_CELLS = 50_000_000
 
 
@@ -314,29 +318,28 @@ def trivial_module(A, degree: int = 0, dim: int = 1) -> AlgebraModule:
 
 
 class HochschildComplex:
-    """Normalized cochain complex Hom(Abar^{(x) s}, M) of a finite algebra
-    with coefficients in a graded vector space M, on which A acts trivially.
+    """Normalized cochain complex Hom(Abar^{(x) s}, k) of a finite algebra,
+    the dual of the bar complex.
 
     Requires every generator exponent-capped so that Abar is finite
     dimensional.  Cochain bidegrees are ``(s, t)`` with ``t`` the map
-    degree.  With trivial coefficients only the inner faces of the cochain
-    differential survive, so ``C^{*,t}`` is the dual of the bar complex
-    tensored with M (Loday, *Cyclic Homology*, 1992, ch. 1).
+    degree.  Into a module M on which A acts trivially only the inner
+    faces of the cochain differential survive, so those cochains are these
+    tensored with M (Loday, *Cyclic Homology*, 1992, ch. 1): HH^{s,t}(A; M)
+    is the sum over the degrees ``md`` of M of ``dim M_md`` copies of
+    HH^{s,t-md}(A; k), which ``hochschild_dims`` and diagram AQ add up.
 
-    ``C^{s,t}`` is one block per module degree ``md``, in ascending order:
-    the words of length ``s`` and degree ``md - t`` in word order, each
-    followed by the ``dim M_md`` basis vectors of M.  Its dimension is
-    counted from the letter degrees (``wordcomplex._word_counts``), and a
-    differential over ``MAX_CHAIN_CELLS`` raises ``CapError`` before any
-    word is built; then the words of every level are built once as an
-    array word complex (``_Words``).  ``delta`` is block diagonal: each
-    block is the face table's slice of word degree ``md - t`` at bucket
-    positions, once per basis vector of ``M_md``.  Each differential is
-    assembled and ranked once per ``(s, t)``, and none from or to a zero
-    space is built.
+    The basis of ``C^{s,t}`` is the bucket of words of length ``s`` and
+    degree ``-t``, in word order.  Its dimension is counted from the letter
+    degrees (``wordcomplex._word_counts``), and a differential over
+    ``MAX_CHAIN_CELLS`` raises ``CapError`` before any word is built; then
+    the words are built once as an array word complex (``_Words``), and
+    ``delta(s, t)`` is the face table's slice of word degree ``-t`` at
+    bucket positions, transposed.  Each differential is assembled and
+    ranked once, and none from or to a zero space is built.
     """
 
-    def __init__(self, A: MonomialAlgebra, M: GradedVectorSpace, levels: int):
+    def __init__(self, A: MonomialAlgebra, levels: int):
         if not A.is_finite_dimensional():
             raise ValidationError("normalized cochains need a finite-dimensional algebra")
         self.A = A
@@ -344,18 +347,13 @@ class HochschildComplex:
         self.levels = int(levels)
         top = A.top_degree()
         self.abar = [(mon, d) for d in range(1, top + 1) for mon in A.basis(d)]
-        self._mdims = {md: M.dim(md) for md in M.degrees()}
-        self._dims: dict[tuple[int, int], int] = Counter()
         words = _word_counts([d for _, d in self.abar], self.levels * top, self.levels)
-        for s, counts in [(0, {0: 1}), *words]:
-            for wd, n in counts.items():
-                for md, width in self._mdims.items():
-                    self._dims[(s, md - wd)] += width * n
+        self._dims = {(s, -wd): n for s, counts in [(0, {0: 1}), *words]
+                      for wd, n in counts.items()}
         _check_cells("Hochschild cochain", self._dims, 1)
         self._words = _Words(A, self.abar, self.levels)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
-        self._basis_cache = {}
         self._delta_cache = {}
         self._ranks: dict[int, _RankOnce] = {}
 
@@ -364,16 +362,11 @@ class HochschildComplex:
         """Per level, the ``(n, s)`` array of the words' letters."""
         return self._words.words
 
-    def basis(self, s: int, t: int):
-        """Cochains ``(word index, module degree, module index)``, block by
-        block."""
-        key = (s, t)
-        if key not in self._basis_cache:
-            buckets = self._words.buckets[s]
-            self._basis_cache[key] = [
-                (wi, md, mi) for md, width in self._mdims.items() if md - t in buckets
-                for wi in buckets[md - t].tolist() for mi in range(width)]
-        return self._basis_cache[key]
+    def basis(self, s: int, t: int) -> list:
+        """Cochains of bidegree ``(s, t)``: the indices of the words of
+        length ``s`` and degree ``-t``, in word order."""
+        bucket = self._words.buckets[s].get(-t)
+        return [] if bucket is None else bucket.tolist()
 
     def t_range(self, s_levels=None):
         levels = range(self.levels + 1) if s_levels is None else s_levels
@@ -388,18 +381,8 @@ class HochschildComplex:
         if not (n_src and n_tgt):
             return np.zeros((n_tgt, n_src), dtype=np.int64)
         W = self._words
-        rows, cols, vals = [], [], []
-        row0 = col0 = 0  # where the block of the module degree starts
-        for md, width in self._mdims.items():
-            f_src, merged, value = W.face_rows(s + 1, md - t)
-            mi = np.arange(width)
-            rows.append(((row0 + W.pos[s + 1][f_src] * width)[:, None] + mi).ravel())
-            cols.append(((col0 + W.pos[s][merged] * width)[:, None] + mi).ravel())
-            vals.append(value.repeat(width))
-            row0 += width * W.count(s + 1, md - t)
-            col0 += width * W.count(s, md - t)
-        mat = _assemble((n_tgt, n_src), np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), self.p)
+        f_src, merged, value = W.face_rows(s + 1, -t)
+        mat = _assemble((n_tgt, n_src), W.pos[s + 1][f_src], W.pos[s][merged], value, self.p)
         self._delta_cache[key] = mat
         return mat
 
@@ -449,21 +432,28 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
     trivially, computed two ways and compared.
 
     Route one is ``Ext_A(k, M)``; route two is the normalized cochain
-    complex, the dual bar complex tensored with M.  A module on which A
-    acts is refused by route one, as in ``ext_dims`` (``ValidationError``).
-    Any entrywise mismatch raises ``CrossCheckError``.  Entries at
-    ``(s, t)``, ``t`` the map degree.
+    complex with coefficients k, tensored with M: ``dim M_md`` copies of
+    its cohomology at ``(s, t)`` sit at ``(s, t + md)``, and a refusal
+    names the map degree with M's lowest degree.  A module on which A acts
+    is refused by route one, as in ``ext_dims`` (``ValidationError``).  Any
+    entrywise mismatch raises ``CrossCheckError``.  Entries at ``(s, t)``,
+    ``t`` the map degree.
     """
     shortcut = ext_dims(A, M, s_max=s_max, cap=cap if cap is not None else 0)
-    hc = HochschildComplex(A, M.space, s_max + 1)
-    direct_entries = {}
+    mdims = M.space.dims
+    try:
+        hc = HochschildComplex(A, s_max + 1)
+    except _OverBudget as err:
+        raise _OverBudget(err.what, err.s, err.t + min(mdims, default=0), err.shape,
+                          "lower --smax") from None
+    direct_entries = Counter()
     for t in hc.t_range(range(s_max + 1)):
         for s in range(s_max):
             hc.verify_dd(s, t)
         for s in range(s_max + 1):
             h = hc.cohomology_dim(s, t)
-            if h:
-                direct_entries[(s, t)] = h
+            for md, width in mdims.items():
+                direct_entries[(s, t + md)] += width * h
         hc._forget(t)
     direct = BigradedTable(direct_entries)
     if direct != shortcut:

@@ -6,7 +6,8 @@ algebra's product.  Words are integer arrays indexed as a trie, letter
 products are a table, and the faces are one numpy table ordered by level,
 degree and source, so a differential between two degree buckets is a
 slice of it.  ``homalg`` ranks a bar differential as that slice, and
-assembles the Hochschild differentials from the slices.
+assembles each Hochschild cochain differential (coefficients k) from the
+same slice, transposed.
 
 ``_word_counts`` counts the words per (length, degree) from the letter
 degrees, before any is built.  The cell budget of ``homalg`` reads it for

@@ -167,6 +167,25 @@ def test_emss_builds_a_subquotient_per_needed_bidegree(monkeypatch):
     assert [sq["square"] for sq in squares] == ["nonzero", "zero", "zero", "out of range"]
 
 
+def test_emss_builds_no_differential_from_or_to_a_zero_space(monkeypatch):
+    # the homology step and the subquotients read a missing map as zero
+    from fphomalg import homalg
+
+    built, differential = [], homalg._KoszulChains.differential
+
+    def recorded(chains, s, t):
+        built.append((s, t))
+        assert chains.basis(s, t) and chains.basis(s - 1, t), (s, t)
+        return differential(chains, s, t)
+
+    monkeypatch.setattr(homalg._KoszulChains, "differential", recorded)
+    model = EMSSTorAlgebra(bu_to_bu1_input(3, p=2, cap=12), 12)
+    squares = model.squares()
+    assert built
+    assert model.table.entries == {(0, 0): 1, (1, 4): 1, (1, 6): 1, (2, 10): 1}
+    assert [sq["square"] for sq in squares] == ["nonzero", "zero", "zero", "out of range"]
+
+
 def test_emss_tor_identity_collapse():
     B = MonomialAlgebra.polynomial(3, [("u", 2)])
     inp = EMSSInput(B, B, B, {"u": "u"}, {"u": "u"}, cap=8)

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fphomalg import diagrams
 from fphomalg.diagrams import (
@@ -295,9 +300,13 @@ def test_diagram_aq_ranks_each_differential_once(monkeypatch):
     ((1, 3, 5), {3: 1}, 1),
 ])
 def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
+    # on the cochains with coefficients k, and tensored with the module
+    # degree by degree it is HH^{q+1} of the module from hochschild_dims
+    from fphomalg.homalg import hochschild_dims
+    from fphomalg.monalg import AlgebraModule
     V = GradedVectorSpace({d: degrees.count(d) for d in set(degrees)})
-    loc = diagrams._AQLocal(diagrams._exterior_from_space(p, V),
-                            GradedVectorSpace(module), q_max)
+    A = diagrams._exterior_from_space(p, V)
+    loc = diagrams._AQLocal(A, q_max)
     hc = loc.hc
     ts = hc.t_range(range(q_max + 2))
     nonzero = 0
@@ -307,6 +316,13 @@ def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
             assert loc.dim(q, t) == want, (q, t)
             nonzero += want > 0
     assert nonzero and not loc._sub_cache
+    hh = hochschild_dims(A, AlgebraModule.trivial(A, GradedVectorSpace(module)), s_max=q_max + 1)
+    tensored = Counter()
+    for q in range(q_max + 1):
+        for t in ts:
+            for md, width in module.items():
+                tensored[(q + 1, t + md)] += width * loc.dim(q, t)
+    assert {(s, t): n for (s, t), n in hh.items() if s >= 1} == +tensored
 
 
 @pytest.mark.parametrize("p, degrees", [
@@ -317,16 +333,17 @@ def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
 @pytest.mark.parametrize("module", [{3: 1}, {1: 2}, {1: 1, 5: 2}, {2: 1, 4: 1}])
 def test_aq_local_dim_at_q0_counts_derivations(p, degrees, module):
     # AQ^0 = HH^1: one derivation per generator g and basis vector of
-    # M in degree |g| + t
+    # M in degree |g| + t, that is dim M_md copies of AQ^0(A; k) in map
+    # degree t - md, one derivation into k per generator of degree md - t
     V = GradedVectorSpace({d: degrees.count(d) for d in set(degrees)})
     M = GradedVectorSpace(module)
-    loc = diagrams._AQLocal(diagrams._exterior_from_space(p, V), M, 0)
+    loc = diagrams._AQLocal(diagrams._exterior_from_space(p, V), 0)
     want = {}
     for d in degrees:
         for md in M.degrees():
             want[md - d] = want.get(md - d, 0) + M.dim(md)
     for t in range(min(want) - 2, max(want) + 3):
-        assert loc.dim(0, t) == want.get(t, 0), t
+        assert sum(n * loc.dim(0, t - md) for md, n in module.items()) == want.get(t, 0), t
 
 
 def test_diagram_aq_builds_one_algebra_map_per_arrow(monkeypatch):
@@ -347,10 +364,10 @@ def test_diagram_aq_builds_one_algebra_map_per_arrow(monkeypatch):
 
 def _record_aq(monkeypatch):
     """Record the subquotients diagram AQ builds and those its induced maps
-    read, its local pairs, the sizes of each complex it assembles, and the
-    faces from a zero component onto a nonzero chain; every face block
-    must join two nonzero components."""
-    rec = {"built": [], "read": [], "pairs": [], "assembled": [], "zero_faces": set()}
+    read, its local AQ spaces (one Hochschild complex each), the sizes of
+    each complex it assembles, and the faces from a zero component onto a
+    nonzero chain; every face block must join two nonzero components."""
+    rec = {"built": [], "read": [], "locals": [], "assembled": [], "zero_faces": set()}
 
     class Counted(Subquotient):
         def __init__(self, *args):
@@ -359,7 +376,7 @@ def _record_aq(monkeypatch):
 
     class Recorded(diagrams._AQLocal):
         def __init__(self, *args):
-            rec["pairs"].append(self)
+            rec["locals"].append(self)
             super().__init__(*args)
 
     induced, cosimplicial = diagrams._induced, diagrams._cosimplicial
@@ -399,7 +416,7 @@ def _subquotients_read_once(rec) -> int:
     """The subquotients built are those the induced maps read, each once
     and nonzero; returns their number."""
     assert {id(sq) for sq in rec["built"]} == {id(sq) for sq in rec["read"]}
-    cached = [(loc, key, sq) for loc in rec["pairs"] for key, sq in loc._sub_cache.items()]
+    cached = [(loc, key, sq) for loc in rec["locals"] for key, sq in loc._sub_cache.items()]
     assert len(rec["built"]) == len(cached)
     assert all(sq.dim == loc.dim(*key) > 0 for loc, key, sq in cached)
     # no complex is assembled for a (q, t) whose components are all zero
@@ -412,8 +429,10 @@ def test_diagram_aq_builds_a_subquotient_per_read_component(monkeypatch, p):
     rec = _record_aq(monkeypatch)
     I, DV, DM = _span_aq_setup(p)
     diagram_aq_table(I, DV, DM, s_max=2, q_max=3)
-    # five local pairs, each read at q = 0, 1, 2, 3
-    assert _subquotients_read_once(rec) == 20
+    # one complex with coefficients k per algebra object, each read at
+    # q = 0, 1, 2, 3 (one per algebra-and-module pair read before: 5 and 20)
+    assert len(rec["locals"]) == 3
+    assert _subquotients_read_once(rec) == 12
 
 
 def _mixed_degree_span(p):
@@ -562,3 +581,94 @@ def test_derived_limits_on_a_chain_with_a_composite():
     D = contravariant_diagram(I, {"0": F0, "1": F1, "2": F2}, maps, p)
     assert limit_dims(D, 4) == F2
     assert derived_limit_dims(D, 4).entries == {(0, 2): 2}
+
+
+def nat_dims(DV, DM, p) -> dict:
+    """``{t: dim Nat(V, M)_t}`` for the nonzero dimensions, with no
+    Hochschild cochains: the kernel, through ``K.nullspace``, of
+    ``x_j1 V(f) - M(f) x_j0`` for every arrow f: j0 -> j1 over the sum over
+    objects j of Hom(V_j, M_j)_t, a block ``(M_j)_{d+t} x (V_j)_d`` per
+    degree d of V_j, read column by column."""
+    from fphomalg import _kernels as K
+
+    J = DV.base
+    objects = sorted(J.objects)
+    out = {}
+    for t in sorted({md - vd for o in objects for vd in DV.value(o).degrees()
+                     for md in DM.value(o).degrees()}):
+        def shape(j, d):
+            return DM.value(j).dim(d + t), DV.value(j).dim(d)
+
+        offs, n = {}, 0
+        for j in objects:
+            for d in DV.value(j).degrees():
+                offs[(j, d)] = n
+                n += shape(j, d)[0] * shape(j, d)[1]
+        rows = [np.zeros((0, n), dtype=np.int64)]
+        for f, (j0, j1) in sorted(J.arrows.items()):
+            for d in DV.value(j0).degrees():
+                (m1, v1), (m0, v0) = shape(j1, d), shape(j0, d)
+                r = np.zeros((m1 * v0, n), dtype=np.int64)
+                if (j1, d) in offs:  # vec(x V) = (V^T (x) 1) vec(x)
+                    o = offs[(j1, d)]
+                    r[:, o: o + m1 * v1] += np.kron(DV.map(f).block(d).T,
+                                                    np.eye(m1, dtype=np.int64))
+                o = offs[(j0, d)]  # vec(M x) = (1 (x) M) vec(x)
+                r[:, o: o + m0 * v0] -= np.kron(np.eye(v0, dtype=np.int64), DM.map(f).block(d + t))
+                rows.append(r)
+        h = K.nullspace(np.concatenate(rows) % p, p).shape[1]
+        if h:
+            out[t] = h
+    return out
+
+
+def _ci_chain_of_two_arrows(p):
+    """CI's chain a < b < c: V = M = k[3] everywhere, with the map of a < b
+    the identity and those of b < c and a < c zero."""
+    I = FiniteCategory.from_json({
+        "objects": [{"id": o, "lambda": l} for o, l in zip("abc", range(3))],
+        "arrows": [{"id": f, "src": s, "dst": d} for f, s, d in
+                   (("f", "a", "b"), ("g", "b", "c"), ("h", "a", "c"))]})
+    V = GradedVectorSpace({3: 1})
+    maps = {f: GradedMap(V, V, 0, {3: [[int(f == "f")]]}, p) for f in "fgh"}
+    D = contravariant_diagram(I, dict.fromkeys("abc", V), maps, p)
+    return I, D, D
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("setup", [_span_aq_setup, _ci_chain_of_two_arrows],
+                         ids=["accept08-span", "ci-chain"])
+def test_kernel_row_at_q0_is_the_natural_maps(p, setup):
+    # ker d_0 at q = 0 is Nat(V, M), computed without Hochschild cochains
+    I, DV, DM = setup(p)
+    out = diagram_aq_table(I, DV, DM, s_max=2, q_max=0)
+    assert out["kernel_formula"][0] == nat_dims(DV, DM, p) != {}
+
+
+@st.composite
+def aq_spans(draw):
+    """A span x <- z -> y in I with V in odd degrees and M in degrees 1 to
+    4, at most two dimensions each, and random maps of both."""
+    p = draw(st.sampled_from([2, 3]))
+    I = FiniteCategory.span()
+
+    def diagram(degrees):
+        values = {o: GradedVectorSpace({d: draw(st.integers(0, 2)) for d in
+                                        draw(st.sets(st.sampled_from(degrees), min_size=1,
+                                                     max_size=2))})
+                  for o in "zxy"}
+        maps = {f: GradedMap(values[end], values["z"], 0, {
+            d: draw(arrays(np.int64, (values["z"].dim(d), values[end].dim(d)),
+                           elements=st.integers(0, p - 1)))
+            for d in values[end].degrees()}, p) for f, end in (("a", "x"), ("b", "y"))}
+        return contravariant_diagram(I, values, maps, p)
+
+    return p, I, diagram([1, 3, 5]), diagram([1, 2, 3, 4])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=aq_spans())
+def test_kernel_row_at_q0_is_the_natural_maps_on_random_spans(case):
+    p, I, DV, DM = case
+    out = diagram_aq_table(I, DV, DM, s_max=1, q_max=0)
+    assert out["kernel_formula"][0] == nat_dims(DV, DM, p)

@@ -205,7 +205,7 @@ def test_hochschild_complex_is_freed_once_unreferenced():
     import weakref
 
     A = ext_alg(3, 3, 5)
-    hc = HochschildComplex(A, GradedVectorSpace({3: 1}), 4)
+    hc = HochschildComplex(A, 4)
     for t in hc.t_range(range(4)):
         for s in range(3):
             hc.verify_dd(s, t)
@@ -297,10 +297,9 @@ def test_hochschild_ranks_clear_only_after_verify_dd(monkeypatch):
 
     monkeypatch.setattr(K, "rank", ranking)
     A = ext_alg(3, 1, 2, 3)
-    M = GradedVectorSpace({3: 1})
     tables = []
     for verify in (False, True):
-        hc = HochschildComplex(A, M, 5)
+        hc = HochschildComplex(A, 5)
         cleared.clear()
         dims = {}
         for t in hc.t_range(range(5)):
@@ -329,16 +328,16 @@ def reference_delta(hc, s, t):
     A, p = hc.A, hc.p
     index = {tuple(w): i for i, w in enumerate(hc.words[s].tolist())}
     letter = {l: i for i, l in enumerate(hc.abar)}
-    col = {b: j for j, b in enumerate(hc.basis(s, t))}
+    col = {wi: j for j, wi in enumerate(hc.basis(s, t))}
     tgt = hc.basis(s + 1, t)
     mat = np.zeros((len(tgt), len(col)), dtype=np.int64)
-    for r, (wi, dv, ni) in enumerate(tgt):
+    for r, wi in enumerate(tgt):
         w = tuple(hc.words[s + 1][wi].tolist())
         for i in range(1, len(w)):
             (ma, d1), (mb, d2) = hc.abar[w[i - 1]], hc.abar[w[i]]
             for m, sc in A.mul(ma, mb).items():
                 merged = w[: i - 1] + (letter[(m, d1 + d2)],) + w[i + 1:]
-                mat[r, col[(index[merged], dv, ni)]] += (-1) ** i * sc
+                mat[r, col[index[merged]]] += (-1) ** i * sc
     return mat % p
 
 
@@ -346,8 +345,11 @@ def reference_delta(hc, s, t):
 @pytest.mark.parametrize("case", range(4), ids=["ext13", "ext35", "trunc", "mixed"])
 @pytest.mark.parametrize("module", [{3: 1}, {1: 2, 3: 1, 4: 2}], ids=["trivial", "spread"])
 def test_cochain_differential_matches_its_definition(p, case, module):
+    # the cochains with coefficients k against their definition; the
+    # module, in one degree or in several and of width 2, goes through
+    # both Hochschild routes and through aq, whose rows q >= 1 are HH^{q+1}
     A = word_complex_algebras(p)[case]
-    hc = HochschildComplex(A, GradedVectorSpace(module), 3)
+    hc = HochschildComplex(A, 3)
     checked = 0
     for t in hc.t_range():
         for s in range(3):
@@ -355,6 +357,13 @@ def test_cochain_differential_matches_its_definition(p, case, module):
             assert np.array_equal(got, reference_delta(hc, s, t)), (s, t)
             checked += int(got.any())
     assert checked
+    M = AlgebraModule.trivial(A, GradedVectorSpace(module))
+    hh = hochschild_dims(A, M, s_max=3)
+    aq = aq_ass_dims(A, M, cap=8, s_max=2)
+    assert {(0, t): n for (s, t), n in hh.items() if s == 0} == {
+        (0, md): n for md, n in module.items()}
+    assert {(q, t): n for (q, t), n in aq.table.items() if q >= 1} == {
+        (s - 1, t): n for (s, t), n in hh.items() if 2 <= s <= 3}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -529,18 +538,27 @@ def test_bar_cell_budget_counts_the_largest_differential(monkeypatch, A, cap):
 def test_hochschild_cell_budget_counts_the_built_cochains(monkeypatch, module):
     # the sizes counted from the letter degrees are those of the built
     # cochains, and the largest differential fits a budget of its own size
-    # and not one cell less; the refusal comes before any word is built
-    A, M, levels = ext_alg(3, 3, 5), GradedVectorSpace(module), 4
-    hc = HochschildComplex(A, M, levels)
+    # and not one cell less; the refusal comes before any word is built, and
+    # hochschild_dims names it in the map degree it reaches with the
+    # module's lowest degree, whatever the module's width
+    A, levels = ext_alg(3, 3, 5), 4
+    M = AlgebraModule.trivial(A, GradedVectorSpace(module))
+    hc = HochschildComplex(A, levels)
     assert all(len(hc.basis(s, t)) == n for (s, t), n in hc._dims.items())
     largest = max(hc.delta(s, t).size for s in range(levels) for t in hc.t_range())
     assert largest == max(n * hc._dim(s + 1, t) for (s, t), n in hc._dims.items())
     monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest)
-    HochschildComplex(A, M, levels)
+    HochschildComplex(A, levels)
+    hochschild_dims(A, M, s_max=levels - 1)
     monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", largest - 1)
     monkeypatch.setattr(homalg, "_Words", None)
-    with pytest.raises(CapError, match="Hochschild cochain differential from .*; lower --smax"):
-        HochschildComplex(A, M, levels)
+    refusal = "Hochschild cochain differential from .*; lower --smax"
+    with pytest.raises(CapError, match=refusal) as k:
+        HochschildComplex(A, levels)
+    with pytest.raises(CapError, match="Hochschild cochain differential from") as m:
+        hochschild_dims(A, M, s_max=levels - 1)
+    assert (m.value.s, m.value.t, m.value.shape) == (
+        k.value.s, k.value.t + min(module), k.value.shape)
 
 
 @pytest.mark.parametrize("p", [2, 3])
