@@ -1,14 +1,14 @@
-"""Exact linear algebra over F_p on dense int64 matrices.
+"""Exact linear algebra over F_p on int64 matrices, dense or sparse.
 
 Every homology dimension is a sum of ranks, and the differentials are
 mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
 as sparse dictionaries, and hands the rest of the work to the numpy
 Gauss-Jordan elimination ``rref`` only when the input, or the fill the
 reduction produces, gets dense.  It reads a dense matrix or a ``Sparse``
-one, the nonzeros of a matrix listed by column, which the bar complex
-hands it without ever writing a dense copy.  In a complex most columns of a
-differential reduce to zero, and the map into its source names many of
-them in advance.  This is the clearing of persistent homology (Chen and
+one, the nonzeros of a matrix listed by column, which the bar and
+Hochschild complexes hand it without ever writing a dense copy.  In a
+complex most columns of a differential reduce to zero, and the map into
+its source names many of them in advance.  This is the clearing of persistent homology (Chen and
 Kerber, *Persistent Homology Computation with a Twist*, EuroCG 2011;
 Bauer, Kerber and Reininghaus, *Clear and Compress*, 2014): if
 ``B @ A = 0`` and a column ``z = A @ v`` has its lowest nonzero row at
@@ -133,6 +133,12 @@ class Sparse:
         out = np.zeros((self.shape[0], width), dtype=np.int64)
         out[rows, cols] = vals
         return out
+
+    @property
+    def T(self) -> "Sparse":
+        """The transpose, its entries stably sorted by their new column."""
+        order = self.rows.argsort(kind="stable")
+        return Sparse(self.shape[::-1], self.cols[order], self.rows[order], self.vals[order])
 
     def __array__(self, dtype=None, copy=None):
         dense = self.dense()

@@ -396,19 +396,12 @@ class EMSSTorAlgebra:
         self._sub_cache: dict[tuple, Subquotient] = {}
         self._build()
 
-    def _differentials(self, t, degrees) -> dict:
-        """The differentials out of ``degrees`` at ``t`` between nonzero spaces."""
-        return {s: self.chains.differential(s, t) for s in degrees
-                if 1 <= s <= self.max_s and self.basis(s, t) and self.basis(s - 1, t)}
-
-    def _subquotient(self, s, t, d=None):
-        """Homology at ``(s, t)`` with class coordinates, built once; ``d``
-        maps ``s`` to the differential out of degree ``s`` at this ``t``,
-        and a missing one is zero."""
+    def _subquotient(self, s, t):
+        """Homology at ``(s, t)`` with class coordinates, built once from
+        ``_build``'s differentials at ``t``; a missing one is zero."""
         key = (s, t)
         if key not in self._sub_cache:
-            if d is None:
-                d = self._differentials(t, (s, s + 1))
+            d = self._maps[t]
             n = len(self.basis(s, t))
             d_out = d[s] if s in d else np.zeros((0, n), dtype=np.int64)
             d_in = d[s + 1] if s + 1 in d else np.zeros((n, 0), dtype=np.int64)
@@ -416,16 +409,21 @@ class EMSSTorAlgebra:
         return self._sub_cache[key]
 
     def _build(self):
+        """The table and the classes, degree by degree; ``_maps[t]`` keeps
+        the differentials out of each ``s`` at ``t`` between nonzero spaces,
+        built once for the homology step and the subquotients."""
         self.table_entries = {}
         self.classes = []
+        self._maps = {}
         max_s = self.max_s
         for t in range(0, self.cap + 1):
-            d = self._differentials(t, range(1, max_s + 1))
+            d = self._maps[t] = {s: self.chains.differential(s, t) for s in range(1, max_s + 1)
+                                 if self.basis(s, t) and self.basis(s - 1, t)}
             sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
             homology = _homology("Koszul model", sizes, d, self.p, step=-1)
             for s, h in sorted(homology.items()):
                 self.table_entries[(s, t)] = h
-                sub = self._subquotient(s, t, d)
+                sub = self._subquotient(s, t)
                 reps = sub.representatives()
                 for c in range(sub.dim):
                     self.classes.append({"s": s, "t": t, "total": t - s,

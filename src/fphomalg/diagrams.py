@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import CrossCheckError, ValidationError
-from .homalg import HochschildComplex
+from .homalg import HochschildComplex, _aq_refusal, _OverBudget
 from .linalg import (
     BigradedTable,
     GradedMap,
@@ -527,7 +527,10 @@ class _AQLocal:
 
     def __init__(self, A: MonomialAlgebra, q_max: int):
         # AQ^q reads delta(q + 1, t), into level q + 2
-        self.hc = HochschildComplex(A, q_max + 2)
+        try:
+            self.hc = HochschildComplex(A, q_max + 2)
+        except _OverBudget as err:
+            raise _aq_refusal(err, "diagram-aq", "table q =", "--qmax") from None
         self._dims = {}
         self._sub_cache = {}
 

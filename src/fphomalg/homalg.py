@@ -32,10 +32,10 @@ not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree and then by source,
-gives each differential's merges as a slice.  A bar differential is that
-slice itself, a ``_kernels.Sparse`` matrix sorted by column, which is
-ranked and checked without a dense copy; a cochain differential is the
-same slice transposed, written densely by ``linalg._assemble``.  The
+gives each differential's merges as a slice, ``_Words.block``, a
+``_kernels.Sparse`` matrix sorted by column.  A bar differential is that
+slice and a cochain differential the same slice transposed; both are
+ranked and checked without a dense copy.  The
 shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
 ``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
 differential once and turns the ranks into homology dimensions; the
@@ -76,12 +76,12 @@ from .wordcomplex import _word_counts, _Words
 # (resolution, Tor, Eilenberg-Moore model), bar and Hochschild cochains may
 # have.  Over six degree-2 generators the resolution's largest is 6,930 x
 # 5,040 (35M cells) at cap 16 and 19,305 x 15,840 at cap 20, which is
-# refused up front.  It counts cells, not bytes: the Koszul chains' and
-# the Hochschild cochains' differentials (and the diagram layer's, which
-# no budget counts) are dense, and a dense run has peaked near 57 bytes a
-# cell (assembly, the rank's copies, the float64 d*d product).  A bar
-# differential is never written densely; for bar the budget bounds only
-# the dense hand-off of ``K.rank`` to ``rref``.
+# refused up front.  It counts cells, not bytes: only the Koszul chains'
+# differentials (and the diagram layer's, which no budget counts) are
+# dense, and a dense run has peaked near 57 bytes a cell (assembly, the
+# rank's copies, the float64 d*d product).  No bar or Hochschild cochain
+# differential is written densely; for them the budget bounds the dense
+# hand-off of ``K.rank`` to ``rref`` and the ``Subquotient``s of diagram AQ.
 MAX_CHAIN_CELLS = 50_000_000
 
 
@@ -334,9 +334,10 @@ class HochschildComplex:
     degrees (``wordcomplex._word_counts``), and a differential over
     ``MAX_CHAIN_CELLS`` raises ``CapError`` before any word is built; then
     the words are built once as an array word complex (``_Words``), and
-    ``delta(s, t)`` is the face table's slice of word degree ``-t`` at
-    bucket positions, transposed.  Each differential is assembled and
-    ranked once, and none from or to a zero space is built.
+    ``delta(s, t)`` is the bar differential out of level ``s + 1`` in word
+    degree ``-t`` (``_Words.block``), transposed: a ``K.Sparse`` matrix,
+    never written densely.  Each differential is ranked once, and none from
+    or to a zero space is ranked or checked.
     """
 
     def __init__(self, A: MonomialAlgebra, levels: int):
@@ -354,7 +355,6 @@ class HochschildComplex:
         self._words = _Words(A, self.abar, self.levels)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
-        self._delta_cache = {}
         self._ranks: dict[int, _RankOnce] = {}
 
     @property
@@ -372,19 +372,9 @@ class HochschildComplex:
         levels = range(self.levels + 1) if s_levels is None else s_levels
         return sorted({t for s, t in self._dims if s in levels})
 
-    def delta(self, s: int, t: int) -> np.ndarray:
+    def delta(self, s: int, t: int) -> K.Sparse:
         """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}."""
-        key = (s, t)
-        if key in self._delta_cache:
-            return self._delta_cache[key]
-        n_src, n_tgt = self._dim(s, t), self._dim(s + 1, t)
-        if not (n_src and n_tgt):
-            return np.zeros((n_tgt, n_src), dtype=np.int64)
-        W = self._words
-        f_src, merged, value = W.face_rows(s + 1, -t)
-        mat = _assemble((n_tgt, n_src), W.pos[s + 1][f_src], W.pos[s][merged], value, self.p)
-        self._delta_cache[key] = mat
-        return mat
+        return self._words.block(s + 1, -t).T
 
     def _dim(self, s: int, t: int) -> int:
         """Dimension of ``C^{s,t}``."""
@@ -420,11 +410,6 @@ class HochschildComplex:
         return _homology("Hochschild cochain", {s: n}, {}, self.p,
                          ranks=self._ranks_of(t)).get(s, 0)
 
-    def _forget(self, t: int):
-        """Drop the differentials of map degree ``t``; their ranks stay."""
-        for key in [key for key in self._delta_cache if key[1] == t]:
-            del self._delta_cache[key]
-
 
 def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
                     cap: int | None = None) -> BigradedTable:
@@ -454,7 +439,6 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
             h = hc.cohomology_dim(s, t)
             for md, width in mdims.items():
                 direct_entries[(s, t + md)] += width * h
-        hc._forget(t)
     direct = BigradedTable(direct_entries)
     if direct != shortcut:
         raise CrossCheckError(
@@ -538,6 +522,19 @@ class AQResult:
         self.notes = notes
 
 
+def _aq_refusal(err: _OverBudget, command: str, row: str, option: str) -> CapError:
+    """The refusal of the Hochschild cochains an AQ table reads, in the
+    table's terms: AQ row ``q`` is HH^{q + 1}, so the differential from level
+    ``s`` is first needed by row ``s - 1``, every run reads HH^0 and HH^1,
+    and ``option``, the highest row, fits up to ``s - 2``."""
+    s = err.s
+    return CapError(
+        f"the Hochschild cochain differential from level {s} in map degree {err.t}, "
+        f"which {f'{command} {row} {s - 1}' if s >= 2 else f'every {command} run'} needs, is "
+        f"{err.shape[0]} x {err.shape[1]}, over the budget of {MAX_CHAIN_CELLS} cells; "
+        f"{f'{option} {s - 2} is the largest that fits' if s >= 2 else f'no {option} fits'}")
+
+
 def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
                 s_max: int = 5) -> AQResult:
     """Associative Andre-Quillen table: derivations in row 0, shifted
@@ -554,14 +551,7 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
     except _OverBudget as err:
         if err.what != "Hochschild cochain":
             raise
-        # HH^s is aq row s - 1, and every run reads HH^0 and HH^1
-        s = err.s
-        raise CapError(
-            f"the Hochschild cochain differential from level {s} in map degree {err.t}, "
-            f"which {f'aq row {s - 1}' if s >= 2 else 'every aq run'} needs, is "
-            f"{err.shape[0]} x {err.shape[1]}, over the budget of {MAX_CHAIN_CELLS} cells; "
-            f"{f'--smax {s - 2} is the largest that fits' if s >= 2 else 'no --smax fits'}"
-        ) from None
+        raise _aq_refusal(err, "aq", "row", "--smax") from None
     der = derivations_dims(A, M, cap)
     entries = {}
     for t in der.degrees():
@@ -708,8 +698,8 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     wherever both are defined.  The words of degree at most ``cap`` are
     built once as an array word complex (``_Words``), so the chains of
     degree ``t`` are a bucket and each differential is a slice of a face
-    table, checked and ranked once as a ``K.Sparse`` matrix with no dense
-    copy.  A differential of more than
+    table (``_Words.block``), checked and ranked once as a ``K.Sparse``
+    matrix with no dense copy.  A differential of more than
     ``MAX_CHAIN_CELLS`` cells, counted from the letter degrees, raises
     ``CapError`` before any word is built.
     """
@@ -721,22 +711,13 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     _check_cells("bar", {(s, t): n for s, counts in _word_counts(degrees, cap, s_top + 1)
                          for t, n in counts.items()}, -1)
     words = _Words(A, letters, s_top + 1, cap=cap)
-
-    def block(s, t):
-        """The bar differential from length ``s`` to ``s - 1`` in degree
-        ``t``, on the two buckets: a slice of the face table, sorted by
-        column."""
-        f_src, merged, value = words.face_rows(s, t)
-        return K.Sparse((words.count(s - 1, t), words.count(s, t)),
-                        words.pos[s - 1][merged], words.pos[s][f_src], value)
-
     entries = {}
     for t in range(0, cap + 1):
         sizes = {s: words.count(s, t) for s in range(s_top + 1)}
         # a map without faces in degree t is the zero matrix: it is left out,
         # so it is not ranked and no vacuous d*d product is formed with it
         # (every map from or to a zero space is one of them)
-        d = {s: block(s, t) for s in range(1, s_top + 2) if words.has_faces(s, t)}
+        d = {s: words.block(s, t) for s in range(1, s_top + 2) if words.has_faces(s, t)}
         for s, h in _homology("bar", sizes, d, p, step=-1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)

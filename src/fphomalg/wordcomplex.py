@@ -5,9 +5,10 @@ length), with the inner faces that merge two adjacent letters by the
 algebra's product.  Words are integer arrays indexed as a trie, letter
 products are a table, and the faces are one numpy table ordered by level,
 degree and source, so a differential between two degree buckets is a
-slice of it.  ``homalg`` ranks a bar differential as that slice, and
-assembles each Hochschild cochain differential (coefficients k) from the
-same slice, transposed.
+slice of it, a ``_kernels.Sparse`` matrix (``_Words.block``).  ``homalg``
+ranks and checks a bar differential as that slice and each Hochschild
+cochain differential (coefficients k) as the same slice transposed; no
+differential of either complex is written densely.
 
 ``_word_counts`` counts the words per (length, degree) from the letter
 degrees, before any is built.  The cell budget of ``homalg`` reads it for
@@ -21,6 +22,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from . import _kernels as K
 
 # Most words of one (length, degree) bucket that the Lie oracles accept, so
 # that a run fits in a few hundred MB or exits 2 before it starts.  A Lie
@@ -131,7 +134,7 @@ class _Words:
     ``i - 1`` and ``i`` of the word ``src`` of level ``s`` is the word
     ``merged`` of level ``s - 1``, with value ``(-1)^i scalar``.  Its rows
     are ordered by level, then by the source's degree, so that
-    ``face_rows(s, d)`` is a slice, and then by the source, so that the
+    ``block(s, d)`` reads a slice, and then by the source, so that the
     slice lists the faces by the source's bucket position: with rows
     ``pos[s - 1][merged]`` and columns ``pos[s][src]`` it is a matrix
     sorted by column.  No position repeats: two merges of one word give
@@ -240,11 +243,14 @@ class _Words:
             out.append(np.hstack([out[-1][parent], last[:, None].astype(dtype)]))
         return out
 
-    def face_rows(self, s: int, d: int):
-        """Face rows ``(src, merged, value)`` of level ``s`` whose source
-        has degree ``d``."""
+    def block(self, s: int, d: int) -> K.Sparse:
+        """The bar differential from length ``s`` to ``s - 1`` in degree
+        ``d``, on the two buckets: the face rows of level ``s`` whose source
+        has degree ``d``, a slice of the face table, sorted by column."""
         lo, hi = self._face_bounds.get((s, d), (0, 0))
-        return tuple(col[lo:hi] for col in self._face_table)
+        src, merged, value = (col[lo:hi] for col in self._face_table)
+        return K.Sparse((self.count(s - 1, d), self.count(s, d)),
+                        self.pos[s - 1][merged], self.pos[s][src], value)
 
     def has_faces(self, s: int, d: int) -> bool:
         return (s, d) in self._face_bounds

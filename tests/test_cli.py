@@ -279,6 +279,41 @@ def test_aq_refusal_names_the_aq_row_and_the_largest_smax_that_fits(tmp_path, ca
     assert time.perf_counter() - start < 2.0
 
 
+def test_diagram_aq_refusal_names_the_q_table_and_the_largest_qmax_that_fits(tmp_path, capsys):
+    # diagram-aq reads its cochains to level --qmax + 2, whatever --smax is:
+    # at --qmax 3 the differential from level 4 in map degree -30 is 48,474
+    # x 3,016 (146M cells), which q = 3 needs first, and --qmax 2 answers
+    data = {"category": {"objects": [{"id": "a", "lambda": 0}], "arrows": []},
+            "v_values": {"a": {"dims": {"1": 2, "5": 2}}}, "m_values": {"a": {"dims": {"3": 1}}}}
+    start = time.perf_counter()
+    code, _ = run(tmp_path, "diagram-aq", data, "-p", "3", "--smax", "1", "--qmax", "3")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: the Hochschild cochain differential from level 4 in map degree -30, "
+        "which diagram-aq table q = 3 needs, is 48474 x 3016, over the budget of 50000000 "
+        "cells; --qmax 2 is the largest that fits\n")
+    assert time.perf_counter() - start < 2.0
+    code, text = run(tmp_path, "diagram-aq", data, "-p", "3", "--smax", "1", "--qmax", "2")
+    assert code == 0 and sorted(json.loads(text)["tables"]) == ["0", "1", "2"]
+
+
+def test_diagram_aq_refusal_from_level_1_says_no_qmax_fits(tmp_path, capsys, monkeypatch):
+    # a budget of one cell admits every differential from level 0 of the
+    # exterior algebra on degrees 1 and 3 and refuses the 2 x 1 one from
+    # level 1 in map degree -4, which AQ^0 = HH^1 reads in every run
+    from fphomalg import homalg
+
+    monkeypatch.setattr(homalg, "MAX_CHAIN_CELLS", 1)
+    data = {"category": {"objects": [{"id": "a", "lambda": 0}], "arrows": []},
+            "v_values": {"a": {"dims": {"1": 1, "3": 1}}}, "m_values": {"a": {"dims": {"3": 1}}}}
+    code, _ = run(tmp_path, "diagram-aq", data, "-p", "3", "--qmax", "0")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid input: the Hochschild cochain differential from level 1 in map degree -4, "
+        "which every diagram-aq run needs, is 2 x 1, over the budget of 1 cells; "
+        "no --qmax fits\n")
+
+
 @pytest.mark.parametrize("command", ["free-lie", "restricted"])
 @pytest.mark.parametrize("weight_cap", ["0", "-1"])
 def test_weight_cap_below_one_rejected(tmp_path, command, weight_cap):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fphomalg import _kernels as K
 from fphomalg import diagrams
 from fphomalg.diagrams import (
     AlgebraDiagram,
@@ -470,7 +471,9 @@ def test_diagram_aq_reads_the_degrees_of_every_chain(p):
 
 
 def test_diagram_aq_rank_route_checks_dd(monkeypatch):
-    # one wrong entry in one delta(s, t), s >= 1, in a row delta(s + 1, t) reads
+    # one wrong entry in one delta(s, t), s >= 1, in a row delta(s + 1, t)
+    # reads; delta is sparse, so the fault is planted in a K.Sparse and
+    # reaches the sparse d*d product
     delta = HochschildComplex.delta
     corrupted = {}
 
@@ -480,10 +483,12 @@ def test_diagram_aq_rank_route_checks_dd(monkeypatch):
             return corrupted[key]
         m = delta(self, s, t)
         if s >= 1 and not corrupted and m.size:
-            read = np.flatnonzero(delta(self, s + 1, t).any(axis=0))
+            read = np.flatnonzero(np.asarray(delta(self, s + 1, t)).any(axis=0))
             if read.size:
-                m = m.copy()
-                m[read[0], 0] = (m[read[0], 0] + 1) % self.p
+                dense = np.asarray(m)
+                dense[read[0], 0] += 1
+                cols, rows = np.nonzero(dense.T)  # sorted by column
+                m = K.Sparse(dense.shape, rows, cols, dense[rows, cols])
                 corrupted[key] = m
         return m
 

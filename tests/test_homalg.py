@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fphomalg import _kernels as K
 from fphomalg import homalg, wordcomplex
 from fphomalg.applications import loop_cohomology_dims
 from fphomalg.errors import CapError, CrossCheckError, ValidationError
@@ -353,7 +354,7 @@ def test_cochain_differential_matches_its_definition(p, case, module):
     checked = 0
     for t in hc.t_range():
         for s in range(3):
-            got = hc.delta(s, t)
+            got = np.asarray(hc.delta(s, t)) % p  # delta is sparse, its values unreduced
             assert np.array_equal(got, reference_delta(hc, s, t)), (s, t)
             checked += int(got.any())
     assert checked
@@ -364,6 +365,32 @@ def test_cochain_differential_matches_its_definition(p, case, module):
         (0, md): n for md, n in module.items()}
     assert {(q, t): n for (q, t), n in aq.table.items() if q >= 1} == {
         (s - 1, t): n for (s, t), n in hh.items() if 2 <= s <= 3}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cochain_differentials_are_the_bar_face_slices_transposed(monkeypatch, p):
+    # every cochain differential between nonzero spaces is the bar
+    # complex's K.Sparse face slice out of level s + 1, transposed and
+    # sorted by column, and no Hochschild run writes a dense matrix
+    for A in word_complex_algebras(p):
+        hc = HochschildComplex(A, 4)
+        checked = 0
+        for (s, t), n in hc._dims.items():
+            if s < 4 and hc._dim(s + 1, t):
+                got, bar = hc.delta(s, t), hc._words.block(s + 1, -t)
+                assert isinstance(got, K.Sparse) and got.shape == (hc._dim(s + 1, t), n)
+                assert (np.diff(got.cols) >= 0).all()
+                assert np.array_equal(np.asarray(got), np.asarray(bar).T), (s, t)
+                checked += 1
+        assert checked
+    want = [hochschild_dims(A, trivial_module(A, 3), s_max=3) for A in word_complex_algebras(p)]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a Hochschild differential was written densely")
+
+    monkeypatch.setattr(homalg, "_assemble", dense)
+    assert [hochschild_dims(A, trivial_module(A, 3), s_max=3)
+            for A in word_complex_algebras(p)] == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -678,9 +705,10 @@ def plant_face_fault(monkeypatch, p, pick, fault):
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_a_planted_face_fault_fails_the_sparse_dd_check(monkeypatch, tmp_path, p):
     # a flipped sign (a change of 2v, nothing at p = 2) and a value made
-    # divisible by p each fail d*d = 0 in bar and in loops, whose bar route
-    # runs first, and the commands exit 3: a zero mod p in a column must
-    # not reach the elimination
+    # divisible by p each fail d*d = 0 in bar, in loops, whose bar route
+    # runs first, and in hochschild, whose cochain differentials are the
+    # same face slices transposed, and the commands exit 3: a zero mod p in
+    # a column must not reach the elimination
     import json
 
     from fphomalg.cli import main
@@ -688,15 +716,23 @@ def test_a_planted_face_fault_fails_the_sparse_dd_check(monkeypatch, tmp_path, p
     V = GradedVectorSpace({2: 1, 4: 1})
     gens = [("u0", 2), ("u1", 4)]
     A = MonomialAlgebra.polynomial(p, gens)
+    E = ext_alg(p, 1, 3)
+    M = trivial_module(E, degree=3)
     bar_in, loops_in = tmp_path / "bar.json", tmp_path / "loops.json"
+    hh_in = tmp_path / "hh.json"
     bar_in.write_text(json.dumps({"kind": "polynomial", "generators": [
         {"name": g, "degree": d} for g, d in gens]}))
     loops_in.write_text(json.dumps({"dims": {"2": 1, "4": 1}}))
+    hh_in.write_text(json.dumps({"algebra": {"kind": "exterior", "generators": [
+        {"name": "x", "degree": 1}, {"name": "y", "degree": 3}]}, "module": {"dims": {"3": 1}}}))
     commands = [["bar", "-p", str(p), "-n", "12", "-o", str(tmp_path / "out"), str(bar_in)],
-                ["loops", "-p", str(p), "-n", "12", "-o", str(tmp_path / "out"), str(loops_in)]]
+                ["loops", "-p", str(p), "-n", "12", "-o", str(tmp_path / "out"), str(loops_in)],
+                ["hochschild", "-p", str(p), "--smax", "4", "-o", str(tmp_path / "out"),
+                 str(hh_in)]]
     expected = bar_homology_dims(A, 12)
+    expected_hh = hochschild_dims(E, M, s_max=4)
     assert loop_cohomology_dims(V, 12, p)["routes_agree"]
-    assert [main(argv) for argv in commands] == [0, 0]
+    assert [main(argv) for argv in commands] == [0, 0, 0]
     faults = [lambda v: v * p] + ([lambda v: -v] if p > 2 else [])
     for fault in faults:
         for pick in range(3):
@@ -706,8 +742,12 @@ def test_a_planted_face_fault_fails_the_sparse_dd_check(monkeypatch, tmp_path, p
                     bar_homology_dims(A, 12)
                 with pytest.raises(CrossCheckError, match="bar differential fails d\\*d = 0"):
                     loop_cohomology_dims(V, 12, p)
-                assert [main(argv) for argv in commands] == [3, 3]
+                with pytest.raises(CrossCheckError,
+                                   match="Hochschild cochain differential fails d\\*d = 0"):
+                    hochschild_dims(E, M, s_max=4)
+                assert [main(argv) for argv in commands] == [3, 3, 3]
     assert bar_homology_dims(A, 12) == expected
+    assert hochschild_dims(E, M, s_max=4) == expected_hh
 
 
 def test_bar_trivial_algebra():

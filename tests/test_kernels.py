@@ -187,6 +187,20 @@ def sparse(a, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 97])
+def test_sparse_transpose_is_sorted_by_column_and_ranks_as_it_is(p):
+    # the transpose of a K.Sparse with its rows shuffled within each column
+    # is the dense transpose, sorted by its new column and, the sort being
+    # stable, by the old column within each; rank reads it as it is
+    rng = np.random.default_rng(p)
+    for shape in ((0, 4), (5, 0), (30, 20), (20, 30)):
+        a = rng.integers(0, p, size=shape, endpoint=p == 2) * (rng.random(shape) < 0.2)
+        t = sparse(a, rng).T
+        assert t.shape == a.T.shape and np.array_equal(np.asarray(t), a.T)
+        assert (np.lexsort((t.rows, t.cols)) == np.arange(len(t.vals))).all()
+        assert K.rank(t, p) == K.rank(a, p) == len(K.rref(a.T, p)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
 def test_rank_reports_lows_and_never_reads_cleared_columns(monkeypatch, p):
     # each input runs as a dense array and as a K.Sparse with its rows
     # shuffled within each column; at p = 2 some entries are 2, divisible by p
