@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as K
 from .diagrams import face_ring_diagram, limit_dims
 from .errors import CapError, CrossCheckError, ValidationError
-from .homalg import _check_chain_cells, _KoszulChains, bar_homology_dims, tor_dims
+from .homalg import _KoszulChains, _series, bar_homology_dims, tor_dims
 from .linalg import (
     BigradedTable,
     GradedVectorSpace,
@@ -24,10 +24,8 @@ from .linalg import (
     PrimeField,
     Subquotient,
     _homology,
-    _matrix,
     free_commutative_series,
     json_int,
-    series_mul,
 )
 from .monalg import ModuleViaMap, MonomialAlgebra
 
@@ -112,15 +110,16 @@ class GroupAction:
 
 def invariant_dims(action: GroupAction, cap: int):
     """Degreewise fixed subspace of the induced action on the symmetric
-    algebra, solved as ``(g - 1)v = 0`` over every group element.  Returns
-    the series and, per degree, the fixed basis with the monomials its rows
-    index."""
+    algebra, solved as ``(g - 1)v = 0`` over the group's generators: a
+    vector fixed by each generator is fixed by the group they generate.
+    Returns the series and, per degree, the fixed basis with the monomials
+    its rows index."""
     ring, p = action.ring, action.p
     n = len(ring.names)
     # g acts as the algebra map x_j -> sum_i g[i, j] x_i
     maps = [ModuleViaMap(ring, ring, {
         ring.names[j]: {ring.monomial_of(ring.names[i]): int(g[i, j]) for i in range(n) if g[i, j]}
-        for j in range(n)}) for g in action.elements]
+        for j in range(n)}) for g in action.generator_matrices]
     dims = {}
     basis = {}
     for d in range(cap + 1):
@@ -128,7 +127,8 @@ def invariant_dims(action: GroupAction, cap: int):
         if not mons:
             continue
         eye = np.eye(len(mons), dtype=np.int64)
-        ker = K.nullspace(np.concatenate([(mv.block(d) - eye) % p for mv in maps]), p)
+        # eye[:0] has no rows: with no generators every vector is fixed
+        ker = K.nullspace(np.concatenate([eye[:0], *((mv.block(d) - eye) % p for mv in maps)]), p)
         if ker.shape[1]:
             dims[d] = ker.shape[1]
             basis[d] = (ker, mons)
@@ -169,30 +169,35 @@ def _polynomial_detection(action: GroupAction, cap: int):
     strictly smaller certifies a relation; equality up to the cap is only
     conclusive up to the cap.
     """
-    p = action.p
+    p, ring = action.p, action.ring
     series, basis = invariant_dims(action, cap)
     chosen: list[tuple[int, dict]] = []
-    ring = action.ring
-    span_elems: dict[int, list[dict]] = {0: [{ring.one(): 1}]}
+    # per degree, the generated span in echelon form: {lowest monomial:
+    # column}, each column normalised to a 1 at its lowest monomial
+    spans: dict[int, dict] = {0: {ring.one(): {ring.one(): 1}}}
 
-    def span_rank(d):
-        return K.rank(_matrix(span_elems.get(d, []), ring.basis(d), dict.items, p), p)
+    def extend(d, col):
+        """Reduce ``col`` against the span in degree ``d`` once
+        (``_kernels.eliminate``) and store what is left; whether it grew."""
+        echelon = spans.setdefault(d, {})
+        low = K.eliminate(col, max(col), echelon, p)
+        if low is None:
+            return False
+        inv = pow(col[low], p - 2, p)
+        echelon[low] = {m: c * inv % p for m, c in col.items()}
+        return True
 
     for d in range(1, cap + 1):
         inv_dim = series[d]
         if inv_dim == 0:
             continue
         # extend the generated span into degree d
-        for d1 in sorted(span_elems):
-            d2 = d - d1
-            if d2 < 1:
-                continue
-            for (gd, gvec) in chosen:
-                if gd != d2:
-                    continue
-                for e in list(span_elems.get(d1, [])):
-                    span_elems.setdefault(d, []).append(ring.mul_elements(e, gvec))
-        rank = span_rank(d)
+        for d1 in sorted(spans):
+            for gd, gvec in chosen:
+                if gd == d - d1:
+                    for col in spans[d1].values():
+                        extend(d, ring.mul_elements(col, gvec))
+        rank = len(spans.get(d, ()))
         if rank > inv_dim:
             raise CrossCheckError("generated span exceeds the invariant space")
         ker, mons = basis[d]
@@ -200,12 +205,9 @@ def _polynomial_detection(action: GroupAction, cap: int):
             if rank == inv_dim:
                 break
             cand = {mons[i]: int(ker[i, col]) for i in range(len(mons)) if ker[i, col]}
-            span_elems.setdefault(d, []).append(cand)
-            if span_rank(d) > rank:
+            if extend(d, dict(cand)):
                 chosen.append((d, cand))
                 rank += 1
-            else:
-                span_elems[d].pop()
         if rank != inv_dim:
             raise CrossCheckError("could not realize the invariant deficit with new generators")
     gen_degrees = sorted(d for d, _ in chosen)
@@ -388,8 +390,7 @@ class EMSSTorAlgebra:
         self.inp = inp
         self.cap = cap
         self.p = inp.p
-        self.chains = _KoszulChains(inp.base, inp.to_x, inp.to_y, cap=cap)
-        _check_chain_cells("Koszul model", self.chains, cap)
+        self.chains = _KoszulChains("Koszul model", inp.base, inp.to_x, inp.to_y, cap)
         self.basis = self.chains.basis
         # the top exterior degree, even where the chains stop below it
         self.max_s = len(inp.base.generators)
@@ -417,10 +418,9 @@ class EMSSTorAlgebra:
         self._maps = {}
         max_s = self.max_s
         for t in range(0, self.cap + 1):
-            d = self._maps[t] = {s: self.chains.differential(s, t) for s in range(1, max_s + 1)
-                                 if self.basis(s, t) and self.basis(s - 1, t)}
+            d = self._maps[t] = self.chains.differentials(t, max_s)
             sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
-            homology = _homology("Koszul model", sizes, d, self.p, step=-1)
+            homology = _homology(self.chains.what, sizes, d, self.p, step=-1)
             for s, h in sorted(homology.items()):
                 self.table_entries[(s, t)] = h
                 sub = self._subquotient(s, t)
@@ -519,20 +519,6 @@ def emss_tor_algebra(inp: EMSSInput, cap: int | None = None) -> dict:
 # loop-space series
 
 
-def exterior_series(degrees, cap: int) -> HilbertSeries:
-    """Series of an exterior algebra (squarefree), any characteristic."""
-    series = [1] + [0] * cap
-    for d in degrees:
-        if d <= 0:
-            raise ValidationError("exterior generators need positive degree")
-        factor = [0] * (cap + 1)
-        factor[0] = 1
-        if d <= cap:
-            factor[d] = 1
-        series = series_mul(series, factor, cap)
-    return HilbertSeries(series, cap)
-
-
 def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
     """Loop-space cohomology series for a space with polynomial cohomology
     on even positive generators: exterior on the desuspension.
@@ -559,8 +545,8 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
     if tor != bar:
         raise CrossCheckError("Koszul and bar routes disagree on loop cohomology")
     totals = tor.total_dims()
-    shifted = [d - 1 for d, n in V.dims.items() for _ in range(n)]
-    expected = exterior_series(shifted, cap)
+    ext = MonomialAlgebra.exterior(p, [(name, d - 1) for name, d in gens])
+    expected = HilbertSeries(_series(ext, cap), cap)
     got = HilbertSeries({d: n for d, n in totals.items() if 0 <= d <= cap}, cap)
     if got != expected:
         raise CrossCheckError(

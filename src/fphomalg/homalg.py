@@ -5,15 +5,15 @@ Koszul strand, every exponent-capped generator a periodic strand, and the
 two-sided Koszul chains ``M (x) strands (x) N`` (``_KoszulChains``) are the
 tensor product of strands with Koszul signs taken in the total (homological
 plus internal) parity.  One function, ``_koszul_terms``, gives the signed
-terms of every strand differential, and one chain builder serves Tor, the
-Eilenberg-Moore model and the free resolution of the ground field:
-``FreeResolution`` is the generator-level view of the chains with A on the
+terms of every strand differential, and one object, ``_KoszulChains``,
+lists, budgets and ranks Tor, the Eilenberg-Moore model and the free
+resolution of the ground field (``_resolution``: the chains with A on the
 left and k on the right, where every term with a right coefficient
-vanishes.  Its minimality (no coefficient of degree 0), ``d*d = 0`` on its
-generators and degreewise exactness (the chains' homology is k at
-``(0, 0)``) are checked at construction time inside the trusted window.
-Ext into a trivial module is read off the minimal resolution: its Hom
-complex has the zero differential, so nothing is assembled or ranked.
+vanishes).  ``_resolution`` checks minimality (no coefficient of degree 0),
+``d*d = 0`` on the generators and degreewise exactness (the chains'
+homology is k at ``(0, 0)``) inside the trusted window.  Ext into a trivial
+module is read off the minimal resolution: its Hom complex has the zero
+differential, so nothing is assembled or ranked.
 
 Derived functors follow two independent routes wherever the statements
 being verified demand it: Hochschild cohomology with coefficients in a
@@ -26,9 +26,7 @@ which A acts is refused.
 Every other complex here (the resolution's exactness check, Hochschild,
 Tor, bar) is built one internal degree at a time the same way.  A
 differential between two listed bases is written by ``linalg._matrix``
-from the image of each source element (``_KoszulChains``, for the
-resolution's exactness check, Tor and the Eilenberg-Moore model); two are
-not.
+from the image of each source element (the Koszul chains); two are not.
 The bar and Hochschild cochain differentials are read off the array word
 complex ``_Words``: its words are integer arrays indexed as a trie, and
 one numpy face table per level, ordered by degree and then by source,
@@ -50,8 +48,6 @@ cycle, with the collapsed total-degree view given by ``t - s``.
 
 from __future__ import annotations
 
-import math
-import operator
 import weakref
 from collections import Counter
 
@@ -155,60 +151,122 @@ def _koszul_terms(strands, S, p):
 
 
 # ---------------------------------------------------------------------------
-# one-sided resolution of the ground field
+# two-sided Koszul chains
 
 
-class FreeResolution:
-    """Minimal free resolution of k over A to stage ``s_max``: the
-    generator-level view of the Koszul chains ``A (x) strands (x) k``
-    (``_KoszulChains`` with A on the left and k on the right).
+class _KoszulChains:
+    """The chains ``M (x) strands (x) N`` of the two-sided Koszul complex
+    for algebra maps ``M: A -> B`` and ``N: A -> C``: the one object that
+    lists, budgets and ranks the resolution of k, Tor and the
+    Eilenberg-Moore model.  The differential is
+    ``d(b (x) e_S (x) c) = (-1)^{|b|} sum sign * b M(g^le) (x) e_S2 (x) N(g^re) c``
+    over the terms of ``_koszul_terms``.
 
-    ``stages[s]`` lists the symbol tuples of homological degree ``s`` (the
-    generators of F_s) in ascending order and ``gen_degree[s]`` their
-    internal degrees.  The differential of a generator ``e_S`` is the
-    chains' ``terms[S]``; k kills every right coefficient, so no term with
-    one is left.
-
-    Validation checks that the resolution is minimal (every coefficient
-    has positive degree, so ``Hom_A(F, k)`` has the zero differential),
-    ``d*d = 0`` on the generators, and that the chains' homology for
-    ``s < s_max`` and internal degree up to ``cap`` is k at ``(0, 0)``.
+    The symbol tuples are bounded by internal degree ``cap`` or, with
+    ``s_max``, by homological degree alone (the resolution: its generators
+    of every internal degree feed Ext).  ``tuples[s]`` lists those of
+    homological degree ``s`` in ascending order, and ``degree`` maps each to
+    its internal degree; ``terms[S]`` lists ``(S2, sign, left image, right
+    image)`` for each term of ``d(e_S)`` whose images are nonzero, with
+    ``None`` for the unit image of a zero exponent.  A chain is ``(S,
+    monomial of B, monomial of C)``; ``basis(s, t)`` lists those of
+    bidegree ``(s, t)``.  The constructor counts the chains up to degree
+    ``cap`` (``_chain_sizes``) and refuses the ``what`` differential over
+    ``MAX_CHAIN_CELLS`` before any basis is listed.
     """
 
-    def __init__(self, A, s_max: int, cap: int):
-        self.A = A
+    def __init__(self, what: str, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap,
+                 cap: int, s_max: int | None = None):
+        self.what = what
         self.p = A.p
-        self.s_max = int(s_max)
-        self.cap = int(cap)
-        chains = _KoszulChains(A, ModuleViaMap.identity(A),
-                               ModuleViaMap.augmentation(A), s_max=self.s_max)
-        _check_chain_cells("resolution", chains, self.cap)
-        self.stages: list[list[tuple]] = chains.tuples
-        self.gen_degree: list[dict[tuple, int]] = [
-            {S: chains.degree[S] for S in stage} for stage in self.stages]
-        if any(left is None or not all(map(A.deg, left))
-               for terms in chains.terms.values() for _, _, left, _ in terms):
-            raise CrossCheckError("resolution is not minimal: a coefficient has degree 0")
-        self._validate_dd(chains)
-        for t in range(self.cap + 1):
-            homology = chains.homology("resolution", t, self.s_max)
-            inexact = [s for s in range(self.s_max)
-                       if homology.get(s, 0) != (s == t == 0)]
-            if inexact:
-                raise CrossCheckError(f"resolution not exact at stage {inexact[0]}, degree {t}")
+        self.B, self.C = B, C = M.target, N.target
+        strands = _strands(A)
+        # a symbol's internal degree is at least its homological degree
+        s_top, t_top = (cap, cap) if s_max is None else (s_max, float("inf"))
 
-    def _validate_dd(self, chains):
-        """``d*d = 0`` in every degree: the chains' differential applied
-        twice to each generator ``e_S`` of stage 2 and up."""
-        unit = (self.A.one(), chains.C.one())
-        for stage in self.stages[2:]:
-            for S in stage:
-                twice = Counter()
-                for b, c in chains.image((S, *unit)):
-                    for b2, c2 in chains.image(b):
-                        twice[b2] += c * c2
-                if any(v % self.p for v in twice.values()):
-                    raise CrossCheckError("resolution differential fails d*d = 0")
+        degrees = {(): (0, 0)}  # symbol tuple -> (homological, internal) degree
+        for st in strands:
+            top = 1 if st.cap is None else s_top
+            degrees = {S + (k,): (s + k, d + st.internal(k)) for S, (s, d) in degrees.items()
+                       for k in range(top + 1)
+                       if s + k <= s_top and d + st.internal(k) <= t_top}
+        self.tuples: list[list[tuple]] = [[] for _ in range(max(s_top, 0) + 1)]
+        for S, (s, _) in degrees.items():
+            self.tuples[s].append(S)
+        self.degree = {S: d for S, (_, d) in degrees.items()}
+        self.max_s = max((s for s, _ in degrees.values()), default=0)
+
+        def powers(alg, f):
+            """Per strand, the images of ``g^e`` for ``e >= 1`` up to the
+            strand's top exponent, after ``None`` for the unit ``g^0``."""
+            return [[None] + [alg.image_of_monomial((e,), [f.image_of(st.name)])
+                              for e in range(1, (st.cap or 1) + 1)] for st in strands]
+
+        lefts, rights = powers(B, M), powers(C, N)
+        self.terms = {S: [(S2, sign, lefts[i][le], rights[i][re])
+                          for i, S2, sign, le, re in _koszul_terms(strands, S, self.p)
+                          if lefts[i][le] != {} and rights[i][re] != {}]
+                      for S in degrees}
+        self._pairs: list[list] = []
+        self._basis: dict[tuple[int, int], list] = {}
+        _check_cells(what, {(s, t): n for s, row in enumerate(_chain_sizes(self, cap))
+                            for t, n in enumerate(row)}, -1)
+
+    def _pairs_to(self, t: int) -> list:
+        """Per degree ``d <= t``, the pairs ``(monomial of B, monomial of
+        C)`` of total degree ``d``."""
+        B, C, pairs = self.B, self.C, self._pairs
+        for d in range(len(pairs), t + 1):
+            out = []
+            for dm in range(d + 1):
+                cs = C.basis(d - dm)
+                out.extend((bm, cn) for bm in B.basis(dm) for cn in cs)
+            pairs.append(out)
+        return pairs
+
+    def basis(self, s: int, t: int) -> list:
+        """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
+        key = (s, t)
+        if key not in self._basis:
+            pairs, degree = self._pairs_to(t), self.degree
+            tuples = self.tuples[s] if 0 <= s < len(self.tuples) else ()
+            self._basis[key] = [(S, bm, cn) for S in tuples if degree[S] <= t
+                                for bm, cn in pairs[t - degree[S]]]
+        return self._basis[key]
+
+    def image(self, b):
+        """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
+        S, bm, cn = b
+        B, C = self.B, self.C
+        flip = self.p != 2 and B.deg(bm) % 2  # d moves past the B-monomial
+        for S2, sign, left, right in self.terms[S]:
+            if flip:
+                sign = -sign
+            lefts = B.mul_elements({bm: 1}, left).items() if left else ((bm, 1),)
+            rights = C.mul_elements(right, {cn: 1}).items() if right else ((cn, 1),)
+            for mm, cm in lefts:
+                for nn, cn2 in rights:
+                    yield (S2, mm, nn), sign * cm * cn2
+
+    def differential(self, s: int, t: int) -> np.ndarray:
+        """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``."""
+        return _matrix(self.basis(s, t), self.basis(s - 1, t), self.image, self.p)
+
+    def differentials(self, t: int, top: int) -> dict[int, np.ndarray]:
+        """The differentials ``{s: d}`` out of ``s = 1 .. top`` in internal
+        degree ``t``; one from or to a zero space is the zero map and is not
+        built."""
+        return {s: self.differential(s, t) for s in range(1, top + 1)
+                if self.basis(s, t) and self.basis(s - 1, t)}
+
+    def homology(self, t: int, top: int) -> dict[int, int]:
+        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``."""
+        sizes = {s: len(self.basis(s, t)) for s in range(top)}
+        return _homology(self.what, sizes, self.differentials(t, top), self.p, step=-1)
+
+
+# ---------------------------------------------------------------------------
+# cell budget
 
 
 def _series(alg: MonomialAlgebra, cap: int) -> list[int]:
@@ -265,19 +323,46 @@ def _check_cells(what: str, sizes, step: int):
                           f"lower {'--smax' if step > 0 else 'the degree cap'}")
 
 
-def _check_chain_cells(what: str, chains, cap: int):
-    """``_check_cells`` on chains up to internal degree ``cap``.  A chain
-    space of degree at most ``cap`` has at most as many elements as its
-    symbol tuples times the exponent vectors of B and C up to that degree;
-    the sizes are counted only when this bound exceeds the budget."""
-    monomials = math.prod(1 + (cap // deg if top is None else min(top, cap // deg))
-                          for alg in (chains.B, chains.C)
-                          for deg, top in zip(alg.degrees, alg.caps))
-    tuples = [len(stage) for stage in chains.tuples]
-    bound = max(map(operator.mul, tuples, tuples[1:]), default=0) * monomials ** 2
-    if bound > MAX_CHAIN_CELLS:
-        _check_cells(what, {(s, t): n for s, row in enumerate(_chain_sizes(chains, cap))
-                            for t, n in enumerate(row)}, -1)
+# ---------------------------------------------------------------------------
+# one-sided resolution of the ground field
+
+
+def _resolution(A: MonomialAlgebra, s_max: int, cap: int) -> _KoszulChains:
+    """Minimal free resolution of k over A to stage ``s_max``: the Koszul
+    chains ``A (x) strands (x) k``, whose tuples of degree ``s`` are the
+    generators of F_s and whose ``terms[S]`` are ``d(e_S)``; k kills every
+    right coefficient.  Before they are returned, the chains are checked to
+    be minimal (every coefficient has positive degree, so ``Hom_A(F, k)``
+    has the zero differential), ``d*d = 0`` on the generators
+    (``_validate_dd``), and exact for ``s < s_max`` up to degree ``cap``:
+    their homology is k at ``(0, 0)``.
+    """
+    chains = _KoszulChains("resolution", A, ModuleViaMap.identity(A),
+                           ModuleViaMap.augmentation(A), cap, s_max=s_max)
+    if any(left is None or not all(map(A.deg, left))
+           for terms in chains.terms.values() for _, _, left, _ in terms):
+        raise CrossCheckError("resolution is not minimal: a coefficient has degree 0")
+    _validate_dd(chains)
+    for t in range(cap + 1):
+        homology = chains.homology(t, s_max)
+        inexact = [s for s in range(s_max) if homology.get(s, 0) != (s == t == 0)]
+        if inexact:
+            raise CrossCheckError(f"resolution not exact at stage {inexact[0]}, degree {t}")
+    return chains
+
+
+def _validate_dd(chains: _KoszulChains):
+    """``d*d = 0`` in every degree: the resolution's differential applied
+    twice to each generator ``e_S`` of stage 2 and up, with no matrix."""
+    unit = (chains.B.one(), chains.C.one())
+    for stage in chains.tuples[2:]:
+        for S in stage:
+            twice = Counter()
+            for b, c in chains.image((S, *unit)):
+                for b2, c2 in chains.image(b):
+                    twice[b2] += c * c2
+            if any(v % chains.p for v in twice.values()):
+                raise CrossCheckError("resolution differential fails d*d = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +385,12 @@ def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None) -> Big
         raise ValidationError("Ext is read off the minimal resolution only for a module "
                               "on which the algebra acts trivially")
     val_cap = cap if cap is not None else max([0] + [d for d in M.space.degrees()])
-    res = FreeResolution(A, s_max + 1, max(val_cap, 0))
+    chains = _resolution(A, s_max + 1, max(val_cap, 0))
     entries = Counter()
     for s in range(s_max + 1):
-        for deg in res.gen_degree[s].values():
+        for S in chains.tuples[s]:
             for d in M.space.degrees():
-                entries[(s, d - deg)] += M.space.dim(d)
+                entries[(s, d - chains.degree[S])] += M.space.dim(d)
     return BigradedTable(entries)
 
 
@@ -373,7 +458,11 @@ class HochschildComplex:
         return sorted({t for s, t in self._dims if s in levels})
 
     def delta(self, s: int, t: int) -> K.Sparse:
-        """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}."""
+        """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}, for
+        ``0 <= s < levels``; any other ``s`` raises ``CapError``."""
+        if not 0 <= s < self.levels:
+            raise CapError(f"no cochain differential from level {s}: the complex "
+                           f"stores levels 0 to {self.levels}")
         return self._words.block(s + 1, -t).T
 
     def _dim(self, s: int, t: int) -> int:
@@ -567,119 +656,15 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
 # Tor via the two-sided strand resolution
 
 
-class _KoszulChains:
-    """The chains ``M (x) strands (x) N`` of the two-sided Koszul complex,
-    for algebra maps ``M: A -> B`` and ``N: A -> C``, up to internal degree
-    ``cap`` (Tor, the Eilenberg-Moore model) or homological degree ``s_max``
-    (the resolution).  The differential is
-    ``d(b (x) e_S (x) c) = (-1)^{|b|} sum sign * b M(g^le) (x) e_S2 (x) N(g^re) c``
-    over the terms of ``_koszul_terms``.
-
-    ``tuples[s]`` lists the strand symbol tuples of homological degree
-    ``s`` within the bound in ascending order, and ``degree`` maps each to
-    its internal degree; ``terms[S]`` lists ``(S2, sign, left image, right
-    image)`` for each term of ``d(e_S)`` whose images are nonzero, with
-    ``None`` for the unit image of a zero exponent.  A chain is ``(S,
-    monomial of B, monomial of C)``; ``basis(s, t)`` lists those of
-    homological degree ``s`` and internal degree ``t``.
-    """
-
-    def __init__(self, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap,
-                 cap: int | None = None, s_max: int | None = None):
-        self.p = A.p
-        self.B, self.C = B, C = M.target, N.target
-        strands = _strands(A)
-        # a symbol's internal degree is at least its homological degree
-        s_top = cap if s_max is None else s_max
-        t_top = cap if cap is not None else float("inf")
-
-        degrees = {(): (0, 0)}  # symbol tuple -> (homological, internal) degree
-        for st in strands:
-            top = 1 if st.cap is None else s_top
-            degrees = {S + (k,): (s + k, d + st.internal(k)) for S, (s, d) in degrees.items()
-                       for k in range(top + 1)
-                       if s + k <= s_top and d + st.internal(k) <= t_top}
-        self.tuples: list[list[tuple]] = [[] for _ in range(max(s_top, 0) + 1)]
-        for S, (s, _) in degrees.items():
-            self.tuples[s].append(S)
-        self.degree = {S: d for S, (_, d) in degrees.items()}
-        self.max_s = max((s for s, _ in degrees.values()), default=0)
-
-        def powers(alg, f):
-            """Per strand, the images of ``g^e`` for ``e >= 1`` up to the
-            strand's top exponent, after ``None`` for the unit ``g^0``."""
-            return [[None] + [alg.image_of_monomial((e,), [f.image_of(st.name)])
-                              for e in range(1, (st.cap or 1) + 1)] for st in strands]
-
-        lefts, rights = powers(B, M), powers(C, N)
-        self.terms = {S: [(S2, sign, lefts[i][le], rights[i][re])
-                          for i, S2, sign, le, re in _koszul_terms(strands, S, self.p)
-                          if lefts[i][le] != {} and rights[i][re] != {}]
-                      for S in degrees}
-        self._pairs: list[list] = []
-        self._basis: dict[tuple[int, int], list] = {}
-
-    def _pairs_to(self, t: int) -> list:
-        """Per degree ``d <= t``, the pairs ``(monomial of B, monomial of
-        C)`` of total degree ``d``."""
-        B, C, pairs = self.B, self.C, self._pairs
-        for d in range(len(pairs), t + 1):
-            out = []
-            for dm in range(d + 1):
-                cs = C.basis(d - dm)
-                out.extend((bm, cn) for bm in B.basis(dm) for cn in cs)
-            pairs.append(out)
-        return pairs
-
-    def basis(self, s: int, t: int) -> list:
-        """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
-        key = (s, t)
-        if key not in self._basis:
-            pairs, degree = self._pairs_to(t), self.degree
-            tuples = self.tuples[s] if 0 <= s < len(self.tuples) else ()
-            self._basis[key] = [(S, bm, cn) for S in tuples if degree[S] <= t
-                                for bm, cn in pairs[t - degree[S]]]
-        return self._basis[key]
-
-    def image(self, b):
-        """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
-        S, bm, cn = b
-        B, C = self.B, self.C
-        flip = self.p != 2 and B.deg(bm) % 2  # d moves past the B-monomial
-        for S2, sign, left, right in self.terms[S]:
-            if flip:
-                sign = -sign
-            lefts = B.mul_elements({bm: 1}, left).items() if left else ((bm, 1),)
-            rights = C.mul_elements(right, {cn: 1}).items() if right else ((cn, 1),)
-            for mm, cm in lefts:
-                for nn, cn2 in rights:
-                    yield (S2, mm, nn), sign * cm * cn2
-
-    def differential(self, s: int, t: int) -> np.ndarray:
-        """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``."""
-        return _matrix(self.basis(s, t), self.basis(s - 1, t), self.image, self.p)
-
-    def homology(self, what: str, t: int, top: int) -> dict[int, int]:
-        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``,
-        from the differentials out of ``s = 1 .. top``; one from or to a
-        zero space is the zero map and is not built."""
-        sizes = {s: len(self.basis(s, t)) for s in range(top + 1)}
-        d = {s: self.differential(s, t) for s in range(1, top + 1)
-             if sizes[s] and sizes[s - 1]}
-        del sizes[top]
-        return _homology(what, sizes, d, self.p, step=-1)
-
-
 def tor_dims(A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap, cap: int) -> BigradedTable:
     """Tor^A(M, N): homology of the two-sided Koszul chains
     (``_KoszulChains``).  Entries at homological ``s`` and internal degree
     ``t``.
     """
-    chains = _KoszulChains(A, M, N, cap=cap)
-    _check_chain_cells("two-sided Koszul", chains, cap)
+    chains = _KoszulChains("two-sided Koszul", A, M, N, cap)
     entries = {}
     for t in range(0, cap + 1):
-        for s, h in chains.homology("two-sided Koszul", t, chains.max_s + 1).items():
+        for s, h in chains.homology(t, chains.max_s + 1).items():
             entries[(s, t)] = h
     return BigradedTable(entries)
 

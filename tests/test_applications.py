@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from fphomalg import _kernels as K
 from fphomalg import applications
 from fphomalg.applications import (
     EMSSInput,
@@ -9,7 +12,6 @@ from fphomalg.applications import (
     bu_to_bu1_input,
     emss_hypothesis_check,
     emss_tor_algebra,
-    exterior_series,
     invariant_dims,
     invariants_closed_under_products,
     lie_formality_checklist,
@@ -20,7 +22,7 @@ from fphomalg import homalg
 from fphomalg.errors import CapError, ValidationError
 from fphomalg.homalg import tor_dims
 from fphomalg.linalg import GradedVectorSpace
-from fphomalg.monalg import MonomialAlgebra
+from fphomalg.monalg import ModuleViaMap, MonomialAlgebra
 
 
 def minus_one_action(p):
@@ -91,6 +93,63 @@ def test_checklist_polynomial_case():
     assert rep["verdict"] == "formality criteria satisfied"
     assert rep["polynomial_verdict"] == "polynomial_up_to_cap"
     assert sorted(rep["generator_degrees"]) == [2, 4]
+
+
+def signed_permutation(rng, n, p, signed):
+    perm = rng.sample(range(n), n)
+    return [[(rng.choice([1, p - 1]) if signed else 1) if perm[i] == j else 0
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_invariants_over_the_generators_are_those_over_every_element(seed):
+    # a vector fixed by the generators is fixed by the group: the kernel of
+    # the stack over the generators is the one over every element, and its
+    # basis, read off one reduced echelon form, is the same array
+    rng = random.Random(seed)
+    p, n = rng.choice([2, 3, 5, 7]), rng.choice([2, 3, 4])
+    # seed 0 has no generators: the trivial group fixes everything
+    count = rng.choice([1, 2]) if seed else 0
+    gens = [signed_permutation(rng, n, p, seed % 2) for _ in range(count)]
+    action = GroupAction(p, gens, [2] * n)
+    ring = action.ring
+    # the reference: the stack over every group element
+    maps = [ModuleViaMap(ring, ring, {
+        ring.names[j]: {ring.monomial_of(ring.names[i]): int(g[i, j]) for i in range(n) if g[i, j]}
+        for j in range(n)}) for g in action.elements]
+    _, basis = invariant_dims(action, 8)
+    for d in range(0, 9, 2):
+        mons = ring.basis(d)
+        eye = np.eye(len(mons), dtype=np.int64)
+        ker = K.nullspace(np.concatenate([(mv.block(d) - eye) % p for mv in maps]), p)
+        if ker.shape[1]:
+            assert basis[d][1] == mons and np.array_equal(basis[d][0], ker), d
+        else:
+            assert d not in basis
+
+
+def test_invariants_of_s4_at_p5_are_polynomial_on_degrees_2_to_8(tmp_path):
+    # the permutation action of S4 on four degree-2 classes, given by the
+    # adjacent transpositions: the invariant ring is polynomial on the
+    # elementary symmetric functions
+    import json
+
+    from fphomalg.cli import main
+
+    def swap(k):
+        image = {k: k + 1, k + 1: k}
+        return [[int(j == image.get(i, i)) for j in range(4)] for i in range(4)]
+
+    swaps = [swap(k) for k in range(3)]
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"matrices": swaps, "degrees": [2, 2, 2, 2]}))
+    out = tmp_path / "out.json"
+    assert main(["lie-check", "-p", "5", "-n", "20", "--format", "json",
+                 "-o", str(out), str(path)]) == 0
+    report = json.loads(out.read_text())
+    assert report["group_order"] == 24
+    assert report["generator_degrees"] == [2, 4, 6, 8]
+    assert report["polynomial_verdict"] == "polynomial_up_to_cap"
 
 
 def test_stanley_reisner_point():
@@ -188,6 +247,34 @@ def test_emss_builds_no_differential_from_or_to_a_zero_space(monkeypatch):
     assert [sq["square"] for sq in squares] == ["nonzero", "zero", "zero", "out of range"]
 
 
+def test_koszul_consumers_build_differentials_only_through_differentials(monkeypatch):
+    # the resolution, Tor and the Eilenberg-Moore model build every Koszul
+    # differential through the one method that lists the nonzero ones
+    differentials, differential = (homalg._KoszulChains.differentials,
+                                   homalg._KoszulChains.differential)
+    inside, built = [], set()
+
+    def through(chains, t, top):
+        inside.append(chains.what)
+        try:
+            return differentials(chains, t, top)
+        finally:
+            inside.pop()
+
+    def recorded(chains, s, t):
+        assert inside == [chains.what], (chains.what, s, t)
+        built.add(chains.what)
+        return differential(chains, s, t)
+
+    monkeypatch.setattr(homalg._KoszulChains, "differentials", through)
+    monkeypatch.setattr(homalg._KoszulChains, "differential", recorded)
+    A = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3)])
+    homalg.ext_dims(A, homalg.trivial_module(A), s_max=2, cap=6)
+    tor_dims(A, ModuleViaMap.identity(A), ModuleViaMap.augmentation(A), 6)
+    EMSSTorAlgebra(bu_to_bu1_input(3, p=2, cap=12), 12).squares()
+    assert built == {"resolution", "two-sided Koszul", "Koszul model"}
+
+
 def test_emss_tor_identity_collapse():
     B = MonomialAlgebra.polynomial(3, [("u", 2)])
     inp = EMSSInput(B, B, B, {"u": "u"}, {"u": "u"}, cap=8)
@@ -210,8 +297,15 @@ def test_loop_cohomology_examples():
 
 
 def test_exterior_series_char_independent():
-    assert exterior_series([1], 5).nonzero() == {0: 1, 1: 1}
-    assert exterior_series([1, 3], 5).nonzero() == {0: 1, 1: 1, 3: 1, 4: 1}
+    # the closed form loop_cohomology_dims compares with: the Hilbert series
+    # of an exterior algebra, squarefree at p = 2 as at odd p
+    def series(p, *degrees):
+        ext = MonomialAlgebra.exterior(p, [(f"e{i}", d) for i, d in enumerate(degrees)])
+        return homalg._series(ext, 5)
+
+    for p in (2, 3):
+        assert series(p, 1) == [1, 1, 0, 0, 0, 0]
+        assert series(p, 1, 3) == [1, 1, 0, 1, 1, 0]
 
 
 def test_emss_table_equals_tor():

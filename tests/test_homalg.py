@@ -6,7 +6,6 @@ from fphomalg import homalg, wordcomplex
 from fphomalg.applications import loop_cohomology_dims
 from fphomalg.errors import CapError, CrossCheckError, ValidationError
 from fphomalg.homalg import (
-    FreeResolution,
     HochschildComplex,
     aq_ass_dims,
     bar_homology_dims,
@@ -122,32 +121,32 @@ def test_module_validation_fails_with_generators_that_do_not_act():
 
 def test_koszul_strand_shapes_exterior():
     A = ext_alg(2, 3)
-    res = FreeResolution(A, 6, 12)
+    res = homalg._resolution(A, 6, 12)
     # one generator per stage, degrees 0,3,6,...
     for s in range(7):
-        assert len(res.stages[s]) == 1
-        g = res.stages[s][0]
-        assert res.gen_degree[s][g] == 3 * s
+        assert len(res.tuples[s]) == 1
+        g = res.tuples[s][0]
+        assert res.degree[g] == 3 * s
 
 
 def test_koszul_strand_shapes_polynomial():
     A = poly_alg(3, 2)
-    res = FreeResolution(A, 4, 8)
-    assert [len(st) for st in res.stages] == [1, 1, 0, 0, 0]
-    assert res.gen_degree[1][res.stages[1][0]] == 2
+    res = homalg._resolution(A, 4, 8)
+    assert [len(st) for st in res.tuples] == [1, 1, 0, 0, 0]
+    assert res.degree[res.tuples[1][0]] == 2
 
 
 def test_mixed_resolution_validates_to_cap():
     A = MonomialAlgebra.mixed(2, [("u", 2)], [("x", 3)])
-    FreeResolution(A, 5, 12)
+    homalg._resolution(A, 5, 12)
     A3 = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3)])
-    FreeResolution(A3, 5, 12)
+    homalg._resolution(A3, 5, 12)
 
 
 def test_two_exterior_generators_resolution():
     A = ext_alg(3, 3, 5)
-    res = FreeResolution(A, 4, 10)
-    assert [len(st) for st in res.stages] == [1, 2, 3, 4, 5]
+    res = homalg._resolution(A, 4, 10)
+    assert [len(st) for st in res.tuples] == [1, 2, 3, 4, 5]
 
 
 # --- Ext ---------------------------------------------------------------------
@@ -365,6 +364,16 @@ def test_cochain_differential_matches_its_definition(p, case, module):
         (0, md): n for md, n in module.items()}
     assert {(q, t): n for (q, t), n in aq.table.items() if q >= 1} == {
         (s - 1, t): n for (s, t), n in hh.items() if 2 <= s <= 3}
+
+
+def test_cochain_differential_outside_the_stored_levels_is_refused():
+    # levels 0 .. 3 are stored: the differentials run from level 0 to 2
+    hc = HochschildComplex(ext_alg(3, 1, 3), 3)
+    assert hc.delta(2, -4).shape == (len(hc.basis(3, -4)), len(hc.basis(2, -4))) != (0, 0)
+    for s, t in ((3, -4), (-1, 0), (4, -7)):
+        with pytest.raises(CapError, match=f"no cochain differential from level {s}: "
+                                           "the complex stores levels 0 to 3"):
+            hc.delta(s, t)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -596,8 +605,8 @@ def test_resolution_sizes_count_the_built_chains(p):
               MonomialAlgebra.truncated(p, [("y", 2)], {"y": 3}),
               MonomialAlgebra.mixed(p, [("u", 2)], [("x", 3)])):
         cap, s_max = 12, 4
-        chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
-                                      ModuleViaMap.augmentation(A), s_max=s_max)
+        chains = homalg._KoszulChains("resolution", A, ModuleViaMap.identity(A),
+                                      ModuleViaMap.augmentation(A), cap, s_max=s_max)
         sizes = homalg._chain_sizes(chains, cap)
         assert sizes == [[len(chains.basis(s, t)) for t in range(cap + 1)]
                          for s in range(s_max + 1)]
@@ -607,8 +616,9 @@ def test_resolution_refuses_a_differential_over_the_cell_budget():
     # six degree-2 generators: at cap 20 the resolution's d_3 for Ext up to
     # s = 2 would be 19,305 x 15,840, and cap 16 stays within the budget
     A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
-    chains = homalg._KoszulChains(A, ModuleViaMap.identity(A),
-                                  ModuleViaMap.augmentation(A), s_max=3)
+    # the chains are built with the window of 16: the constructor refuses 20
+    chains = homalg._KoszulChains("resolution", A, ModuleViaMap.identity(A),
+                                  ModuleViaMap.augmentation(A), 16, s_max=3)
     sizes = homalg._chain_sizes(chains, 20)
     assert (sizes[2][20], sizes[3][20]) == (19_305, 15_840)
     sizes = homalg._chain_sizes(chains, 16)
@@ -625,7 +635,7 @@ def test_chain_sizes_count_the_built_tor_chains(name):
     A, cap = TOR_SWEEP[name], 8
     side = {"k": ModuleViaMap.augmentation(A), "id": ModuleViaMap.identity(A)}
     for left, right in (("id", "id"), ("id", "k"), ("k", "id"), ("k", "k")):
-        chains = homalg._KoszulChains(A, side[left], side[right], cap=cap)
+        chains = homalg._KoszulChains("two-sided Koszul", A, side[left], side[right], cap)
         assert homalg._chain_sizes(chains, cap) == [
             [len(chains.basis(s, t)) for t in range(cap + 1)]
             for s in range(len(chains.tuples))], (left, right)
@@ -636,8 +646,9 @@ def test_chain_sizes_count_a_stanley_reisner_side():
     # series is read from its basis
     A = poly_alg(2, 2, 2)
     R = MonomialAlgebra.stanley_reisner(2, ["a", "b"], [["a"], ["b"]], degree=2)
-    chains = homalg._KoszulChains(A, ModuleViaMap(A, R, {"u": "a", "v": "b"}),
-                                  ModuleViaMap.identity(A), cap=10)
+    chains = homalg._KoszulChains("two-sided Koszul", A,
+                                  ModuleViaMap(A, R, {"u": "a", "v": "b"}),
+                                  ModuleViaMap.identity(A), 10)
     assert homalg._chain_sizes(chains, 10) == [
         [len(chains.basis(s, t)) for t in range(11)] for s in range(len(chains.tuples))]
 
@@ -648,7 +659,7 @@ def test_tor_refuses_a_differential_over_the_cell_budget(monkeypatch, name):
     # size and not one cell less, and the refusal names its (s, t) and shape
     A, cap = TOR_SWEEP[name], 8
     M = N = ModuleViaMap.identity(A)
-    sizes = homalg._chain_sizes(homalg._KoszulChains(A, M, N, cap=cap), cap)
+    sizes = homalg._chain_sizes(homalg._KoszulChains("two-sided Koszul", A, M, N, cap), cap)
     cells = [[r * c for r, c in zip(sizes[s - 1], sizes[s])] for s in range(1, len(sizes))]
     largest = max(map(max, cells))
     s = next(s for s, row in enumerate(cells, 1) if max(row) == largest)
@@ -669,6 +680,24 @@ def test_tor_refuses_six_polynomial_generators_at_cap_18_before_building(monkeyp
     A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
     with pytest.raises(CapError, match=r"\(s, t\) = \(2, 18\) is 7722 x 11880"):
         tor_dims(A, ModuleViaMap.identity(A), ModuleViaMap.augmentation(A), 18)
+
+
+@pytest.mark.parametrize("what, cap, s_max, refusal", [
+    ("resolution", 20, 3, r"\(2, 20\) is 12012 x 19305"),
+    ("two-sided Koszul", 18, None, r"\(2, 18\) is 7722 x 11880"),
+])
+def test_koszul_chains_refuse_over_the_budget_before_listing_a_basis(
+        monkeypatch, what, cap, s_max, refusal):
+    # the constructor counts its chains from the Hilbert series and refuses
+    # in the caller's terms before any basis is listed
+    def no_basis(chains, s, t):
+        raise AssertionError(f"basis ({s}, {t}) listed")
+
+    monkeypatch.setattr(homalg._KoszulChains, "basis", no_basis)
+    A = MonomialAlgebra.polynomial(3, [(f"u{i}", 2) for i in range(6)])
+    with pytest.raises(CapError, match=rf"the {what} differential from \(s, t\) = {refusal}"):
+        homalg._KoszulChains(what, A, ModuleViaMap.identity(A),
+                             ModuleViaMap.augmentation(A), cap, s_max=s_max)
 
 
 def test_word_complex_refuses_a_product_outside_its_letters():
@@ -764,7 +793,7 @@ def test_resolution_rejects_a_differential_with_nonzero_square(monkeypatch):
     monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [(1, 0, 1)] if k else [])
     A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
     with pytest.raises(CrossCheckError, match="d\\*d"):
-        FreeResolution(A, 3, 0)
+        homalg._resolution(A, 3, 0)
 
 
 def test_resolution_rejects_a_unit_coefficient(monkeypatch, tmp_path, capsys):
@@ -778,7 +807,7 @@ def test_resolution_rejects_a_unit_coefficient(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [(0, 0, 1)] if k else [])
     A = MonomialAlgebra.truncated(3, [("x", 2)], {"x": 3})
     with pytest.raises(CrossCheckError, match="not minimal"):
-        FreeResolution(A, 3, 6)
+        homalg._resolution(A, 3, 6)
     with pytest.raises(CrossCheckError, match="not minimal"):
         ext_dims(A, trivial_module(A), s_max=2)
     path = tmp_path / "x2.json"
@@ -816,7 +845,7 @@ def test_ext_ranks_nothing_beyond_its_resolution(monkeypatch):
 
     monkeypatch.setattr(homalg, "_homology", counted("homology", homalg._homology))
     monkeypatch.setattr(_kernels, "rank", counted("rank", _kernels.rank))
-    FreeResolution(A, 4, 4)
+    homalg._resolution(A, 4, 4)
     alone = list(calls)
     calls.clear()
     table = ext_dims(A, M, s_max=3)
@@ -832,4 +861,4 @@ def test_resolution_rejects_a_complex_that_is_not_exact(monkeypatch):
     monkeypatch.setattr(homalg._Strand, "terms", lambda self, k: [])
     A = MonomialAlgebra.polynomial(3, [("x", 2)])
     with pytest.raises(CrossCheckError, match="not exact at stage 0, degree 2"):
-        FreeResolution(A, 2, 6)
+        homalg._resolution(A, 2, 6)
