@@ -5,8 +5,8 @@ mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
 as sparse dictionaries, and hands the rest of the work to the numpy
 Gauss-Jordan elimination ``rref`` only when the input, or the fill the
 reduction produces, gets dense.  It reads a dense matrix or a ``Sparse``
-one, the nonzeros of a matrix listed by column, which the bar and
-Hochschild complexes hand it without ever writing a dense copy.  In a
+one, the nonzeros of a matrix listed by column, which every chain
+complex (Koszul, bar, Hochschild) hands it without a dense copy.  In a
 complex most columns of a differential reduce to zero, and the map into
 its source names many of them in advance.  This is the clearing of persistent homology (Chen and
 Kerber, *Persistent Homology Computation with a Twist*, EuroCG 2011;
@@ -32,8 +32,8 @@ from .errors import ValidationError
 BACKEND = "python"
 
 # ``rank`` reduces sparsely while at most 1/FILL_INPUT of the input and
-# 1/FILL_PIVOTS of its stored pivot columns are nonzero; the pivots' fill is
-# first checked once FILL_CHECK_AFTER of them are stored.
+# 1/FILL_PIVOTS of its stored pivot columns are nonzero; either fill is
+# checked only from FILL_CHECK_AFTER columns of the input or pivots on.
 FILL_INPUT = 3
 FILL_PIVOTS = 10
 FILL_CHECK_AFTER = 16
@@ -153,12 +153,15 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     Each column is reduced against the pivot columns found so far, keyed by
     their lowest nonzero row, the one of largest index (the boundary-matrix
     reduction of persistent homology), and stored normalised to a 1 there
-    if it does not vanish; the rank is the number of pivots.  An input more
-    than ``1/FILL_INPUT`` nonzero goes to ``rref`` at once, and so does the
-    rest of the work once the stored pivot columns are more than
-    ``1/FILL_PIVOTS`` nonzero: the pivot columns and the columns not yet
-    read span the same space as ``a``.  Only the columns handed on are
-    written densely.
+    if it does not vanish; the rank is the number of pivots.  An input of
+    at least ``FILL_CHECK_AFTER`` columns that is more than ``1/FILL_INPUT``
+    nonzero goes to ``rref`` at once, and so does the rest of the work once
+    ``FILL_CHECK_AFTER`` stored pivot columns are more than ``1/FILL_PIVOTS``
+    nonzero: the pivot columns and the columns not yet read span the same
+    space as ``a``.  A narrower input stays sparse whatever its fill, as
+    it could not reach the pivot-fill hand-off either: on the many tiny
+    differentials of a complex a dense hand-off costs more than the
+    reduction.  Only the columns handed on are written densely.
 
     ``clear`` is a set of columns known to reduce to zero; they are
     skipped, never read into a column and never handed to ``rref``.  This
@@ -183,7 +186,7 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
         nnz = np.count_nonzero(a)
     if not nnz:
         return 0
-    if nnz * FILL_INPUT > rows * cols:
+    if cols >= FILL_CHECK_AFTER and nnz * FILL_INPUT > rows * cols:
         return len(rref(_kept(a, 0, clear), p)[1])
     if not isinstance(a, Sparse):
         ri, ci = np.divmod(np.flatnonzero(a != 0), cols)

@@ -23,7 +23,6 @@ from .linalg import (
     HilbertSeries,
     PrimeField,
     Subquotient,
-    _homology,
     free_commutative_series,
     json_int,
 )
@@ -403,9 +402,9 @@ class EMSSTorAlgebra:
         key = (s, t)
         if key not in self._sub_cache:
             d = self._maps[t]
-            n = len(self.basis(s, t))
-            d_out = d[s] if s in d else np.zeros((0, n), dtype=np.int64)
-            d_in = d[s + 1] if s + 1 in d else np.zeros((n, 0), dtype=np.int64)
+            n = self.chains.count(s, t)
+            d_out = np.asarray(d[s]) if s in d else np.zeros((0, n), dtype=np.int64)
+            d_in = np.asarray(d[s + 1]) if s + 1 in d else np.zeros((n, 0), dtype=np.int64)
             self._sub_cache[key] = Subquotient(d_out, d_in, self.p)
         return self._sub_cache[key]
 
@@ -419,8 +418,7 @@ class EMSSTorAlgebra:
         max_s = self.max_s
         for t in range(0, self.cap + 1):
             d = self._maps[t] = self.chains.differentials(t, max_s)
-            sizes = {s: len(self.basis(s, t)) for s in range(max_s + 1)}
-            homology = _homology(self.chains.what, sizes, d, self.p, step=-1)
+            homology = self.chains.homology(t, max_s + 1, d)
             for s, h in sorted(homology.items()):
                 self.table_entries[(s, t)] = h
                 sub = self._subquotient(s, t)

@@ -23,23 +23,18 @@ complex with coefficients k, the dual of the bar complex, tensored with M
 afterwards, and any mismatch raises ``CrossCheckError``.  A module on
 which A acts is refused.
 
-Every other complex here (the resolution's exactness check, Hochschild,
-Tor, bar) is built one internal degree at a time the same way.  A
-differential between two listed bases is written by ``linalg._matrix``
-from the image of each source element (the Koszul chains); two are not.
-The bar and Hochschild cochain differentials are read off the array word
-complex ``_Words``: its words are integer arrays indexed as a trie, and
-one numpy face table per level, ordered by degree and then by source,
-gives each differential's merges as a slice, ``_Words.block``, a
-``_kernels.Sparse`` matrix sorted by column.  A bar differential is that
-slice and a cochain differential the same slice transposed; both are
-ranked and checked without a dense copy.  The
-shared step of ``linalg`` (``_homology``, with ``_check_dd`` and
-``_RankOnce``) checks ``d*d = 0`` on every composable pair, ranks each
-differential once and turns the ranks into homology dimensions; the
-diagram builders and the Eilenberg-Moore model use the same step.  A
-differential from or to a zero space is the zero map: it is neither
-assembled, ranked nor checked.
+No chain differential here is written densely.  Each complex is built as
+integer arrays, and each differential is a slice of one table of entries,
+a ``_kernels.Sparse`` matrix sorted by column: ``_KoszulChains`` (the
+resolution, Tor, the Eilenberg-Moore model) places the targets of its
+strand terms by counting, for every degree at once, and the array word
+complex ``_Words`` gives the merges of the bar complex, whose slices the
+Hochschild cochains read transposed.  The shared step of ``linalg``
+(``_homology``, with ``_check_dd`` and ``_RankOnce``) checks ``d*d = 0``
+on every composable pair, unless the complex passed it as a whole, ranks
+each differential once and turns the ranks into homology dimensions.  A
+differential from or to a zero space is the zero map: it is neither built,
+ranked nor checked.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -48,6 +43,7 @@ cycle, with the collapsed total-degree view given by ``t - s``.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from collections import Counter
 
@@ -60,24 +56,22 @@ from .linalg import (
     GradedVectorSpace,
     ParityVerdict,
     _assemble,
+    _check_dd,
     _homology,
-    _matrix,
     _RankOnce,
     series_mul,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
-from .wordcomplex import _word_counts, _Words
+from .wordcomplex import _runs, _word_counts, _Words
 
 # Largest differential, in cells (rows x columns), that the Koszul chains
 # (resolution, Tor, Eilenberg-Moore model), bar and Hochschild cochains may
 # have.  Over six degree-2 generators the resolution's largest is 6,930 x
 # 5,040 (35M cells) at cap 16 and 19,305 x 15,840 at cap 20, which is
-# refused up front.  It counts cells, not bytes: only the Koszul chains'
-# differentials (and the diagram layer's, which no budget counts) are
-# dense, and a dense run has peaked near 57 bytes a cell (assembly, the
-# rank's copies, the float64 d*d product).  No bar or Hochschild cochain
-# differential is written densely; for them the budget bounds the dense
-# hand-off of ``K.rank`` to ``rref`` and the ``Subquotient``s of diagram AQ.
+# refused up front.  It counts cells, not bytes: no chain differential is
+# written densely, so the budget bounds the dense hand-off of ``K.rank`` to
+# ``rref`` and the ``Subquotient``s of diagram AQ and the Eilenberg-Moore
+# model.
 MAX_CHAIN_CELLS = 50_000_000
 
 
@@ -154,6 +148,48 @@ def _koszul_terms(strands, S, p):
 # two-sided Koszul chains
 
 
+class _Monomials:
+    """The monomials of degree at most ``cap`` of a monomial algebra as the
+    rows of an exponent array, in basis order: by degree, then as
+    ``alg.basis`` lists them.  ``pos`` is a row's place within its degree."""
+
+    def __init__(self, alg: MonomialAlgebra, cap: int):
+        self.mons = [m for d in range(cap + 1) for m in alg.basis(d)]
+        degrees = np.array(alg.degrees, dtype=np.int64)
+        self.exps = np.array(self.mons, dtype=np.int64).reshape(len(self.mons), len(degrees))
+        self.odd, self.deg = degrees % 2, self.exps @ degrees
+        self.count = np.bincount(self.deg, minlength=cap + 1)
+        self.pos = np.arange(len(self.deg)) - (self.count.cumsum() - self.count)[self.deg]
+
+    def times(self, ms: list, left: bool):
+        """Tables over the monomials ``ms`` and the rows ``b``: the row of
+        ``b * m`` (``left``) or ``m * b``, found by its exponent row as a
+        key, or -1 (over a cap or off every face), and the parity of
+        ``MonomialAlgebra.mul``'s sign: the odd letters of the right factor
+        pass the later odd letters of the left."""
+        m = np.array(ms, dtype=np.int64).reshape(len(ms), len(self.odd))
+        if not len(self.odd):  # the ground field: the unit times the unit
+            return (np.zeros((len(ms), 1), dtype=np.int64),) * 2
+        key = np.dtype((np.void, self.exps.itemsize * len(self.odd)))
+        table = self.exps.view(key).ravel()
+        order = table.argsort()
+        table = table[order]
+        keys = np.ascontiguousarray(self.exps + m[:, None]).view(key)[..., 0]
+        at = np.minimum(table.searchsorted(keys), len(table) - 1)
+        odd = m * self.odd
+        later = odd.cumsum(1) - odd if left else odd.sum(1)[:, None] - odd.cumsum(1)
+        return (np.where(table[at] == keys, order[at], -1),
+                (later * self.odd) @ self.exps.T % 2)
+
+
+def _offsets(deg, count, cap: int) -> np.ndarray:
+    """``out[j, t]``: the sum of ``count[t - deg[i]]`` over the items ``i <
+    j`` with ``deg[i] <= t``, for ``t <= cap``."""
+    per = np.concatenate((np.zeros(cap, dtype=np.int64), count))[
+        np.arange(cap + 1) - deg[:, None] + cap]
+    return per.cumsum(0) - per
+
+
 class _KoszulChains:
     """The chains ``M (x) strands (x) N`` of the two-sided Koszul complex
     for algebra maps ``M: A -> B`` and ``N: A -> C``: the one object that
@@ -169,16 +205,22 @@ class _KoszulChains:
     its internal degree; ``terms[S]`` lists ``(S2, sign, left image, right
     image)`` for each term of ``d(e_S)`` whose images are nonzero, with
     ``None`` for the unit image of a zero exponent.  A chain is ``(S,
-    monomial of B, monomial of C)``; ``basis(s, t)`` lists those of
-    bidegree ``(s, t)``.  The constructor counts the chains up to degree
-    ``cap`` (``_chain_sizes``) and refuses the ``what`` differential over
-    ``MAX_CHAIN_CELLS`` before any basis is listed.
+    monomial of B, monomial of C)``, ordered within its bidegree by ``S``
+    and then by the monomials.  The constructor counts the chains up to
+    degree ``cap`` (``_chain_sizes``) and refuses the ``what`` differential
+    over ``MAX_CHAIN_CELLS`` before any is built.  Then ``_table`` builds
+    the chains of every bidegree as integer arrays and, in one pass over
+    all the terms, every differential: a term moves the chains of its tuple
+    by an exponent offset on each side, once per monomial of an image, and
+    each target is placed by counting.  The whole complex passes ``d*d =
+    0``, and ``differential(s, t)`` is a slice of its entries.
     """
 
     def __init__(self, what: str, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap,
                  cap: int, s_max: int | None = None):
         self.what = what
         self.p = A.p
+        self.cap = cap
         self.B, self.C = B, C = M.target, N.target
         strands = _strands(A)
         # a symbol's internal degree is at least its homological degree
@@ -207,32 +249,85 @@ class _KoszulChains:
                           for i, S2, sign, le, re in _koszul_terms(strands, S, self.p)
                           if lefts[i][le] != {} and rights[i][re] != {}]
                       for S in degrees}
-        self._pairs: list[list] = []
-        self._basis: dict[tuple[int, int], list] = {}
-        _check_cells(what, {(s, t): n for s, row in enumerate(_chain_sizes(self, cap))
+        self.sizes = _chain_sizes(self, cap)
+        _check_cells(what, {(s, t): n for s, row in enumerate(self.sizes)
                             for t, n in enumerate(row)}, -1)
 
-    def _pairs_to(self, t: int) -> list:
-        """Per degree ``d <= t``, the pairs ``(monomial of B, monomial of
-        C)`` of total degree ``d``."""
-        B, C, pairs = self.B, self.C, self._pairs
-        for d in range(len(pairs), t + 1):
-            out = []
-            for dm in range(d + 1):
-                cs = C.basis(d - dm)
-                out.extend((bm, cn) for bm in B.basis(dm) for cn in cs)
-            pairs.append(out)
-        return pairs
+    def count(self, s: int, t: int) -> int:
+        """Number of chains in bidegree ``(s, t)``, for ``t <= cap``."""
+        return self.sizes[s][t] if 0 <= s < len(self.sizes) else 0
+
+    @functools.cached_property
+    def _table(self):
+        """The entries of every differential, ordered by source and row,
+        and the chains.  Those of bidegree ``(s, t)`` are numbered from
+        ``first[s * (cap + 1) + t]``; ``place`` counts the chains of earlier
+        tuples (``offset``), then earlier pairs of monomials (``before``)."""
+        cap, p, B, C = self.cap, self.p, _Monomials(self.B, self.cap), _Monomials(self.C, self.cap)
+        flat = [S for stage in self.tuples for S in stage if self.degree[S] <= cap]
+        index = {S: g for g, S in enumerate(flat)}
+        level, tdeg = np.array([(sum(S), self.degree[S]) for S in flat], dtype=np.int64).T
+        sizes = np.array(self.sizes, dtype=np.int64).ravel()
+        first = sizes.cumsum() - sizes
+        pb, pc = _runs(C.count.cumsum()[cap - B.deg])  # the pairs of degree <= cap
+        order = (B.deg[pb] + C.deg[pc]).argsort(kind="stable")
+        pb, pc = pb[order], pc[order]
+        pairs = np.bincount(B.deg[pb] + C.deg[pc], minlength=cap + 1)
+        before, offset = _offsets(B.deg, C.count, cap), _offsets(tdeg, pairs, cap)
+        offset -= offset[level.searchsorted(level)]
+
+        def place(S, b, c, t):
+            return offset[S, t] + before[b, t - tdeg[S]] + C.pos[c]
+
+        fit = pairs.cumsum()[cap - tdeg]  # a tuple takes the pairs that fit beside it
+        cs, cp = _runs(fit)
+        cb, cc = pb[cp], pc[cp]
+        ct = tdeg[cs] + B.deg[cb] + C.deg[cc]
+        rank = first[level[cs] * (cap + 1) + ct] + place(cs, cb, cc, ct)
+        # a row per term of a tuple and monomial of its images, joined with
+        # every chain of the tuple
+        lid, rid, units = {}, {}, ({self.B.one(): 1}, {self.C.one(): 1})
+        S, S2, sign, ml, mr = np.array(
+            [(index[S], index[S2], sign * xb * xc, lid.setdefault(mb, len(lid)),
+              rid.setdefault(mc, len(rid)))
+             for S in flat for S2, sign, left, right in self.terms[S]
+             for mb, xb in (left or units[0]).items() for mc, xc in (right or units[1]).items()],
+            dtype=np.int64).reshape(-1, 5).T
+        (hit_b, odd_b), (hit_c, odd_c) = B.times(list(lid), True), C.times(list(rid), False)
+        term, j = _runs(fit[S])
+        chain = (fit.cumsum() - fit)[S[term]] + j
+        b, c, ml, mr = cb[chain], cc[chain], ml[term], mr[term]
+        b2, c2 = hit_b[ml, b], hit_c[mr, c]
+        ok = (b2 >= 0) & (c2 >= 0)
+        width = int(sizes.max(initial=0)) + 1
+        key = rank[chain[ok]] * width + place(S2[term[ok]], b2[ok], c2[ok], ct[chain[ok]])
+        # d moves past the monomial of B
+        val = sign[term[ok]] * (-1) ** (B.deg[b] + odd_b[ml, b] + odd_c[mr, c])[ok]
+        # repeats summed, zeros dropped, ordered by source chain and row
+        order = key.argsort()
+        key = key[order]
+        head = np.ones(len(key), dtype=bool)
+        head[1:] = key[1:] != key[:-1]
+        val = np.add.reduceat(val[order], head.nonzero()[0]) % p
+        key, val = key[head][val != 0], val[val != 0]
+        src, row = np.divmod(key, width)
+        bucket = first.searchsorted(src, "right") - 1
+        whole = K.Sparse((len(rank),) * 2, first[bucket - cap - 1] + row, src, val)
+        _check_dd(self.what, whole, whole, p)
+        by_rank = np.empty_like(rank)
+        by_rank[rank] = np.arange(len(rank))
+        return (src.searchsorted(first).tolist() + [len(src)], row, src - first[bucket], val,
+                first.tolist(), (flat, cs[by_rank], B.mons, cb[by_rank], C.mons, cc[by_rank]))
 
     def basis(self, s: int, t: int) -> list:
         """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
-        key = (s, t)
-        if key not in self._basis:
-            pairs, degree = self._pairs_to(t), self.degree
-            tuples = self.tuples[s] if 0 <= s < len(self.tuples) else ()
-            self._basis[key] = [(S, bm, cn) for S in tuples if degree[S] <= t
-                                for bm, cn in pairs[t - degree[S]]]
-        return self._basis[key]
+        n = self.count(s, t) if 0 <= t <= self.cap else 0
+        if not n:
+            return []
+        *_, first, (flat, cs, bm, cb, cm, cc) = self._table
+        at = slice(first[s * (self.cap + 1) + t], first[s * (self.cap + 1) + t] + n)
+        return [(flat[S], bm[b], cm[c]) for S, b, c in
+                zip(cs[at].tolist(), cb[at].tolist(), cc[at].tolist())]
 
     def image(self, b):
         """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
@@ -248,21 +343,28 @@ class _KoszulChains:
                 for nn, cn2 in rights:
                     yield (S2, mm, nn), sign * cm * cn2
 
-    def differential(self, s: int, t: int) -> np.ndarray:
-        """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``."""
-        return _matrix(self.basis(s, t), self.basis(s - 1, t), self.image, self.p)
+    def differential(self, s: int, t: int) -> K.Sparse:
+        """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``, for ``s >= 1``
+        and ``t <= cap``: a slice of ``_table``."""
+        bounds, rows, cols, vals = self._table[:4]
+        lo, hi = bounds[s * (self.cap + 1) + t: s * (self.cap + 1) + t + 2]
+        return K.Sparse((self.count(s - 1, t), self.count(s, t)),
+                        rows[lo:hi], cols[lo:hi], vals[lo:hi])
 
-    def differentials(self, t: int, top: int) -> dict[int, np.ndarray]:
+    def differentials(self, t: int, top: int) -> dict[int, K.Sparse]:
         """The differentials ``{s: d}`` out of ``s = 1 .. top`` in internal
         degree ``t``; one from or to a zero space is the zero map and is not
         built."""
         return {s: self.differential(s, t) for s in range(1, top + 1)
-                if self.basis(s, t) and self.basis(s - 1, t)}
+                if self.count(s, t) and self.count(s - 1, t)}
 
-    def homology(self, t: int, top: int) -> dict[int, int]:
-        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``."""
-        sizes = {s: len(self.basis(s, t)) for s in range(top)}
-        return _homology(self.what, sizes, self.differentials(t, top), self.p, step=-1)
+    def homology(self, t: int, top: int, d: dict | None = None) -> dict[int, int]:
+        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``
+        from ``d``, by default ``differentials(t, top)``; every pair passed
+        ``d*d = 0`` in ``_table``, so each map clears the next."""
+        d = self.differentials(t, top) if d is None else d
+        return _homology(self.what, {s: self.count(s, t) for s in range(top)}, {}, self.p,
+                         step=-1, ranks=_RankOnce(d.get, self.p, -1, checked=d))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +436,8 @@ def _resolution(A: MonomialAlgebra, s_max: int, cap: int) -> _KoszulChains:
     right coefficient.  Before they are returned, the chains are checked to
     be minimal (every coefficient has positive degree, so ``Hom_A(F, k)``
     has the zero differential), ``d*d = 0`` on the generators
-    (``_validate_dd``), and exact for ``s < s_max`` up to degree ``cap``:
-    their homology is k at ``(0, 0)``.
+    (``_validate_dd``, independent of the chains' array build), and exact
+    for ``s < s_max`` up to degree ``cap``: their homology is k at ``(0, 0)``.
     """
     chains = _KoszulChains("resolution", A, ModuleViaMap.identity(A),
                            ModuleViaMap.augmentation(A), cap, s_max=s_max)

@@ -250,7 +250,9 @@ def _assemble(shape, rows, cols, vals, p: int) -> np.ndarray:
 def _matrix(src, tgt, image, p: int) -> np.ndarray:
     """Matrix mod p of the linear map sending ``src[j]`` to the sum of
     ``v * tgt[i]`` over the pairs ``(tgt[i], v)`` that ``image(src[j])``
-    yields.  Repeats are summed; a key outside ``tgt`` raises ``KeyError``."""
+    yields.  Repeats are summed; a key outside ``tgt`` raises ``KeyError``.
+    It serves the diagram layer and ``ModuleViaMap.block``; no chain
+    differential is written through it."""
     row = {b: i for i, b in enumerate(tgt)}
     rows, cols, vals = [], [], []
     for j, b in enumerate(src):
@@ -270,16 +272,17 @@ class _RankOnce(dict):
     outgoing and once as the incoming map; this keeps it to one rank call.
     Each rank also keeps the lowest rows of the pivot columns ``K.rank``
     stored, and the map out of ``s`` clears those of the map into ``s``
-    (see ``_kernels``), but only once ``check(what, s - step)`` has passed:
+    (see ``_kernels``), but only once ``check(what, s - step)`` has passed,
+    or ``s - step`` is ``checked`` (its pair passed with the whole complex):
     clearing is sound only where ``d*d = 0``.
     """
 
-    def __init__(self, matrix, p: int, step: int):
+    def __init__(self, matrix, p: int, step: int, checked=()):
         super().__init__()
         self._matrix = matrix
         self._p = p
         self._step = step
-        self._checked: set[int] = set()
+        self._checked: set[int] = set(checked)
         self._lows: dict[int, set[int]] = {}
 
     def check(self, what: str, s: int):
@@ -306,11 +309,11 @@ def _check_dd(what: str, first, then, p: int):
     """Raise ``CrossCheckError`` unless ``then @ first`` vanishes mod p.
 
     Two ``K.Sparse`` maps are multiplied exactly, by a join on the middle
-    index (``_sparse_product``).  Dense ones are multiplied in float64 and
-    reduced afterwards.  That is exact: entries lie in [0, p) with p <= 97,
-    so every dot product of an inner dimension n is at most n * 96^2, below
-    2^53 for any n < 9 * 10^11 (the delayed reduction of Dumas, Giorgi and
-    Pernet, ACM TOMS 2008).
+    index (``_sparse_product``).  Dense ones, which only the diagram layer
+    hands it, are multiplied in float64 and reduced afterwards.  That is
+    exact: entries lie in [0, p) with p <= 97, so every dot product of an
+    inner dimension n is at most n * 96^2, below 2^53 for any n < 9 * 10^11
+    (the delayed reduction of Dumas, Giorgi and Pernet, ACM TOMS 2008).
     """
     if not (first.size and then.size):
         return

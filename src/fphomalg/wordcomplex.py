@@ -85,6 +85,12 @@ def _word_total(letter_degrees, max_degree: int, max_length: int) -> int:
                for _, layer in _word_counts(letter_degrees, max_degree, max_length))
 
 
+def _runs(n):
+    """The pairs ``(i, j)`` with ``j < n[i]``, in order, as two arrays."""
+    i = np.arange(len(n)).repeat(n)
+    return i, np.arange(len(i)) - (n.cumsum() - n)[i]
+
+
 def _group(keys: list, span: int, within: list | None = None, width: int = 0):
     """Sort items given level by level as arrays of degrees in ``[0, span)``
     by (level, degree), stably, or with ``within``, arrays of integers in
@@ -173,8 +179,7 @@ class _Words:
             nchild = (np.full(len(deg), n_letters) if cap is None
                       else ldeg.searchsorted(cap - deg, side="right"))
             child0 = np.add.accumulate(nchild) - nchild
-            parent = np.arange(len(deg)).repeat(nchild)
-            last = np.arange(len(parent)) - child0[parent]
+            parent, last = _runs(nchild)
             self.child0.append(child0)
             self.nchild.append(nchild)
             self.parent.append(parent)
@@ -209,9 +214,7 @@ class _Words:
         parts = []
         if len(src):
             # inherited: a face u -> m gives u a -> m a for each letter a
-            k = self.nchild[s - 1][src]
-            rep = np.arange(len(src)).repeat(k)
-            a = np.arange(len(rep)) - (np.add.accumulate(k) - k)[rep]
+            rep, a = _runs(self.nchild[s - 1][src])
             parts.append((self.child0[s - 1][src][rep] + a,
                           self.child0[s - 2][merged][rep] + a, value[rep]))
         if self._products and len(self.last[s]):

@@ -234,6 +234,24 @@ def test_rank_reports_lows_and_never_reads_cleared_columns(monkeypatch, p):
                 assert K.rank(form(poisoned), p) > rest == K.rank(form(poisoned), p, {j})
 
 
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rank_keeps_a_narrow_input_sparse_whatever_its_fill(monkeypatch, p):
+    # under FILL_CHECK_AFTER columns the at-once hand-off is never taken, as
+    # the pivot-fill one is not: no rref call, and every low is reported
+    rng, shuffle = np.random.default_rng(p + 2), np.random.default_rng(1)
+    rref, calls = K.rref, []
+    monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a) or rref(a, q))
+    for cols in (1, 5, K.FILL_CHECK_AFTER - 1):
+        a = rng.integers(1, p, size=(12, cols), endpoint=p == 2) * (rng.random((12, cols)) < 0.7)
+        assert np.count_nonzero(a) * K.FILL_INPUT > a.size
+        every_low = {11 - c for c in rref(a[::-1].T, p)[1]}
+        for form in (np.asarray, lambda m: sparse(m, shuffle)):
+            calls.clear()
+            lows = set()
+            assert K.rank(form(a), p, (), lows) == len(rref(a, p)[1]) == len(lows)
+            assert calls == [] and lows == every_low
+
+
 def eliminate_rank(columns, p):
     """Rank of sparse columns ({row key: value}) through ``K.eliminate``,
     each column that does not vanish stored normalised at its lowest row."""
