@@ -1,20 +1,23 @@
 """Exact linear algebra over F_p on int64 matrices, dense or sparse.
 
 Every homology dimension is a sum of ranks, and the differentials are
-mostly 1-10% nonzero.  ``rank`` reduces their nonzeros column by column,
-as sparse dictionaries, and hands the rest of the work to the numpy
-Gauss-Jordan elimination ``rref`` only when the input, or the fill the
-reduction produces, gets dense.  It reads a dense matrix or a ``Sparse``
-one, the nonzeros of a matrix listed by column, which every chain
-complex (Koszul, bar, Hochschild) hands it without a dense copy.  In a
-complex most columns of a differential reduce to zero, and the map into
-its source names many of them in advance.  This is the clearing of persistent homology (Chen and
-Kerber, *Persistent Homology Computation with a Twist*, EuroCG 2011;
-Bauer, Kerber and Reininghaus, *Clear and Compress*, 2014): if
+mostly 1-10% nonzero.  ``rank_blocks`` ranks each diagonal block of a
+block-diagonal matrix, such as the differential out of one level of a
+graded complex over every internal degree: it reduces the nonzeros column
+by column, as sparse dictionaries, and hands a block's remaining work to
+the numpy Gauss-Jordan elimination ``rref`` only when that block, or the
+fill its reduction produces, gets dense.  ``rank`` is its one-block case.
+Both read a dense matrix or a ``Sparse`` one, the nonzeros of a matrix
+listed by column, which every chain complex (Koszul, bar, Hochschild)
+hands them without a dense copy, a whole level per call.  In a complex
+most columns of a differential reduce to zero, and the map into its source
+names many of them in advance.  This is the clearing of persistent
+homology (Chen and Kerber, *Persistent Homology Computation with a Twist*,
+EuroCG 2011; Bauer, Kerber and Reininghaus, *Clear and Compress*, 2014): if
 ``B @ A = 0`` and a column ``z = A @ v`` has its lowest nonzero row at
 ``i``, then ``B @ z = 0`` makes column ``i`` of ``B`` a combination of the
-columns left of it, so its reduction vanishes.  ``rank`` reports the
-lowest rows of the pivot columns it stores and skips the columns it is
+columns left of it, so its reduction vanishes.  ``rank_blocks`` reports
+the lowest rows of the pivot columns it stores and skips the columns it is
 told to clear.  ``rref`` also serves ``nullspace`` and ``solve``.  The
 sparse reduction step, ``eliminate``, also keeps the echelon forms of the
 Lie closure oracles, whose rows are words.
@@ -118,19 +121,23 @@ class Sparse:
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def dense(self, j: int = 0, clear=()) -> np.ndarray:
-        """The dense matrix of the columns from ``j`` on that ``clear`` does
-        not name, in order."""
-        lo = self.cols.searchsorted(j)
-        rows, cols, vals = self.rows[lo:], self.cols[lo:] - j, self.vals[lo:]
-        width = self.shape[1] - j
+    def dense(self, j: int = 0, clear=(), stop: int | None = None, r0: int = 0,
+              r1: int | None = None) -> np.ndarray:
+        """The dense matrix of the columns from ``j`` to ``stop`` (default:
+        the last) that ``clear`` does not name, in order, on rows ``r0`` to
+        ``r1``, which must hold every entry of those columns."""
+        stop = self.shape[1] if stop is None else stop
+        r1 = self.shape[0] if r1 is None else r1
+        lo, hi = self.cols.searchsorted((j, stop))
+        rows, cols, vals = self.rows[lo:hi] - r0, self.cols[lo:hi] - j, self.vals[lo:hi]
+        width = stop - j
         if clear:
             kept = np.ones(width, dtype=bool)
-            kept[[c - j for c in clear if c >= j]] = False
+            kept[[c - j for c in clear if j <= c < stop]] = False
             hit = kept[cols]
             rows, cols, vals = rows[hit], (kept.cumsum() - 1)[cols[hit]], vals[hit]
             width = int(kept.sum())
-        out = np.zeros((self.shape[0], width), dtype=np.int64)
+        out = np.zeros((r1 - r0, width), dtype=np.int64)
         out[rows, cols] = vals
         return out
 
@@ -146,22 +153,36 @@ class Sparse:
 
 
 def rank(a, p: int, clear=(), lows: set | None = None) -> int:
-    """Rank over F_p by sparse column reduction.
+    """Rank over F_p: ``rank_blocks`` with the whole of ``a`` as its one
+    block."""
+    if not isinstance(a, Sparse):
+        a = _int64_matrix(a)
+    return rank_blocks(a, p, (0, a.shape[0]), (0, a.shape[1]), clear, lows)[0]
 
-    ``a`` is a dense matrix or a ``Sparse`` one.  The nonzeros mod p are
-    read once, column by column, without a dense copy.
-    Each column is reduced against the pivot columns found so far, keyed by
-    their lowest nonzero row, the one of largest index (the boundary-matrix
-    reduction of persistent homology), and stored normalised to a 1 there
-    if it does not vanish; the rank is the number of pivots.  An input of
-    at least ``FILL_CHECK_AFTER`` columns that is more than ``1/FILL_INPUT``
-    nonzero goes to ``rref`` at once, and so does the rest of the work once
-    ``FILL_CHECK_AFTER`` stored pivot columns are more than ``1/FILL_PIVOTS``
-    nonzero: the pivot columns and the columns not yet read span the same
-    space as ``a``.  A narrower input stays sparse whatever its fill, as
-    it could not reach the pivot-fill hand-off either: on the many tiny
-    differentials of a complex a dense hand-off costs more than the
-    reduction.  Only the columns handed on are written densely.
+
+def rank_blocks(a, p: int, rows, cols, clear=(), lows: set | None = None) -> list[int]:
+    """Ranks over F_p of the diagonal blocks of ``a`` by sparse column
+    reduction, one per block.
+
+    ``a`` is a dense matrix or a ``Sparse`` one whose nonzeros all lie in
+    the diagonal blocks: block ``b`` is rows ``rows[b]`` to ``rows[b + 1]``
+    and columns ``cols[b]`` to ``cols[b + 1]``.  A level of a graded
+    complex is such a matrix, a block per internal degree.  The nonzeros
+    mod p are read once, column by column, without a dense copy.  Each
+    column is reduced against the pivot columns its block has found so
+    far, keyed by their lowest nonzero row, the one of largest index (the
+    boundary-matrix reduction of persistent homology), and stored
+    normalised to a 1 there if it does not vanish; a block's rank is its
+    number of pivots.  Each block is handed to ``rref`` on its own rows,
+    as if it were ranked alone: a block of at least ``FILL_CHECK_AFTER``
+    columns that is more than ``1/FILL_INPUT`` nonzero goes at once, and
+    the rest of a block's work goes once ``FILL_CHECK_AFTER`` of its stored
+    pivot columns are more than ``1/FILL_PIVOTS`` nonzero: the pivot
+    columns and the columns not yet read span the same space as the block.
+    A narrower block stays sparse whatever its fill, as it could not reach
+    the pivot-fill hand-off either: on the many tiny blocks of a complex a
+    dense hand-off costs more than the reduction.  Only the columns handed
+    on are written densely.
 
     ``clear`` is a set of columns known to reduce to zero; they are
     skipped, never read into a column and never handed to ``rref``.  This
@@ -173,73 +194,78 @@ def rank(a, p: int, clear=(), lows: set | None = None) -> int:
     to zero and skipping it keeps the rank.  If ``lows`` is a set, the
     lowest rows of the pivot columns stored here are added to it: each is
     the low of a combination of columns of ``a``, so they clear the map
-    that follows.  After a hand-off to ``rref`` only those found before it
-    are reported, and an input that goes to ``rref`` at once reports none.
+    that follows.  After a block's hand-off to ``rref`` only those it found
+    before are reported, and a block that goes to ``rref`` at once reports
+    none.
     """
     if isinstance(a, Sparse):
-        rows, cols = a.shape
+        height, width = a.shape
         ri, ci, vals = a.rows, a.cols, a.vals % p
-        nnz = len(vals)
     else:
         a = _int64_matrix(a)
-        rows, cols = a.shape
-        nnz = np.count_nonzero(a)
-    if not nnz:
-        return 0
-    if cols >= FILL_CHECK_AFTER and nnz * FILL_INPUT > rows * cols:
-        return len(rref(_kept(a, 0, clear), p)[1])
-    if not isinstance(a, Sparse):
-        ri, ci = np.divmod(np.flatnonzero(a != 0), cols)
-        ci, ri = np.divmod(np.sort(ci * rows + ri), rows)  # column by column
+        height, width = a.shape
+        ri, ci = np.divmod(np.flatnonzero(a != 0), max(width, 1))
+        ci, ri = np.divmod(np.sort(ci * height + ri), height)  # column by column
         vals = a[ri, ci] % p
+    if not len(vals):
+        return [0] * (len(cols) - 1)
+    # where the entries of each block start, whether or not p divides them
+    listed = ci.searchsorted(cols).tolist()
     if not vals.all():  # entries divisible by p
         keep = vals != 0
         ri, ci, vals = ri[keep], ci[keep], vals[keep]
-    ends = np.cumsum(np.bincount(ci, minlength=cols)).tolist()
+    ends = [0] + np.add.accumulate(np.bincount(ci, minlength=width)).tolist()
     ri, vals = ri.tolist(), vals.tolist()
-    pivots: dict[int, dict[int, int]] = {}
-    stored = start = 0
-    for j, end in enumerate(ends):
-        if start == end:
+    out = []
+    for r0, r1, c0, c1, e0, e1 in zip(rows, rows[1:], cols, cols[1:], listed, listed[1:]):
+        h, w, nnz = r1 - r0, c1 - c0, e1 - e0
+        if not nnz:
+            out.append(0)
             continue
-        if j in clear:
-            start = end
+        if w >= FILL_CHECK_AFTER and nnz * FILL_INPUT > h * w:
+            out.append(len(rref(_kept(a, r0, r1, c0, c1, clear), p)[1]))
             continue
-        col = dict(zip(ri[start:end], vals[start:end]))
-        low = max(col)  # a Sparse column lists its rows in any order
-        start = end
-        if low in pivots:
-            low = eliminate(col, low, pivots, p)
-            if low is None:
+        pivots: dict[int, dict[int, int]] = {}
+        stored, handed = 0, None
+        for j in range(c0, c1):
+            start, end = ends[j], ends[j + 1]
+            if start == end or j in clear:
                 continue
-        lead = col[low]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            col = {r: v * inv % p for r, v in col.items()}
-        pivots[low] = col
-        stored += len(col)
-        if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > rows * len(pivots):
-            rest = _kept(a, j + 1, clear)
-            dense = np.zeros((rows, len(pivots) + rest.shape[1]), dtype=np.int64)
-            for k, c in enumerate(pivots.values()):
-                dense[list(c), k] = list(c.values())
-            dense[:, len(pivots):] = rest
-            if lows is not None:
-                lows.update(pivots)
-            return len(rref(dense, p)[1])
-    if lows is not None:
-        lows.update(pivots)
-    return len(pivots)
+            col = dict(zip(ri[start:end], vals[start:end]))
+            low = max(col)  # a Sparse column lists its rows in any order
+            if low in pivots:
+                low = eliminate(col, low, pivots, p)
+                if low is None:
+                    continue
+            lead = col[low]
+            if lead != 1:
+                inv = pow(lead, p - 2, p)
+                col = {r: v * inv % p for r, v in col.items()}
+            pivots[low] = col
+            stored += len(col)
+            if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > h * len(pivots):
+                rest = _kept(a, r0, r1, j + 1, c1, clear)
+                dense = np.zeros((h, len(pivots) + rest.shape[1]), dtype=np.int64)
+                for k, c in enumerate(pivots.values()):
+                    dense[[r - r0 for r in c], k] = list(c.values())
+                dense[:, len(pivots):] = rest
+                handed = len(rref(dense, p)[1])
+                break
+        if lows is not None:
+            lows.update(pivots)
+        out.append(len(pivots) if handed is None else handed)
+    return out
 
 
-def _kept(a, j: int, clear):
-    """The columns of ``a`` from ``j`` on that ``clear`` does not name, as
-    a dense matrix; ``a`` itself if that is all of a dense ``a``."""
+def _kept(a, r0: int, r1: int, j: int, stop: int, clear):
+    """Rows ``r0`` to ``r1`` of the columns of ``a`` from ``j`` to ``stop``
+    that ``clear`` does not name, as a dense matrix; ``a`` itself if that
+    is all of a dense ``a``."""
     if isinstance(a, Sparse):
-        return a.dense(j, clear)
+        return a.dense(j, clear, stop, r0, r1)
     if clear:
-        return a[:, [c for c in range(j, a.shape[1]) if c not in clear]]
-    return a[:, j:] if j else a
+        return a[r0:r1, [c for c in range(j, stop) if c not in clear]]
+    return a if (r0, r1, j, stop) == (0, a.shape[0], 0, a.shape[1]) else a[r0:r1, j:stop]
 
 
 def nullspace(a, p: int) -> np.ndarray:

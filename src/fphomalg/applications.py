@@ -398,9 +398,12 @@ class EMSSTorAlgebra:
 
     def _subquotient(self, s, t):
         """Homology at ``(s, t)`` with class coordinates, built once from
-        ``_build``'s differentials at ``t``; a missing one is zero."""
+        the differentials at ``t``, which ``_maps[t]`` keeps once built; a
+        missing one is zero."""
         key = (s, t)
         if key not in self._sub_cache:
+            if t not in self._maps:
+                self._maps[t] = self.chains.differentials(t, self.max_s)
             d = self._maps[t]
             n = self.chains.count(s, t)
             d_out = np.asarray(d[s]) if s in d else np.zeros((0, n), dtype=np.int64)
@@ -409,17 +412,13 @@ class EMSSTorAlgebra:
         return self._sub_cache[key]
 
     def _build(self):
-        """The table and the classes, degree by degree; ``_maps[t]`` keeps
-        the differentials out of each ``s`` at ``t`` between nonzero spaces,
-        built once for the homology step and the subquotients."""
+        """The table, read off the chains' ranks, and the classes, degree by
+        degree."""
         self.table_entries = {}
         self.classes = []
         self._maps = {}
-        max_s = self.max_s
         for t in range(0, self.cap + 1):
-            d = self._maps[t] = self.chains.differentials(t, max_s)
-            homology = self.chains.homology(t, max_s + 1, d)
-            for s, h in sorted(homology.items()):
+            for s, h in self.chains.homology(t, self.max_s + 1).items():
                 self.table_entries[(s, t)] = h
                 sub = self._subquotient(s, t)
                 reps = sub.representatives()

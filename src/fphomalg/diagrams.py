@@ -519,10 +519,10 @@ class _AQLocal:
     inner, so AQ^0 is the derivations, one per generator of degree ``-t``.
     Into a trivial module M, AQ^q in map degree t is the sum over the
     degrees ``md`` of M of AQ^q(A; k) in map degree ``t - md`` tensored with
-    ``M_md``.  The dimension comes from the complex's ranks, after the d*d
-    check from ``(q, t)``, and costs nothing on a zero space; a
-    ``Subquotient`` with representatives and class coordinates is built
-    only for a restriction, once per ``(q, t)``.
+    ``M_md``.  The dimension is read off the complex's rank table
+    (``HochschildComplex.cohomology_dim``); a ``Subquotient`` with
+    representatives and class coordinates is built only for a restriction,
+    once per ``(q, t)``.
     """
 
     def __init__(self, A: MonomialAlgebra, q_max: int):
@@ -531,7 +531,6 @@ class _AQLocal:
             self.hc = HochschildComplex(A, q_max + 2)
         except _OverBudget as err:
             raise _aq_refusal(err, "diagram-aq", "table q =", "--qmax") from None
-        self._dims = {}
         self._sub_cache = {}
 
     def subquotient(self, q: int, t: int) -> Subquotient:
@@ -543,11 +542,7 @@ class _AQLocal:
         return self._sub_cache[key]
 
     def dim(self, q: int, t: int) -> int:
-        key = (q, t)
-        if key not in self._dims:
-            self.hc.verify_dd(q, t)
-            self._dims[key] = self.hc.cohomology_dim(q + 1, t)
-        return self._dims[key]
+        return self.hc.cohomology_dim(q + 1, t)
 
 
 def _exterior_from_space(p, V: GradedVectorSpace) -> MonomialAlgebra:

@@ -47,7 +47,7 @@ from .errors import (
     ParityDomainError,
     ValidationError,
 )
-from .linalg import GradedVectorSpace, PrimeField, _assemble, json_int
+from .linalg import GradedVectorSpace, PrimeField, json_int
 
 DEFAULT_WEIGHT_CAP = 10
 MAX_GENERATORS = 4
@@ -264,26 +264,18 @@ def ad_power(y: TensorElement, x: TensorElement, k: int) -> TensorElement:
 # spans in the tensor algebra
 
 
-def _columns(elems, p):
-    """Coefficient matrix with one column per element and one row per word
-    occurring in them."""
-    idx, rows, cols, vals = {}, [], [], []
-    for j, e in enumerate(elems):
-        for w, c in e.terms.items():
-            rows.append(idx.setdefault(w, len(idx)))
-            cols.append(j)
-            vals.append(c)
-    return _assemble((len(idx), len(elems)), rows, cols, vals, p)
-
-
 def span_dims(elements, p: int) -> GradedVectorSpace:
     """Dimensions (per unshifted degree) of the span of weight-homogeneous
     tensor elements.
 
     Words of different weight are independent, so the span is the direct
-    sum of its buckets (shifted degree, weight), and each bucket's matrix
-    is ranked on its own; a bucket of one nonzero element has rank 1.  An
-    element whose words have different lengths raises ``ValidationError``.
+    sum of its buckets (shifted degree, weight).  A bucket of one nonzero
+    element has rank 1.  The coefficients of the others are one
+    ``K.Sparse`` matrix, a column per element and a row per word, with the
+    buckets one after another and the words of each numbered as they first
+    occur in it: it is block diagonal by bucket, and one
+    ``K.rank_blocks`` call ranks each bucket as if on its own.  An element
+    whose words have different lengths raises ``ValidationError``.
     """
     buckets: dict[tuple[int, int], list[TensorElement]] = {}
     for e in elements:
@@ -293,10 +285,25 @@ def span_dims(elements, p: int) -> GradedVectorSpace:
         if len(weights) > 1:
             raise ValidationError(f"tensor element {e!r} is not weight-homogeneous")
         buckets.setdefault((e.sdeg, weights.pop()), []).append(e)
+    ranked = [key for key, elems in buckets.items() if len(elems) > 1]
+    idx, rows, cols, vals = {}, [], [], []
+    row_starts, col_starts = [0], [0]
+    for key in ranked:
+        for j, e in enumerate(buckets[key], col_starts[-1]):
+            for w, c in e.terms.items():
+                rows.append(idx.setdefault(w, len(idx)))
+                cols.append(j)
+                vals.append(c)
+        row_starts.append(len(idx))
+        col_starts.append(col_starts[-1] + len(buckets[key]))
+    ranks = {}
+    if ranked:
+        a = K.Sparse((len(idx), col_starts[-1]),
+                     *(np.array(x, dtype=np.int64) for x in (rows, cols, vals)))
+        ranks = dict(zip(ranked, K.rank_blocks(a, p, row_starts, col_starts)))
     dims: dict[int, int] = {}
-    for (sdeg, _), elems in buckets.items():
-        rank = K.rank(_columns(elems, p), p) if len(elems) > 1 else 1
-        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + rank
+    for sdeg, weight in buckets:
+        dims[sdeg + 1] = dims.get(sdeg + 1, 0) + ranks.get((sdeg, weight), 1)
     return GradedVectorSpace(dims)
 
 

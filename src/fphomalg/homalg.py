@@ -29,12 +29,13 @@ a ``_kernels.Sparse`` matrix sorted by column: ``_KoszulChains`` (the
 resolution, Tor, the Eilenberg-Moore model) places the targets of its
 strand terms by counting, for every degree at once, and the array word
 complex ``_Words`` gives the merges of the bar complex, whose slices the
-Hochschild cochains read transposed.  The shared step of ``linalg``
-(``_homology``, with ``_check_dd`` and ``_RankOnce``) checks ``d*d = 0``
-on every composable pair, unless the complex passed it as a whole, ranks
-each differential once and turns the ranks into homology dimensions.  A
-differential from or to a zero space is the zero map: it is neither built,
-ranked nor checked.
+Hochschild cochains read transposed.  Each complex has one rank table
+(``linalg._RankTable``), built a level at a time: the differential out of
+a level over every internal degree is one slice, block diagonal by degree;
+it is checked against the level before by one sparse product (unless the
+complex passed ``d*d = 0`` as a whole, as the Koszul chains do), ranked by
+one ``K.rank_blocks`` call with clearing, and the homology dimension of
+every ``(s, t)`` is read off the table.
 
 Degree conventions: Ext/Hochschild/AQ tables store ``t`` = map degree
 (target minus source); Tor/bar tables store ``t`` = internal degree of the
@@ -44,7 +45,6 @@ cycle, with the collapsed total-degree view given by ``t - s``.
 from __future__ import annotations
 
 import functools
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -57,8 +57,7 @@ from .linalg import (
     ParityVerdict,
     _assemble,
     _check_dd,
-    _homology,
-    _RankOnce,
+    _RankTable,
     series_mul,
 )
 from .monalg import AlgebraModule, ModuleViaMap, MonomialAlgebra
@@ -262,7 +261,9 @@ class _KoszulChains:
         """The entries of every differential, ordered by source and row,
         and the chains.  Those of bidegree ``(s, t)`` are numbered from
         ``first[s * (cap + 1) + t]``; ``place`` counts the chains of earlier
-        tuples (``offset``), then earlier pairs of monomials (``before``)."""
+        tuples (``offset``), then earlier pairs of monomials (``before``).
+        An entry's row and column are kept as numbered within their levels,
+        so that a level's differential is a slice."""
         cap, p, B, C = self.cap, self.p, _Monomials(self.B, self.cap), _Monomials(self.C, self.cap)
         flat = [S for stage in self.tuples for S in stage if self.degree[S] <= cap]
         index = {S: g for g, S in enumerate(flat)}
@@ -312,12 +313,16 @@ class _KoszulChains:
         key, val = key[head][val != 0], val[val != 0]
         src, row = np.divmod(key, width)
         bucket = first.searchsorted(src, "right") - 1
-        whole = K.Sparse((len(rank),) * 2, first[bucket - cap - 1] + row, src, val)
+        row += first[bucket - cap - 1]
+        whole = K.Sparse((len(rank),) * 2, row, src, val)
         _check_dd(self.what, whole, whole, p)
         by_rank = np.empty_like(rank)
         by_rank[rank] = np.arange(len(rank))
-        return (src.searchsorted(first).tolist() + [len(src)], row, src - first[bucket], val,
-                first.tolist(), (flat, cs[by_rank], B.mons, cb[by_rank], C.mons, cc[by_rank]))
+        level = bucket - bucket % (cap + 1)  # the first bucket of the source's level
+        return (src.searchsorted(first).tolist() + [len(src)],
+                row - first[level - cap - 1], src - first[level], val,
+                first.tolist() + [len(rank)],
+                (flat, cs[by_rank], B.mons, cb[by_rank], C.mons, cc[by_rank]))
 
     def basis(self, s: int, t: int) -> list:
         """Chains ``(S, monomial of B, monomial of C)`` in bidegree ``(s, t)``."""
@@ -343,13 +348,30 @@ class _KoszulChains:
                 for nn, cn2 in rights:
                     yield (S2, mm, nn), sign * cm * cn2
 
+    def _starts(self, s: int) -> list[int]:
+        """Where the chains of each degree ``t <= cap + 1`` start when level
+        ``s`` is numbered by degree, as ``_table`` numbers it."""
+        first, lo = self._table[4], s * (self.cap + 1)
+        return [f - first[lo] for f in first[lo: lo + self.cap + 2]]
+
+    def level(self, s: int) -> K.Sparse:
+        """Matrix of ``d`` out of level ``s >= 1`` in every degree ``t <=
+        cap``: a slice of ``_table``, block diagonal by degree, with blocks
+        starting at ``_starts(s - 1)`` and ``_starts(s)``."""
+        bounds, rows, cols, vals, first = self._table[:5]
+        lo, mid, hi = (s - 1) * (self.cap + 1), s * (self.cap + 1), (s + 1) * (self.cap + 1)
+        return K.Sparse((first[mid] - first[lo], first[hi] - first[mid]),
+                        rows[bounds[mid]:bounds[hi]], cols[bounds[mid]:bounds[hi]],
+                        vals[bounds[mid]:bounds[hi]])
+
     def differential(self, s: int, t: int) -> K.Sparse:
         """Matrix of ``d: basis(s, t) -> basis(s - 1, t)``, for ``s >= 1``
-        and ``t <= cap``: a slice of ``_table``."""
+        and ``t <= cap``: the block of ``level(s)`` in degree ``t``."""
         bounds, rows, cols, vals = self._table[:4]
         lo, hi = bounds[s * (self.cap + 1) + t: s * (self.cap + 1) + t + 2]
         return K.Sparse((self.count(s - 1, t), self.count(s, t)),
-                        rows[lo:hi], cols[lo:hi], vals[lo:hi])
+                        rows[lo:hi] - self._starts(s - 1)[t], cols[lo:hi] - self._starts(s)[t],
+                        vals[lo:hi])
 
     def differentials(self, t: int, top: int) -> dict[int, K.Sparse]:
         """The differentials ``{s: d}`` out of ``s = 1 .. top`` in internal
@@ -358,13 +380,27 @@ class _KoszulChains:
         return {s: self.differential(s, t) for s in range(1, top + 1)
                 if self.count(s, t) and self.count(s - 1, t)}
 
-    def homology(self, t: int, top: int, d: dict | None = None) -> dict[int, int]:
-        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``
-        from ``d``, by default ``differentials(t, top)``; every pair passed
-        ``d*d = 0`` in ``_table``, so each map clears the next."""
-        d = self.differentials(t, top) if d is None else d
-        return _homology(self.what, {s: self.count(s, t) for s in range(top)}, {}, self.p,
-                         step=-1, ranks=_RankOnce(d.get, self.p, -1, checked=d))
+    @functools.cached_property
+    def _ranks(self) -> _RankTable:
+        """The ranks of every differential, a level at a time from the top
+        down, each cleared with the lows of the one above; ``_table`` has
+        checked ``d*d = 0`` on the whole complex.  A level with no degree
+        holding chains on both sides is the zero map, and neither it nor
+        ``_table`` is built for it."""
+        return _RankTable(self.what, self.p, (
+            (s, self.level(s), self._starts(s - 1), self._starts(s))
+            for s in range(self.max_s, 0, -1)
+            if any(map(min, self.sizes[s], self.sizes[s - 1]))), -1)
+
+    def homology(self, t: int, top: int) -> dict[int, int]:
+        """Homology ``{s: dim}`` in internal degree ``t`` for ``s < top``,
+        read off ``_ranks``."""
+        out = {}
+        for s in range(top):
+            n = self.count(s, t)
+            if n and (h := self._ranks.homology(s, t, n)):
+                out[s] = h
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +557,13 @@ class HochschildComplex:
     degrees (``wordcomplex._word_counts``), and a differential over
     ``MAX_CHAIN_CELLS`` raises ``CapError`` before any word is built; then
     the words are built once as an array word complex (``_Words``), and
-    ``delta(s, t)`` is the bar differential out of level ``s + 1`` in word
-    degree ``-t`` (``_Words.block``), transposed: a ``K.Sparse`` matrix,
-    never written densely.  Each differential is ranked once, and none from
-    or to a zero space is ranked or checked.
+    ``delta(s)`` is the bar differential out of level ``s + 1``
+    (``_Words.level``), transposed: a ``K.Sparse`` matrix over every degree,
+    block diagonal by degree and never written densely; ``delta(s, t)`` is
+    its block in word degree ``-t``.  The cohomology is read off one rank
+    table (``_RankTable``), built on first use a level at a time: each
+    ``delta(s)`` passes ``verify_dd`` with ``delta(s - 1)`` and is ranked
+    by one kernel call, cleared with the lows of ``delta(s - 1)``.
     """
 
     def __init__(self, A: MonomialAlgebra, levels: int):
@@ -542,7 +581,6 @@ class HochschildComplex:
         self._words = _Words(A, self.abar, self.levels)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
-        self._ranks: dict[int, _RankOnce] = {}
 
     @property
     def words(self) -> list:
@@ -559,47 +597,41 @@ class HochschildComplex:
         levels = range(self.levels + 1) if s_levels is None else s_levels
         return sorted({t for s, t in self._dims if s in levels})
 
-    def delta(self, s: int, t: int) -> K.Sparse:
-        """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}, for
-        ``0 <= s < levels``; any other ``s`` raises ``CapError``."""
+    def delta(self, s: int, t: int | None = None) -> K.Sparse:
+        """Matrix of the cochain differential C^{s,t} -> C^{s+1,t}, or
+        without ``t`` of C^s -> C^{s+1} over every degree, on the words
+        of each level numbered by degree (``_Words.index``), for ``0 <= s <
+        levels``; any other ``s`` raises ``CapError``."""
         if not 0 <= s < self.levels:
             raise CapError(f"no cochain differential from level {s}: the complex "
                            f"stores levels 0 to {self.levels}")
-        return self._words.block(s + 1, -t).T
+        return (self._words.level(s + 1) if t is None else self._words.block(s + 1, -t)).T
 
     def _dim(self, s: int, t: int) -> int:
         """Dimension of ``C^{s,t}``."""
         return self._dims.get((s, t), 0)
 
-    def _ranks_of(self, t: int) -> _RankOnce:
-        """The ranks of the differentials of map degree ``t``; a map from or
-        to a zero space is the zero map (``None``).  The ranks reach the
-        complex by a weak proxy: they live in ``self._ranks``, and a strong
-        reference would leave every complex in a cycle that only the cyclic
-        garbage collector frees."""
-        if t not in self._ranks:
-            hc = weakref.proxy(self)
-            self._ranks[t] = _RankOnce(
-                lambda k: hc.delta(k, t) if k >= 0 and hc._dim(k, t)
-                and hc._dim(k + 1, t) else None, self.p, 1)
-        return self._ranks[t]
+    def verify_dd(self, first: K.Sparse, then: K.Sparse):
+        """``d*d = 0`` on two consecutive whole levels, ``first = delta(s)``
+        and ``then = delta(s + 1)``, by one product over every degree."""
+        _check_dd("Hochschild cochain", first, then, self.p)
 
-    def verify_dd(self, s: int, t: int):
-        """``d*d = 0`` from ``C^{s,t}``, unless one of the three spaces is
-        zero; once it passes, the rank of ``delta(s + 1, t)`` clears with the
-        lows of ``delta(s, t)``."""
-        if self._dim(s, t) and self._dim(s + 1, t) and self._dim(s + 2, t):
-            self._ranks_of(t).check("Hochschild cochain", s)
+    @functools.cached_property
+    def _ranks(self) -> _RankTable:
+        """The ranks of every ``delta(s)`` in each word degree."""
+        words = self._words
+        return _RankTable("Hochschild cochain", self.p, (
+            (s, self.delta(s), words.starts[s + 1], words.starts[s])
+            for s in range(self.levels) if words.has_faces(s + 1)), 1, self.verify_dd)
 
     def cohomology_dim(self, s: int, t: int) -> int:
-        """Dimension at ``(s, t)``; ``verify_dd`` checks the differentials."""
+        """Dimension at ``(s, t)``, read off the rank table."""
         n = self._dim(s, t)
         if not n:
             return 0
         if s >= self.levels:
             raise CapError("cohomology requested at the top stored level")
-        return _homology("Hochschild cochain", {s: n}, {}, self.p,
-                         ranks=self._ranks_of(t)).get(s, 0)
+        return self._ranks.homology(s, -t, n)
 
 
 def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
@@ -623,10 +655,8 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
         raise _OverBudget(err.what, err.s, err.t + min(mdims, default=0), err.shape,
                           "lower --smax") from None
     direct_entries = Counter()
-    for t in hc.t_range(range(s_max + 1)):
-        for s in range(s_max):
-            hc.verify_dd(s, t)
-        for s in range(s_max + 1):
+    for s, t in hc._dims:  # every nonzero cochain space
+        if s <= s_max:
             h = hc.cohomology_dim(s, t)
             for md, width in mdims.items():
                 direct_entries[(s, t + md)] += width * h
@@ -784,9 +814,11 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     ``t`` (total degree ``t - s``); agrees with ``tor_dims(A, k, k)``
     wherever both are defined.  The words of degree at most ``cap`` are
     built once as an array word complex (``_Words``), so the chains of
-    degree ``t`` are a bucket and each differential is a slice of a face
-    table (``_Words.block``), checked and ranked once as a ``K.Sparse``
-    matrix with no dense copy.  A differential of more than
+    degree ``t`` are a bucket and the differential out of a level, over
+    every degree, is a slice of a face table (``_Words.level``).  The
+    levels are checked and ranked from the top down, each once and whole,
+    as a ``K.Sparse`` matrix with no dense copy (``_RankTable``).  A
+    differential of more than
     ``MAX_CHAIN_CELLS`` cells, counted from the letter degrees, raises
     ``CapError`` before any word is built.
     """
@@ -798,13 +830,13 @@ def bar_homology_dims(A: MonomialAlgebra, cap: int, s_max: int | None = None) ->
     _check_cells("bar", {(s, t): n for s, counts in _word_counts(degrees, cap, s_top + 1)
                          for t, n in counts.items()}, -1)
     words = _Words(A, letters, s_top + 1, cap=cap)
+    ranks = _RankTable("bar", p, ((s, words.level(s), words.starts[s - 1], words.starts[s])
+                                  for s in range(s_top + 1, 0, -1) if words.has_faces(s)),
+                       -1, functools.partial(_check_dd, "bar", p=p))
     entries = {}
     for t in range(0, cap + 1):
-        sizes = {s: words.count(s, t) for s in range(s_top + 1)}
-        # a map without faces in degree t is the zero matrix: it is left out,
-        # so it is not ranked and no vacuous d*d product is formed with it
-        # (every map from or to a zero space is one of them)
-        d = {s: words.block(s, t) for s in range(1, s_top + 2) if words.has_faces(s, t)}
-        for s, h in _homology("bar", sizes, d, p, step=-1).items():
-            entries[(s, t)] = h
+        for s in range(s_top + 1):
+            n = words.count(s, t)
+            if n and (h := ranks.homology(s, t, n)):
+                entries[(s, t)] = h
     return BigradedTable(entries)

@@ -5,13 +5,17 @@ finite support, degreewise matrices between them, bigraded dimension
 tables with parity verdicts, and truncated Hilbert series.  A small private
 layer serves every derived-functor builder: ``_matrix`` is the one writer
 of a linear map between two given bases, ``_assemble`` builds a matrix
-from (row, column, value) triples, ``_check_dd`` is the one ``d*d = 0``
-check, and ``_homology`` turns the sizes and differentials of one internal
-degree into homology dimensions, ranking each map once (``_RankOnce``).
-The map into a space is ranked before the map out of it, and once the pair
-has passed ``_check_dd`` the lowest rows of the first map's pivot columns
-name columns of the second that need not be reduced (clearing, see
-``_kernels``).
+from (row, column, value) triples, and ``_check_dd`` is the one ``d*d = 0``
+check.  ``_RankTable`` ranks a chain complex one level at a time: the
+differential out of a level, over every internal degree, is one
+block-diagonal ``K.Sparse`` matrix, checked against the level before it by
+one product and ranked by one ``K.rank_blocks`` call, a rank per degree.
+``_homology`` turns the sizes and dense differentials of one internal
+degree of the diagram layer into homology dimensions, ranking each map once
+(``_RankOnce``).  Either way the map into a space is ranked before the map
+out of it, and once the pair has passed ``_check_dd`` the lowest rows of
+the first map's pivot columns name columns of the second that need not be
+reduced (clearing, see ``_kernels``).
 
 Degree conventions, fixed once:
 
@@ -272,17 +276,16 @@ class _RankOnce(dict):
     outgoing and once as the incoming map; this keeps it to one rank call.
     Each rank also keeps the lowest rows of the pivot columns ``K.rank``
     stored, and the map out of ``s`` clears those of the map into ``s``
-    (see ``_kernels``), but only once ``check(what, s - step)`` has passed,
-    or ``s - step`` is ``checked`` (its pair passed with the whole complex):
+    (see ``_kernels``), but only once ``check(what, s - step)`` has passed:
     clearing is sound only where ``d*d = 0``.
     """
 
-    def __init__(self, matrix, p: int, step: int, checked=()):
+    def __init__(self, matrix, p: int, step: int):
         super().__init__()
         self._matrix = matrix
         self._p = p
         self._step = step
-        self._checked: set[int] = set(checked)
+        self._checked: set[int] = set()
         self._lows: dict[int, set[int]] = {}
 
     def check(self, what: str, s: int):
@@ -303,6 +306,48 @@ class _RankOnce(dict):
             r = K.rank(m, self._p, clear, lows)
         self[s] = r
         return r
+
+
+class _RankTable(dict):
+    """``table[s, b]`` is the rank of a complex's differential out of level
+    ``s`` in its diagonal block ``b``, an internal degree; zero ranks are
+    left out.
+
+    ``levels`` yields ``(s, d, rows, cols)``: the differential out of each
+    level over every degree, a ``K.Sparse`` matrix block diagonal by degree
+    with its block bounds (``K.rank_blocks``), in the direction of the
+    differential, ``s`` to ``s + step`` (``step`` is 1 for cochains, -1 for
+    chains).  A level whose differential is zero may be left out.  Each
+    level is ranked by one ``K.rank_blocks`` call, cleared with the lows of
+    the level before it, so only two levels are held at once.  Clearing
+    needs ``d*d = 0``: ``check(first, then)`` raises unless ``then @
+    first`` vanishes, and runs on each pair of consecutive levels before
+    the second is ranked; ``None`` for a complex that passed ``d*d = 0`` as
+    a whole.
+    """
+
+    def __init__(self, what: str, p: int, levels, step: int, check=None):
+        super().__init__()
+        self.what, self.step = what, step
+        last, before, lows = None, None, set()
+        for s, d, rows, cols in levels:
+            if last != s - step:  # after a zero level: nothing to check or clear
+                before, lows = None, set()
+            if check is not None and before is not None:
+                check(before, d)
+            last, before, clear, lows = s, d, lows, set()
+            for b, r in enumerate(K.rank_blocks(d, p, rows, cols, clear, lows)):
+                if r:
+                    self[s, b] = r
+
+    def homology(self, s: int, b: int, n: int) -> int:
+        """The homology dimension at level ``s`` in block ``b``, where the
+        space has dimension ``n``; a negative one raises
+        ``CrossCheckError``."""
+        h = n - self.get((s, b), 0) - self.get((s - self.step, b), 0)
+        if h < 0:
+            raise CrossCheckError(f"negative {self.what} homology dimension at s = {s}")
+        return h
 
 
 def _check_dd(what: str, first, then, p: int):
@@ -336,33 +381,32 @@ def _sparse_product(a: K.Sparse, b: K.Sparse, p: int) -> np.ndarray:
         return n
     # the entries of a met, entry of b by entry of b
     ia = np.arange(ends[-1]) + (np.add.accumulate(per_col)[b.rows] - ends).repeat(n)
+    val = a.vals[ia] * b.vals.repeat(n) % p
     key = a.rows[ia] * b.shape[1] + b.cols.repeat(n)
+    del ia
     order = key.argsort()
     key = key[order]
     cuts = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
-    return np.add.reduceat((a.vals[ia] * b.vals.repeat(n) % p)[order], cuts) % p
+    del key
+    return np.add.reduceat(val[order], cuts) % p
 
 
-def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1,
-              ranks: _RankOnce | None = None) -> dict[int, int]:
-    """Homology dimensions of one internal degree of a complex.
+def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1) -> dict[int, int]:
+    """Homology dimensions of one internal degree of a complex given by
+    dense maps, as the diagram layer builds them.
 
     ``sizes[s]`` is the dimension of the space at index ``s``, for the
     indices whose homology is wanted, listed in ascending order; ``d[s]``
     is the differential leaving index ``s`` for ``s + step`` (``step`` is 1
     for cochains, -1 for chains), and an index without one has a zero
-    differential.  Every composable pair in ``d`` passes ``_check_dd``.
-    ``ranks``, a ``_RankOnce``, ranks each differential once; a caller
-    passes its own to read the ranks afterwards or to keep them across
-    calls, and may then leave ``d`` empty and check the pairs itself with
-    ``ranks.check``.  The map into ``s`` is ranked before the map out of
-    ``s`` (ascending ``s`` for cochains, descending for chains), so each map
-    is cleared with the lows of the one before it.
-    Returns ``{s: dim}`` for the nonzero dimensions, in ascending ``s``,
-    and raises ``CrossCheckError`` on a negative one.
+    differential.  Every composable pair in ``d`` passes ``_check_dd``, and
+    ``_RankOnce`` ranks each differential once.  The map into ``s`` is
+    ranked before the map out of ``s`` (ascending ``s`` for cochains,
+    descending for chains), so each map is cleared with the lows of the one
+    before it.  Returns ``{s: dim}`` for the nonzero dimensions, in
+    ascending ``s``, and raises ``CrossCheckError`` on a negative one.
     """
-    if ranks is None:
-        ranks = _RankOnce(d.get, p, step)
+    ranks = _RankOnce(d.get, p, step)
     for s in d:
         if s + step in d:
             ranks.check(what, s)

@@ -148,13 +148,18 @@ class MonomialAlgebra:
     def deg(self, mon) -> int:
         return sum(e * d for e, d in zip(mon, self.degrees))
 
+    def _face(self, supp) -> bool:
+        """Whether the generators indexed by ``supp`` may multiply to a
+        nonzero monomial: always, unless ``supp`` lies in no facet."""
+        return self.facets is None or any(supp <= f for f in self.facets)
+
     def _support_ok(self, mon) -> bool:
-        if self.facets is None:
-            return True
-        supp = frozenset(i for i, e in enumerate(mon) if e)
-        return any(supp <= f for f in self.facets)
+        return self._face(frozenset(i for i, e in enumerate(mon) if e))
 
     def basis(self, d: int) -> list[tuple]:
+        """The monomials of degree ``d``, sorted.  A Stanley-Reisner
+        enumeration stops as soon as the generators used so far lie in no
+        facet, so it costs what the basis holds, not the polynomial ring."""
         d = int(d)
         if d < 0:
             return []
@@ -162,11 +167,10 @@ class MonomialAlgebra:
             return self._basis_cache[d]
         out = []
 
-        def rec(i, remaining, mon):
+        def rec(i, remaining, mon, supp):
             if remaining == 0:
-                done = mon + (0,) * (len(self.names) - len(mon))
-                if self._support_ok(done):
-                    out.append(done)
+                if supp or self._face(supp):  # a nonempty one was checked as it grew
+                    out.append(mon + (0,) * (len(self.names) - len(mon)))
                 return
             if i == len(self.names):
                 return
@@ -174,10 +178,14 @@ class MonomialAlgebra:
             deg = self.degrees[i]
             e = 0
             while e * deg <= remaining and (cap is None or e <= cap):
-                rec(i + 1, remaining - e * deg, mon + (e,))
+                if e == 1:
+                    supp = supp | {i}
+                    if not self._face(supp):
+                        break
+                rec(i + 1, remaining - e * deg, mon + (e,), supp)
                 e += 1
 
-        rec(0, d, ())
+        rec(0, d, (), frozenset())
         out.sort()
         self._basis_cache[d] = out
         return out

@@ -5,10 +5,12 @@ length), with the inner faces that merge two adjacent letters by the
 algebra's product.  Words are integer arrays indexed as a trie, letter
 products are a table, and the faces are one numpy table ordered by level,
 degree and source, so a differential between two degree buckets is a
-slice of it, a ``_kernels.Sparse`` matrix (``_Words.block``).  ``homalg``
-ranks and checks a bar differential as that slice and each Hochschild
-cochain differential (coefficients k) as the same slice transposed; no
-differential of either complex is written densely.
+slice of it, a ``_kernels.Sparse`` matrix: ``_Words.level`` gives the
+whole differential out of one level, block diagonal by degree, and
+``_Words.block`` one degree of it.  ``homalg`` checks and ranks the bar
+complex a whole level at a time, and the Hochschild cochains (coefficients
+k) the same levels transposed; no differential of either complex is
+written densely.
 
 ``_word_counts`` counts the words per (length, degree) from the letter
 degrees, before any is built.  The cell budget of ``homalg`` reads it for
@@ -125,13 +127,15 @@ class _Words:
     ``s`` holds the words of length ``s`` in lexicographic order, with a
     ``cap`` only those of degree at most ``cap``: ``degrees[s]`` lists
     their degrees, ``buckets[s][d]`` the indices of the words of degree
-    ``d`` in word order, ``pos[s]`` each word's position in its bucket and
-    ``words[s]`` (built on first use) the ``(n, s)`` array of their
-    letters.  Words are indexed as a trie: a word's one-letter extensions
-    are a prefix of the letters (they are in degree order), so they are
-    the contiguous run of ``nchild[s][w]`` words from ``child0[s][w]`` one
-    level up, and ``parent[s]``, ``last[s]`` undo the last step.  No index
-    exceeds the number of words, whatever the length.
+    ``d`` in word order, ``index[s]`` each word's place when the level is
+    numbered by degree and then word order, ``starts[s][d]`` where the
+    bucket of degree ``d`` starts in that numbering, and ``words[s]``
+    (built on first use) the ``(n, s)`` array of their letters.  Words are
+    indexed as a trie: a word's one-letter extensions are a prefix of the
+    letters (they are in degree order), so they are the contiguous run of
+    ``nchild[s][w]`` words from ``child0[s][w]`` one level up, and
+    ``parent[s]``, ``last[s]`` undo the last step.  No index exceeds the
+    number of words, whatever the length.
 
     ``A.mul`` returns at most one term, so the letter products are an
     L x L table: ``product[a, b]`` is the letter of ``a * b`` (-1 for zero)
@@ -139,10 +143,10 @@ class _Words:
     ``(src, merged, value)`` per nonzero inner face: the product of letters
     ``i - 1`` and ``i`` of the word ``src`` of level ``s`` is the word
     ``merged`` of level ``s - 1``, with value ``(-1)^i scalar``.  Its rows
-    are ordered by level, then by the source's degree, so that
-    ``block(s, d)`` reads a slice, and then by the source, so that the
-    slice lists the faces by the source's bucket position: with rows
-    ``pos[s - 1][merged]`` and columns ``pos[s][src]`` it is a matrix
+    are ordered by level, so that ``level(s)`` reads a slice, then by the
+    source's degree, so that ``block(s, d)`` does, and then by the source,
+    so that a slice lists the faces by the source's ``index``: with rows
+    ``index[s - 1][merged]`` and columns ``index[s][src]`` it is a matrix
     sorted by column.  No position repeats: two merges of one word give
     different sequences of letter degrees, as every letter degree is
     positive.  A level inherits the faces of the one
@@ -188,26 +192,30 @@ class _Words:
         span = (levels * max(ldeg.tolist(), default=0) if cap is None else cap) + 1
         # buckets: the words sorted by (level, degree)
         order, first, runs = _group(self.degrees, span)
-        pos = np.empty(len(order), dtype=np.int64)
-        pos[order] = np.arange(len(order)) - np.array(
-            [lo for *_, lo, _ in runs]).repeat([hi - lo for *_, lo, hi in runs])
-        local = order - first[:-1].repeat(first[1:] - first[:-1])
-        self.pos = [pos[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
+        level_start = first[:-1].repeat(first[1:] - first[:-1])
+        index = np.empty(len(order), dtype=np.int64)
+        index[order] = np.arange(len(order)) - level_start
+        local = order - level_start
+        self.index = [index[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
         self.buckets = [{} for _ in self.degrees]
         for s, d, lo, hi in runs:
             self.buckets[s][d] = local[lo:hi]
+        self.starts = [[0] + np.add.accumulate(np.bincount(deg, minlength=span)).tolist()
+                       for deg in self.degrees]
         # faces: level by level, then sorted by (level, source degree)
         empty = np.zeros(0, dtype=np.int64)
         rows = [(empty, empty, empty)] * min(2, levels + 1)
         for s in range(2, levels + 1):
             rows.append(self._faces(s, *rows[-1]))
         self._face_table, self._face_bounds = rows[0], {}
+        self._face_levels = [0] * (levels + 2)
         if any(len(src) for src, _, _ in rows):
-            order, _, runs = _group([self.degrees[s][src] for s, (src, _, _) in enumerate(rows)],
-                                    span, [src for src, _, _ in rows],
-                                    max(map(len, self.degrees)))
+            order, first, runs = _group(
+                [self.degrees[s][src] for s, (src, _, _) in enumerate(rows)],
+                span, [src for src, _, _ in rows], max(map(len, self.degrees)))
             self._face_table = [np.concatenate(col)[order] for col in zip(*rows)]
             self._face_bounds = {(s, d): (lo, hi) for s, d, lo, hi in runs}
+            self._face_levels = first.tolist()
 
     def _faces(self, s: int, src, merged, value):
         """Face rows of level ``s`` from those of level ``s - 1``."""
@@ -246,17 +254,29 @@ class _Words:
             out.append(np.hstack([out[-1][parent], last[:, None].astype(dtype)]))
         return out
 
+    def level(self, s: int) -> K.Sparse:
+        """The bar differential from length ``s`` to ``s - 1`` in every
+        degree: the face rows of level ``s``, a slice of the face table,
+        sorted by column.  Its rows and columns are the words of the two
+        levels numbered by ``index``, so it is block diagonal, a block per
+        degree ``d`` on rows ``starts[s - 1][d]`` and columns
+        ``starts[s][d]`` up to those of ``d + 1``."""
+        lo, hi = self._face_levels[s: s + 2]
+        src, merged, value = (col[lo:hi] for col in self._face_table)
+        return K.Sparse((len(self.index[s - 1]), len(self.index[s])),
+                        self.index[s - 1][merged], self.index[s][src], value)
+
+    def has_faces(self, s: int) -> bool:
+        """Whether ``level(s)`` is nonzero."""
+        return self._face_levels[s] < self._face_levels[s + 1]
+
     def block(self, s: int, d: int) -> K.Sparse:
-        """The bar differential from length ``s`` to ``s - 1`` in degree
-        ``d``, on the two buckets: the face rows of level ``s`` whose source
-        has degree ``d``, a slice of the face table, sorted by column."""
+        """The block of ``level(s)`` in degree ``d``, on the two buckets."""
         lo, hi = self._face_bounds.get((s, d), (0, 0))
         src, merged, value = (col[lo:hi] for col in self._face_table)
         return K.Sparse((self.count(s - 1, d), self.count(s, d)),
-                        self.pos[s - 1][merged], self.pos[s][src], value)
-
-    def has_faces(self, s: int, d: int) -> bool:
-        return (s, d) in self._face_bounds
+                        self.index[s - 1][merged] - self.starts[s - 1][d],
+                        self.index[s][src] - self.starts[s][d], value)
 
     def count(self, s: int, d: int) -> int:
         """Number of words of length ``s`` and degree ``d``."""

@@ -248,10 +248,12 @@ def test_emss_builds_no_differential_from_or_to_a_zero_space(monkeypatch):
 
 
 def test_koszul_consumers_build_differentials_only_through_differentials(monkeypatch):
-    # the resolution, Tor and the Eilenberg-Moore model build every Koszul
-    # differential through the one method that lists the nonzero ones
-    differentials, differential = (homalg._KoszulChains.differentials,
-                                   homalg._KoszulChains.differential)
+    # the resolution, Tor and the Eilenberg-Moore model rank every Koszul
+    # differential as a whole level, and the model builds each one it reads
+    # by degree through the one method that lists the nonzero ones
+    differentials, differential, level = (homalg._KoszulChains.differentials,
+                                          homalg._KoszulChains.differential,
+                                          homalg._KoszulChains.level)
     inside, built = [], set()
 
     def through(chains, t, top):
@@ -263,11 +265,16 @@ def test_koszul_consumers_build_differentials_only_through_differentials(monkeyp
 
     def recorded(chains, s, t):
         assert inside == [chains.what], (chains.what, s, t)
-        built.add(chains.what)
         return differential(chains, s, t)
+
+    def ranked(chains, s):
+        assert inside == [], (chains.what, s)
+        built.add(chains.what)
+        return level(chains, s)
 
     monkeypatch.setattr(homalg._KoszulChains, "differentials", through)
     monkeypatch.setattr(homalg._KoszulChains, "differential", recorded)
+    monkeypatch.setattr(homalg._KoszulChains, "level", ranked)
     A = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3)])
     homalg.ext_dims(A, homalg.trivial_module(A), s_max=2, cap=6)
     tor_dims(A, ModuleViaMap.identity(A), ModuleViaMap.augmentation(A), 6)

@@ -471,24 +471,24 @@ def test_diagram_aq_reads_the_degrees_of_every_chain(p):
 
 
 def test_diagram_aq_rank_route_checks_dd(monkeypatch):
-    # one wrong entry in one delta(s, t), s >= 1, in a row delta(s + 1, t)
-    # reads; delta is sparse, so the fault is planted in a K.Sparse and
-    # reaches the sparse d*d product
+    # one wrong entry in one whole level delta(s), s >= 1, in a row that
+    # delta(s + 1) reads; delta is sparse, so the fault is planted in a
+    # K.Sparse, in an entry it lists (so the level stays block diagonal),
+    # and reaches the sparse d*d product of the rank table
     delta = HochschildComplex.delta
     corrupted = {}
 
-    def corrupt(self, s, t):
+    def corrupt(self, s, t=None):
         key = (id(self), s, t)
         if key in corrupted:
             return corrupted[key]
         m = delta(self, s, t)
-        if s >= 1 and not corrupted and m.size:
-            read = np.flatnonzero(np.asarray(delta(self, s + 1, t)).any(axis=0))
+        if t is None and s >= 1 and not corrupted and m.size and s + 1 < self.levels:
+            read = np.isin(m.rows, np.unique(delta(self, s + 1).cols)).nonzero()[0]
             if read.size:
-                dense = np.asarray(m)
-                dense[read[0], 0] += 1
-                cols, rows = np.nonzero(dense.T)  # sorted by column
-                m = K.Sparse(dense.shape, rows, cols, dense[rows, cols])
+                vals = m.vals.copy()
+                vals[read[0]] += 1
+                m = K.Sparse(m.shape, m.rows, m.cols, vals)
                 corrupted[key] = m
         return m
 

@@ -200,7 +200,8 @@ def test_hochschild_degree_one_generator():
 
 
 def test_hochschild_complex_is_freed_once_unreferenced():
-    # its ranks reach it weakly, so no reference cycle waits for the collector
+    # its rank table holds no reference to it, so no reference cycle waits
+    # for the collector
     import gc
     import weakref
 
@@ -208,7 +209,6 @@ def test_hochschild_complex_is_freed_once_unreferenced():
     hc = HochschildComplex(A, 4)
     for t in hc.t_range(range(4)):
         for s in range(3):
-            hc.verify_dd(s, t)
             hc.cohomology_dim(s, t)
     assert hc._ranks
     ref = weakref.ref(hc)
@@ -287,29 +287,38 @@ def test_hochschild_routes_disagree_on_one_entry(tmp_path, monkeypatch, fault):
 
 
 def test_hochschild_ranks_clear_only_after_verify_dd(monkeypatch):
+    # the rank table ranks one whole level per kernel call, in order, each
+    # but delta(0) (a zero map: no level-1 word has an inner face); each
+    # level but the first is cleared, and only after its pair with the level
+    # before passed verify_dd; without clearing the table is the same
     from fphomalg import _kernels as K
 
-    rank, cleared = K.rank, []
+    rank_blocks, verify_dd, events = K.rank_blocks, HochschildComplex.verify_dd, []
 
-    def ranking(a, q, clear=(), lows=None):
-        cleared.append(len(clear))
-        return rank(a, q, clear, lows)
+    def ranking(clearing):
+        def ranked(a, q, rows, cols, clear=(), lows=None):
+            events.append(("rank", a.shape, len(clear)))
+            return rank_blocks(a, q, rows, cols, clear if clearing else (), lows)
+        return ranked
 
-    monkeypatch.setattr(K, "rank", ranking)
+    def verified(self, first, then):
+        events.append(("verify", first.shape, then.shape))
+        return verify_dd(self, first, then)
+
+    monkeypatch.setattr(HochschildComplex, "verify_dd", verified)
     A = ext_alg(3, 1, 2, 3)
     tables = []
-    for verify in (False, True):
+    for clearing in (True, False):
+        monkeypatch.setattr(K, "rank_blocks", ranking(clearing))
         hc = HochschildComplex(A, 5)
-        cleared.clear()
-        dims = {}
-        for t in hc.t_range(range(5)):
-            if verify:
-                for s in range(3):
-                    hc.verify_dd(s, t)
-            for s in range(4):
-                dims[(s, t)] = hc.cohomology_dim(s, t)
+        events.clear()
+        dims = {(s, t): hc.cohomology_dim(s, t) for t in hc.t_range(range(5)) for s in range(4)}
+        shapes = [hc.delta(s).shape for s in range(5)]
+        assert not hc.delta(0).vals.size and events[0] == ("rank", shapes[1], 0)
+        assert events[1:] == [e for s in range(2, 5) for e in (
+            ("verify", shapes[s - 1], shapes[s]), ("rank", shapes[s], events[2 * s - 2][2]))]
+        assert all(e[2] for e in events[2::2])
         tables.append(dims)
-        assert any(cleared) == verify
     assert tables[0] == tables[1]
 
 
@@ -843,7 +852,8 @@ def test_ext_ranks_nothing_beyond_its_resolution(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(homalg, "_homology", counted("homology", homalg._homology))
+    monkeypatch.setattr(homalg, "_RankTable", counted("homology", homalg._RankTable))
+    monkeypatch.setattr(_kernels, "rank_blocks", counted("rank", _kernels.rank_blocks))
     monkeypatch.setattr(_kernels, "rank", counted("rank", _kernels.rank))
     homalg._resolution(A, 4, 4)
     alone = list(calls)

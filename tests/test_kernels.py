@@ -126,14 +126,29 @@ def test_rref_leaves_its_argument_unchanged(p):
         assert r is not a and piv
 
 
+def bar_blocks(monkeypatch, A, cap):
+    """Every block ``bar_homology_dims(A, cap)`` ranks, as a dense matrix:
+    the degree blocks of each level it hands the kernel, as ``K.rank``
+    would see them ranked alone."""
+    blocks = []
+    rank_blocks = K.rank_blocks
+
+    def recorded(a, q, rows, cols, *args, **kw):
+        dense = np.asarray(a)
+        blocks.extend(dense[r0:r1, c0:c1]
+                      for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:]))
+        return rank_blocks(a, q, rows, cols, *args, **kw)
+
+    monkeypatch.setattr(K, "rank_blocks", recorded)
+    bar_homology_dims(A, cap=cap)
+    monkeypatch.setattr(K, "rank_blocks", rank_blocks)
+    return blocks
+
+
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
     rank, rref = K.rank, K.rref
-    bar = []  # the matrices bar homology ranks, up to degree 14
-    monkeypatch.setattr(K, "rank",
-                        lambda a, *args, **kw: bar.append(np.array(a)) or rank(a, *args, **kw))
-    bar_homology_dims(MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)]), cap=14)
-    monkeypatch.setattr(K, "rank", rank)
+    bar = bar_blocks(monkeypatch, MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)]), 14)
     calls = []
     monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a) or rref(a, q))
     rng = np.random.default_rng(p)
@@ -159,16 +174,16 @@ def test_rank_hands_off_to_rref_only_when_fill_grows(monkeypatch, p):
 @pytest.mark.parametrize("p", [2, 3, 97])
 def test_bar_homology_clears_and_eliminates_less(monkeypatch, p):
     A = MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)])
-    rank, eliminate = K.rank, K.eliminate
+    rank_blocks, eliminate = K.rank_blocks, K.eliminate
 
     def run(clearing):
         cleared, steps = [], []
 
-        def ranking(a, q, clear=(), lows=None):
+        def ranking(a, q, rows, cols, clear=(), lows=None):
             cleared.append(len(clear))
-            return rank(a, q, clear if clearing else (), lows)
+            return rank_blocks(a, q, rows, cols, clear if clearing else (), lows)
 
-        monkeypatch.setattr(K, "rank", ranking)
+        monkeypatch.setattr(K, "rank_blocks", ranking)
         monkeypatch.setattr(K, "eliminate", lambda *args: steps.append(1) or eliminate(*args))
         return bar_homology_dims(A, cap=14), max(cleared), len(steps)
 
@@ -295,3 +310,56 @@ def test_eliminate_rank_matches_gauss_jordan(p, keys):
             rows = [words[i] for i in rng.permutation(m)]
         columns = [{rows[i]: int(a[i, j]) for i in np.flatnonzero(a[:, j])} for j in range(n)]
         assert eliminate_rank(columns, p) == len(gauss_jordan(a.tolist(), p)[1])
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix of ``blocks`` and its row and column
+    bounds."""
+    rows = np.add.accumulate([0] + [b.shape[0] for b in blocks]).tolist()
+    cols = np.add.accumulate([0] + [b.shape[1] for b in blocks]).tolist()
+    a = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for b, r0, c0 in zip(blocks, rows, cols):
+        a[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+    return a, rows, cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rank_blocks_is_one_rank_per_block(monkeypatch, p):
+    # each block is ranked, handed to rref and cleared as if ranked alone:
+    # the same ranks, the same lows (shifted to the block's rows) and the
+    # same rref calls, dense and as a K.Sparse, with and without clearing
+    rng, shuffle = np.random.default_rng(p + 3), np.random.default_rng(2)
+    rref, calls = K.rref, []
+    monkeypatch.setattr(K, "rref", lambda a, q: calls.append(a.shape) or rref(a, q))
+
+    def block(m, n, density):
+        return rng.integers(1, p, size=(m, n), endpoint=p == 2) * (rng.random((m, n)) < density)
+
+    blocks = [block(60, 45, 0.03),  # stays sparse
+              block(60, 60, 0.2),  # hands off part-way
+              block(30, 40, 0.6),  # goes to rref at once
+              block(12, 5, 0.7),  # too narrow for either hand-off
+              block(5, 0, 1), block(0, 4, 1), np.zeros((3, 3), dtype=np.int64),
+              block(20, 20, 0.6) * p]  # listed entries that p divides
+    paths = [len(calls)]
+    for b in blocks:
+        K.rank(b, p)
+        paths.append(len(calls))
+    assert np.diff(paths).tolist() == [0, 1, 1, 0, 0, 0, 0, 1]
+    a, rows, cols = block_diagonal(blocks)
+    for clearing in (False, True):
+        clear = {int(c) for c in rng.choice(a.shape[1], 40, replace=False)} if clearing else set()
+        calls.clear()
+        want, want_lows = [], set()
+        for b, r0, c0, c1 in zip(blocks, rows, cols, cols[1:]):
+            lows = set()
+            want.append(K.rank(b, p, {c - c0 for c in clear if c0 <= c < c1}, lows))
+            want_lows |= {r0 + r for r in lows}
+        alone = list(calls)
+        for form in (np.asarray, lambda m: sparse(m, shuffle)):
+            calls.clear()
+            lows = set()
+            assert K.rank_blocks(form(a), p, rows, cols, clear, lows) == want
+            assert lows == want_lows and calls == alone
+        if not clearing:
+            assert want == [len(rref(b, p)[1]) for b in blocks]

@@ -14,6 +14,7 @@ from fphomalg.linalg import (
     _homology,
     _matrix,
     _RankOnce,
+    _RankTable,
     free_commutative_series,
 )
 
@@ -105,11 +106,23 @@ def test_dd_nonzero_rejected():
 
 
 def test_negative_homology_dimension_rejected():
-    # both maps of rank 1 around a line, whose d*d nobody checked: the
-    # ranks passed with an empty d, as ``cohomology_dim`` passes them
-    maps = {0: np.array([[1]]), 1: np.array([[1]])}
-    with pytest.raises(CrossCheckError, match="negative"):
-        _homology("bad", {1: 1}, {}, 3, ranks=_RankOnce(maps.get, 3, 1))
+    # both maps of rank 1 around a line, as a rank table whose d*d nobody
+    # checked would read them (ranked with clearing, the second map is 0)
+    table = _RankTable("bad", 3, (), 1)
+    table.update({(0, 0): 1, (1, 0): 1})
+    with pytest.raises(CrossCheckError, match="negative bad homology dimension at s = 1"):
+        table.homology(1, 0, 1)
+
+
+def test_rank_table_clears_only_across_consecutive_levels():
+    # a zero level left out breaks the chain of clearing: the lows of
+    # level 0 are rows of level 1, not columns of level 2
+    one = K.Sparse((1, 1), np.array([0]), np.array([0]), np.array([1]))
+    checked = []
+    table = _RankTable("gap", 3, ((s, one, (0, 1), (0, 1)) for s in (0, 2)), 1,
+                       lambda first, then: checked.append(1))
+    assert dict(table) == {(0, 0): 1, (2, 0): 1} and checked == []
+    assert table.homology(1, 0, 1) == 0 and table.homology(3, 0, 2) == 1
 
 
 def test_homology_with_zero_differentials_equals_spaces():
@@ -141,6 +154,12 @@ def _ranks_with_clearing(monkeypatch):
     monkeypatch.setattr(K, "rref", handing)
     monkeypatch.setattr(K, "rank", ranking)
     return seen
+
+
+def sparse_of(a):
+    """``a`` as a ``K.Sparse``, its nonzeros listed by column."""
+    cols, rows = np.nonzero(a.T)
+    return K.Sparse(a.shape, rows, cols, a[rows, cols])
 
 
 def random_complex(rng, p, density):
@@ -175,13 +194,19 @@ def test_homology_with_clearing_matches_rref_ranks(monkeypatch, p, step):
         want = {s: len(K.rref(m, p)[1]) for s, m in d.items()}
         homology = {s: n - want.get(s, 0) - want.get(s - step, 0) for s, n in sizes.items()}
         seen.clear()
-        ranks = _RankOnce(d.get, p, step)
-        assert _homology("random", sizes, d, p, step, ranks) == {
+        assert _homology("random", sizes, d, p, step) == {
             s: h for s, h in homology.items() if h}
-        assert dict(ranks) == {s: want.get(s, 0) for s in ranks}
         (a_shape, a_cleared, _), (b_shape, b_cleared, b_path) = seen[:2]
         assert (a_shape, a_cleared) == (a.shape, 0)
         assert b_shape == b.shape and b_cleared > 0 and b_path == path
+        # the same complex as K.Sparse levels of one block each, in the
+        # direction of the differential, ranked by a rank table
+        table = _RankTable("random", p, (
+            (s, sparse_of(d[s]), (0, d[s].shape[0]), (0, d[s].shape[1]))
+            for s in sorted(d, reverse=step < 0)), step,
+            lambda first, then: _check_dd("random", first, then, p))
+        assert dict(table) == {(s, 0): r for s, r in want.items() if r}
+        assert {s: table.homology(s, 0, n) for s, n in sizes.items()} == homology
 
 
 def test_failed_dd_check_never_clears(monkeypatch):
