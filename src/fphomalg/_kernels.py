@@ -7,6 +7,10 @@ graded complex over every internal degree: it reduces the nonzeros column
 by column, as sparse dictionaries, and hands a block's remaining work to
 the numpy Gauss-Jordan elimination ``rref`` only when that block, or the
 fill its reduction produces, gets dense.  ``rank`` is its one-block case.
+One array pass finds every column's lowest nonzero row; a column whose
+lowest row no earlier pivot has, most of them once a complex is cleared,
+is kept as its index and read into a dictionary only when a later
+column's reduction meets it or its block goes to ``rref``.
 Both read a dense matrix or a ``Sparse`` one, the nonzeros of a matrix
 listed by column, which every chain complex (Koszul, bar, Hochschild)
 hands them without a dense copy, a whole level per call.  In a complex
@@ -55,7 +59,12 @@ def as_modp(a, p: int) -> np.ndarray:
 
 
 def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form (copy) and pivot columns."""
+    """Reduced row echelon form (copy) and pivot columns.
+
+    Gauss-Jordan elimination, a pivot column at a time.  When column ``c``
+    gets its pivot, row ``r``, every row from ``r`` on is zero left of
+    ``c``, so the row swap, the scaling and the elimination update only
+    the columns from ``c`` on."""
     m = as_modp(a, p)  # a fresh array, reduced in place below
     rows, cols = m.shape
     pivots: list[int] = []
@@ -68,32 +77,39 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
+            m[[r, pr], c:] = m[[pr, r], c:]
         pivot = int(m[r, c])
         if pivot != 1:
-            m[r] = (m[r] * pow(pivot, p - 2, p)) % p
+            m[r, c:] = (m[r, c:] * pow(pivot, -1, p)) % p
         col = m[:, c].copy()
         col[r] = 0
         targets = np.nonzero(col)[0]
         if targets.size:
-            m[targets] = (m[targets] - np.outer(col[targets], m[r])) % p
+            m[targets, c:] = (m[targets, c:] - col[targets, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
-def eliminate(col: dict, low, pivots: dict, p: int):
+def eliminate(col: dict, low, pivots: dict, p: int, read=None):
     """Reduce the sparse column ``col`` in place until its lowest row is no
     pivot's; return that row, or ``None`` once the column vanishes.
 
     ``col`` maps rows to nonzero values mod p, and ``low`` is its largest
     row.  ``pivots`` maps the lowest row of each stored column to that
     column, normalised to a 1 there.  Rows may be any totally ordered keys:
-    matrix row indices in ``rank``, words in the Lie closure oracles.
+    matrix row indices in ``rank``, words in the Lie closure oracles.  With
+    ``read``, a pivot may instead be stored as an int, which ``read`` turns
+    into its normalised column the first time the reduction meets it; the
+    column replaces the int in ``pivots``.  ``rank_blocks`` stores its
+    pivots so; the Lie closure oracles pass no ``read``.
     """
     while low in pivots:
+        pivot = pivots[low]
+        if read is not None and type(pivot) is int:
+            pivot = pivots[low] = read(pivot)
         f = col[low]
-        for r, v in pivots[low].items():
+        for r, v in pivot.items():
             x = (col.get(r, 0) - f * v) % p
             if x:
                 col[r] = x
@@ -168,12 +184,18 @@ def rank_blocks(a, p: int, rows, cols, clear=(), lows: set | None = None) -> lis
     the diagonal blocks: block ``b`` is rows ``rows[b]`` to ``rows[b + 1]``
     and columns ``cols[b]`` to ``cols[b + 1]``.  A level of a graded
     complex is such a matrix, a block per internal degree.  The nonzeros
-    mod p are read once, column by column, without a dense copy.  Each
-    column is reduced against the pivot columns its block has found so
-    far, keyed by their lowest nonzero row, the one of largest index (the
-    boundary-matrix reduction of persistent homology), and stored
-    normalised to a 1 there if it does not vanish; a block's rank is its
-    number of pivots.  Each block is handed to ``rref`` on its own rows,
+    mod p are read once, in one array pass over the level, without a dense
+    copy: it finds each nonempty column and its low, its lowest nonzero
+    row, the one of largest index.  Each column is reduced against the pivot
+    columns its block has found so far, keyed by their lows (the
+    boundary-matrix reduction of persistent homology), and stored if it
+    does not vanish; a block's rank is its number of pivots.  After
+    clearing most columns have a low that no pivot has: such a column
+    becomes a pivot as it is, stored as its index, and is read into a
+    sparse column normalised to a 1 at its low only when a later column's
+    reduction meets that low (``eliminate``'s ``read``) or when its block is
+    handed to ``rref``.  A column that is reduced is read as it is met and
+    stored normalised.  Each block is handed to ``rref`` on its own rows,
     as if it were ranked alone: a block of at least ``FILL_CHECK_AFTER``
     columns that is more than ``1/FILL_INPUT`` nonzero goes at once, and
     the rest of a block's work goes once ``FILL_CHECK_AFTER`` of its stored
@@ -199,25 +221,40 @@ def rank_blocks(a, p: int, rows, cols, clear=(), lows: set | None = None) -> lis
     none.
     """
     if isinstance(a, Sparse):
-        height, width = a.shape
         ri, ci, vals = a.rows, a.cols, a.vals % p
     else:
         a = _int64_matrix(a)
-        height, width = a.shape
-        ri, ci = np.divmod(np.flatnonzero(a != 0), max(width, 1))
-        ci, ri = np.divmod(np.sort(ci * height + ri), height)  # column by column
+        ci, ri = np.nonzero(a.T)  # column by column
         vals = a[ri, ci] % p
     if not len(vals):
         return [0] * (len(cols) - 1)
     # where the entries of each block start, whether or not p divides them
     listed = ci.searchsorted(cols).tolist()
-    if not vals.all():  # entries divisible by p
+    if np.count_nonzero(vals) < len(vals):  # entries divisible by p
         keep = vals != 0
         ri, ci, vals = ri[keep], ci[keep], vals[keep]
-    ends = [0] + np.add.accumulate(np.bincount(ci, minlength=width)).tolist()
+    # the array pass: where the entries of the k-th nonempty column start,
+    # the column, its low (a Sparse lists its rows in any order) and, per
+    # block, its first nonempty column's k
+    head = np.empty(len(ci), dtype=bool)
+    head[:1] = True
+    np.not_equal(ci[1:], ci[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    nonempty, low_at = ci[starts], np.maximum.reduceat(ri, starts).tolist()
+    first = nonempty.searchsorted(cols).tolist()
+    nonempty, starts = nonempty.tolist(), starts.tolist() + [len(ri)]
     ri, vals = ri.tolist(), vals.tolist()
+
+    def read(k):
+        """The ``k``-th nonempty column, normalised to a 1 at its low."""
+        s, e = starts[k], starts[k + 1]
+        rs, vs = ri[s:e], vals[s:e]
+        inv = pow(vs[rs.index(low_at[k])], -1, p)
+        return dict(zip(rs, vs)) if inv == 1 else {r: v * inv % p for r, v in zip(rs, vs)}
+
     out = []
-    for r0, r1, c0, c1, e0, e1 in zip(rows, rows[1:], cols, cols[1:], listed, listed[1:]):
+    for r0, r1, c0, c1, e0, e1, k0, k1 in zip(rows, rows[1:], cols, cols[1:], listed,
+                                               listed[1:], first, first[1:]):
         h, w, nnz = r1 - r0, c1 - c0, e1 - e0
         if not nnz:
             out.append(0)
@@ -225,29 +262,34 @@ def rank_blocks(a, p: int, rows, cols, clear=(), lows: set | None = None) -> lis
         if w >= FILL_CHECK_AFTER and nnz * FILL_INPUT > h * w:
             out.append(len(rref(_kept(a, r0, r1, c0, c1, clear), p)[1]))
             continue
-        pivots: dict[int, dict[int, int]] = {}
+        pivots: dict = {}  # low: normalised column, or its k while unread
         stored, handed = 0, None
-        for j in range(c0, c1):
-            start, end = ends[j], ends[j + 1]
-            if start == end or j in clear:
+        for k in range(k0, k1):
+            if nonempty[k] in clear:
                 continue
-            col = dict(zip(ri[start:end], vals[start:end]))
-            low = max(col)  # a Sparse column lists its rows in any order
+            low = low_at[k]
             if low in pivots:
-                low = eliminate(col, low, pivots, p)
+                s, e = starts[k], starts[k + 1]
+                col = dict(zip(ri[s:e], vals[s:e]))
+                low = eliminate(col, low, pivots, p, read)
                 if low is None:
                     continue
-            lead = col[low]
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                col = {r: v * inv % p for r, v in col.items()}
-            pivots[low] = col
-            stored += len(col)
-            if len(pivots) >= FILL_CHECK_AFTER and stored * FILL_PIVOTS > h * len(pivots):
-                rest = _kept(a, r0, r1, j + 1, c1, clear)
+                lead = col[low]
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[low] = col
+                stored += len(col)
+            else:
+                pivots[low] = k
+                stored += starts[k + 1] - starts[k]
+            if stored * FILL_PIVOTS > h * len(pivots) and len(pivots) >= FILL_CHECK_AFTER:
+                rest = _kept(a, r0, r1, nonempty[k] + 1, c1, clear)
                 dense = np.zeros((h, len(pivots) + rest.shape[1]), dtype=np.int64)
-                for k, c in enumerate(pivots.values()):
-                    dense[[r - r0 for r in c], k] = list(c.values())
+                for i, c in enumerate(pivots.values()):
+                    if type(c) is int:
+                        c = read(c)
+                    dense[[r - r0 for r in c], i] = list(c.values())
                 dense[:, len(pivots):] = rest
                 handed = len(rref(dense, p)[1])
                 break

@@ -154,7 +154,7 @@ class MonomialAlgebra:
         return self.facets is None or any(supp <= f for f in self.facets)
 
     def _support_ok(self, mon) -> bool:
-        return self._face(frozenset(i for i, e in enumerate(mon) if e))
+        return self.facets is None or self._face(frozenset(i for i, e in enumerate(mon) if e))
 
     def basis(self, d: int) -> list[tuple]:
         """The monomials of degree ``d``, sorted.  A Stanley-Reisner

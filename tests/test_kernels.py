@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fphomalg import _kernels as K
 from fphomalg.homalg import bar_homology_dims
@@ -363,3 +365,183 @@ def test_rank_blocks_is_one_rank_per_block(monkeypatch, p):
             assert lows == want_lows and calls == alone
         if not clearing:
             assert want == [len(rref(b, p)[1]) for b in blocks]
+
+
+def reference_rank_blocks(a, p, rows, cols, clear=(), lows=None):
+    """``rank_blocks`` with every live column read into a dictionary, its
+    low found by ``max``, normalised and stored, and no array pass: the
+    reference for the kernel's ranks, lows and ``rref`` hand-offs."""
+    if isinstance(a, K.Sparse):
+        height, width = a.shape
+        ri, ci, vals = a.rows, a.cols, a.vals % p
+    else:
+        a = K._int64_matrix(a)
+        height, width = a.shape
+        ri, ci = np.divmod(np.flatnonzero(a != 0), max(width, 1))
+        ci, ri = np.divmod(np.sort(ci * height + ri), height)
+        vals = a[ri, ci] % p
+    if not len(vals):
+        return [0] * (len(cols) - 1)
+    listed = ci.searchsorted(cols).tolist()
+    if not vals.all():
+        keep = vals != 0
+        ri, ci, vals = ri[keep], ci[keep], vals[keep]
+    ends = [0] + np.add.accumulate(np.bincount(ci, minlength=width)).tolist()
+    ri, vals = ri.tolist(), vals.tolist()
+    out = []
+    for r0, r1, c0, c1, e0, e1 in zip(rows, rows[1:], cols, cols[1:], listed, listed[1:]):
+        h, w, nnz = r1 - r0, c1 - c0, e1 - e0
+        if not nnz:
+            out.append(0)
+            continue
+        if w >= K.FILL_CHECK_AFTER and nnz * K.FILL_INPUT > h * w:
+            out.append(len(K.rref(K._kept(a, r0, r1, c0, c1, clear), p)[1]))
+            continue
+        pivots, stored, handed = {}, 0, None
+        for j in range(c0, c1):
+            start, end = ends[j], ends[j + 1]
+            if start == end or j in clear:
+                continue
+            col = dict(zip(ri[start:end], vals[start:end]))
+            low = max(col)
+            if low in pivots:
+                low = K.eliminate(col, low, pivots, p)
+                if low is None:
+                    continue
+            inv = pow(col[low], p - 2, p)
+            pivots[low] = col = {r: v * inv % p for r, v in col.items()}
+            stored += len(col)
+            if len(pivots) >= K.FILL_CHECK_AFTER and stored * K.FILL_PIVOTS > h * len(pivots):
+                rest = K._kept(a, r0, r1, j + 1, c1, clear)
+                dense = np.zeros((h, len(pivots) + rest.shape[1]), dtype=np.int64)
+                for k, c in enumerate(pivots.values()):
+                    dense[[r - r0 for r in c], k] = list(c.values())
+                dense[:, len(pivots):] = rest
+                handed = len(K.rref(dense, p)[1])
+                break
+        if lows is not None:
+            lows.update(pivots)
+        out.append(len(pivots) if handed is None else handed)
+    return out
+
+
+@st.composite
+def block_levels(draw):
+    """A prime and a block-diagonal matrix: up to five blocks of up to 40 x
+    40, each random or of rank at most 4, at densities that stay sparse,
+    hand off to ``rref`` part-way or at once; at p = 2 some listed entries
+    are 2, divisible by p.  With a random set of columns to clear, or
+    none, and a seed to shuffle the rows within each column."""
+    p = draw(st.sampled_from([2, 3, 97]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        density = draw(st.sampled_from([0.03, 0.1, 0.25, 0.6]))
+        if draw(st.booleans()):
+            b = rng.integers(1, p, size=(m, n), endpoint=p == 2) * (rng.random((m, n)) < density)
+        else:  # rank at most 4: many columns reduce, some to zero
+            x = rng.integers(0, p, size=(m, 4)) * (rng.random((m, 4)) < density)
+            b = (x @ rng.integers(0, p, size=(4, n))) % p
+        blocks.append(b)
+    a, rows, cols = block_diagonal(blocks)
+    clear = set()
+    if draw(st.booleans()) and a.shape[1]:
+        clear = {int(c) for c in rng.choice(a.shape[1], a.shape[1] // 3, replace=False)}
+    return p, a, rows, cols, clear, int(rng.integers(0, 2 ** 32))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(level=block_levels())
+def test_rank_blocks_matches_the_reference_that_reads_every_column(level):
+    # the same ranks, the same lows and the same rref hand-offs (the very
+    # matrices, so at the same columns) as the reference, dense and as a
+    # K.Sparse with its rows shuffled within each column
+    p, a, rows, cols, clear, seed = level
+    rref, calls = K.rref, []
+    K.rref = lambda m, q: calls.append(np.array(m)) or rref(m, q)
+    try:
+        for form in (np.asarray, lambda m: sparse(m, np.random.default_rng(seed))):
+            got = []
+            for rank_blocks in (reference_rank_blocks, K.rank_blocks):
+                calls.clear()
+                lows = set()
+                got.append((rank_blocks(form(a), p, rows, cols, clear, lows), lows, list(calls)))
+            (want, want_lows, want_calls), (ranks, lows, handed) = got
+            assert ranks == want and lows == want_lows
+            assert len(handed) == len(want_calls)
+            assert all(np.array_equal(x, y) for x, y in zip(handed, want_calls))
+    finally:
+        K.rref = rref
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_bar_ranks_read_fewer_columns_than_they_rank(monkeypatch, p):
+    # on the bar levels of (x1, y3) at cap 14 most live columns (nonempty
+    # mod p and not cleared) become pivots as they are and are never read;
+    # a read is one unread pivot met by a later column's reduction
+    rank_blocks, eliminate = K.rank_blocks, K.eliminate
+    live, reads, steps = [], [], []
+
+    def ranking(a, q, rows, cols, clear=(), lows=None):
+        d = np.asarray(a) % q
+        live.append(sum(1 for j in range(d.shape[1]) if d[:, j].any() and j not in clear))
+        return rank_blocks(a, q, rows, cols, clear, lows)
+
+    def eliminating(col, low, pivots, q, read=None):
+        steps.append(1)
+        return eliminate(col, low, pivots, q, lambda k: reads.append(k) or read(k))
+
+    monkeypatch.setattr(K, "rank_blocks", ranking)
+    monkeypatch.setattr(K, "eliminate", eliminating)
+    A = MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)])
+    table = bar_homology_dims(A, cap=14)
+    monkeypatch.undo()
+    assert table == bar_homology_dims(A, cap=14)
+    assert steps and 0 < len(reads) < sum(live)
+
+
+def reference_nullspace(a, p):
+    """The kernel basis built from ``gauss_jordan``: a column per free
+    column, 1 there and minus the reduced entries at the pivots."""
+    r, pivots = gauss_jordan(a.tolist(), p)
+    n = a.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = -r[i][fc] % p
+    return basis
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_rref_from_the_pivot_on_matches_gauss_jordan(p):
+    # rref updates only the columns from each pivot on; on wide, tall and
+    # square matrices with zero columns, full or of low rank, it is the
+    # reference's reduced form, and nullspace and solve built on it are too
+    rng = np.random.default_rng(p + 17)
+    for m, n in ((4, 40), (40, 4), (25, 25), (7, 60), (60, 7)):
+        for low_rank in (False, True):
+            if low_rank:
+                a = (random_matrix(rng, m, 3, p) @ random_matrix(rng, 3, n, p)) % p
+            else:
+                a = random_matrix(rng, m, n, p)
+            a[:, rng.choice(n, n // 4, replace=False)] = 0
+            ref, ref_pivots = gauss_jordan(a.tolist(), p)
+            r, piv = K.rref(a, p)
+            assert piv == ref_pivots and r.tolist() == ref
+            assert np.array_equal(K.nullspace(a, p), reference_nullspace(a, p))
+            x0 = random_matrix(rng, n, 2, p)
+            x = K.solve(a, (a @ x0) % p, p)
+            assert x is not None and ((a @ x) % p == (a @ x0) % p).all()
+            aug, aug_pivots = gauss_jordan(np.concatenate([a, (a @ x0) % p], axis=1).tolist(), p)
+            want = np.zeros((n, 2), dtype=np.int64)
+            for i, pc in enumerate(aug_pivots):
+                want[pc] = aug[i][n:]
+            assert np.array_equal(x, want)
+            if len(ref_pivots) < m:  # a right-hand side off the column space
+                b = np.zeros(m, dtype=np.int64)
+                b[len(ref_pivots):] = 1
+                if gauss_jordan(np.concatenate([a, b[:, None]], axis=1).tolist(), p)[1][-1] == n:
+                    assert K.solve(a, b, p) is None
