@@ -10,13 +10,14 @@ convergence itself is a topological input this library does not model.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from . import _kernels as K
 from .diagrams import face_ring_diagram, limit_dims
 from .errors import CapError, CrossCheckError, ValidationError
-from .homalg import _KoszulChains, _series, bar_homology_dims, tor_dims
+from .homalg import _KoszulChains, bar_homology_dims, tor_dims
 from .linalg import (
     BigradedTable,
     GradedVectorSpace,
@@ -520,20 +521,21 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
     """Loop-space cohomology series for a space with polynomial cohomology
     on even positive generators: exterior on the desuspension.
 
-    Computed as Tor over the polynomial algebra collapsed to total degree,
-    cross-checked against the bar construction and against the closed-form
-    exterior series; disagreement raises ``CrossCheckError``.
+    Computed as Tor over the polynomial algebra up to internal degree
+    ``cap``, cross-checked against the bar construction and, bidegree by
+    bidegree for ``t <= cap``, against the exterior algebra on sV, which has
+    a generator at ``(1, d)`` for each generator of degree d; disagreement
+    raises ``CrossCheckError``.  A class at ``(s, t)`` has total degree
+    ``t - s``, so the series is exact up to ``cap`` only if every class of
+    total degree at most ``cap`` lies at ``t <= cap``.  Otherwise it is given
+    up to the last total degree with a class below the first total degree
+    with a class beyond ``t = cap``.
     """
     for d in V.degrees():
         if d <= 0 or d % 2:
             raise ValidationError("input must be concentrated in even positive degrees")
-    gens = []
-    i = 0
-    for d in V.degrees():
-        for _ in range(V.dim(d)):
-            gens.append((f"u{i}", d))
-            i += 1
-    A = MonomialAlgebra.polynomial(p, gens)
+    degrees = [d for d in V.degrees() for _ in range(V.dim(d))]
+    A = MonomialAlgebra.polynomial(p, [(f"u{i}", d) for i, d in enumerate(degrees)])
     # bar first: its differentials outgrow the Koszul chains', so the cell
     # budget refuses an oversized cap before either route does any work
     bar = bar_homology_dims(A, cap)
@@ -541,14 +543,18 @@ def loop_cohomology_dims(V: GradedVectorSpace, cap: int, p: int) -> dict:
     tor = tor_dims(A, k, k, cap)
     if tor != bar:
         raise CrossCheckError("Koszul and bar routes disagree on loop cohomology")
-    totals = tor.total_dims()
-    ext = MonomialAlgebra.exterior(p, [(name, d - 1) for name, d in gens])
-    expected = HilbertSeries(_series(ext, cap), cap)
-    got = HilbertSeries({d: n for d, n in totals.items() if 0 <= d <= cap}, cap)
-    if got != expected:
+    ext = Counter({(0, 0): 1})  # the exterior algebra on sV, to total degree cap
+    for d in degrees:
+        for (s, t), n in list(ext.items()):
+            if t + d - s - 1 <= cap:
+                ext[s + 1, t + d] += n
+    expected = BigradedTable({(s, t): n for (s, t), n in ext.items() if t <= cap})
+    if tor != expected:
         raise CrossCheckError(
-            f"loop series {got.nonzero()} differs from the exterior series {expected.nonzero()}"
-        )
+            f"loop Tor {tor.entries} differs from the exterior algebra {expected.entries}")
+    beyond = min((t - s for s, t in ext if t > cap), default=None)
+    top = cap if beyond is None else max(t - s for s, t in ext if t - s < beyond)
+    got = HilbertSeries({d: n for d, n in tor.total_dims().items() if d <= top}, top)
     primitives = GradedVectorSpace({d - 1: n for d, n in V.dims.items()})
     return {
         "series": got,

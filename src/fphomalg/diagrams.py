@@ -323,7 +323,9 @@ def _cosimplicial(J: FiniteCategory, levels, top: int, dim, face0, last, p: int)
     sign (-1)^k, and the last face drops the last arrow ``f`` and acts by
     ``last(face, f)`` with sign (-1)^(s+1).  ``face0`` and ``last`` are
     called only between two nonzero components.  Returns the sizes of levels
-    0..top and ``d_0, ..., d_top``, as ``_homology`` takes them.
+    0..top and the dense maps ``d_0, ..., d_top``, as ``_homology`` takes
+    them: each nonzero ``d_s`` is ranked as a level of one block of a
+    ``_RankTable``, checked against ``d_{s-1}``.
     """
     spaces = [_offsets(levels[s] if s < len(levels) else (), dim) for s in range(top + 2)]
     d = {}
@@ -365,7 +367,7 @@ def limit_dims(D: VectorDiagram, cap: int) -> GradedVectorSpace:
         offs, n = _offsets(sorted(D.base.objects), lambda o: D.value(o).dim(t))
         cons = _equalizer(n, [(D.map(f).block(t), offs[s], offs[dst])
                               for f, (s, dst) in sorted(D.base.arrows.items())], D.p)
-        k = K.nullspace(cons, D.p).shape[1]
+        k = n - K.rank(cons, D.p)
         if k:
             dims[t] = k
     return GradedVectorSpace(dims)
@@ -422,8 +424,8 @@ def matching_surjectivity(I: FiniteCategory, D: VectorDiagram, obj, cap: int) ->
             continue
         cons = _equalizer(n, [(D.map(h).block(d), offs[g2], offs[g])
                               for h, g2, g in triangles], D.p)
-        ker = K.nullspace(cons, D.p)
-        if ker.shape[1] == 0:
+        k = n - K.rank(cons, D.p)
+        if k == 0:
             results.append((d, True))
             continue
         # cone map components F(obj) -> F(j) via D.map(g)
@@ -436,7 +438,7 @@ def matching_surjectivity(I: FiniteCategory, D: VectorDiagram, obj, cap: int) ->
         if cons.size and cone.size and ((cons @ cone) % D.p).any():
             raise CrossCheckError("cone map does not land in the matching limit")
         # image sits inside the limit, so surjectivity is a rank comparison
-        results.append((d, K.rank(cone, D.p) == ker.shape[1]))
+        results.append((d, K.rank(cone, D.p) == k))
     failed = [d for d, ok in results if not ok]
     return {
         "object": obj,

@@ -6,16 +6,16 @@ tables with parity verdicts, and truncated Hilbert series.  A small private
 layer serves every derived-functor builder: ``_matrix`` is the one writer
 of a linear map between two given bases, ``_assemble`` builds a matrix
 from (row, column, value) triples, and ``_check_dd`` is the one ``d*d = 0``
-check.  ``_RankTable`` ranks a chain complex one level at a time: the
-differential out of a level, over every internal degree, is one
-block-diagonal ``K.Sparse`` matrix, checked against the level before it by
-one product and ranked by one ``K.rank_blocks`` call, a rank per degree.
-``_homology`` turns the sizes and dense differentials of one internal
-degree of the diagram layer into homology dimensions, ranking each map once
-(``_RankOnce``).  Either way the map into a space is ranked before the map
-out of it, and once the pair has passed ``_check_dd`` the lowest rows of
-the first map's pivot columns name columns of the second that need not be
-reduced (clearing, see ``_kernels``).
+check.  ``_RankTable`` ranks every chain complex of the package one level
+at a time: the differential out of a level, over every internal degree, is
+one block-diagonal matrix, checked against the level before it by one
+product and ranked by one ``K.rank_blocks`` call, a rank per degree.  The
+map into a space is ranked before the map out of it, and once the pair has
+passed the check the lowest rows of the first map's pivot columns name
+columns of the second that need not be reduced (clearing, see
+``_kernels``).  ``_homology`` reads the homology of one internal degree of
+the diagram layer's dense cochain complexes off a table whose levels are
+one block each.
 
 Degree conventions, fixed once:
 
@@ -267,55 +267,15 @@ def _matrix(src, tgt, image, p: int) -> np.ndarray:
     return _assemble((len(tgt), len(src)), rows, cols, vals, p)
 
 
-class _RankOnce(dict):
-    """``ranks[s]`` is the rank of ``matrix(s)``, the differential leaving
-    index ``s`` for ``s + step``, computed on first use; a ``None`` matrix
-    is the zero map, and a map from or to a zero space is not ranked.
-
-    A homology step needs the rank of each differential twice, once as the
-    outgoing and once as the incoming map; this keeps it to one rank call.
-    Each rank also keeps the lowest rows of the pivot columns ``K.rank``
-    stored, and the map out of ``s`` clears those of the map into ``s``
-    (see ``_kernels``), but only once ``check(what, s - step)`` has passed:
-    clearing is sound only where ``d*d = 0``.
-    """
-
-    def __init__(self, matrix, p: int, step: int):
-        super().__init__()
-        self._matrix = matrix
-        self._p = p
-        self._step = step
-        self._checked: set[int] = set()
-        self._lows: dict[int, set[int]] = {}
-
-    def check(self, what: str, s: int):
-        """``_check_dd`` on the maps out of ``s`` and out of ``s + step``;
-        once it passes, the map out of ``s + step`` is ranked with
-        clearing."""
-        _check_dd(what, self._matrix(s), self._matrix(s + self._step), self._p)
-        self._checked.add(s)
-
-    def __missing__(self, s):
-        m = self._matrix(s)
-        if m is None or not m.size:
-            r = 0
-        else:
-            into = s - self._step
-            clear = self._lows.pop(into, ()) if into in self._checked else ()
-            lows = self._lows[s] = set()
-            r = K.rank(m, self._p, clear, lows)
-        self[s] = r
-        return r
-
-
 class _RankTable(dict):
     """``table[s, b]`` is the rank of a complex's differential out of level
     ``s`` in its diagonal block ``b``, an internal degree; zero ranks are
     left out.
 
     ``levels`` yields ``(s, d, rows, cols)``: the differential out of each
-    level over every degree, a ``K.Sparse`` matrix block diagonal by degree
-    with its block bounds (``K.rank_blocks``), in the direction of the
+    level over every degree, a ``K.Sparse`` or dense matrix block diagonal
+    by degree with its block bounds (``K.rank_blocks``; the diagram layer's
+    dense maps are levels of one block), in the direction of the
     differential, ``s`` to ``s + step`` (``step`` is 1 for cochains, -1 for
     chains).  A level whose differential is zero may be left out.  Each
     level is ranked by one ``K.rank_blocks`` call, cleared with the lows of
@@ -391,35 +351,22 @@ def _sparse_product(a: K.Sparse, b: K.Sparse, p: int) -> np.ndarray:
     return np.add.reduceat(val[order], cuts) % p
 
 
-def _homology(what: str, sizes: dict, d: dict, p: int, step: int = 1) -> dict[int, int]:
-    """Homology dimensions of one internal degree of a complex given by
-    dense maps, as the diagram layer builds them.
+def _homology(what: str, sizes: dict, d: dict, p: int) -> dict[int, int]:
+    """Homology dimensions of one internal degree of a cochain complex given
+    by dense maps, as the diagram layer builds them.
 
     ``sizes[s]`` is the dimension of the space at index ``s``, for the
     indices whose homology is wanted, listed in ascending order; ``d[s]``
-    is the differential leaving index ``s`` for ``s + step`` (``step`` is 1
-    for cochains, -1 for chains), and an index without one has a zero
-    differential.  Every composable pair in ``d`` passes ``_check_dd``, and
-    ``_RankOnce`` ranks each differential once.  The map into ``s`` is
-    ranked before the map out of ``s`` (ascending ``s`` for cochains,
-    descending for chains), so each map is cleared with the lows of the one
-    before it.  Returns ``{s: dim}`` for the nonzero dimensions, in
-    ascending ``s``, and raises ``CrossCheckError`` on a negative one.
+    is the differential leaving index ``s`` for ``s + 1``, and an index
+    without one has a zero differential.  Each ``d[s]`` with a nonzero
+    entry is a level of one block of a ``_RankTable``, checked against the
+    level before it by ``_check_dd``.  Returns ``{s: dim}`` for the nonzero
+    dimensions, in ascending ``s``.
     """
-    ranks = _RankOnce(d.get, p, step)
-    for s in d:
-        if s + step in d:
-            ranks.check(what, s)
-    out = {}
-    for s in (sizes if step > 0 else reversed(sizes)):
-        n = sizes[s]
-        if n:
-            h = n - ranks[s - step] - ranks[s]
-            if h < 0:
-                raise CrossCheckError(f"negative {what} homology dimension at s = {s}")
-            if h:
-                out[s] = h
-    return out if step > 0 else dict(reversed(out.items()))
+    ranks = _RankTable(what, p, ((s, m, (0, m.shape[0]), (0, m.shape[1]))
+                                 for s, m in sorted(d.items()) if m.any()), 1,
+                       lambda first, then: _check_dd(what, first, then, p))
+    return {s: h for s, n in sizes.items() if (h := ranks.homology(s, 0, n))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import itertools
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -143,6 +145,36 @@ def test_emss_preset_and_loops(tmp_path):
     code, text = run(tmp_path, "loops", {"dims": {"2": 1}}, "-p", "3", "-n", "8")
     assert code == 0
     assert json.loads(text)["series"]["series"] == {"0": 1, "1": 1}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dims", [{"2": 1}, {"2": 1, "4": 1}, {"2": 2}, {"4": 1, "6": 1},
+                                  {"2": 1, "6": 2}, {"2": 2, "4": 1}])
+def test_loops_answers_every_cap_with_the_exterior_series(tmp_path, p, dims):
+    # the exterior algebra on sV, one class (|S|, sum S) per set S of
+    # generators; a class of total degree t - s is seen only if t <= cap,
+    # so the series runs to cap if every class of total degree at most cap
+    # is seen, and else to the last class before the first one unseen
+    degrees = [int(d) for d, n in dims.items() for _ in range(n)]
+    classes = [(len(S), sum(S)) for k in range(len(degrees) + 1)
+               for S in itertools.combinations(degrees, k)]
+    for cap in range(11):
+        code, text = run(tmp_path, "loops", {"dims": dims}, "-p", str(p), "-n", str(cap))
+        assert code == 0, (cap, text)
+        unseen = [t - s for s, t in classes if t > cap and t - s <= cap]
+        top = max(t - s for s, t in classes if t - s < min(unseen)) if unseen else cap
+        series = Counter(str(t - s) for s, t in classes if t - s <= top)
+        assert json.loads(text)["series"] == {"cap": top, "series": series}, cap
+
+
+def test_loops_window_on_u2_u4(tmp_path):
+    # total degrees 0, 1, 3 and 4 at internal degrees 0, 2, 4 and 6
+    caps = {}
+    for cap in range(7):
+        code, text = run(tmp_path, "loops", {"dims": {"2": 1, "4": 1}}, "-p", "3", "-n", str(cap))
+        assert code == 0
+        caps[cap] = json.loads(text)["series"]["cap"]
+    assert caps == {0: 0, 1: 0, 2: 2, 3: 1, 4: 3, 5: 3, 6: 6}
 
 
 def test_obstruction_pass_and_fail(tmp_path):

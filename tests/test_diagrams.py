@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from fphomalg import _kernels as K
 from fphomalg import diagrams
+from fphomalg.cli import _vector_diagram, main
 from fphomalg.diagrams import (
     AlgebraDiagram,
     FiniteCategory,
@@ -263,18 +265,17 @@ def test_diagram_aq_noninjective_cospan_has_higher_column():
 
 
 def _ranked_matrices(monkeypatch):
-    """Record every matrix passed to the kernel's rank, keeping it alive so
-    that two calls on one differential show as one object twice."""
-    from fphomalg import _kernels as K
-
+    """Record every matrix passed to the kernel's rank (``K.rank_blocks``,
+    which ``K.rank`` and every rank table call), keeping it alive so that
+    two calls on one differential show as one object twice."""
     seen = []
-    rank = K.rank
+    rank_blocks = K.rank_blocks
 
     def counting(a, *args, **kwargs):
         seen.append(a)
-        return rank(a, *args, **kwargs)
+        return rank_blocks(a, *args, **kwargs)
 
-    monkeypatch.setattr(K, "rank", counting)
+    monkeypatch.setattr(K, "rank_blocks", counting)
     return seen
 
 
@@ -497,6 +498,67 @@ def test_diagram_aq_rank_route_checks_dd(monkeypatch):
     with pytest.raises(CrossCheckError, match="d\\*d"):
         diagram_aq_table(I, DV, DM, s_max=2, q_max=2)
     assert corrupted
+
+
+# a --f--> b --g--> c with h = g f, whose nerve has the composable pair
+# (f, g); V and M are k[3] everywhere, f acts by 1 and g, h by 0
+CHAIN_OF_TWO_ARROWS = {
+    "category": {"objects": [{"id": "a", "lambda": 0}, {"id": "b", "lambda": 1},
+                             {"id": "c", "lambda": 2}],
+                 "arrows": [{"id": "f", "src": "a", "dst": "b"}, {"id": "g", "src": "b", "dst": "c"},
+                            {"id": "h", "src": "a", "dst": "c"}]},
+    "values": {o: {"dims": {"3": 1}} for o in "abc"},
+    "maps": {"f": {"blocks": {"3": [[1]]}}, "g": {"blocks": {"3": [[0]]}},
+             "h": {"blocks": {"3": [[0]]}}},
+}
+
+
+def _plant_cosimplicial_fault(monkeypatch):
+    """Wrap ``_cosimplicial`` so that the first complex whose ``d[1]`` reads
+    a row of ``d[0]`` gets 1 added to that row's first entry, so that
+    ``d[1] @ d[0]`` no longer vanishes; returns the list of planted rows."""
+    planted = []
+    cosimplicial = diagrams._cosimplicial
+
+    def planting(*args):
+        sizes, d = cosimplicial(*args)
+        p = args[-1]
+        read = np.flatnonzero(d[1].any(axis=0)) if 1 in d else ()
+        if not planted and len(read) and d[0].shape[1]:
+            d[0] = d[0].copy()
+            d[0][read[0], 0] = (d[0][read[0], 0] + 1) % p
+            assert (d[1] @ d[0] % p).any()
+            planted.append(read[0])
+        return sizes, d
+
+    monkeypatch.setattr(diagrams, "_cosimplicial", planting)
+    return planted
+
+
+@pytest.mark.parametrize("command", ["diagram-lim", "diagram-aq"])
+def test_a_fault_in_the_cosimplicial_complex_exits_3(monkeypatch, tmp_path, capsys, command):
+    p, data = 3, CHAIN_OF_TWO_ARROWS
+    cat = FiniteCategory.from_json(data["category"])
+    D = _vector_diagram(cat, data["values"], data["maps"], p)
+    planted = _plant_cosimplicial_fault(monkeypatch)
+    with pytest.raises(CrossCheckError, match="cosimplicial differential fails d\\*d = 0"):
+        if command == "diagram-lim":
+            derived_limit_dims(D, 6)
+        else:
+            diagram_aq_table(cat, D, D, s_max=3, q_max=2)
+    assert planted
+    planted.clear()
+    if command == "diagram-lim":
+        argv = ["-n", "6"]
+    else:
+        argv = ["--smax", "3", "--qmax", "2"]
+        data = {"category": data["category"], "v_values": data["values"], "v_maps": data["maps"],
+                "m_values": data["values"], "m_maps": data["maps"]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "-p", str(p), *argv, str(path)]) == 3
+    assert planted
+    assert "cosimplicial differential fails d*d = 0" in capsys.readouterr().err
 
 
 def test_diagram_aq_restricts_along_maps_into_larger_algebras():

@@ -13,7 +13,6 @@ from fphomalg.linalg import (
     _check_dd,
     _homology,
     _matrix,
-    _RankOnce,
     _RankTable,
     free_commutative_series,
 )
@@ -64,10 +63,20 @@ def test_graded_map_shape_validation_and_compose():
     assert (h.block(0) == np.array([[1], [2]])).all()
 
 
+def chain_homology(what, sizes, d, p):
+    """Homology of a chain complex given by dense maps, ``d[s]`` leaving
+    ``s`` for ``s - 1``: a rank table in the chain direction whose levels
+    are one block each, read at every ``s`` of ``sizes``."""
+    table = _RankTable(what, p, ((s, d[s], (0, d[s].shape[0]), (0, d[s].shape[1]))
+                                 for s in sorted(d, reverse=True)), -1,
+                       lambda first, then: _check_dd(what, first, then, p))
+    return {s: h for s, n in sizes.items() if (h := table.homology(s, 0, n))}
+
+
 def two_term_homology(entry, p):
     # k --(entry)--> k as a chain complex C_1 -> C_0
     d = {1: np.array([[entry % p]], dtype=np.int64)}
-    return _homology("two-term", {0: 1, 1: 1}, d, p, step=-1)
+    return chain_homology("two-term", {0: 1, 1: 1}, d, p)
 
 
 def test_matrix_sums_repeats_and_refuses_unknown_keys():
@@ -91,9 +100,9 @@ def test_homology_periodic_truncated_strand():
     # degree 0 only A has a basis element, in degree 3 both do and x maps
     # one onto the other.
     p = 2
-    assert _homology("strand", {0: 1, 1: 0}, {1: np.zeros((1, 0), dtype=np.int64)},
-                     p, step=-1) == {0: 1}
-    assert _homology("strand", {0: 1, 1: 1}, {1: np.array([[1]])}, p, step=-1) == {}
+    assert chain_homology("strand", {0: 1, 1: 0}, {1: np.zeros((1, 0), dtype=np.int64)},
+                          p) == {0: 1}
+    assert chain_homology("strand", {0: 1, 1: 1}, {1: np.array([[1]])}, p) == {}
 
 
 def test_dd_nonzero_rejected():
@@ -129,30 +138,32 @@ def test_homology_with_zero_differentials_equals_spaces():
     p = 5
     sizes = {0: 3, 1: 4}
     d = {1: np.zeros((3, 4), dtype=np.int64)}
-    assert _homology("zero", sizes, d, p, step=-1) == sizes
+    assert chain_homology("zero", sizes, d, p) == sizes
+    assert _homology("zero", sizes, {0: d[1].T}, p) == sizes
     assert _homology("zero", sizes, {}, p) == sizes
 
 
 def _ranks_with_clearing(monkeypatch):
-    """Record, for every kernel rank call, the number of columns it was
-    told to clear and how it ended: "sparse" without ``rref``, "at once" if
-    ``rref`` ran and no lows came back, "hand-off" if both happened."""
-    rank, rref = K.rank, K.rref
+    """Record, for every kernel rank call on a level, the number of columns
+    it was told to clear and how it ended: "sparse" without ``rref``, "at
+    once" if ``rref`` ran and no lows came back, "hand-off" if both
+    happened."""
+    rank_blocks, rref = K.rank_blocks, K.rref
     seen, handed = [], []
 
     def handing(a, q):
         handed.append(1)
         return rref(a, q)
 
-    def ranking(a, q, clear=(), lows=None):
+    def ranking(a, q, rows, cols, clear=(), lows=None):
         before = len(handed)
-        r = rank(a, q, clear, lows)
+        r = rank_blocks(a, q, rows, cols, clear, lows)
         path = "sparse" if len(handed) == before else "hand-off" if lows else "at once"
         seen.append((a.shape, len(clear), path))
         return r
 
     monkeypatch.setattr(K, "rref", handing)
-    monkeypatch.setattr(K, "rank", ranking)
+    monkeypatch.setattr(K, "rank_blocks", ranking)
     return seen
 
 
@@ -177,6 +188,14 @@ def random_complex(rng, p, density):
     return a, b, c
 
 
+def ranked_a_then_b_cleared(seen, a, b, path):
+    """The first two rank calls ``seen`` are ``a`` with nothing cleared and
+    ``b`` with some columns cleared, ending by ``path``."""
+    (a_shape, a_cleared, _), (b_shape, b_cleared, b_path) = seen[:2]
+    assert (a_shape, a_cleared) == (a.shape, 0)
+    assert b_shape == b.shape and b_cleared > 0 and b_path == path
+
+
 @pytest.mark.parametrize("p", [2, 3, 97])
 @pytest.mark.parametrize("step", [1, -1])
 def test_homology_with_clearing_matches_rref_ranks(monkeypatch, p, step):
@@ -193,18 +212,18 @@ def test_homology_with_clearing_matches_rref_ranks(monkeypatch, p, step):
             sizes, d = {0: 20, 1: 30, 2: 120, 3: 60}, {3: a, 2: b, 1: c}
         want = {s: len(K.rref(m, p)[1]) for s, m in d.items()}
         homology = {s: n - want.get(s, 0) - want.get(s - step, 0) for s, n in sizes.items()}
-        seen.clear()
-        assert _homology("random", sizes, d, p, step) == {
-            s: h for s, h in homology.items() if h}
-        (a_shape, a_cleared, _), (b_shape, b_cleared, b_path) = seen[:2]
-        assert (a_shape, a_cleared) == (a.shape, 0)
-        assert b_shape == b.shape and b_cleared > 0 and b_path == path
+        if step == 1:  # the diagram layer's dense cochain maps
+            seen.clear()
+            assert _homology("random", sizes, d, p) == {s: h for s, h in homology.items() if h}
+            ranked_a_then_b_cleared(seen, a, b, path)
         # the same complex as K.Sparse levels of one block each, in the
         # direction of the differential, ranked by a rank table
+        seen.clear()
         table = _RankTable("random", p, (
             (s, sparse_of(d[s]), (0, d[s].shape[0]), (0, d[s].shape[1]))
             for s in sorted(d, reverse=step < 0)), step,
             lambda first, then: _check_dd("random", first, then, p))
+        ranked_a_then_b_cleared(seen, a, b, path)
         assert dict(table) == {(s, 0): r for s, r in want.items() if r}
         assert {s: table.homology(s, 0, n) for s, n in sizes.items()} == homology
 
@@ -214,20 +233,15 @@ def test_failed_dd_check_never_clears(monkeypatch):
     p = 3
     a = np.array([[1], [0], [0], [0]])  # sparse, so its low is reported
     bad, good = {0: a, 1: np.array([[1, 0, 0, 1]])}, {0: a, 1: np.array([[0, 0, 0, 1]])}
-    with pytest.raises(CrossCheckError, match="fails d\\*d = 0"):
-        _homology("bad", {0: 1, 1: 4, 2: 1}, bad, p)
-    assert seen == []  # the check comes before every rank
-    for d, checked in ((bad, False), (good, False), (good, True)):
-        ranks = _RankOnce(d.get, p, 1)
-        if d is bad:
-            with pytest.raises(CrossCheckError, match="fails d\\*d = 0"):
-                ranks.check("bad", 0)
-        elif checked:
-            ranks.check("good", 0)
-        seen.clear()
-        assert (ranks[0], ranks[1]) == (1, 1)
-        # the low of a, row 0, clears column 0 of the map after it
-        assert [cleared for _, cleared, _ in seen] == [0, 1 if checked else 0]
+    sizes = {0: 1, 1: 4, 2: 1}
+    with pytest.raises(CrossCheckError, match="bad differential fails d\\*d = 0"):
+        _homology("bad", sizes, bad, p)
+    # the check comes before the second map is ranked
+    assert [(shape, cleared) for shape, cleared, _ in seen] == [(a.shape, 0)]
+    seen.clear()
+    assert _homology("good", sizes, good, p) == {1: 2}
+    # the pair passed, so the low of a, row 0, clears column 0 of the map after it
+    assert [cleared for _, cleared, _ in seen] == [0, 1]
 
 
 @pytest.mark.parametrize("p", [2, 97])
