@@ -68,7 +68,7 @@ def _module(obj, A):
     if obj in (None, "k"):
         return homalg.trivial_module(A)
     space = GradedVectorSpace.from_json(obj)
-    return AlgebraModule.trivial(A, space)
+    return AlgebraModule(A, space)
 
 
 def _module_via_map(obj, A):

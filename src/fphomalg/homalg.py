@@ -20,8 +20,8 @@ being verified demand it: Hochschild cohomology with coefficients in a
 module M on which A acts trivially is computed from the resolution
 shortcut ``Ext_A(k, M)`` (``ext_dims``) and from the normalized cochain
 complex with coefficients k, the dual of the bar complex, tensored with M
-afterwards, and any mismatch raises ``CrossCheckError``.  A module on
-which A acts is refused.
+afterwards, and any mismatch raises ``CrossCheckError``.  Every module
+here is trivial (``monalg.AlgebraModule``).
 
 No chain differential here is written densely.  Each complex is built as
 integer arrays, and each differential is a slice of one table of entries,
@@ -514,14 +514,11 @@ def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None) -> Big
     differential and Ext^{s,t} is read off the generators S of F_s: the sum
     of ``dim M_{|S| + t}``.  The resolution is built, and checked, to stage
     ``s_max + 1`` and internal degree ``cap`` (default: the top degree of
-    M).  A module on which A acts raises ``ValidationError``.
+    M).
 
     Entries sit at ``(s, t)`` with ``t`` the map degree (value degree minus
     resolution-generator degree).
     """
-    if any(mp.blocks for mp in M.action.values()):
-        raise ValidationError("Ext is read off the minimal resolution only for a module "
-                              "on which the algebra acts trivially")
     val_cap = cap if cap is not None else max([0] + [d for d in M.space.degrees()])
     chains = _resolution(A, s_max + 1, max(val_cap, 0))
     entries = Counter()
@@ -533,7 +530,7 @@ def ext_dims(A, M: AlgebraModule, s_max: int = 8, cap: int | None = None) -> Big
 
 
 def trivial_module(A, degree: int = 0, dim: int = 1) -> AlgebraModule:
-    return AlgebraModule.trivial(A, GradedVectorSpace({degree: dim}))
+    return AlgebraModule(A, GradedVectorSpace({degree: dim}))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +575,7 @@ class HochschildComplex:
         self._dims = {(s, -wd): n for s, counts in [(0, {0: 1}), *words]
                       for wd, n in counts.items()}
         _check_cells("Hochschild cochain", self._dims, 1)
-        self._words = _Words(A, self.abar, self.levels)
+        self._words = _Words(A, self.abar, self.levels, self.levels * top)
         self.word_index = self._words.find
         self.abar_index = self._words.letter_index
 
@@ -642,10 +639,9 @@ def hochschild_dims(A: MonomialAlgebra, M: AlgebraModule, s_max: int = 5,
     Route one is ``Ext_A(k, M)``; route two is the normalized cochain
     complex with coefficients k, tensored with M: ``dim M_md`` copies of
     its cohomology at ``(s, t)`` sit at ``(s, t + md)``, and a refusal
-    names the map degree with M's lowest degree.  A module on which A acts
-    is refused by route one, as in ``ext_dims`` (``ValidationError``).  Any
-    entrywise mismatch raises ``CrossCheckError``.  Entries at ``(s, t)``,
-    ``t`` the map degree.
+    names the map degree with M's lowest degree.  Any entrywise mismatch
+    raises ``CrossCheckError``.  Entries at ``(s, t)``, ``t`` the map
+    degree.
     """
     shortcut = ext_dims(A, M, s_max=s_max, cap=cap if cap is not None else 0)
     mdims = M.space.dims
@@ -681,48 +677,44 @@ def derivations_dims(A, M: AlgebraModule, cap: int) -> GradedVectorSpace:
     graded by map degree (possibly negative).
     """
     p = A.p
-    basis_keys = []
-    for d in range(1, cap + 1):
-        for i, key in enumerate(A.basis(d)):
-            basis_keys.append((d, key))
-    t_values = set()
-    for d, _ in basis_keys:
-        for md in M.space.degrees():
-            t_values.add(md - d)
+    basis = {d: A.basis(d) for d in range(1, cap + 1) if A.basis(d)}
+    mdims = M.space.dims
     dims = {}
-    for t in sorted(t_values):
+    for t in sorted({md - d for d in basis for md in mdims}):
         col_index = {}
-        for d, key in basis_keys:
-            for mi in range(M.space.dim(d + t)):
-                col_index[(d, key, mi)] = len(col_index)
+        for d, keys in basis.items():
+            for key in keys:
+                for mi in range(mdims.get(d + t, 0)):
+                    col_index[(d, key, mi)] = len(col_index)
         if not col_index:
             continue
-        # one block of rows per pair (a, b): D(ab) - D(a).b - (-1)^{t|a|} a.D(b)
+        # one block of rows per pair (a, b): D(ab) - D(a).b - (-1)^{t|a|} a.D(b),
+        # for the degrees of a and b whose product lands in a degree of M
         rows, cols, vals = [], [], []
         top = 0
-        for (da, ka) in basis_keys:
-            for (db, kb) in basis_keys:
-                dd = da + db
-                mdim = M.space.dim(dd + t)
-                if dd > cap or not mdim:
-                    continue
-                for mon, sc in A.mul(ka, kb).items():
-                    for mi in range(mdim):
-                        ci = col_index.get((dd, mon, mi))
-                        if ci is not None:
-                            rows.append(top + mi)
-                            cols.append(ci)
-                            vals.append(sc)
-                right = -1 if p != 2 and (db * (da + t)) % 2 else 1
-                left = -1 if p != 2 and (t * da) % 2 else 1
-                for (dc, kc), act, sgn in (((da, ka), kb, right), ((db, kb), ka, left)):
-                    n = M.space.dim(dc + t)
-                    _, img = M.act_monomial(act, dc + t, np.eye(n, dtype=np.int64))
-                    for r, mi in zip(*np.nonzero(img)):
-                        rows.append(top + r)
-                        cols.append(col_index[(dc, kc, mi)])
-                        vals.append(-sgn * int(img[r, mi]))
-                top += mdim
+        for da, db in [(da, db) for da in basis for db in basis
+                       if da + db <= cap and da + db + t in mdims]:
+            dd = da + db
+            mdim = mdims[dd + t]
+            right = -1 if p != 2 and (db * (da + t)) % 2 else 1
+            left = -1 if p != 2 and (t * da) % 2 else 1
+            for ka in basis[da]:
+                for kb in basis[db]:
+                    for mon, sc in A.mul(ka, kb).items():
+                        for mi in range(mdim):
+                            ci = col_index.get((dd, mon, mi))
+                            if ci is not None:
+                                rows.append(top + mi)
+                                cols.append(ci)
+                                vals.append(sc)
+                    for (dc, kc), act, sgn in (((da, ka), kb, right), ((db, kb), ka, left)):
+                        n = mdims.get(dc + t, 0)
+                        _, img = M.act_monomial(act, dc + t, np.eye(n, dtype=np.int64))
+                        for r, mi in zip(*np.nonzero(img)):
+                            rows.append(top + r)
+                            cols.append(col_index[(dc, kc, mi)])
+                            vals.append(-sgn * int(img[r, mi]))
+                    top += mdim
         # with no Leibniz rows (top == 0) every map of degree t is a derivation
         hdim = len(col_index)
         if top:
@@ -759,7 +751,15 @@ def _aq_refusal(err: _OverBudget, command: str, row: str, option: str) -> CapErr
 def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
                 s_max: int = 5) -> AQResult:
     """Associative Andre-Quillen table: derivations in row 0, shifted
-    Hochschild above, with the parity verdict attached."""
+    Hochschild above, with the parity verdict attached.
+
+    ``cap`` bounds the internal degrees where the resolution behind route
+    one of ``hochschild_dims`` is checked exact.  Row 0 solves for the
+    derivations on the whole finite basis, so it covers every generator
+    whatever ``cap`` is.  Into a trivial module there are no inner
+    derivations, so row 0 is HH^1 (Loday, *Cyclic Homology*, 1992, ch. 1),
+    and a row 0 unequal to the s = 1 row of the Hochschild table raises
+    ``CrossCheckError``."""
     notes = []
     vdegs = [d for _, d in A.generators]
     if any(d % 2 == 0 for d in vdegs):
@@ -773,10 +773,11 @@ def aq_ass_dims(A: MonomialAlgebra, M: AlgebraModule, cap: int = 12,
         if err.what != "Hochschild cochain":
             raise
         raise _aq_refusal(err, "aq", "row", "--smax") from None
-    der = derivations_dims(A, M, cap)
-    entries = {}
-    for t in der.degrees():
-        entries[(0, t)] = der.dim(t)
+    der = derivations_dims(A, M, A.top_degree())
+    entries = {(0, t): n for t, n in der.dims.items()}
+    hh1 = {t: n for (s, t), n in hh.items() if s == 1}
+    if der.dims != hh1:
+        raise CrossCheckError(f"derivations {der.dims} differ from HH^1 {hh1}")
     for (s, t), n in hh.items():
         if s >= 2 and s - 1 <= s_max:
             entries[(s - 1, t)] = n

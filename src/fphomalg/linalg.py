@@ -210,21 +210,6 @@ class GradedMap:
                 blocks[i] = m % self.p
         return GradedMap(other.source, self.target, deg, blocks, self.p)
 
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if (self.degree, self.p) != (other.degree, other.p):
-            raise ValidationError("adding incompatible graded maps")
-        blocks = {}
-        for i in set(self.blocks) | set(other.blocks):
-            blocks[i] = (self.block(i) + other.block(i)) % self.p
-        return GradedMap(self.source, self.target, self.degree, blocks, self.p)
-
-    def scale(self, c: int) -> "GradedMap":
-        blocks = {i: (m * (c % self.p)) % self.p for i, m in self.blocks.items()}
-        return GradedMap(self.source, self.target, self.degree, blocks, self.p)
-
-    def is_zero(self) -> bool:
-        return all(not m.any() for m in self.blocks.values())
-
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented

@@ -5,27 +5,17 @@ An algebra presents: generators with degrees, per-generator exponent caps
 face rings the list of facets.  Monomials are exponent tuples; products
 carry the Koszul sign from reordering odd-degree letters.
 
-Modules carry explicit generator action tables, validated on construction:
-graded commutation of the actions and annihilation of the defining
-relations, degreewise up to the module's window.
+A module (``AlgebraModule``) is a graded vector space on which the algebra
+acts trivially; ``ModuleViaMap`` makes a second algebra a module through an
+algebra map, for Tor.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import GradedMap, GradedVectorSpace, PrimeField, _matrix, json_int
-
-KINDS = (
-    "polynomial",
-    "exterior",
-    "mixed",
-    "truncated",
-    "stanley_reisner",
-)
 
 
 class MonomialAlgebra:
@@ -287,46 +277,17 @@ class MonomialAlgebra:
 
 
 class AlgebraModule:
-    """Graded module over a monomial algebra with explicit generator actions.
+    """A graded vector space on which a monomial algebra acts trivially:
+    every generator, of positive degree, acts by zero.  This is the only
+    module the command line builds."""
 
-    ``action[name]`` is a ``GradedMap`` of degree ``deg(name)`` on the
-    underlying space.  Construction validates graded commutation of the
-    generator actions and annihilation of the defining relations on the
-    window; monomials act by composing generator actions in generator
-    order, so associativity reduces to those checks.
-    """
-
-    def __init__(self, algebra, space: GradedVectorSpace, action=None):
+    def __init__(self, algebra, space: GradedVectorSpace):
         self.algebra = algebra
         self.p = algebra.p
         self.space = space
-        self.action: dict[str, GradedMap] = {}
-        for name, mp in (action or {}).items():
-            if name not in [n for n, _ in algebra.generators]:
-                raise ValidationError(f"action for unknown generator {name!r}")
-            self.action[str(name)] = mp
-        self.validate()
 
-    @classmethod
-    def trivial(cls, algebra, space: GradedVectorSpace):
-        return cls(algebra, space, {})
-
-    @classmethod
-    def regular(cls, algebra: MonomialAlgebra, cap: int):
-        """The algebra as a module over itself, truncated at ``cap``."""
-        space = GradedVectorSpace({d: len(algebra.basis(d)) for d in range(cap + 1)})
-        action = {}
-        for name, gdeg in algebra.generators:
-            gmon = algebra.monomial_of(name)
-            blocks = {d: _matrix(algebra.basis(d), algebra.basis(d + gdeg),
-                                 lambda m: algebra.mul(gmon, m).items(), algebra.p)
-                      for d in range(cap + 1 - gdeg)}
-            action[name] = GradedMap(space, space, gdeg, blocks, algebra.p)
-        return cls(algebra, space, action)
-
+    # perfbench/layers.py times the four action methods as monalg.act
     def gen_action(self, name: str) -> GradedMap:
-        if name in self.action:
-            return self.action[name]
         gdeg = dict(self.algebra.generators)[name]
         return GradedMap.zero(self.space, self.space, gdeg, self.p)
 
@@ -336,11 +297,8 @@ class AlgebraModule:
         return (block @ vec) % self.p
 
     def act_monomial(self, mon, d: int, vec: np.ndarray):
-        """Apply a monomial as left multiplication.
-
-        Generator actions compose right-to-left so that the operator of
-        ``x^a y^b`` (canonical order) is ``act(x)^a o act(y)^b``.
-        """
+        """Apply a monomial as left multiplication, one generator at a
+        time from the last; returns (degree, vector)."""
         cur_d, cur = d, vec
         for (name, gdeg), e in reversed(list(zip(self.algebra.generators, mon))):
             for _ in range(e):
@@ -360,54 +318,6 @@ class AlgebraModule:
             _, img = self.act_monomial(mon, d, vec)
             out = (out + c * img) % self.p
         return d + deg, out
-
-    def validate(self):
-        """Graded commutation, exponent caps and non-face products, over
-        the generators that act: a zero action commutes with every map, its
-        powers vanish, and a product containing it vanishes."""
-        if not self.space.degrees():
-            return
-        acting = [(name, d) for name, d in self.algebra.generators if name in self.action]
-        # graded commutation g.(h.m) = (-1)^{|g||h|} h.(g.m)
-        for a, da in acting:
-            for b, db in acting:
-                sign = -1 if (self.p != 2 and da % 2 and db % 2) else 1
-                left = self.action[a].compose(self.action[b])
-                right = self.action[b].compose(self.action[a]).scale(sign)
-                if left != right:
-                    raise ValidationError(
-                        f"module actions of {a!r} and {b!r} do not graded-commute"
-                    )
-        # relations: exponent caps annihilate
-        for (name, _), cap in zip(self.algebra.generators, self.algebra.caps):
-            if cap is None or name not in self.action:
-                continue
-            power = GradedMap.identity(self.space, self.p)
-            for _ in range(cap + 1):
-                power = self.action[name].compose(power)
-            if not power.is_zero():
-                raise ValidationError(f"relation {name}^{cap + 1} = 0 not respected")
-        if self.algebra.facets is not None:
-            for f_out in self._nonface_products():
-                if not f_out.is_zero():
-                    raise ValidationError("non-face monomial acts nontrivially")
-
-    def _nonface_products(self):
-        """Actions of the non-faces of size 2 and 3 whose generators all
-        act (any other product vanishes)."""
-        # non-faces of size <= 3 cover every minimal non-face seen in practice
-        acting = [i for i, name in enumerate(self.algebra.names) if name in self.action]
-        out = []
-        for r in (2, 3):
-            for comb in itertools.combinations(acting, r):
-                supp = frozenset(comb)
-                if any(supp <= f for f in self.algebra.facets):
-                    continue
-                mp = GradedMap.identity(self.space, self.p)
-                for i in comb:
-                    mp = self.action[self.algebra.names[i]].compose(mp)
-                out.append(mp)
-        return out
 
 
 class ModuleViaMap:

@@ -124,8 +124,8 @@ class _Words:
     consecutive lengths.
 
     ``letters`` lists ``(monomial, degree)`` pairs in degree order.  Level
-    ``s`` holds the words of length ``s`` in lexicographic order, with a
-    ``cap`` only those of degree at most ``cap``: ``degrees[s]`` lists
+    ``s`` holds the words of length ``s`` and degree at most ``cap`` in
+    lexicographic order: ``degrees[s]`` lists
     their degrees, ``buckets[s][d]`` the indices of the words of degree
     ``d`` in word order, ``index[s]`` each word's place when the level is
     numbered by degree and then word order, ``starts[s][d]`` where the
@@ -157,7 +157,7 @@ class _Words:
     or a merged word outside the basis, raises ``KeyError``.
     """
 
-    def __init__(self, A, letters, levels: int, cap: int | None = None):
+    def __init__(self, A, letters, levels: int, cap: int):
         self.letters = letters
         self.letter_index = {l: i for i, l in enumerate(letters)}
         n_letters = len(letters)
@@ -166,7 +166,7 @@ class _Words:
         self.scalar = np.zeros((n_letters, n_letters), dtype=np.int64)
         for a, (ma, da) in enumerate(letters):
             for b, (mb, db) in enumerate(letters):
-                if cap is not None and da + db > cap:
+                if da + db > cap:
                     break
                 for m, sc in A.mul(ma, mb).items():
                     self.product[a, b] = self.letter_index[(m, da + db)]
@@ -180,8 +180,7 @@ class _Words:
                 for part in (self.child0, self.nchild, self.parent, self.last, self.degrees):
                     part.append(deg)
                 continue
-            nchild = (np.full(len(deg), n_letters) if cap is None
-                      else ldeg.searchsorted(cap - deg, side="right"))
+            nchild = ldeg.searchsorted(cap - deg, side="right")
             child0 = np.add.accumulate(nchild) - nchild
             parent, last = _runs(nchild)
             self.child0.append(child0)
@@ -189,7 +188,7 @@ class _Words:
             self.parent.append(parent)
             self.last.append(last)
             self.degrees.append(deg[parent] + ldeg[last])
-        span = (levels * max(ldeg.tolist(), default=0) if cap is None else cap) + 1
+        span = cap + 1
         # buckets: the words sorted by (level, degree)
         order, first, runs = _group(self.degrees, span)
         level_start = first[:-1].repeat(first[1:] - first[:-1])

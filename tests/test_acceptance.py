@@ -137,7 +137,7 @@ def _criterion_04_tables():
         for degs, mdims in instances[: 5 if p == 2 else 10]:
             names = "xy"
             A = MonomialAlgebra.exterior(p, [(names[i], d) for i, d in enumerate(degs)])
-            M = AlgebraModule.trivial(A, GradedVectorSpace(dict(mdims)))
+            M = AlgebraModule(A, GradedVectorSpace(dict(mdims)))
             res = aq_ass_dims(A, M, cap=12, s_max=5)
             out.append((p, degs, mdims, res))
     return out

@@ -232,7 +232,7 @@ def test_diagram_aq_single_object_matches_aq(p, v, m, q_max):
     DM = contravariant_diagram(I, {"pt": M}, {}, p)
     out = diagram_aq_table(I, DV, DM, s_max=2, q_max=q_max)
     A = diagrams._exterior_from_space(p, V)
-    ref = aq_ass_dims(A, AlgebraModule.trivial(A, M), cap=12, s_max=q_max)
+    ref = aq_ass_dims(A, AlgebraModule(A, M), cap=12, s_max=q_max)
     assert ref.table.entries
     for q in range(q_max + 1):
         got = {t: n for (s, t), n in out["tables"][q].items() if s == 0}
@@ -318,7 +318,7 @@ def test_aq_local_dim_is_the_subquotient_dim(p, degrees, module, q_max):
             assert loc.dim(q, t) == want, (q, t)
             nonzero += want > 0
     assert nonzero and not loc._sub_cache
-    hh = hochschild_dims(A, AlgebraModule.trivial(A, GradedVectorSpace(module)), s_max=q_max + 1)
+    hh = hochschild_dims(A, AlgebraModule(A, GradedVectorSpace(module)), s_max=q_max + 1)
     tensored = Counter()
     for q in range(q_max + 1):
         for t in ts:

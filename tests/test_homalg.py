@@ -15,7 +15,7 @@ from fphomalg.homalg import (
     tor_dims,
     trivial_module,
 )
-from fphomalg.linalg import BigradedTable, GradedMap, GradedVectorSpace
+from fphomalg.linalg import BigradedTable, GradedVectorSpace
 from fphomalg.monalg import (
     AlgebraModule,
     ModuleViaMap,
@@ -70,50 +70,6 @@ def test_parse_element_and_relations():
     assert e == {(2, 0): 1, (0, 1): 1}
     L = ext_alg(3, 3)
     assert L.parse_element("x^2") == {}
-
-
-# --- modules -----------------------------------------------------------------
-
-
-def test_regular_module_validates():
-    A = ext_alg(3, 3, 5)
-    M = AlgebraModule.regular(A, 8)
-    assert M.space.dim(0) == 1 and M.space.dim(8) == 1
-    # action of x then y vs y then x graded-commute was validated in init
-    d, img = M.act_monomial((1, 1), 0, np.array([1], dtype=np.int64))
-    assert d == 8 and img.tolist() == [1]
-
-
-def test_module_relation_violation_rejected():
-    A = ext_alg(2, 3)
-    space = GradedVectorSpace({0: 1, 3: 1, 6: 1})
-    from fphomalg.linalg import GradedMap
-
-    bad = GradedMap(space, space, 3, {0: [[1]], 3: [[1]]}, 2)  # x^2 acts nonzero
-    with pytest.raises(ValidationError):
-        AlgebraModule(A, space, {"x": bad})
-
-
-def test_module_validation_fails_with_generators_that_do_not_act():
-    from fphomalg.linalg import GradedMap
-
-    space = GradedVectorSpace({0: 1, 3: 1, 6: 1})
-    # x then y is zero, y then x is not: no graded commutation; z does not act
-    x = GradedMap(space, space, 3, {0: [[1]]}, 3)
-    y = GradedMap(space, space, 3, {3: [[1]]}, 3)
-    with pytest.raises(ValidationError, match="graded-commute"):
-        AlgebraModule(ext_alg(3, 3, 3, 5), space, {"x": x, "y": y})
-    # x^2 acts nonzero at p = 2, where x commutes with itself; y does not act
-    x2 = GradedMap(space, space, 3, {0: [[1]], 3: [[1]]}, 2)
-    with pytest.raises(ValidationError, match="relation x\\^2"):
-        AlgebraModule(ext_alg(2, 3, 5), space, {"x": x2})
-    # a and b commute but {a, b} is no face; c does not act
-    A = MonomialAlgebra.stanley_reisner(2, ["a", "b", "c"], [["a"], ["b"], ["c"]])
-    even = GradedVectorSpace({0: 1, 2: 1, 4: 1})
-    a = GradedMap(even, even, 2, {0: [[1]], 2: [[1]]}, 2)
-    with pytest.raises(ValidationError, match="non-face"):
-        AlgebraModule(A, even, {"a": a, "b": a})
-    AlgebraModule(A, even, {"a": a})
 
 
 # --- resolutions -------------------------------------------------------------
@@ -222,25 +178,8 @@ def test_hochschild_complex_is_freed_once_unreferenced():
 
 def test_hochschild_zero_module():
     A = ext_alg(3, 3)
-    hh = hochschild_dims(A, AlgebraModule.trivial(A, GradedVectorSpace()), s_max=3)
+    hh = hochschild_dims(A, AlgebraModule(A, GradedVectorSpace()), s_max=3)
     assert hh.is_empty()
-
-
-def test_hochschild_and_aq_refuse_a_module_on_which_the_algebra_acts(monkeypatch):
-    # the cochains are the dual bar complex tensored with M, which holds
-    # only for a trivial M; route one refuses any other, as Ext does, and
-    # aq refuses before its derivations are solved
-    A = MonomialAlgebra.truncated(2, [("y", 2)], {"y": 3})
-    M = AlgebraModule.regular(A, A.top_degree())
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("derivations solved before the refusal")
-
-    monkeypatch.setattr(homalg, "derivations_dims", unreachable)
-    with pytest.raises(ValidationError, match="acts trivially"):
-        hochschild_dims(A, M, s_max=3)
-    with pytest.raises(ValidationError, match="acts trivially"):
-        aq_ass_dims(A, M, cap=4, s_max=2)
 
 
 def _raise_ext_entry(monkeypatch):
@@ -366,7 +305,7 @@ def test_cochain_differential_matches_its_definition(p, case, module):
             assert np.array_equal(got, reference_delta(hc, s, t)), (s, t)
             checked += int(got.any())
     assert checked
-    M = AlgebraModule.trivial(A, GradedVectorSpace(module))
+    M = AlgebraModule(A, GradedVectorSpace(module))
     hh = hochschild_dims(A, M, s_max=3)
     aq = aq_ass_dims(A, M, cap=8, s_max=2)
     assert {(0, t): n for (s, t), n in hh.items() if s == 0} == {
@@ -421,7 +360,7 @@ def test_bar_matches_tor_on_the_word_complex_algebras(p):
 
 def test_hochschild_two_generators_routes_agree():
     A = ext_alg(3, 3, 5)
-    M = AlgebraModule.trivial(A, GradedVectorSpace({3: 1, 5: 1}))
+    M = AlgebraModule(A, GradedVectorSpace({3: 1, 5: 1}))
     hh = hochschild_dims(A, M, s_max=4)
     assert not hh.is_empty()
     assert hh.parity_verdict().verdict == "odd"
@@ -442,7 +381,7 @@ def test_derivations_free_cases():
 def test_derivations_match_hom_on_generators():
     # Der(Lambda(V), M) = Hom_k(V, M) per map degree
     A = ext_alg(3, 3, 5)
-    M = AlgebraModule.trivial(A, GradedVectorSpace({3: 2, 5: 1}))
+    M = AlgebraModule(A, GradedVectorSpace({3: 2, 5: 1}))
     der = derivations_dims(A, M, cap=10)
     want = {}
     for v in (3, 5):
@@ -475,10 +414,51 @@ def test_aq_even_module_violates_hypothesis():
 
 def test_aq_two_generators_even():
     A = ext_alg(2, 1, 1)
-    M = AlgebraModule.trivial(A, GradedVectorSpace({1: 1}))
+    M = AlgebraModule(A, GradedVectorSpace({1: 1}))
     res = aq_ass_dims(A, M, cap=8, s_max=3)
     assert res.verdict.verdict == "even"
     assert res.table.dim(0, 0) == 2
+
+
+X3Y5_K3 = {"algebra": {"kind": "exterior", "generators": [{"name": "x", "degree": 3},
+                                                          {"name": "y", "degree": 5}]},
+           "module": {"dims": {"3": 1}}}
+
+
+def test_aq_row_0_covers_generators_above_the_cap(tmp_path, capsys):
+    # -n 2 is below both generator degrees; row 0 is still HH^1, the
+    # derivations x -> k[3] and y -> k[3] of map degrees 0 and -2
+    import json
+
+    from fphomalg.cli import main
+
+    path = tmp_path / "x3y5.json"
+    path.write_text(json.dumps(X3Y5_K3))
+    assert main(["aq", "-p", "3", "-n", "2", "--smax", "1", "--format", "json", str(path)]) == 0
+    rows = [(r["s"], r["t"], r["dim"]) for r in json.loads(capsys.readouterr().out)["table"]]
+    assert [r for r in rows if r[0] == 0] == [(0, -2, 1), (0, 0, 1)]
+    assert main(["hochschild", "-p", "3", "--smax", "1", "--format", "json", str(path)]) == 0
+    hh = json.loads(capsys.readouterr().out)["table"]
+    assert [(r["t"], r["dim"]) for r in hh if r["s"] == 1] == [(t, n) for _, t, n in rows[:2]]
+
+
+def test_aq_row_0_disagreeing_with_hh1_exits_3(tmp_path, monkeypatch, capsys):
+    import json
+
+    from fphomalg.cli import main
+
+    der = homalg.derivations_dims
+
+    def raised(*args, **kwargs):
+        dims = der(*args, **kwargs).dims
+        dims[min(dims)] += 1
+        return GradedVectorSpace(dims)
+
+    monkeypatch.setattr(homalg, "derivations_dims", raised)
+    path = tmp_path / "x3y5.json"
+    path.write_text(json.dumps(X3Y5_K3))
+    assert main(["aq", "-p", "3", "-n", "12", "--smax", "1", str(path)]) == 3
+    assert "HH^1" in capsys.readouterr().err
 
 
 # --- Tor ---------------------------------------------------------------------
@@ -587,7 +567,7 @@ def test_hochschild_cell_budget_counts_the_built_cochains(monkeypatch, module):
     # hochschild_dims names it in the map degree it reaches with the
     # module's lowest degree, whatever the module's width
     A, levels = ext_alg(3, 3, 5), 4
-    M = AlgebraModule.trivial(A, GradedVectorSpace(module))
+    M = AlgebraModule(A, GradedVectorSpace(module))
     hc = HochschildComplex(A, levels)
     assert all(len(hc.basis(s, t)) == n for (s, t), n in hc._dims.items())
     largest = max(hc.delta(s, t).size for s in range(levels) for t in hc.t_range())
@@ -713,7 +693,7 @@ def test_word_complex_refuses_a_product_outside_its_letters():
     A = ext_alg(3, 1, 3)
     letters = [(m, d) for d in (1, 3) for m in A.basis(d)]  # x and y, not x*y
     with pytest.raises(KeyError):
-        homalg._Words(A, letters, 2)
+        homalg._Words(A, letters, 2, cap=6)
 
 
 def plant_face_fault(monkeypatch, p, pick, fault):
@@ -826,24 +806,13 @@ def test_resolution_rejects_a_unit_coefficient(monkeypatch, tmp_path, capsys):
     assert "not minimal" in capsys.readouterr().err
 
 
-def test_ext_refuses_a_module_on_which_the_algebra_acts():
-    A = ext_alg(3, 3)
-    with pytest.raises(ValidationError, match="acts trivially"):
-        ext_dims(A, AlgebraModule.regular(A, 8))
-    # a module whose action is all zero blocks is trivial
-    space = GradedVectorSpace({0: 1, 3: 1})
-    zero = GradedMap(space, space, 3, {0: [[0]]}, 3)
-    assert ext_dims(A, AlgebraModule(A, space, {"x": zero}), s_max=2) == \
-        ext_dims(A, AlgebraModule.trivial(A, space), s_max=2)
-
-
 def test_ext_ranks_nothing_beyond_its_resolution(monkeypatch):
     # Ext is read off the resolution's generators: the only homology and the
     # only ranks are those of the resolution's exactness check
     from fphomalg import _kernels, homalg
 
     A = MonomialAlgebra.mixed(3, [("u", 2)], [("x", 3), ("y", 5)])
-    M = AlgebraModule.trivial(A, GradedVectorSpace({0: 2, 4: 1}))
+    M = AlgebraModule(A, GradedVectorSpace({0: 2, 4: 1}))
     calls = []
 
     def counted(name, fn):

@@ -133,7 +133,7 @@ def test_resolution_ext_matches_bar_homology(name, p):
     A = RESOLVED_ALGEBRAS[name](p)
     bar = bar_homology_dims(A, cap=10)
     for dims in ({0: 1}, {0: 2, 3: 1}):
-        M = AlgebraModule.trivial(A, GradedVectorSpace(dims))
+        M = AlgebraModule(A, GradedVectorSpace(dims))
         ext = ext_dims(A, M, s_max=4, cap=10)
         for s in range(5):
             for t in range(max(dims) - 10, max(dims) + 1):
