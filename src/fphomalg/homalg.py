@@ -94,9 +94,6 @@ class _Strand:
             return k * self.deg
         return ((k // 2) * (self.cap + 1) + k % 2) * self.deg
 
-    def tau(self, k):
-        return (k + self.internal(k)) % 2
-
     def terms(self, k):
         """Terms ``(left_exp, right_exp, scalar)`` of the bimodule strand:
         ``d(sym_k) = sum scalar * g^left_exp sym_{k-1} g^right_exp``.  That
@@ -116,10 +113,7 @@ def _strands(A: MonomialAlgebra):
         raise ValidationError("strand resolutions need a monomial algebra presentation")
     if A.kind in ("stanley_reisner",):
         raise ValidationError(f"no strand resolution for algebra kind {A.kind!r}")
-    return [
-        _Strand(name, deg, cap, A.p)
-        for (name, deg), cap in zip(A.generators, A.caps)
-    ]
+    return [_Strand(name, deg, cap, A.p) for (name, deg), cap in zip(A.generators, A.caps)]
 
 
 def _koszul_terms(strands, S, p):
@@ -127,19 +121,18 @@ def _koszul_terms(strands, S, p):
     the symbol tuple ``S``: strand ``i`` lowered to give ``S2``, with the
     Koszul sign of moving ``d`` and the left coefficient past the strands
     before ``i`` and the right coefficient past those after it, in total
-    (homological plus internal) parity.  The one sign rule of every strand
-    complex; ``_KoszulChains`` adds the sign of moving ``d`` past the left
-    module's monomial."""
-    taus = [st.tau(k) for st, k in zip(strands, S)]
+    (homological plus internal) parity, read off each strand's tables of
+    symbol parities and ``_Strand.terms`` (``_KoszulChains``).  The one sign
+    rule of every strand complex; ``_KoszulChains`` adds the sign of moving
+    ``d`` past the left module's monomial."""
+    taus = [tau[k] for (tau, _), k in zip(strands, S)]
     pre, suf = 0, sum(taus)
-    for i, (st, k) in enumerate(zip(strands, S)):
+    for i, ((_, terms), k) in enumerate(zip(strands, S)):
         suf -= taus[i]
         lowered = S[:i] + (k - 1,) + S[i + 1:]
-        for le, re, scal in st.terms(k):
-            sign = scal
-            if p != 2 and ((1 + le * st.deg) * pre + re * st.deg * suf) % 2:
-                sign = -sign
-            yield i, lowered, sign, le, re
+        for le, re, scal, odd_pre, odd_suf in terms[k]:
+            flip = p != 2 and (odd_pre * pre + odd_suf * suf) % 2
+            yield i, lowered, -scal if flip else scal, le, re
         pre += taus[i]
 
 
@@ -217,20 +210,22 @@ class _KoszulChains:
 
     def __init__(self, what: str, A: MonomialAlgebra, M: ModuleViaMap, N: ModuleViaMap,
                  cap: int, s_max: int | None = None):
-        self.what = what
-        self.p = A.p
-        self.cap = cap
+        self.what, self.p, self.cap = what, A.p, cap
         self.B, self.C = B, C = M.target, N.target
         strands = _strands(A)
         # a symbol's internal degree is at least its homological degree
         s_top, t_top = (cap, cap) if s_max is None else (s_max, float("inf"))
 
         degrees = {(): (0, 0)}  # symbol tuple -> (homological, internal) degree
+        tables = []  # per strand, once: tau and the terms of each symbol
         for st in strands:
             top = 1 if st.cap is None else s_top
-            degrees = {S + (k,): (s + k, d + st.internal(k)) for S, (s, d) in degrees.items()
-                       for k in range(top + 1)
-                       if s + k <= s_top and d + st.internal(k) <= t_top}
+            internal = [st.internal(k) for k in range(top + 1)]
+            tables.append(([(k + d) % 2 for k, d in enumerate(internal)],
+                           [[(le, re, scal, (1 + le * st.deg) % 2, re * st.deg % 2)
+                             for le, re, scal in st.terms(k)] for k in range(top + 1)]))
+            degrees = {S + (k,): (s + k, d + internal[k]) for S, (s, d) in degrees.items()
+                       for k in range(top + 1) if s + k <= s_top and d + internal[k] <= t_top}
         self.tuples: list[list[tuple]] = [[] for _ in range(max(s_top, 0) + 1)]
         for S, (s, _) in degrees.items():
             self.tuples[s].append(S)
@@ -245,7 +240,7 @@ class _KoszulChains:
 
         lefts, rights = powers(B, M), powers(C, N)
         self.terms = {S: [(S2, sign, lefts[i][le], rights[i][re])
-                          for i, S2, sign, le, re in _koszul_terms(strands, S, self.p)
+                          for i, S2, sign, le, re in _koszul_terms(tables, S, self.p)
                           if lefts[i][le] != {} and rights[i][re] != {}]
                       for S in degrees}
         self.sizes = _chain_sizes(self, cap)
@@ -333,20 +328,6 @@ class _KoszulChains:
         at = slice(first[s * (self.cap + 1) + t], first[s * (self.cap + 1) + t] + n)
         return [(flat[S], bm[b], cm[c]) for S, b, c in
                 zip(cs[at].tolist(), cb[at].tolist(), cc[at].tolist())]
-
-    def image(self, b):
-        """Terms ``(chain, coefficient)`` of the differential of chain ``b``."""
-        S, bm, cn = b
-        B, C = self.B, self.C
-        flip = self.p != 2 and B.deg(bm) % 2  # d moves past the B-monomial
-        for S2, sign, left, right in self.terms[S]:
-            if flip:
-                sign = -sign
-            lefts = B.mul_elements({bm: 1}, left).items() if left else ((bm, 1),)
-            rights = C.mul_elements(right, {cn: 1}).items() if right else ((cn, 1),)
-            for mm, cm in lefts:
-                for nn, cn2 in rights:
-                    yield (S2, mm, nn), sign * cm * cn2
 
     def _starts(self, s: int) -> list[int]:
         """Where the chains of each degree ``t <= cap + 1`` start when level
@@ -471,9 +452,9 @@ def _resolution(A: MonomialAlgebra, s_max: int, cap: int) -> _KoszulChains:
     generators of F_s and whose ``terms[S]`` are ``d(e_S)``; k kills every
     right coefficient.  Before they are returned, the chains are checked to
     be minimal (every coefficient has positive degree, so ``Hom_A(F, k)``
-    has the zero differential), ``d*d = 0`` on the generators
-    (``_validate_dd``, independent of the chains' array build), and exact
-    for ``s < s_max`` up to degree ``cap``: their homology is k at ``(0, 0)``.
+    has the zero differential), ``d*d = 0`` on the generators in every
+    degree (``_validate_dd``, before any array is built), and exact for
+    ``s < s_max`` up to degree ``cap``: their homology is k at ``(0, 0)``.
     """
     chains = _KoszulChains("resolution", A, ModuleViaMap.identity(A),
                            ModuleViaMap.augmentation(A), cap, s_max=s_max)
@@ -490,16 +471,29 @@ def _resolution(A: MonomialAlgebra, s_max: int, cap: int) -> _KoszulChains:
 
 
 def _validate_dd(chains: _KoszulChains):
-    """``d*d = 0`` in every degree: the resolution's differential applied
-    twice to each generator ``e_S`` of stage 2 and up, with no matrix."""
-    unit = (chains.B.one(), chains.C.one())
+    """``d*d = 0`` in every degree, on each generator ``e_S`` of stage 2
+    and up, composed from ``chains.terms`` with no matrix: ``d(d(e_S)) =
+    sum sign sign' (-1)^{|left|} (left left') (x) e_S'' (x) (right' right)``.
+    Each product of two strand-power images is computed once a call."""
+    B, C, p, products = chains.B, chains.C, chains.p, {}
+
+    def times(alg, x, y):  # x * y, None the unit; the terms share each power's dict
+        key = id(alg), id(x), id(y)
+        if key not in products:
+            products[key] = alg.mul_elements(x or {alg.one(): 1}, y or {alg.one(): 1})
+        return products[key]
+
     for stage in chains.tuples[2:]:
         for S in stage:
             twice = Counter()
-            for b, c in chains.image((S, *unit)):
-                for b2, c2 in chains.image(b):
-                    twice[b2] += c * c2
-            if any(v % chains.p for v in twice.values()):
+            for S2, sign, left, right in chains.terms[S]:
+                if p != 2 and left is not None and B.deg(next(iter(left))) % 2:
+                    sign = -sign  # d moves past the left coefficient
+                for S3, sign2, left2, right2 in chains.terms[S2]:
+                    for b, x in times(B, left, left2).items():
+                        for c, y in times(C, right2, right).items():
+                            twice[S3, b, c] += sign * sign2 * x * y
+            if any(v % p for v in twice.values()):
                 raise CrossCheckError("resolution differential fails d*d = 0")
 
 
@@ -673,13 +667,20 @@ def derivations_dims(A, M: AlgebraModule, cap: int) -> GradedVectorSpace:
 
     Solves the Leibniz system ``D(ab) = D(a) b + (-1)^{t|a|} a D(b)`` over
     all pairs of positive-degree basis elements with product degree inside
-    the cap; the right action is the symmetric one.  The returned space is
-    graded by map degree (possibly negative).
+    the cap; the right action is the symmetric one, and each block of the
+    action (``M.act_monomial``) is built once per monomial and degree.  The
+    returned space is graded by map degree (possibly negative).
     """
     p = A.p
     basis = {d: A.basis(d) for d in range(1, cap + 1) if A.basis(d)}
     mdims = M.space.dims
     dims = {}
+
+    @functools.cache
+    def action(mon, d):  # the entries (row, column, value) of mon on M_d
+        _, img = M.act_monomial(mon, d, np.eye(mdims.get(d, 0), dtype=np.int64))
+        return [(r, mi, int(img[r, mi])) for r, mi in zip(*np.nonzero(img))]
+
     for t in sorted({md - d for d in basis for md in mdims}):
         col_index = {}
         for d, keys in basis.items():
@@ -708,12 +709,10 @@ def derivations_dims(A, M: AlgebraModule, cap: int) -> GradedVectorSpace:
                                 cols.append(ci)
                                 vals.append(sc)
                     for (dc, kc), act, sgn in (((da, ka), kb, right), ((db, kb), ka, left)):
-                        n = mdims.get(dc + t, 0)
-                        _, img = M.act_monomial(act, dc + t, np.eye(n, dtype=np.int64))
-                        for r, mi in zip(*np.nonzero(img)):
+                        for r, mi, v in action(act, dc + t):
                             rows.append(top + r)
                             cols.append(col_index[(dc, kc, mi)])
-                            vals.append(-sgn * int(img[r, mi]))
+                            vals.append(-sgn * v)
                     top += mdim
         # with no Leibniz rows (top == 0) every map of degree t is a derivation
         hdim = len(col_index)

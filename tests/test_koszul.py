@@ -3,10 +3,11 @@
 Every differential of ``homalg._KoszulChains`` is a slice of one table of
 entries built for all degrees at once.  These tests write each one again
 densely, one chain at a time, from the chains' own bases and the image of
-each chain under the differential (``_KoszulChains.image``, the Python route
-``_validate_dd`` also takes), and compare; and they plant a sign fault in
-the one sign rule, ``_koszul_terms``, which every command on the chains must
-report with exit 3.
+each chain under the differential (``image``, multiplied out from the
+chains' ``terms`` monomial by monomial), and compare; and they plant a sign
+fault in the one sign rule, ``_koszul_terms``, which every command on the
+chains must report with exit 3, and which the generator-level ``d*d`` check
+``_validate_dd`` must catch before any differential is built.
 """
 
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from fphomalg import homalg
 from fphomalg.applications import EMSSTorAlgebra, bu_to_bu1_input
 from fphomalg.cli import main
+from fphomalg.errors import CrossCheckError
 from fphomalg.linalg import _matrix
 from fphomalg.monalg import ModuleViaMap, MonomialAlgebra
 
@@ -26,16 +28,35 @@ SMALL = settings(max_examples=25, deadline=None, derandomize=True)
 primes = st.sampled_from([2, 3, 5])
 
 
+def image(chains, b):
+    """Terms ``(chain, coefficient)`` of the differential of the chain ``b =
+    (S, monomial of B, monomial of C)``."""
+    S, bm, cn = b
+    B, C = chains.B, chains.C
+    flip = chains.p != 2 and B.deg(bm) % 2  # d moves past the B-monomial
+    for S2, sign, left, right in chains.terms[S]:
+        if flip:
+            sign = -sign
+        lefts = B.mul_elements({bm: 1}, left).items() if left else ((bm, 1),)
+        rights = C.mul_elements(right, {cn: 1}).items() if right else ((cn, 1),)
+        for mm, cm in lefts:
+            for nn, cn2 in rights:
+                yield (S2, mm, nn), sign * cm * cn2
+
+
 def dense_differential(chains, s, t):
     """The differential from ``(s, t)`` written densely through the image of
     each chain, as the chains wrote it before they were arrays."""
-    return _matrix(chains.basis(s, t), chains.basis(s - 1, t), chains.image, chains.p)
+    return _matrix(chains.basis(s, t), chains.basis(s - 1, t),
+                   lambda b: image(chains, b), chains.p)
 
 
 def matches_dense(chains) -> bool:
-    """Assert that every differential of the chains equals its dense
-    reference; return whether some is nonzero, for the callers where one
-    must be, so that the comparison is not vacuous."""
+    """Assert that the chains pass the generator-level ``d*d`` check and
+    that every differential equals its dense reference; return whether some
+    is nonzero, for the callers where one must be, so that the comparison is
+    not vacuous."""
+    homalg._validate_dd(chains)
     nonzero = False
     for s in range(1, len(chains.sizes)):
         for t in range(chains.cap + 1):
@@ -156,3 +177,57 @@ def test_a_sign_fault_in_the_koszul_terms_exits_3(monkeypatch, tmp_path, capsys,
     capsys.readouterr()
     assert main([*command, str(path)]) == 3
     assert "fails d*d = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("algebra", ["polynomial", "truncated", "exterior"])
+def test_the_generator_level_check_alone_catches_a_sign_fault(monkeypatch, p, algebra):
+    # the planted fault of the test above, seen by _validate_dd on its own,
+    # before the chains build their table of entries (whose d*d check would
+    # also see it)
+    terms = homalg._koszul_terms
+
+    def faulty(strands, S, p):
+        for i, S2, sign, le, re in terms(strands, S, p):
+            yield i, S2, -sign if i == 0 and S[1] else sign, le, re
+
+    monkeypatch.setattr(homalg, "_koszul_terms", faulty)
+    A = {"polynomial": MonomialAlgebra.polynomial(p, [("u", 2), ("v", 2)]),
+         "truncated": MonomialAlgebra(p, [("u", 2), ("v", 4)], caps={"u": 2, "v": 3}),
+         "exterior": MonomialAlgebra.exterior(p, [("x", 1), ("y", 3)])}[algebra]
+    for right in (ModuleViaMap.augmentation(A), ModuleViaMap.identity(A)):
+        chains = homalg._KoszulChains("resolution", A, ModuleViaMap.identity(A), right, 6,
+                                      s_max=3)
+        with pytest.raises(CrossCheckError, match=r"resolution differential fails d\*d = 0"):
+            homalg._validate_dd(chains)
+        assert "_table" not in chains.__dict__
+
+
+@st.composite
+def algebras_of_two_strands(draw, p):
+    """An exterior, truncated or polynomial algebra on two or three
+    generators of degree 1 to 4; a truncated or polynomial one has even
+    generators at odd p, where odd ones would be exterior."""
+    kind = draw(st.sampled_from(["exterior", "truncated", "polynomial"]))
+    degree = st.integers(1, 4) if p == 2 or kind == "exterior" else st.sampled_from([2, 4])
+    generators = list(zip("xyz", draw(st.lists(degree, min_size=2, max_size=3))))
+    if kind == "exterior":
+        return MonomialAlgebra.exterior(p, generators)
+    caps = {n: draw(st.integers(2, 3)) for n, _ in generators} if kind == "truncated" else {}
+    return MonomialAlgebra(p, generators, caps=caps)
+
+
+@SMALL
+@given(p=primes, data=st.data(), s_max=st.integers(2, 5))
+def test_the_generator_level_check_passes_on_clean_chains(p, data, s_max):
+    A = data.draw(algebras_of_two_strands(p))
+    identity = ModuleViaMap.identity(A)
+    for chains in (homalg._KoszulChains("resolution", A, identity,
+                                        ModuleViaMap.augmentation(A), 8, s_max=s_max),
+                   homalg._KoszulChains("two-sided Koszul", A, identity, identity, 8)):
+        homalg._validate_dd(chains)
+        assert "_table" not in chains.__dict__
+        # not vacuous: some generator's d lowers two strands, so d*d meets
+        # the Koszul signs between strands and products of two images
+        assert any(len({S2 for S2, *_ in chains.terms[S]}) >= 2
+                   for stage in chains.tuples[2:] for S in stage)

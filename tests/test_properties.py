@@ -1,4 +1,5 @@
-"""Property tests on random small algebras: the dual Hochschild routes, bar
+"""Property tests on random small algebras: the dual Hochschild routes,
+derivations into a trivial module against Hom from the generators, bar
 homology against Koszul Tor, two-sided Tor with the algebra on a side, and
 the degree-bucketed cochain basis, the face-ring basis against a filtered
 enumeration; on
@@ -9,6 +10,7 @@ rank-nullity, kernels and solves of the elimination kernel, and the sparse
 rank against rref at every density."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fphomalg.freelie import (
 from fphomalg.homalg import (
     HochschildComplex,
     bar_homology_dims,
+    derivations_dims,
     ext_dims,
     tor_dims,
     trivial_module,
@@ -69,6 +72,32 @@ def test_hochschild_routes_agree(p, degrees, module_degree, s_max):
                 direct[(s, t + module_degree)] = h
     assert BigradedTable(direct) == shortcut
     assert shortcut.dim(0, module_degree) == 1
+
+
+@SMALL
+@given(p=st.sampled_from([2, 3, 5]), degrees=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       module=st.dictionaries(st.integers(-3, 9), st.integers(1, 2), min_size=1, max_size=3))
+def test_derivations_are_hom_from_the_generators(p, degrees, module):
+    # into a trivial module a derivation kills every product of two positive
+    # degree elements, so in map degree t the derivations are Hom(QA, M)_t:
+    # one copy of M_{|g| + t} for each generator g
+    A = MonomialAlgebra.exterior(p, [(f"g{i}", d) for i, d in enumerate(degrees)])
+    M = AlgebraModule(A, GradedVectorSpace(module))
+    calls, act = [], M.act_monomial
+
+    def spy(mon, d, vec):
+        calls.append((mon, d))
+        return act(mon, d, vec)
+
+    M.act_monomial = spy
+    want = Counter()
+    for g in degrees:
+        for md, n in module.items():
+            want[md - g] += n
+    assert derivations_dims(A, M, A.top_degree()).dims == dict(want)
+    # each action block is built once per (monomial, degree); two generators
+    # make a product, so a Leibniz row and an action block
+    assert len(calls) == len(set(calls)) and (calls or len(degrees) == 1)
 
 
 @SMALL
