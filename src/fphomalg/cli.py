@@ -287,6 +287,9 @@ def cmd_stanley_reisner(data, args):
 def cmd_emss(data, args):
     if data.get("preset") == "diagonal-circle":
         inp = apps.bu_to_bu1_input(json_int(data["n"], "n"), p=args.prime, cap=args.cap)
+    elif "preset" in data:
+        raise ValidationError(
+            f"unknown emss preset {data['preset']!r} (the one known preset is 'diagonal-circle')")
     else:
         inp = apps.EMSSInput.from_json({**data, "p": data.get("p", args.prime)})
     checks = apps.emss_hypothesis_check(inp, cap=args.cap)

@@ -7,7 +7,8 @@ commutator ``[a, b] = ab - (-1)^{s(a) s(b)} ba`` on shifted degrees and the
 restriction becomes the p-th tensor power.  Everything downstream is exact
 arithmetic mod p.  The public constructors of ``TensorElement`` check
 homogeneity; sums, scalings, products, brackets and powers carry the shifted
-degree over from their inputs.
+degree over from their inputs.  Every product keeps its coefficients reduced
+mod p as it is summed, one word pair at a time, and stores no zero.
 
 Two independent routes to the dimensions of the free algebras coexist:
 
@@ -156,7 +157,7 @@ class TensorElement:
         return None if self.sdeg is None else self.sdeg + 1
 
     def _check(self, other):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetError("elements over different alphabets or primes")
 
     def __add__(self, other):
@@ -203,20 +204,18 @@ class TensorElement:
         return " + ".join(bits)
 
 
-def _add_product(terms, a, b, c):
-    """Add ``c`` times the concatenation product ``a b`` into ``terms``."""
+def _add_product(terms, a, b, c, p):
+    """Add ``c`` (nonzero mod p) times ``a b`` into the reduced ``terms``,
+    reducing each sum mod p as it is added and dropping a word at 0."""
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             w = w1 + w2
-            terms[w] = terms.get(w, 0) + c * c1 * c2
+            s = (terms.get(w, 0) + c * c1 * c2) % p
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
     return terms
-
-
-def _reduced(alphabet, terms, sdeg):
-    """Element on ``terms`` of shifted degree ``sdeg``, reduced mod p."""
-    p = alphabet.p
-    terms = {w: c % p for w, c in terms.items() if c % p}
-    return TensorElement._trusted(alphabet, terms, sdeg)
 
 
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -224,7 +223,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     a._check(b)
     if a.is_zero() or b.is_zero():
         return TensorElement.zero(a.alphabet)
-    return _reduced(a.alphabet, _add_product({}, a, b, 1), a.sdeg + b.sdeg)
+    terms = _add_product({}, a, b, 1, a.alphabet.p)
+    return TensorElement._trusted(a.alphabet, terms, a.sdeg + b.sdeg)
 
 
 def shifted_bracket(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -232,9 +232,9 @@ def shifted_bracket(a: TensorElement, b: TensorElement) -> TensorElement:
     a._check(b)
     if a.is_zero() or b.is_zero():
         return TensorElement.zero(a.alphabet)
-    sign = -1 if (a.sdeg * b.sdeg) % 2 else 1
-    terms = _add_product(_add_product({}, a, b, 1), b, a, -sign)
-    return _reduced(a.alphabet, terms, a.sdeg + b.sdeg)
+    p, sign = a.alphabet.p, -1 if (a.sdeg * b.sdeg) % 2 else 1
+    terms = _add_product(_add_product({}, a, b, 1, p), b, a, -sign, p)
+    return TensorElement._trusted(a.alphabet, terms, a.sdeg + b.sdeg)
 
 
 def restriction_power(a: TensorElement) -> TensorElement:

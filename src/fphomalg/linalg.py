@@ -42,12 +42,13 @@ from .errors import CapError, CrossCheckError, ValidationError
 
 def json_int(value, field: str) -> int:
     """``int(value)`` for a number or numeral read from JSON input; a value
-    that is not an integer raises ``ValidationError`` naming ``field``."""
+    that is not an integer (a boolean included) raises ``ValidationError``
+    naming ``field``."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or (isinstance(value, float) and n != value):
+    if n is None or isinstance(value, bool) or (isinstance(value, float) and n != value):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     return n
 

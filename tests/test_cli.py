@@ -448,11 +448,18 @@ TRUNCATED_X2 = {"kind": "truncated", "generators": [{"name": "x", "degree": 2}]}
     ("obstruction", {"table": [{"s": 1.5, "t": 1, "dim": 1}]}, "s"),
     ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": "a"}}}, "truncation of 'x'"),
     ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": 2.5}}}, "truncation of 'x'"),
+    # JSON booleans are not integers, though int(True) is 1
+    ("free-lie", [{"name": "x", "degree": True}], "degree of 'x'"),
+    ("aq", {**AQ_ON_X3, "module": {"dims": {"3": True}}}, "dims['3']"),
+    ("invariants", {"p": 3, "matrices": [[[True]]], "degrees": [2]}, "matrix entry"),
+    ("ext", {"algebra": TRUNCATED_X2 | {"truncation": {"x": True}}}, "truncation of 'x'"),
+    ("obstruction", {"table": [{"s": 1, "t": 1, "dim": True}]}, "dim"),
 ], ids=["stanley-reisner", "diagram-lim", "free-lie", "free-lie-fraction", "aq", "aq-generator",
         "invariants-p", "invariants-degree", "emss-p", "algebra-p", "lambda", "map-degree",
         "block-key", "block-entry", "block-entry-fraction", "matrix-entry",
         "matrix-entry-fraction", "table-row", "table-row-fraction", "truncation",
-        "truncation-fraction"])
+        "truncation-fraction", "free-lie-boolean", "dims-boolean", "matrix-entry-boolean",
+        "truncation-boolean", "table-dim-boolean"])
 def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, data, field):
     code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")
     err = capsys.readouterr().err
@@ -467,7 +474,10 @@ def test_non_integer_degree_is_a_validation_error(tmp_path, capsys, command, dat
      "exponent caps name no generator: ['zz']"),
     ("invariants", {"p": 3, "matrices": [[[1, 0], [0]]], "degrees": [2, 2]},
      "matrix rows of lengths [2, 1]"),
-], ids=["truncation-not-an-object", "truncation-unknown-name", "ragged-matrix"])
+    ("emss", {"preset": "nope", "n": 3},
+     "unknown emss preset 'nope' (the one known preset is 'diagonal-circle')"),
+], ids=["truncation-not-an-object", "truncation-unknown-name", "ragged-matrix",
+        "emss-unknown-preset"])
 def test_malformed_algebra_and_action_are_validation_errors(tmp_path, capsys, command,
                                                             data, message):
     code, _ = run(tmp_path, command, data, "-p", "3", "-n", "6")

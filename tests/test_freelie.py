@@ -71,6 +71,46 @@ def test_tensor_mul_examples():
     assert tensor_mul(x3, x3).terms == {(0, 0): 1}
 
 
+def reference_product_terms(pairs, p):
+    """``sum c * (a b)`` over ``(c, a, b)`` from the definition: every word
+    pair summed over the integers, then reduced mod p with zeros dropped."""
+    sums = Counter()
+    for c, a, b in pairs:
+        for (w1, c1), (w2, c2) in itertools.product(a.terms.items(), b.terms.items()):
+            sums[w1 + w2] += c * c1 * c2
+    return {w: s % p for w, s in sums.items() if s % p}
+
+
+@st.composite
+def degree_one_elements(draw):
+    # every word of letters of shifted degree 0 has shifted degree 0, so
+    # words of different lengths share an element and w1 + w2 can repeat
+    # inside one product (x * yz and xy * z are both xyz)
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+    a = alph(p, *[1] * n)
+    words = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple)
+    element = st.dictionaries(words, st.integers(-2 * p, 2 * p), max_size=4)
+    one_word = st.dictionaries(words, st.integers(1, p - 1), min_size=1, max_size=1)
+    return a, [TensorElement(a, draw(s)) for s in (element, element, one_word)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=degree_one_elements(), k=st.integers(1, 4))
+def test_products_match_the_definition(case, k):
+    alphabet, (a, b, one) = case
+    p = alphabet.p
+    for x, y in [(a, b), (one, b), (a, one), (one, one)]:
+        prod, bracket = tensor_mul(x, y), shifted_bracket(x, y)
+        assert prod.terms == reference_product_terms([(1, x, y)], p)
+        # shifted degree 0: [x, y] = xy - yx
+        assert bracket.terms == reference_product_terms([(1, x, y), (-1, y, x)], p)
+        for e in (prod, bracket):
+            assert e.sdeg == (0 if e.terms else None)
+    # [a, k a] cancels to the zero element
+    assert shifted_bracket(a, a.scale(k)) == TensorElement.zero(alphabet)
+    assert shifted_bracket(a, a.scale(k)).sdeg is None
+
+
 def test_tensor_mul_alphabet_mismatch():
     x = TensorElement.from_generator(alph(2, 2), "x")
     y = TensorElement.from_generator(alph(3, 2), "x")
