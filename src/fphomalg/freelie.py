@@ -5,7 +5,11 @@ shifted degree ``n - 1``; words live in the tensor algebra on the
 desuspended generators, where the degree ``-1`` bracket becomes the graded
 commutator ``[a, b] = ab - (-1)^{s(a) s(b)} ba`` on shifted degrees and the
 restriction becomes the p-th tensor power.  Everything downstream is exact
-arithmetic mod p.  The public constructors of ``TensorElement`` check
+arithmetic mod p.  A word is ``bytes``, one letter index per byte: bytes
+compare as the tuples of their letters do (lexicographically, a prefix
+first), so every lowest word and sort is the tuples', while a bytes object
+caches its hash and compares by memcmp, which makes the word lookups of
+products, reductions and spans cheap.  The public constructors of ``TensorElement`` check
 homogeneity; sums, scalings, products, brackets and powers carry the shifted
 degree over from their inputs.  Every product keeps its coefficients reduced
 mod p as it is summed, one word pair at a time, and stores no zero.
@@ -121,12 +125,7 @@ class TensorElement:
     def __init__(self, alphabet: Alphabet, terms):
         self.alphabet = alphabet
         p = alphabet.p
-        clean = {}
-        for word, c in terms.items():
-            c %= p
-            if c:
-                clean[tuple(word)] = c
-        self.terms = clean
+        self.terms = clean = {bytes(w): c % p for w, c in terms.items() if c % p}
         sdegs = {alphabet.word_sdeg(w) for w in clean}
         if len(sdegs) > 1:
             raise ValidationError("tensor element is not homogeneous")
@@ -146,7 +145,7 @@ class TensorElement:
 
     @classmethod
     def from_generator(cls, alphabet, name):
-        return cls(alphabet, {(alphabet.names.index(name),): 1})
+        return cls(alphabet, {bytes([alphabet.names.index(name)]): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -348,7 +347,7 @@ def lyndon_words(k: int, max_len: int):
     while w:
         w[-1] += 1
         if w[-1] < k:
-            yield tuple(w)
+            yield bytes(w)
             m = len(w)
             while len(w) < max_len:
                 w.append(w[len(w) - m])
@@ -359,10 +358,7 @@ def lyndon_words(k: int, max_len: int):
 
 
 def is_lyndon(word) -> bool:
-    n = len(word)
-    if n == 0:
-        return False
-    return all(word < word[i:] + word[:i] for i in range(1, n))
+    return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
 
 
 def standard_factorization(word):
@@ -384,7 +380,7 @@ def standard_bracketing(word):
 
 def expand_bracketing(tree, alphabet: Alphabet) -> TensorElement:
     if isinstance(tree, int):
-        return TensorElement(alphabet, {(tree,): 1})
+        return TensorElement(alphabet, {bytes([tree]): 1})
     left = expand_bracketing(tree[0], alphabet)
     right = expand_bracketing(tree[1], alphabet)
     return shifted_bracket(left, right)
@@ -392,7 +388,7 @@ def expand_bracketing(tree, alphabet: Alphabet) -> TensorElement:
 
 @dataclass
 class LyndonBasisElement:
-    word: tuple
+    word: bytes
     names: tuple
     bracketing: object
     selfbracket_flag: bool
@@ -417,7 +413,7 @@ def _lyndon_candidates(alphabet: Alphabet, weight_cap: int, degree_cap: int):
     def walk(t, q, sdeg):
         # a[1..t] is a prenecklace of period q and shifted degree sdeg
         if t and q == t:
-            out.append((tuple(a[1: t + 1]), sdeg))
+            out.append((bytes(a[1: t + 1]), sdeg))
         if t == weight_cap:
             return
         for j in range(a[t + 1 - q], k):
@@ -441,12 +437,13 @@ def _lyndon_elements(gens, weight_cap: int, degree_cap: int, p: int):
     of no larger degree, so it lies within the caps and has been built, and
     the factorization is a lookup of the suffixes among the built words.
     """
-    if weight_cap > 20 or degree_cap > 64:
-        raise CapError("weight cap <= 20 and degree cap <= 64 supported")
+    for cap, top, name in ((weight_cap, 20, "weight"), (degree_cap, 64, "degree")):
+        if cap > top:
+            raise CapError(f"{name} cap {cap} is over {top}")
     alphabet = Alphabet(parse_or_pass(gens), p)
     _check_caps(alphabet, degree_cap, weight_cap)
     basis = []
-    built: dict[tuple, LyndonBasisElement] = {}
+    built: dict[bytes, LyndonBasisElement] = {}
     for word, sdeg in _lyndon_candidates(alphabet, weight_cap, degree_cap):
         if len(word) == 1:
             tree, elem = word[0], TensorElement._trusted(alphabet, {word: 1}, sdeg)
@@ -455,7 +452,8 @@ def _lyndon_elements(gens, weight_cap: int, degree_cap: int, p: int):
             u, v = built[word[:i]], built[word[i:]]
             tree, elem = (u.bracketing, v.bracketing), shifted_bracket(u.element, v.element)
             if elem.is_zero():
-                raise CrossCheckError(f"Lyndon bracketing of {word} expanded to zero")
+                raise CrossCheckError(
+                    f"Lyndon bracketing of {alphabet.word_str(word)} expanded to zero")
         b = built[word] = LyndonBasisElement(
             word=word,
             names=tuple(alphabet.names[i] for i in word),
@@ -471,7 +469,8 @@ def _lyndon_elements(gens, weight_cap: int, degree_cap: int, p: int):
             if b.v_degree % 2 == 0 and 2 * b.weight <= weight_cap and 2 * b.v_degree - 1 <= degree_cap:
                 elem = shifted_bracket(b.element, b.element)
                 if elem.is_zero():
-                    raise CrossCheckError(f"self-bracket on {b.word} vanished unexpectedly")
+                    raise CrossCheckError(
+                        f"self-bracket on {alphabet.word_str(b.word)} vanished unexpectedly")
                 basis.append(
                     LyndonBasisElement(
                         word=b.word + b.word,
@@ -806,7 +805,8 @@ def restricted_basis(gens, degree_cap: int = 10, *, p: int,
                 elem = restriction_power(elem)
                 if elem.is_zero():
                     raise CrossCheckError(
-                        f"restriction power of {b.word} vanished in realization")
+                        f"restriction power of {elem.alphabet.word_str(b.word)} vanished "
+                        "in realization")
             symbols.append(RestrictedBasisSymbol(i, b, d, elem))
     counted = _degree_counts(symbols)
     realized = span_dims([s.element for s in symbols], p)
@@ -832,7 +832,7 @@ def _random_homogeneous(rng, alphabet, degree_cap, max_weight=3, max_terms=3,
     """Random nonzero homogeneous element, optionally with fixed parity/degree."""
     for _ in range(200):
         ln = int(rng.integers(1, max_weight + 1))
-        first = tuple(int(rng.integers(0, len(alphabet.names))) for _ in range(ln))
+        first = bytes(int(rng.integers(0, len(alphabet.names))) for _ in range(ln))
         sdeg = alphabet.word_sdeg(first)
         if sdeg + 1 > degree_cap:
             continue
@@ -840,11 +840,11 @@ def _random_homogeneous(rng, alphabet, degree_cap, max_weight=3, max_terms=3,
             continue
         if sdeg_target is not None and sdeg != sdeg_target:
             continue
-        words = {first}
+        words = {first: None}  # in drawn order: a set of bytes iterates by a per-process hash
         for _ in range(int(rng.integers(0, max_terms))):
-            w = tuple(int(rng.integers(0, len(alphabet.names))) for _ in range(ln))
+            w = bytes(int(rng.integers(0, len(alphabet.names))) for _ in range(ln))
             if alphabet.word_sdeg(w) == sdeg:
-                words.add(w)
+                words[w] = None
         terms = {w: int(rng.integers(1, alphabet.p)) for w in words}
         e = TensorElement(alphabet, terms)
         if not e.is_zero():

@@ -278,6 +278,17 @@ def test_exit_code_2_on_too_many_lie_words(tmp_path, command):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("degree, caps, message", [
+    (70, ("-n", "80"), "degree cap 80 is over 64"),
+    (2, ("-n", "30", "--weight-cap", "25"), "weight cap 25 is over 20"),
+])
+def test_restricted_refusal_names_the_cap_that_is_over(tmp_path, capsys, degree, caps,
+                                                        message):
+    code, text = run(tmp_path, "restricted", [{"name": "x", "degree": degree}], "-p", "3", *caps)
+    assert code == 2 and text == ""
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, data, cap", [
     # two degree-2 and one degree-4 polynomial generators: at cap 18 the bar
     # differential from (4, 18) is 4,446 x 13,856 (61.6M cells), refused

@@ -62,13 +62,13 @@ def test_tensor_mul_examples():
     a2 = alph(2, 2, 2)
     x = TensorElement.from_generator(a2, "x")
     y = TensorElement.from_generator(a2, "y")
-    assert tensor_mul(x, y).terms == {(0, 1): 1}
+    assert tensor_mul(x, y).terms == {bytes([0, 1]): 1}
     # bilinearity over F_2: (x+y)*x = xx + yx
-    assert tensor_mul(x + y, x).terms == {(0, 0): 1, (1, 0): 1}
+    assert tensor_mul(x + y, x).terms == {bytes([0, 0]): 1, bytes([1, 0]): 1}
     # scalars mod 3: (2x)*(2x) = 4xx = xx
     a3 = alph(3, 2)
     x3 = TensorElement.from_generator(a3, "x").scale(2)
-    assert tensor_mul(x3, x3).terms == {(0, 0): 1}
+    assert tensor_mul(x3, x3).terms == {bytes([0, 0]): 1}
 
 
 def reference_product_terms(pairs, p):
@@ -141,7 +141,7 @@ def test_shifted_bracket_examples():
     a = alph(3, 2)
     x = TensorElement.from_generator(a, "x")
     b = shifted_bracket(x, x)
-    assert b.terms == {(0, 0): 2}
+    assert b.terms == {bytes([0, 0]): 2}
     assert b.v_degree == 3
     # x of degree 3 at p=5: [x,x] = 0
     a5 = alph(5, 3)
@@ -158,13 +158,13 @@ def test_restriction_power_examples():
     a2 = alph(2, 2)
     x2 = TensorElement.from_generator(a2, "x")
     sq = restriction_power(x2)
-    assert sq.terms == {(0, 0): 1} and sq.v_degree == 3
+    assert sq.terms == {bytes([0, 0]): 1} and sq.v_degree == 3
     # p=3, [x,x] with |x|=2 has odd degree 3; cube is 2 * x^{(6)} in degree 7
     a3 = alph(3, 2)
     x3 = TensorElement.from_generator(a3, "x")
     b = shifted_bracket(x3, x3)
     cube = restriction_power(b)
-    assert cube.terms == {(0,) * 6: 2}
+    assert cube.terms == {bytes([0] * 6): 2}
     assert cube.v_degree == 7
     # p=3 on even degree: domain error naming the axiom
     with pytest.raises(ParityDomainError, match="even degree"):
@@ -183,8 +183,8 @@ def test_ad_power_matches_bracket_with_power():
 
 def test_lyndon_word_generation():
     words = [w for w in lyndon_words(2, 4)]
-    assert (0,) in words and (1,) in words and (0, 1) in words
-    assert (0, 0) not in words
+    assert bytes([0]) in words and bytes([1]) in words and bytes([0, 1]) in words
+    assert bytes([0, 0]) not in words
     assert all(is_lyndon(w) for w in words)
     assert standard_factorization((0, 1, 1)) == ((0, 1), (1,))
 
@@ -493,7 +493,7 @@ def test_repeated_lyndon_word_fails_the_independence_check(monkeypatch, p):
 
     def repeat_xy(alphabet, weight_cap, degree_cap):
         out = candidates(alphabet, weight_cap, degree_cap)
-        i = [w for w, _ in out].index((0, 1))
+        i = [w for w, _ in out].index(bytes([0, 1]))
         return out[: i + 1] + out[i:]
 
     monkeypatch.setattr(freelie, "_lyndon_candidates", repeat_xy)
@@ -501,3 +501,55 @@ def test_repeated_lyndon_word_fails_the_independence_check(monkeypatch, p):
         lyndon_basis(gens(2, 2), 8, 9, p=p)
     with pytest.raises(CrossCheckError, match="dependent"):
         restricted_basis(gens(2, 2), 9, p=p, weight_cap=8)
+
+
+def planted_zero(real, when):
+    """``real`` except that it returns the zero element where ``when`` holds."""
+    def planted(a, *rest):
+        return TensorElement.zero(a.alphabet) if when(a, *rest) else real(a, *rest)
+    return planted
+
+
+def both_letters(a):
+    """Whether the words of ``a`` hold both x and y."""
+    return set(max(a.terms)) == {0, 1}
+
+
+@pytest.mark.parametrize("name, when, build, message", [
+    ("shifted_bracket", lambda a, b: True,
+     lambda: lyndon_basis(gens(2, 2), 4, 6, p=3), "Lyndon bracketing of xy expanded to zero"),
+    ("shifted_bracket", lambda a, b: a is b and both_letters(a),
+     lambda: lyndon_basis(gens(2, 3), 4, 8, p=3), "self-bracket on xy vanished unexpectedly"),
+    ("restriction_power", both_letters,
+     lambda: restricted_basis(gens(2, 2), 9, p=2, weight_cap=8),
+     "restriction power of xy vanished in realization"),
+])
+def test_a_vanished_realization_is_named_by_its_letters(monkeypatch, name, when, build,
+                                                        message):
+    monkeypatch.setattr(freelie, name, planted_zero(getattr(freelie, name), when))
+    with pytest.raises(CrossCheckError, match=f"^{message}$"):
+        build()
+
+
+def stored_key(alphabet, word):
+    """The key under which a tensor element stores ``word``."""
+    [key] = TensorElement(alphabet, {word: 1}).terms
+    return key
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5]),
+       words=st.lists(st.lists(st.integers(0, 3), max_size=12).map(tuple), min_size=1,
+                      max_size=10))
+def test_byte_words_keep_the_tuple_order(p, words):
+    # four letters of shifted degree 0: every word lies in one degree, so
+    # any words, of any lengths, make a homogeneous element
+    a = alph(p, 1, 1, 1, 1)
+    keys = [stored_key(a, w) for w in words]
+    assert sorted(keys) == [stored_key(a, w) for w in sorted(words)]
+    assert max(keys) == stored_key(a, max(words))
+    terms = {w: i + 1 for i, w in enumerate(words)}
+    from_tuples = TensorElement(a, terms)
+    assert from_tuples == TensorElement(a, {bytes(w): c for w, c in terms.items()})
+    # stored as bytes, each in the order of its letters
+    assert from_tuples.terms == {bytes(w): c % p for w, c in terms.items() if c % p}
